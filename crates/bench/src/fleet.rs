@@ -21,9 +21,9 @@
 //! Allocation discipline is measured, not assumed: the serial
 //! coordination phases (plan + absorb) are sampled separately from the
 //! shard steps, and their steady-state (second-half) allocations per
-//! window are reported and gated — shard-internal allocations
-//! (orchestrator bookkeeping) are the shards' own budget, measured as
-//! `allocs_per_window` for trend tracking.
+//! window are reported and gated. The whole single-worker loop's
+//! allocations per window (`allocs_per_window`, shard steps included)
+//! are gated too: the counting allocator makes them deterministic.
 
 use std::time::{Duration, Instant};
 
@@ -45,6 +45,12 @@ pub const MIN_SPEEDUP_8W: f64 = 4.0;
 /// first diurnal cycle; a growing value means the barrier loop lost its
 /// buffer reuse.
 pub const MAX_COORD_ALLOCS_PER_WINDOW: f64 = 64.0;
+
+/// Single-worker allocations allowed per window over the whole loop
+/// (plan, every shard step, absorb). Shard steps reuse their buffers, so
+/// only warm-up growth remains; a per-event allocation would cost
+/// hundreds per window.
+pub const MAX_ALLOCS_PER_WINDOW: f64 = 64.0;
 
 /// Parameters of one fleet benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -377,6 +383,14 @@ pub fn experiment() -> crate::runner::Experiment {
                     ));
                 }
             }
+            if let Some(allocs) = gate_num(doc, "w1", "allocs_per_window", &mut f) {
+                if allocs > MAX_ALLOCS_PER_WINDOW {
+                    f.push(format!(
+                        "single-worker loop allocated {allocs:.1}/window \
+                         (> {MAX_ALLOCS_PER_WINDOW}) — a shard step lost its buffer reuse"
+                    ));
+                }
+            }
             f
         },
         baseline_gates: |doc, baseline| {
@@ -458,6 +472,7 @@ mod tests {
             "modeled_8w",
             "wall_8w",
             "host_cpus",
+            "allocs_per_window",
             "coord_allocs_per_window",
         ] {
             assert!(doc.contains(&format!("\"{key}\"")), "missing {key}: {doc}");

@@ -10,7 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 use socc_hw::power::PowerState;
-use socc_sim::time::SimTime;
 use socc_sim::units::Power;
 
 /// Management commands addressed to the BMC.
@@ -141,23 +140,16 @@ pub fn decode_command(frame: &[u8]) -> Result<BmcCommand, BmcProtocolError> {
     }
 }
 
-/// A logged management event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BmcEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// Event description.
-    pub message: String,
-}
-
-/// The BMC: sensor snapshot plus event log.
+/// The BMC: sensor snapshot plus event counter.
 #[derive(Debug, Clone, Default)]
 pub struct Bmc {
     soc_power_w: Vec<f64>,
     soc_temp_c: Vec<f64>,
     chassis_power_w: f64,
     fan_duty: f64,
-    events: Vec<BmcEvent>,
+    /// Management events seen (wakes, sleeps, faults, migrations); the
+    /// events themselves are typed span events in the orchestrator's log.
+    event_count: u32,
     /// Power-state change requests produced by protocol commands, drained
     /// by the cluster control loop.
     pending_state_changes: Vec<(usize, PowerState)>,
@@ -171,7 +163,7 @@ impl Bmc {
             soc_temp_c: vec![25.0; soc_count],
             chassis_power_w: 0.0,
             fan_duty: 0.25,
-            events: Vec::new(),
+            event_count: 0,
             pending_state_changes: Vec::new(),
         }
     }
@@ -192,17 +184,9 @@ impl Bmc {
         }
     }
 
-    /// Appends an event to the log.
-    pub fn log(&mut self, at: SimTime, message: impl Into<String>) {
-        self.events.push(BmcEvent {
-            at,
-            message: message.into(),
-        });
-    }
-
-    /// The event log.
-    pub fn events(&self) -> &[BmcEvent] {
-        &self.events
+    /// Counts one management event (what `ReadEventCount` reports).
+    pub fn count_event(&mut self) {
+        self.event_count = self.event_count.saturating_add(1);
     }
 
     /// Drains queued power-state change requests.
@@ -240,7 +224,7 @@ impl Bmc {
             BmcCommand::ReadFanDuty => Ok(BmcResponse::FanDutyPct(
                 (self.fan_duty * 100.0).round() as u8
             )),
-            BmcCommand::ReadEventCount => Ok(BmcResponse::Count(self.events.len() as u32)),
+            BmcCommand::ReadEventCount => Ok(BmcResponse::Count(self.event_count)),
         }
     }
 
@@ -333,12 +317,11 @@ mod tests {
     #[test]
     fn event_log_counts() {
         let mut bmc = Bmc::new(1);
-        bmc.log(SimTime::from_secs(1), "soc 0 flash failure");
-        bmc.log(SimTime::from_secs(2), "soc 0 powered off");
+        bmc.count_event();
+        bmc.count_event();
         assert_eq!(
             bmc.execute(BmcCommand::ReadEventCount).unwrap(),
             BmcResponse::Count(2)
         );
-        assert_eq!(bmc.events()[0].message, "soc 0 flash failure");
     }
 }

@@ -85,11 +85,9 @@ impl SocCluster {
 
     /// Fabric traffic (in + out, Mbps) currently flowing through a PCB.
     pub fn pcb_net_mbps(&self, pcb: usize) -> f64 {
-        self.socs
-            .iter()
-            .filter(|s| self.pcb_of(s.index) == pcb)
-            .map(|s| s.used().net_mbps)
-            .sum()
+        let lo = (pcb * calib::SOCS_PER_PCB).min(self.socs.len());
+        let hi = (lo + calib::SOCS_PER_PCB).min(self.socs.len());
+        self.socs[lo..hi].iter().map(|s| s.used().net_mbps).sum()
     }
 
     /// Total fabric traffic through the ESB in Mbps.
@@ -145,12 +143,13 @@ impl SocCluster {
         counts
     }
 
-    /// Advances the thermal model by `dt` and updates the fan duty from the
-    /// hottest SoC.
-    pub fn step_thermal(&mut self, dt: SimDuration) {
+    /// Advances the thermal model by `dt`, SoC `i` drawing `soc_power[i]`
+    /// throughout, and updates the fan duty from the hottest SoC.
+    pub fn step_thermal(&mut self, dt: SimDuration, soc_power: &[Power]) {
+        assert_eq!(soc_power.len(), self.socs.len(), "one power per SoC slot");
         let duty = self.fan_duty;
-        for (node, soc) in self.thermal.iter_mut().zip(&self.socs) {
-            node.step(dt, soc.total_power(), duty);
+        for (node, &p) in self.thermal.iter_mut().zip(soc_power) {
+            node.step(dt, p, duty);
         }
         let hottest = self
             .thermal
@@ -173,11 +172,17 @@ impl SocCluster {
         self.thermal.iter().any(ThermalNode::is_throttling)
     }
 
-    /// Refreshes the BMC's sensor snapshot from current state.
-    pub fn refresh_bmc(&mut self) {
-        let soc_power: Vec<Power> = self.socs.iter().map(SocUnit::total_power).collect();
-        let total = self.total_power();
-        self.bmc.refresh(&soc_power, total, self.fan_duty);
+    /// Refreshes the BMC's sensor snapshot, SoC `i` drawing `soc_power[i]`.
+    pub fn refresh_bmc(&mut self, soc_power: &[Power]) {
+        assert_eq!(soc_power.len(), self.socs.len(), "one power per SoC slot");
+        let total = soc_power.iter().copied().sum::<Power>() + self.chassis_power();
+        self.bmc.refresh(soc_power, total, self.fan_duty);
+    }
+
+    /// Each SoC's current total power, in slot order.
+    #[cfg(test)]
+    pub(crate) fn soc_powers(&self) -> Vec<Power> {
+        self.socs.iter().map(SocUnit::total_power).collect()
     }
 }
 
@@ -213,7 +218,7 @@ mod tests {
         }
         // Let thermals settle so the fans spin up realistically.
         for _ in 0..600 {
-            c.step_thermal(SimDuration::from_secs(1));
+            c.step_thermal(SimDuration::from_secs(1), &c.soc_powers());
         }
         let p = c.total_power().as_watts();
         let target = calib::CLUSTER_AVG_PEAK_W;
@@ -272,7 +277,7 @@ mod tests {
             soc.place(&full_cpu_demand());
         }
         for _ in 0..600 {
-            c.step_thermal(SimDuration::from_secs(1));
+            c.step_thermal(SimDuration::from_secs(1), &c.soc_powers());
         }
         assert!(c.fan_duty() > cold_duty);
         assert!(
@@ -285,7 +290,7 @@ mod tests {
     fn bmc_snapshot_tracks_power() {
         let mut c = SocCluster::new(ClusterConfig::default());
         c.socs[0].place(&full_cpu_demand());
-        c.refresh_bmc();
+        c.refresh_bmc(&c.soc_powers());
         let r = c
             .bmc
             .handle_frame(&crate::bmc::encode_command(

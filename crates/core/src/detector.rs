@@ -228,7 +228,7 @@ mod tests {
 
     fn harness() -> (SocCluster, FailureAwareRouting, ClusterFabric) {
         let mut cluster = SocCluster::new(ClusterConfig::default());
-        cluster.refresh_bmc();
+        cluster.refresh_bmc(&cluster.soc_powers());
         let fabric = Topology::soc_cluster(60);
         (cluster, FailureAwareRouting::new(), fabric)
     }
@@ -286,7 +286,7 @@ mod tests {
             routing.fail(link);
         }
         cluster.socs[6].decommission();
-        cluster.refresh_bmc();
+        cluster.refresh_bmc(&cluster.soc_powers());
         assert_eq!(
             classify(&mut cluster, &routing, &fabric, 6),
             DetectedClass::Crash
@@ -307,7 +307,7 @@ mod tests {
     fn classifies_crash_from_zero_power() {
         let (mut cluster, routing, fabric) = harness();
         cluster.socs[4].decommission();
-        cluster.refresh_bmc();
+        cluster.refresh_bmc(&cluster.soc_powers());
         assert_eq!(
             classify(&mut cluster, &routing, &fabric, 4),
             DetectedClass::Crash

@@ -299,7 +299,9 @@ impl SiteJob {
                 }
             }
         }
-        let _ = orch.take_completions();
+        // The control plane tracks departures itself; dropping the drain
+        // clears the backlog without freeing its buffer.
+        orch.drain_completions();
         r.active = orch.active_workloads();
         r.energy_j = orch.energy().as_joules();
         r.power_w = orch.power().as_watts();

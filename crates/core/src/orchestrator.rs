@@ -2,12 +2,12 @@
 //! failover — the "advanced software that can orchestrate multiple SoCs"
 //! the paper calls for (§5.3, §8).
 
-use std::collections::HashMap;
-use std::ops::Range;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::{Bound, Range};
 
 use socc_hw::ledger::EnergyLedger;
 use socc_hw::power::PowerState;
-use socc_sim::series::{EnergyMeter, TimeSeries};
+use socc_sim::series::EnergyMeter;
 use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::{Energy, Power};
@@ -16,7 +16,7 @@ use crate::cluster::{ClusterConfig, SocCluster};
 use crate::placement_index::PlacementIndex;
 use crate::priority::{priority_of, Priority};
 use crate::scheduler::{BinPack, Scheduler};
-use crate::soc::Demand;
+use crate::soc::{Demand, SocUnit};
 use crate::workload::{AdmissionError, SocProcessor, WorkloadId, WorkloadSpec};
 
 /// Orchestrator construction parameters.
@@ -72,11 +72,17 @@ pub struct Orchestrator {
     /// place/release/decommission/restore so schedulers decide in
     /// O(log n) (see `placement_index` invariant 2).
     placement: PlacementIndex,
+    /// Each SoC's total power, refreshed with the placement index by
+    /// [`Self::soc_changed`]; every power reader sums this in slot order.
+    soc_power: Vec<Power>,
     sleep_after: Option<SimDuration>,
     now: SimTime,
     meter: EnergyMeter,
-    power_series: TimeSeries,
     workloads: HashMap<WorkloadId, Placed>,
+    /// Archive-job deadlines of the deployed workloads, earliest first.
+    deadlines: BTreeSet<(SimTime, WorkloadId)>,
+    /// Scratch buffer for the archive completions due at one event.
+    due: Vec<WorkloadId>,
     idle_since: Vec<Option<SimTime>>,
     next_id: u64,
     stats: OrchestratorStats,
@@ -107,9 +113,6 @@ impl Orchestrator {
     pub fn new(config: OrchestratorConfig) -> Self {
         let cluster = SocCluster::new(config.cluster);
         let soc_count = cluster.soc_count();
-        let initial_power = cluster.total_power();
-        let mut power_series = TimeSeries::new();
-        power_series.push(SimTime::ZERO, initial_power.as_watts());
         let placement = PlacementIndex::new(&cluster.socs);
         let mut ledger = EnergyLedger::new(
             SimTime::ZERO,
@@ -117,19 +120,25 @@ impl Orchestrator {
             socc_hw::calib::SOCS_PER_PCB,
             crate::faults::PSU_RAILS,
         );
+        let mut soc_power = Vec::with_capacity(soc_count);
         for (i, soc) in cluster.socs.iter().enumerate() {
-            ledger.set_soc_power(SimTime::ZERO, i, soc.component_powers());
+            let powers = soc.component_powers();
+            ledger.set_soc_power(SimTime::ZERO, i, powers);
+            soc_power.push(powers.total());
         }
         ledger.set_chassis_power(SimTime::ZERO, cluster.chassis_power());
+        let initial_power = soc_power.iter().copied().sum::<Power>() + cluster.chassis_power();
         Self {
             cluster,
             scheduler: config.scheduler,
             placement,
+            soc_power,
             sleep_after: config.sleep_after,
             now: SimTime::ZERO,
             meter: EnergyMeter::new(SimTime::ZERO, initial_power),
-            power_series,
             workloads: HashMap::new(),
+            deadlines: BTreeSet::new(),
+            due: Vec::new(),
             idle_since: vec![Some(SimTime::ZERO); soc_count],
             next_id: 0,
             stats: OrchestratorStats::default(),
@@ -161,19 +170,16 @@ impl Orchestrator {
         self.stats
     }
 
-    /// Total server power right now.
+    /// Total server power right now: the cached per-SoC totals summed in
+    /// slot order plus chassis power — bit-identical to
+    /// [`SocCluster::total_power`].
     pub fn power(&self) -> Power {
-        self.cluster.total_power()
+        self.soc_power.iter().copied().sum::<Power>() + self.cluster.chassis_power()
     }
 
     /// Energy consumed by the whole server since t=0.
     pub fn energy(&self) -> Energy {
         self.meter.energy_at(self.now)
-    }
-
-    /// The recorded total-power time series.
-    pub fn power_series(&self) -> &TimeSeries {
-        &self.power_series
     }
 
     /// The per-component energy ledger (CPU/codec/GPU/DSP/memory per SoC,
@@ -207,23 +213,34 @@ impl Orchestrator {
         self.workloads.len()
     }
 
+    /// Samples server power into the meter and chassis power into the
+    /// ledger. SoC power reached the ledger already, from
+    /// [`Self::soc_changed`], when it changed.
     fn record_power(&mut self) {
-        let p = self.cluster.total_power();
-        self.meter.set_power(self.now, p);
-        self.power_series.push(self.now, p.as_watts());
-        for i in 0..self.cluster.socs.len() {
-            self.ledger
-                .set_soc_power(self.now, i, self.cluster.socs[i].component_powers());
-        }
+        debug_assert!(
+            self.cluster
+                .socs
+                .iter()
+                .map(SocUnit::total_power)
+                .eq(self.soc_power.iter().copied()),
+            "per-SoC power cache is stale"
+        );
+        self.meter.set_power(self.now, self.power());
         self.ledger
             .set_chassis_power(self.now, self.cluster.chassis_power());
     }
 
-    /// Re-summarizes one SoC in the placement index. Every code path that
-    /// mutates a SoC's resources or health must call this before the next
-    /// placement decision.
-    fn reindex(&mut self, soc: usize) {
-        self.placement.update(soc, &self.cluster.socs[soc]);
+    /// The per-SoC change hook. Every code path that mutates a SoC's
+    /// resources, health or power state must call this before the next
+    /// placement decision or power reading: it re-summarizes the slot in
+    /// the placement index, books the slot's new component powers in the
+    /// ledger and caches its total.
+    fn soc_changed(&mut self, soc: usize) {
+        let unit = &self.cluster.socs[soc];
+        self.placement.update(soc, unit);
+        let powers = unit.component_powers();
+        self.ledger.set_soc_power(self.now, soc, powers);
+        self.soc_power[soc] = powers.total();
     }
 
     /// Translates a spec into a per-SoC resource demand and (for archive
@@ -387,12 +404,12 @@ impl Orchestrator {
         }
         if !self.cluster.socs[soc].state.is_serving() {
             self.stats.wakeups += 1;
-            self.cluster.bmc.log(self.now, format!("wake soc {soc}"));
+            self.cluster.bmc.count_event();
             self.events
                 .record(self.now, Scope::Power, EventKind::Wake { soc: soc as u32 });
         }
         self.cluster.socs[soc].place(&demand);
-        self.reindex(soc);
+        self.soc_changed(soc);
         self.idle_since[soc] = None;
         let id = WorkloadId(self.next_id);
         self.next_id += 1;
@@ -405,7 +422,7 @@ impl Orchestrator {
             },
         );
         let completes = runtime.map(|d| self.now + d);
-        self.workloads.insert(
+        self.deploy(
             id,
             Placed {
                 spec,
@@ -438,10 +455,7 @@ impl Orchestrator {
 
     /// Explicitly finishes a workload (live streams, DL serving).
     pub fn finish(&mut self, id: WorkloadId) -> Result<(), AdmissionError> {
-        let placed = self
-            .workloads
-            .remove(&id)
-            .ok_or(AdmissionError::Unsupported)?;
+        let placed = self.undeploy(id).ok_or(AdmissionError::Unsupported)?;
         self.release(&placed);
         self.stats.completed += 1;
         self.completions.push(id);
@@ -459,9 +473,27 @@ impl Orchestrator {
 
     /// Drains the ids of workloads that completed (finished explicitly or
     /// ran to their archive deadline) since the last call, in completion
-    /// order.
-    pub fn take_completions(&mut self) -> Vec<WorkloadId> {
-        std::mem::take(&mut self.completions)
+    /// order. The buffer keeps its capacity, so dropping the iterator
+    /// unread clears the backlog without allocating.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, WorkloadId> {
+        self.completions.drain(..)
+    }
+
+    /// Adds a workload to the deployment, indexing its deadline.
+    fn deploy(&mut self, id: WorkloadId, placed: Placed) {
+        if let Some(t) = placed.completes {
+            self.deadlines.insert((t, id));
+        }
+        self.workloads.insert(id, placed);
+    }
+
+    /// Removes a workload from the deployment, forgetting its deadline.
+    fn undeploy(&mut self, id: WorkloadId) -> Option<Placed> {
+        let placed = self.workloads.remove(&id)?;
+        if let Some(t) = placed.completes {
+            self.deadlines.remove(&(t, id));
+        }
+        Some(placed)
     }
 
     fn release(&mut self, placed: &Placed) {
@@ -471,7 +503,7 @@ impl Orchestrator {
             if soc.is_idle() {
                 self.idle_since[placed.soc] = Some(self.now);
             }
-            self.reindex(placed.soc);
+            self.soc_changed(placed.soc);
         }
     }
 
@@ -486,7 +518,7 @@ impl Orchestrator {
             self.stats.wakeups += 1;
         }
         self.cluster.socs[soc].place(demand);
-        self.reindex(soc);
+        self.soc_changed(soc);
         self.idle_since[soc] = None;
         self.stats.admitted += 1;
         self.record_power();
@@ -499,7 +531,7 @@ impl Orchestrator {
             if self.cluster.socs[soc].is_idle() {
                 self.idle_since[soc] = Some(self.now);
             }
-            self.reindex(soc);
+            self.soc_changed(soc);
         }
         self.stats.completed += 1;
         self.record_power();
@@ -508,12 +540,13 @@ impl Orchestrator {
     /// Next internally scheduled event (archive completion or sleep
     /// deadline) at or before `horizon`.
     fn next_event(&self, horizon: SimTime) -> Option<SimTime> {
-        let completion = self
-            .workloads
-            .values()
-            .filter_map(|p| p.completes)
-            .filter(|&t| t > self.now)
-            .min();
+        // A deadline at or before `now` (a zero-runtime job) is no event
+        // of its own: it fires with the next one.
+        let after_now = (
+            Bound::Excluded((self.now, WorkloadId(u64::MAX))),
+            Bound::Unbounded,
+        );
+        let completion = self.deadlines.range(after_now).next().map(|&(t, _)| t);
         let sleep = self.sleep_after.and_then(|after| {
             self.idle_since
                 .iter()
@@ -543,17 +576,18 @@ impl Orchestrator {
         let start = self.now;
         while let Some(event_time) = self.next_event(t) {
             self.now = event_time;
-            // Archive completions due now (id-sorted: the backing map does
-            // not iterate deterministically and completion order is
-            // observable through `take_completions`).
-            let mut due: Vec<WorkloadId> = self
-                .workloads
-                .iter()
-                .filter(|(_, p)| p.completes.is_some_and(|c| c <= event_time))
-                .map(|(&id, _)| id)
-                .collect();
-            due.sort();
-            for id in due {
+            // Archive completions due now, id-sorted: completion order is
+            // observable through `drain_completions`.
+            let mut due = std::mem::take(&mut self.due);
+            while let Some(&(t, id)) = self.deadlines.first() {
+                if t > event_time {
+                    break;
+                }
+                self.deadlines.pop_first();
+                due.push(id);
+            }
+            due.sort_unstable();
+            for id in due.drain(..) {
                 let placed = self.workloads.remove(&id).expect("due workload exists");
                 self.release(&placed);
                 self.stats.completed += 1;
@@ -567,6 +601,7 @@ impl Orchestrator {
                     },
                 );
             }
+            self.due = due;
             // Sleep transitions due now.
             if let Some(after) = self.sleep_after {
                 for i in 0..self.cluster.socs.len() {
@@ -576,7 +611,8 @@ impl Orchestrator {
                         && self.idle_since[i].is_some_and(|since| since + after <= event_time)
                     {
                         soc.state = PowerState::Sleep;
-                        self.cluster.bmc.log(event_time, format!("sleep soc {i}"));
+                        self.soc_changed(i);
+                        self.cluster.bmc.count_event();
                         self.events.record(
                             event_time,
                             Scope::Power,
@@ -588,8 +624,9 @@ impl Orchestrator {
             self.record_power();
         }
         self.now = t;
-        self.cluster.step_thermal(t.saturating_since(start));
-        self.cluster.refresh_bmc();
+        self.cluster
+            .step_thermal(t.saturating_since(start), &self.soc_power);
+        self.cluster.refresh_bmc(&self.soc_power);
         // Energy-conservation tick: the per-component ledger and the
         // incrementally maintained PSU-rail roll-up must tell the same
         // story. A bookkeeping bug on either side fails loudly here.
@@ -606,23 +643,24 @@ impl Orchestrator {
             return;
         }
         self.cluster.socs[soc].decommission();
-        self.reindex(soc);
-        self.cluster
-            .bmc
-            .log(self.now, format!("fault: soc {soc} offline"));
+        self.soc_changed(soc);
+        self.cluster.bmc.count_event();
         self.events.record(
             self.now,
             Scope::Fault,
             EventKind::SocOff { soc: soc as u32 },
         );
-        let victims: Vec<WorkloadId> = self
+        // Id order: victims compete for the same headroom, so the order
+        // they are re-placed in decides where each lands.
+        let mut victims: Vec<WorkloadId> = self
             .workloads
             .iter()
             .filter(|(_, p)| p.soc == soc)
             .map(|(&id, _)| id)
             .collect();
+        victims.sort_unstable();
         for id in victims {
-            let mut placed = self.workloads.remove(&id).expect("victim exists");
+            let mut placed = self.undeploy(id).expect("victim exists");
             match self
                 .scheduler
                 .place_indexed(&placed.demand, &self.cluster.socs, &self.placement)
@@ -635,14 +673,11 @@ impl Orchestrator {
                         self.stats.wakeups += 1;
                     }
                     self.cluster.socs[target].place(&placed.demand);
-                    self.reindex(target);
+                    self.soc_changed(target);
                     self.idle_since[target] = None;
                     placed.soc = target;
                     self.stats.migrations += 1;
-                    self.cluster.bmc.log(
-                        self.now,
-                        format!("migrated workload {} to soc {target}", id.0),
-                    );
+                    self.cluster.bmc.count_event();
                     self.events.record(
                         self.now,
                         Scope::Recovery,
@@ -651,13 +686,11 @@ impl Orchestrator {
                             soc: target as u32,
                         },
                     );
-                    self.workloads.insert(id, placed);
+                    self.deploy(id, placed);
                 }
                 _ => {
                     self.stats.dropped += 1;
-                    self.cluster
-                        .bmc
-                        .log(self.now, format!("dropped workload {}", id.0));
+                    self.cluster.bmc.count_event();
                     self.events.record(
                         self.now,
                         Scope::Recovery,
@@ -679,11 +712,9 @@ impl Orchestrator {
             return Vec::new();
         }
         self.cluster.socs[soc].decommission();
-        self.reindex(soc);
+        self.soc_changed(soc);
         self.idle_since[soc] = None;
-        self.cluster
-            .bmc
-            .log(self.now, format!("fault: soc {soc} out of service"));
+        self.cluster.bmc.count_event();
         self.events.record(
             self.now,
             Scope::Fault,
@@ -699,7 +730,7 @@ impl Orchestrator {
         let stranded = victims
             .into_iter()
             .map(|id| {
-                let placed = self.workloads.remove(&id).expect("victim exists");
+                let placed = self.undeploy(id).expect("victim exists");
                 (id, placed.spec)
             })
             .collect();
@@ -720,11 +751,9 @@ impl Orchestrator {
             return false;
         }
         self.cluster.socs[soc].restore();
-        self.reindex(soc);
+        self.soc_changed(soc);
         self.idle_since[soc] = Some(self.now);
-        self.cluster
-            .bmc
-            .log(self.now, format!("soc {soc} restored to service"));
+        self.cluster.bmc.count_event();
         self.events.record(
             self.now,
             Scope::Recovery,
@@ -755,11 +784,9 @@ impl Orchestrator {
                 PowerState::Off | PowerState::Sleep => {
                     if self.cluster.socs[soc].healthy {
                         self.cluster.socs[soc].decommission();
-                        self.reindex(soc);
+                        self.soc_changed(soc);
                         self.idle_since[soc] = None;
-                        self.cluster
-                            .bmc
-                            .log(self.now, format!("bmc: soc {soc} powered off"));
+                        self.cluster.bmc.count_event();
                         self.events.record(
                             self.now,
                             Scope::Power,
@@ -1000,6 +1027,34 @@ mod tests {
     }
 
     #[test]
+    fn inject_fault_replaces_victims_in_id_order() {
+        // SoC 0 holds 3× V3 and 3× V1 streams; SoC 1 is partly full, so
+        // the order victims are re-placed in decides which of them still
+        // fit there. Each run builds a fresh workload map (and hash seed);
+        // both must re-place in id order and tell the same story.
+        let run = || {
+            let mut o = orch();
+            let v3 = WorkloadSpec::LiveStreamCpu {
+                video: socc_video::vbench::by_id("V3").unwrap(),
+            };
+            let victims: Vec<WorkloadId> = [v3.clone(), v3.clone(), v3]
+                .into_iter()
+                .chain(std::iter::repeat_with(live_v1).take(3))
+                .map(|spec| o.submit(spec).unwrap())
+                .collect();
+            for _ in 0..6 {
+                let id = o.submit(live_v1()).unwrap();
+                assert_eq!(o.placement_of(id), Some(1));
+            }
+            o.inject_fault(0);
+            let landed: Vec<Option<usize>> = victims.iter().map(|&id| o.placement_of(id)).collect();
+            assert_eq!(landed, [1, 1, 2, 2, 2, 2].map(Some));
+            o.events().digest()
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
     fn fault_with_full_cluster_drops_workloads() {
         let mut o = orch();
         loop {
@@ -1022,7 +1077,6 @@ mod tests {
         let e = o.energy().as_joules();
         // At least the idle floor for a minute.
         assert!(e > 100.0 * 60.0, "energy {e}");
-        assert!(o.power_series().len() >= 2);
     }
 
     #[test]
@@ -1084,10 +1138,10 @@ mod tests {
             .submit(WorkloadSpec::ArchiveJob { video, frames: 156 })
             .unwrap();
         o.finish(live).unwrap();
-        assert_eq!(o.take_completions(), vec![live]);
+        assert_eq!(o.drain_completions().collect::<Vec<_>>(), vec![live]);
         o.advance_to(SimTime::from_secs(20));
-        assert_eq!(o.take_completions(), vec![job]);
-        assert!(o.take_completions().is_empty());
+        assert_eq!(o.drain_completions().collect::<Vec<_>>(), vec![job]);
+        assert_eq!(o.drain_completions().count(), 0);
     }
 
     // `&[Range]` is the avoid-set type; one board is one range.

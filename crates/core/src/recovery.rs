@@ -390,7 +390,7 @@ impl RecoveryEngine {
                 self.orch.set_soc_temp(soc, TRIP_TEMP_C);
             }
         }
-        for id in self.orch.take_completions() {
+        for id in self.orch.drain_completions() {
             if let Some(orig) = self.alias.remove(&id) {
                 if let Some(rec) = self.fates.get_mut(&orig) {
                     if rec.fate == WorkloadFate::Running {

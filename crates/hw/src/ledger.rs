@@ -289,6 +289,11 @@ impl EnergyLedger {
         self.integrate_chassis(t);
     }
 
+    /// The per-component power a SoC is currently booked at.
+    pub fn soc_power(&self, soc: usize) -> ComponentPowers {
+        self.soc_power[soc]
+    }
+
     fn pending_soc(&self, soc: usize, t: SimTime) -> f64 {
         self.soc_power[soc].total().as_watts()
             * t.saturating_since(self.soc_last_t[soc]).as_secs_f64()

@@ -33,11 +33,33 @@ fn main() {
     }
     events.sort_by_key(|&(t, i, start)| (t, i, start));
 
+    // The traditional server cannot power-gate per-container: it idles at
+    // hundreds of watts all day. Charge it the same duty pattern: sample
+    // cluster power every 5 minutes and assume the traditional server runs
+    // at the utilization that power implies.
+    let server = TraditionalServer::cpu_only();
+    let step = SimDuration::from_mins(5);
+    let end_of_day = SimTime::ZERO + day;
+    let mut next_sample = SimTime::ZERO;
+    let mut trad_joules = 0.0;
+    let mut sample_until = |orch: &mut Orchestrator, t: SimTime| {
+        while next_sample <= t.min(end_of_day) {
+            orch.advance_to(next_sample);
+            let cluster_p = orch.power().as_watts();
+            let idle = orch.cluster().idle_power().as_watts();
+            let util = ((cluster_p - idle * 0.3) / 400.0).clamp(0.0, 1.0);
+            let p = server.power(Utilization::new(util), Utilization::ZERO, 0);
+            trad_joules += p.as_watts() * step.as_secs_f64();
+            next_sample += step;
+        }
+    };
+
     let mut deployed: BTreeMap<usize, socc_cluster::WorkloadId> = BTreeMap::new();
     let mut rejected = 0usize;
     let mut peak_power = 0.0f64;
     let mut peak_active = 0usize;
     for (t, session_idx, is_start) in events {
+        sample_until(&mut orch, t);
         orch.advance_to(t);
         if is_start {
             let video = socc_video::vbench::by_id(&sessions[session_idx].video_id).expect("vbench");
@@ -53,29 +75,14 @@ fn main() {
         peak_power = peak_power.max(orch.power().as_watts());
         peak_active = peak_active.max(orch.active_workloads());
     }
+    sample_until(&mut orch, end_of_day);
     // Sessions started late in the day can end after the 24 h mark.
-    orch.advance_to(orch.now().max(SimTime::ZERO + day));
+    orch.advance_to(orch.now().max(end_of_day));
 
     let cluster_kwh = orch.energy().as_kilowatt_hours();
     println!("peak concurrency: {peak_active} streams (rejected {rejected})");
     println!("cluster peak power: {peak_power:.0} W");
     println!("cluster 24h energy: {cluster_kwh:.2} kWh");
-
-    // The traditional server cannot power-gate per-container: it idles at
-    // hundreds of watts all day. Charge it the same duty pattern: assume
-    // it runs at the utilization the stream load implies, hour by hour.
-    let server = TraditionalServer::cpu_only();
-    let series = orch.power_series();
-    let mut trad_joules = 0.0;
-    let step = SimDuration::from_mins(5);
-    for (t, _) in series.resample(SimTime::ZERO, SimTime::ZERO + day, step) {
-        // Approximate instantaneous cluster workload share from power.
-        let cluster_p = series.value_at(t).unwrap_or(0.0);
-        let idle = orch.cluster().idle_power().as_watts();
-        let util = ((cluster_p - idle * 0.3) / 400.0).clamp(0.0, 1.0);
-        let p = server.power(Utilization::new(util), Utilization::ZERO, 0);
-        trad_joules += p.as_watts() * step.as_secs_f64();
-    }
     let trad_kwh = trad_joules / 3.6e6;
     println!("traditional CPU server, same duty: {trad_kwh:.2} kWh");
     println!(

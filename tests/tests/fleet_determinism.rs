@@ -101,7 +101,7 @@ fn one_site_fleet_matches_standalone_orchestrator() {
                 Err(_) => break,
             }
         }
-        let _ = orch.take_completions();
+        orch.drain_completions();
     }
 
     assert_eq!(fleet_orch.stats(), orch.stats());
