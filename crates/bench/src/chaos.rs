@@ -32,6 +32,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::harness::JsonBuilder;
+use crate::runner::json_escape;
 
 use socc_cluster::faults::{
     DomainFault, FailureDomains, FaultEvent, FaultInjector, FaultKind, FaultSchedule,
@@ -641,10 +642,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the `BENCH_chaos.json` artifact on [`JsonBuilder`]. Floats

@@ -40,6 +40,7 @@
 use std::time::Instant;
 
 use crate::harness::{mix_seed, JsonBuilder};
+use crate::runner::json_escape;
 use crate::sweep::parallel_map_with;
 
 use socc_cluster::evacuation::EvacuationPacing;
@@ -639,10 +640,6 @@ pub fn replay(opts: &FleetChaosOptions, k: usize) -> String {
     s.push_str(&render_run("correlated", &pair.correlated));
     s.push_str(&render_run("independent", &pair.independent));
     s
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the `BENCH_fleetchaos.json` artifact.

@@ -2,7 +2,7 @@
 //!
 //! One function per paper table/figure lives in [`repro`]; the `repro`
 //! binary prints them (`cargo run -p socc-bench --bin repro -- fig6`), and
-//! the Criterion benches in `benches/` time the underlying simulations.
+//! the `bench` binary runs the gated experiments of [`runner`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

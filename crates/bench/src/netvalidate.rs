@@ -29,6 +29,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::harness::JsonBuilder;
+use crate::runner::json_escape;
 
 use socc_cluster::evacuation::EvacuationPacing;
 use socc_net::packet::{
@@ -547,10 +548,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the `BENCH_netval.json` artifact on [`JsonBuilder`]. Floats

@@ -1,116 +1,21 @@
 //! Parallel parameter sweeps: fan experiment points across worker threads.
 //!
 //! Fine-grained figure series (a 200-point Fig. 12 curve, a seed ensemble
-//! of gaming replays) are embarrassingly parallel; `parallel_map` runs them
-//! on a crossbeam scope while preserving input order. Workers claim points
-//! one at a time from a shared atomic counter (work stealing), so a few
-//! expensive points — an SLO bisection near saturation takes orders of
-//! magnitude longer than a light-load point — no longer serialize the
-//! whole static chunk they used to land in.
+//! of gaming replays) and fleet shard steps are embarrassingly parallel;
+//! `parallel_map_with` runs them on scoped threads while preserving input
+//! order. Workers claim points one at a time from a shared atomic counter
+//! (work stealing), so a few expensive points — an SLO bisection near
+//! saturation takes orders of magnitude longer than a light-load point —
+//! no longer serialize the whole static chunk they used to land in.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread;
 
-use crossbeam::thread;
-
-/// Maps `f` over `inputs` using up to `workers` threads, preserving order.
-///
-/// Scheduling is dynamic: each worker repeatedly claims the next
-/// unprocessed index from an atomic counter, so load imbalance across
-/// points costs at most one in-flight point per worker, not a chunk.
-///
-/// # Panics
-///
-/// Propagates the panic of the first failing point (lowest input index),
-/// prefixed with that index so the offending parameters can be found. The
-/// remaining workers stop claiming new points once a failure is observed.
-pub fn parallel_map<T, R, F>(inputs: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let next = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let inputs = &inputs;
-    type Fail = (usize, Box<dyn Any + Send + 'static>);
-    let per_worker: Vec<Result<Vec<(usize, R)>, Fail>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (f, next, poisoned) = (&f, &next, &poisoned);
-                scope.spawn(move |_| -> Result<Vec<(usize, R)>, Fail> {
-                    let mut out = Vec::new();
-                    loop {
-                        if poisoned.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&inputs[i]))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(payload) => {
-                                poisoned.store(true, Ordering::Relaxed);
-                                return Err((i, payload));
-                            }
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker thread died outside a point"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut failure: Option<Fail> = None;
-    for result in per_worker {
-        match result {
-            Ok(pairs) => {
-                for (i, r) in pairs {
-                    slots[i] = Some(r);
-                }
-            }
-            // Near-simultaneous failures race; keep the lowest index so
-            // the report is deterministic.
-            Err((i, payload)) => {
-                if failure.as_ref().is_none_or(|(j, _)| i < *j) {
-                    failure = Some((i, payload));
-                }
-            }
-        }
-    }
-    if let Some((i, payload)) = failure {
-        // Re-panic with the point identified; keep the original payload
-        // text when it is the usual &str/String.
-        if let Some(msg) = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-        {
-            panic!("sweep point {i} panicked: {msg}");
-        }
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every non-poisoned slot filled"))
-        .collect()
-}
-
-/// [`parallel_map`] with owned items and per-worker scratch state.
+/// Maps `f` over `inputs` using up to `workers` threads, preserving order,
+/// with per-worker scratch state.
 ///
 /// Items are moved into `f` (not borrowed), so stateful jobs — a fleet
 /// shard with its arenas — cross threads by value and come back in the
@@ -118,17 +23,21 @@ where
 /// and threads it through every item it claims, so per-item working
 /// state (timing accumulators, reusable buffers) is allocated once per
 /// worker rather than once per item or per barrier window. Returns the
-/// ordered results plus each worker's final scratch.
+/// ordered results plus each worker's final scratch; stateless callers
+/// pass unit scratch.
 ///
-/// Scheduling is the same dynamic claim counter as [`parallel_map`];
-/// which worker processes which item is nondeterministic, so `f` must
-/// not let scratch state influence results if callers rely on
-/// run-to-run determinism (timings are fine; semantic state is not).
+/// Scheduling is dynamic: each worker repeatedly claims the next
+/// unprocessed index from an atomic counter, so load imbalance across
+/// items costs at most one in-flight item per worker, not a chunk. Which
+/// worker processes which item is nondeterministic, so `f` must not let
+/// scratch state influence results if callers rely on run-to-run
+/// determinism (timings are fine; semantic state is not).
 ///
 /// # Panics
 ///
-/// Propagates the panic of the first failing item (lowest index), like
-/// [`parallel_map`].
+/// Propagates the panic of the first failing item (lowest input index),
+/// prefixed with that index so the offending parameters can be found. The
+/// remaining workers stop claiming new items once a failure is observed.
 pub fn parallel_map_with<T, S, R, FS, F>(
     inputs: Vec<T>,
     workers: usize,
@@ -160,7 +69,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let (f, make_scratch, next, poisoned) = (&f, &make_scratch, &next, &poisoned);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = make_scratch(w);
                     let mut out = Vec::new();
                     let mut fail: Option<Fail> = None;
@@ -194,8 +103,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("sweep worker thread died outside a point"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut scratches = Vec::with_capacity(workers);
@@ -208,6 +116,8 @@ where
                     slots[i] = Some(r);
                 }
             }
+            // Near-simultaneous failures race; keep the lowest index so
+            // the report is deterministic.
             Err((i, payload)) => {
                 if failure.as_ref().is_none_or(|(j, _)| i < *j) {
                     failure = Some((i, payload));
@@ -216,6 +126,8 @@ where
         }
     }
     if let Some((i, payload)) = failure {
+        // Re-panic with the point identified; keep the original payload
+        // text when it is the usual &str/String.
         if let Some(msg) = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -241,15 +153,21 @@ pub fn dense_fig12(points: usize, max_fps: f64, workers: usize) -> Vec<(f64, f64
     let loads: Vec<f64> = (1..=points)
         .map(|i| max_fps * i as f64 / points as f64)
         .collect();
-    parallel_map(loads, workers, |&load| {
-        let (cluster, _) =
-            cluster_serving_efficiency(ModelId::ResNet50, DType::Fp32, load).unwrap_or((0.0, 0));
-        let a100 = ServingUnit::new(Engine::TensorRtA100, ModelId::ResNet50, DType::Fp32)
-            .at_load(load)
-            .map(|r| r.samples_per_joule())
-            .unwrap_or(0.0);
-        (load, cluster, a100)
-    })
+    let (series, _) = parallel_map_with(
+        loads,
+        workers,
+        |_| (),
+        |(), load, _| {
+            let (cluster, _) = cluster_serving_efficiency(ModelId::ResNet50, DType::Fp32, load)
+                .unwrap_or((0.0, 0));
+            let a100 = ServingUnit::new(Engine::TensorRtA100, ModelId::ResNet50, DType::Fp32)
+                .at_load(load)
+                .map(|r| r.samples_per_joule())
+                .unwrap_or(0.0);
+            (load, cluster, a100)
+        },
+    );
+    series
 }
 
 /// An ensemble of gaming replays across seeds, in parallel: returns each
@@ -258,72 +176,20 @@ pub fn gaming_ensemble(seeds: std::ops::Range<u64>, workers: usize) -> Vec<f64> 
     use socc_cluster::gaming::replay_gaming_trace;
     use socc_sim::time::SimDuration;
     let seeds: Vec<u64> = seeds.collect();
-    parallel_map(seeds, workers, |&seed| {
-        replay_gaming_trace(12, SimDuration::from_mins(30), 10.0, seed).sleep_savings()
-    })
+    let (savings, _) = parallel_map_with(
+        seeds,
+        workers,
+        |_| (),
+        |(), seed, _| {
+            replay_gaming_trace(12, SimDuration::from_mins(30), 10.0, seed).sleep_savings()
+        },
+    );
+    savings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), 7, |&x: &i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_worker_matches_many() {
-        let inputs: Vec<u64> = (1..=40).collect();
-        let a = parallel_map(inputs.clone(), 1, |&x| x * x);
-        let b = parallel_map(inputs, 8, |&x| x * x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), 4, |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn skewed_point_costs_do_not_serialize() {
-        // One point 1000x the cost of the rest: with work stealing the
-        // result is still ordered and complete regardless of where the
-        // expensive point lands.
-        let out = parallel_map((0..64).collect(), 4, |&x: &u64| {
-            let spins = if x == 3 { 200_000 } else { 200 };
-            (0..spins).fold(x, |acc, _| {
-                acc.wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407)
-            });
-            x * 2
-        });
-        assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn panic_identifies_the_failing_point() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map((0..32).collect(), 4, |&x: &i32| {
-                if x == 17 {
-                    panic!("bisection diverged at load {x}");
-                }
-                x
-            })
-        })
-        .expect_err("sweep must propagate the panic");
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("panic payload is a string");
-        assert!(msg.contains("sweep point 17"), "missing index: {msg}");
-        assert!(
-            msg.contains("bisection diverged at load 17"),
-            "original payload lost: {msg}"
-        );
-    }
 
     #[test]
     fn with_variant_preserves_order_and_moves_items() {
@@ -359,6 +225,27 @@ mod tests {
         let (out, scratches) = parallel_map_with(Vec::<u8>::new(), 4, |_| 0u8, |_, x, _| x);
         assert!(out.is_empty());
         assert!(scratches.is_empty());
+    }
+
+    #[test]
+    fn skewed_point_costs_do_not_serialize() {
+        // One point 1000x the cost of the rest: with work stealing the
+        // result is still ordered and complete regardless of where the
+        // expensive point lands.
+        let (out, _) = parallel_map_with(
+            (0..64).collect(),
+            4,
+            |_| (),
+            |(), x: u64, _| {
+                let spins = if x == 3 { 200_000 } else { 200 };
+                (0..spins).fold(x, |acc, _| {
+                    acc.wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407)
+                });
+                x * 2
+            },
+        );
+        assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! as a real framed protocol — encode/decode with checksums — over an
 //! in-memory sensor snapshot that the cluster refreshes.
 
-use serde::{Deserialize, Serialize};
 use socc_hw::power::PowerState;
 use socc_sim::units::Power;
 
 /// Management commands addressed to the BMC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BmcCommand {
     /// Read one SoC's power in centiwatts.
     ReadSocPower(u8),
@@ -30,7 +29,7 @@ pub enum BmcCommand {
 }
 
 /// Responses returned by the BMC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BmcResponse {
     /// Power in centiwatts.
     PowerCw(u32),

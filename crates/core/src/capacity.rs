@@ -4,12 +4,11 @@
 //! fabric hold? The paper's convention counts inbound + outbound traffic of
 //! each stream together against the PCB's 1 Gbps and the ESB's 20 Gbps.
 
-use serde::{Deserialize, Serialize};
 use socc_hw::calib;
 use socc_video::{TranscodeUnit, VideoMeta};
 
 /// One row of the Table 3 network-bound analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkBoundRow {
     /// Video id.
     pub video_id: String,

@@ -5,7 +5,6 @@
 //! reserve the inter-SoC bandwidth the halo exchange needs, prefer SoCs on
 //! the same PCB (the ESB adds two hops), and tear the group down as one.
 
-use serde::{Deserialize, Serialize};
 use socc_dl::parallel::{tensor_parallel, CollabConfig, PARTITION_OVERHEAD};
 use socc_dl::ModelId;
 use socc_sim::time::SimDuration;
@@ -15,11 +14,11 @@ use crate::soc::Demand;
 use crate::workload::AdmissionError;
 
 /// Identifies a deployed collaborative group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CollabGroupId(pub u64);
 
 /// A deployed collaborative-inference group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CollabDeployment {
     /// Group id.
     pub id: CollabGroupId,

@@ -8,7 +8,6 @@
 //! sub-watt draw — no new idle floor, no new CapEx. This module measures
 //! that marginal efficiency against dedicating new hardware.
 
-use serde::{Deserialize, Serialize};
 use socc_dl::{DType, Engine, ModelId};
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
@@ -18,7 +17,7 @@ use crate::scheduler;
 use crate::workload::{SocProcessor, WorkloadSpec};
 
 /// Outcome of a colocation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColocationReport {
     /// Hours replayed.
     pub hours: f64,

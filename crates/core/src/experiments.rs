@@ -4,7 +4,6 @@
 //! the `socc-bench` repro binary formats them as tables, and the
 //! integration tests assert the qualitative claims.
 
-use serde::{Deserialize, Serialize};
 use socc_dl::serving::ServingUnit;
 use socc_dl::{DType, Engine, ModelId};
 use socc_hw::generations::SocGeneration;
@@ -20,7 +19,7 @@ use crate::workload::SocProcessor;
 // ---------------------------------------------------------------------------
 
 /// One video's live-streaming TpE (streams/W) per platform unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LiveTpeRow {
     /// Video id.
     pub video_id: String,
@@ -46,7 +45,7 @@ pub fn fig6a_live_tpe() -> Vec<LiveTpeRow> {
 }
 
 /// One video's archive TpE (frames/J) per platform unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArchiveTpeRow {
     /// Video id.
     pub video_id: String,
@@ -82,7 +81,7 @@ pub fn fig6b_archive_tpe() -> Vec<ArchiveTpeRow> {
 // ---------------------------------------------------------------------------
 
 /// TpE of all three platforms at one stream count.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig7Point {
     /// Concurrent streams.
     pub streams: usize,
@@ -131,7 +130,7 @@ pub fn fig7_sweep(video: &VideoMeta, max_streams: usize) -> Vec<Fig7Point> {
 // ---------------------------------------------------------------------------
 
 /// Whole-cluster live throughput and TpE, CPU vs hardware codec.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Video id.
     pub video_id: String,
@@ -165,7 +164,7 @@ pub fn fig8_hw_codec() -> Vec<Fig8Row> {
 // ---------------------------------------------------------------------------
 
 /// Bitrate tracking of one video on the hardware codec vs x264.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Video id.
     pub video_id: String,
@@ -201,7 +200,7 @@ pub fn fig9_bitrates() -> Vec<Fig9Row> {
 // ---------------------------------------------------------------------------
 
 /// PSNR of one video under the same bitrate constraint per encoder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// Video id.
     pub video_id: String,
@@ -234,7 +233,7 @@ pub fn fig10_quality() -> Vec<Fig10Row> {
 // ---------------------------------------------------------------------------
 
 /// One (engine, model, dtype, batch) operating point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Engine label ("SoC GPU", "NVIDIA A40", …).
     pub engine: &'static str,
@@ -284,7 +283,7 @@ pub fn fig11_dl_serving() -> Vec<Fig11Row> {
 // ---------------------------------------------------------------------------
 
 /// Cluster vs A100 efficiency at one offered load.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig12Point {
     /// Offered load in samples/s.
     pub offered_fps: f64,
@@ -339,7 +338,7 @@ pub fn fig12_load_sweep(model: ModelId, dtype: DType, loads: &[f64]) -> Vec<Fig1
 // ---------------------------------------------------------------------------
 
 /// One SoC generation's measurements (Fig. 14).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Row {
     /// Generation.
     pub generation: SocGeneration,
@@ -396,7 +395,7 @@ pub fn fig14_longitudinal() -> Vec<Fig14Row> {
 // ---------------------------------------------------------------------------
 
 /// One (model, processor) row of Table 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tab7Row {
     /// Model label.
     pub model: &'static str,

@@ -15,13 +15,12 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
 use socc_net::topology::ClusterFabric;
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
 
 /// What broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Flash wear-out — the dominant failure mode for 24/7 mobile silicon.
     Flash,
@@ -61,7 +60,7 @@ impl FaultKind {
 }
 
 /// A scheduled fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault strikes.
     pub at: SimTime,
@@ -85,7 +84,7 @@ pub const THERMAL_ZONES: usize = 2;
 /// One level of the chassis failure-domain hierarchy: a fault lands on a
 /// single SoC, a whole carrier board, an ESB port group, a PSU rail, or an
 /// airflow zone — each with a progressively wider blast radius.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureDomain {
     /// A single SoC slot.
     Soc(usize),
@@ -182,7 +181,7 @@ impl FailureDomains {
 }
 
 /// A correlated, domain-level fault: the target and its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DomainFault {
     /// A carrier board drops: its five SoCs and their uplink fail
     /// atomically and permanently (the board must be swapped).
@@ -239,7 +238,7 @@ impl DomainFault {
 }
 
 /// A scheduled domain-level fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainFaultEvent {
     /// When the fault strikes.
     pub at: SimTime,
@@ -453,7 +452,7 @@ impl FaultInjector {
 /// machinery above cannot express. Site-tier state only changes at fleet
 /// synchronization barriers, so faults fire at a *window* index and last
 /// a whole number of windows (`socc-cluster::fleet` applies them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteFault {
     /// One site's WAN uplink partitions from the control plane: the
     /// enclosure keeps running, its users just cannot reach it.
@@ -527,7 +526,7 @@ impl SiteFault {
 
 /// A scheduled site-tier fault: fires at the barrier opening sync window
 /// `window`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteFaultEvent {
     /// Window index the fault fires at.
     pub window: usize,

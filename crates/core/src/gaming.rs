@@ -6,7 +6,6 @@
 //! through the orchestrator shows what per-SoC power gating buys on that
 //! exact shape — and what a monolithic server would burn instead.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::rng::SimRng;
 use socc_sim::time::SimDuration;
 
@@ -15,7 +14,7 @@ use crate::scheduler;
 use crate::workload::WorkloadSpec;
 
 /// Outcome of a gaming-trace replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GamingReplayReport {
     /// Trace length.
     pub hours: f64,

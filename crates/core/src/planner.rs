@@ -5,7 +5,6 @@
 //! ladders, archive backlog and DL serving load, how many of each server
 //! does a site need, and which fleet is cheaper?
 
-use serde::{Deserialize, Serialize};
 use socc_dl::{DType, Engine, ModelId};
 use socc_tco::sensitivity::CostAssumptions;
 use socc_tco::Platform;
@@ -13,7 +12,7 @@ use socc_video::abr::{price_ladder, Ladder};
 use socc_video::{TranscodeUnit, VideoMeta};
 
 /// A site's expected steady workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadMix {
     /// Concurrent live ABR ladders of this source class.
     pub live_ladders: usize,
@@ -30,7 +29,7 @@ pub struct WorkloadMix {
 }
 
 /// One fleet option's sizing and cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetPlan {
     /// Servers needed.
     pub servers: usize,

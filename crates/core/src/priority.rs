@@ -7,13 +7,11 @@
 //! dropped game sessions do not. This module adds priority-aware admission
 //! on top of [`Orchestrator`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::orchestrator::Orchestrator;
 use crate::workload::{AdmissionError, WorkloadId, WorkloadSpec};
 
 /// Scheduling priority of a workload class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// Deferrable batch work (archive transcoding).
     Batch,
@@ -35,7 +33,7 @@ pub fn priority_of(spec: &WorkloadSpec) -> Priority {
 }
 
 /// Result of a preempting admission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreemptingAdmission {
     /// The admitted workload.
     pub id: WorkloadId,

@@ -1,6 +1,5 @@
 //! Per-SoC runtime state: load accounting, power states, health.
 
-use serde::{Deserialize, Serialize};
 use socc_hw::ledger::ComponentPowers;
 use socc_hw::power::{PowerState, Utilization};
 use socc_hw::spec::SocSpec;
@@ -9,7 +8,7 @@ use socc_sim::units::Power;
 use crate::virt::DeploymentMode;
 
 /// Resource demand of one workload instance on one SoC.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Demand {
     /// CPU perf-units.
     pub cpu_pu: f64,

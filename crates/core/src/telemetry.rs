@@ -6,9 +6,8 @@
 //! (total admissions, rejections, peak power seen anywhere) is collected
 //! without funnelling every sample through a channel.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use socc_sim::metrics::MetricRegistry;
 
 use crate::orchestrator::Orchestrator;
@@ -25,16 +24,24 @@ impl TelemetrySink {
         Self::default()
     }
 
+    /// Locks the registry. Each update under the lock is one insert or one
+    /// field write, so a reporter that panicked while holding it left the
+    /// registry valid: recover the guard rather than fail every later
+    /// report.
+    fn registry(&self) -> MutexGuard<'_, MetricRegistry> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Adds to a counter.
     pub fn add(&self, name: &str, delta: u64) {
-        self.inner.lock().counter(name).add(delta);
+        self.registry().counter(name).add(delta);
     }
 
     /// Sets a gauge, keeping the maximum across reports. The first report
     /// always lands, so all-negative series keep their true peak instead of
     /// losing against the default gauge value of zero.
     pub fn gauge_max(&self, name: &str, value: f64) {
-        let mut reg = self.inner.lock();
+        let mut reg = self.registry();
         let never_set = reg.gauge_ref(name).is_none();
         if never_set || value > reg.gauge_value(name) {
             reg.gauge(name).set(value);
@@ -43,18 +50,17 @@ impl TelemetrySink {
 
     /// Reads a counter.
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.lock().counter_value(name)
+        self.registry().counter_value(name)
     }
 
     /// Reads a gauge.
     pub fn gauge(&self, name: &str) -> f64 {
-        self.inner.lock().gauge_value(name)
+        self.registry().gauge_value(name)
     }
 
     /// Snapshot of all counters, name-ordered.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
+        self.registry()
             .counters()
             .map(|(k, v)| (k.to_string(), v))
             .collect()
@@ -62,30 +68,25 @@ impl TelemetrySink {
 
     /// Records one observation into a histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        self.inner.lock().histogram(name).record(value);
+        self.registry().histogram(name).record(value);
     }
 
     /// Reads a histogram quantile (`None` if the histogram is absent or
     /// empty).
     pub fn histogram_quantile(&self, name: &str, q: f64) -> Option<f64> {
-        self.inner
-            .lock()
+        self.registry()
             .histogram_ref(name)
             .and_then(|h| h.quantile(q))
     }
 
     /// Number of observations recorded into a histogram.
     pub fn histogram_count(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .histogram_ref(name)
-            .map_or(0, |h| h.count())
+        self.registry().histogram_ref(name).map_or(0, |h| h.count())
     }
 
     /// Mean of a histogram's observations (zero when absent or empty).
     pub fn histogram_mean(&self, name: &str) -> f64 {
-        self.inner
-            .lock()
+        self.registry()
             .histogram_ref(name)
             .map_or(0.0, |h| h.mean())
     }
@@ -95,7 +96,7 @@ impl TelemetrySink {
     /// byte-identical output, which is what the determinism tests compare.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let reg = self.inner.lock();
+        let reg = self.registry();
         let mut out = String::new();
         for (name, v) in reg.counters() {
             let _ = writeln!(out, "counter {name} = {v}");
@@ -193,6 +194,21 @@ mod tests {
         assert_eq!(a.histogram_quantile("absent", 0.5), None);
         assert_eq!(a.render(), b.render());
         assert!(a.render().contains("counter ft.migrations = 4"));
+    }
+
+    #[test]
+    fn survives_a_reporter_panicking_under_the_lock() {
+        let sink = TelemetrySink::new();
+        let s = sink.clone();
+        let joined = std::thread::spawn(move || {
+            let _held = s.registry();
+            panic!("reporter died holding the lock");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(sink.inner.is_poisoned());
+        sink.add("after", 1);
+        assert_eq!(sink.counter("after"), 1);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! memory everywhere, and a GPU-utilization ceiling that slows large GPU
 //! workloads by ~10% (YOLOv5x 620.6 → 683.7 ms).
 
-use serde::{Deserialize, Serialize};
 use socc_hw::calib;
 
 use crate::workload::SocProcessor;
 
 /// How a SoC's software stack is deployed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeploymentMode {
     /// Android runs directly on the SoC.
     #[default]

@@ -7,7 +7,6 @@
 //! [`SocGeneration`] and for upgraded fabrics, reusing the same calibrated
 //! models the baseline numbers come from.
 
-use serde::{Deserialize, Serialize};
 use socc_dl::parallel::{PARTITION_OVERHEAD, PIPELINE_OVERLAP};
 use socc_dl::ModelId;
 use socc_hw::generations::SocGeneration;
@@ -17,7 +16,7 @@ use socc_sim::units::{DataRate, DataSize};
 use socc_video::{TranscodeUnit, VideoMeta};
 
 /// Projected per-SoC and per-cluster numbers for a generation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GenerationProjection {
     /// The SoC generation the cluster is built from.
     pub generation: SocGeneration,

@@ -1,15 +1,14 @@
 //! Workload specifications accepted by the orchestrator.
 
-use serde::{Deserialize, Serialize};
 use socc_dl::{DType, Engine, ModelId};
 use socc_video::VideoMeta;
 
 /// Identifies a deployed workload instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkloadId(pub u64);
 
 /// Which SoC processor a DL serving workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SocProcessor {
     /// The Kryo CPU complex (TFLite).
     Cpu,
@@ -31,7 +30,7 @@ impl SocProcessor {
 }
 
 /// A workload submitted to the orchestrator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum WorkloadSpec {
     /// A live transcode stream pinned to the SoC CPU (libx264).
     LiveStreamCpu {
@@ -83,7 +82,7 @@ impl WorkloadSpec {
 }
 
 /// Why the orchestrator refused a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
     /// No SoC has the spare capacity the workload needs.
     NoCapacity,

@@ -6,7 +6,6 @@
 //! two faces: bigger windows raise throughput-per-joule (the Fig. 11b
 //! effect) and tail latency (the Fig. 11a effect) at once.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::event::EventQueue;
 use socc_sim::metrics::LogHistogram;
 use socc_sim::rng::SimRng;
@@ -17,7 +16,7 @@ use crate::tensor::DType;
 use crate::zoo::ModelId;
 
 /// Dynamic batcher parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatcherConfig {
     /// Largest batch to form.
     pub max_batch: usize,
@@ -26,7 +25,7 @@ pub struct BatcherConfig {
 }
 
 /// Outcome of a batched-serving run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchedReport {
     /// Requests served.
     pub completed: u64,

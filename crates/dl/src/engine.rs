@@ -7,7 +7,6 @@
 //! a power law for TensorRT and scale linearly elsewhere (§5.1: batching
 //! does not raise throughput on the mobile/CPU engines).
 
-use serde::{Deserialize, Serialize};
 use socc_sim::time::SimDuration;
 use socc_sim::units::Power;
 
@@ -16,7 +15,7 @@ use crate::tensor::DType;
 use crate::zoo::ModelId;
 
 /// An inference engine bound to a hardware unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// TFLite with 8 threads on one SoC's Kryo 585.
     TfLiteCpu,

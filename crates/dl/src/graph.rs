@@ -1,7 +1,5 @@
 //! Model graphs: ordered layer sequences with aggregate statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layers::Layer;
 use crate::tensor::{DType, TensorShape};
 
@@ -10,7 +8,7 @@ use crate::tensor::{DType, TensorShape};
 /// Real networks have residual branches; for cost accounting (FLOPs,
 /// activation traffic, halo exchange) a topologically ordered sequence is
 /// sufficient, with [`Layer::ElementWise`] marking the merge points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelGraph {
     /// Model name.
     pub name: String,

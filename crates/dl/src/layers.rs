@@ -3,12 +3,10 @@
 //! FLOPs follow the 2×MAC convention (one multiply-accumulate = 2 FLOPs),
 //! matching how ResNet-50 is usually quoted at ≈8.2 GFLOPs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::TensorShape;
 
 /// One operator in a model graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// 2-D convolution (+ folded batch-norm and activation).
     Conv2d {

@@ -13,7 +13,6 @@
 //! - **pipelining** ("transferring computation-required data first")
 //!   overlaps a calibrated fraction of communication with compute.
 
-use serde::{Deserialize, Serialize};
 use socc_net::tcp::TcpModel;
 use socc_sim::time::SimDuration;
 use socc_sim::units::DataSize;
@@ -35,7 +34,7 @@ pub const PIPELINE_OVERLAP: f64 = 0.58;
 pub const MNN_R50_SINGLE_SOC_MS: f64 = 80.0;
 
 /// Configuration of a collaborative inference run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollabConfig {
     /// Number of participating SoCs (1–5 in the paper).
     pub socs: usize,
@@ -44,7 +43,7 @@ pub struct CollabConfig {
 }
 
 /// Latency breakdown of one collaborative inference (Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollabReport {
     /// Number of SoCs used.
     pub socs: usize,

@@ -9,7 +9,6 @@
 //! request still traverses every stage, so latency does not drop; the win
 //! is *throughput* once the pipeline fills.
 
-use serde::{Deserialize, Serialize};
 use socc_net::tcp::TcpModel;
 use socc_sim::time::SimDuration;
 use socc_sim::units::{DataRate, DataSize};
@@ -19,7 +18,7 @@ use crate::tensor::DType;
 use crate::zoo::ModelId;
 
 /// A stage of a pipeline partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage {
     /// First layer index (inclusive).
     pub start: usize,
@@ -32,7 +31,7 @@ pub struct Stage {
 }
 
 /// A pipeline-parallel execution plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelinePlan {
     /// Stages in order.
     pub stages: Vec<Stage>,
@@ -119,7 +118,7 @@ pub fn plan(model: ModelId, stages: usize) -> PipelinePlan {
 }
 
 /// Pipeline vs tensor parallelism at the same SoC count (the ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitioningComparison {
     /// SoCs used.
     pub socs: usize,

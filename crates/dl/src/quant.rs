@@ -7,8 +7,6 @@
 //! a serving operator can pick an operating point instead of a folklore
 //! default.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::Engine;
 use crate::tensor::DType;
 use crate::zoo::ModelId;
@@ -46,7 +44,7 @@ pub fn accuracy(model: ModelId, dtype: DType) -> f64 {
 }
 
 /// One serving operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Engine.
     pub engine: Engine,

@@ -29,7 +29,6 @@
 //! `None` and callers fall back to simulation, so the fast path is never
 //! silently wrong.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::metrics::LogHistogram;
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
@@ -39,7 +38,7 @@ use crate::tensor::DType;
 use crate::zoo::ModelId;
 
 /// Tail-latency report of a serving run (simulated or analytic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TailReport {
     /// Requests completed. Zero for the analytic path, which describes the
     /// steady state rather than a finite run.

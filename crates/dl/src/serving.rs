@@ -6,7 +6,6 @@
 //! form the next batch); below saturation the accelerator duty-cycles.
 //! Sequential engines simply scale busy time with load.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::SimTime;
 use socc_sim::units::Power;
@@ -16,7 +15,7 @@ use crate::tensor::DType;
 use crate::zoo::ModelId;
 
 /// A single engine unit serving one model at one precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingUnit {
     /// The engine.
     pub engine: Engine,
@@ -27,7 +26,7 @@ pub struct ServingUnit {
 }
 
 /// What a unit does under a given offered load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Load actually served, samples/s (≤ offered; capped at capacity).
     pub served_fps: f64,

@@ -1,9 +1,7 @@
 //! Tensor shapes and numeric formats.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision of weights/activations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit floating point.
     Fp32,
@@ -35,7 +33,7 @@ impl DType {
 
 /// An activation tensor shape in NCHW-style layout (batch excluded; all
 /// sizes are per sample).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorShape {
     /// Channels (or hidden size for sequence models).
     pub channels: usize,

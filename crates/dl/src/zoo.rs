@@ -6,14 +6,12 @@
 //! 128. Each builder's aggregate FLOPs are tested against the published
 //! numbers (2×MAC convention).
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::ModelGraph;
 use crate::layers::Layer;
 use crate::tensor::TensorShape;
 
 /// The four benchmark models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelId {
     /// ResNet-50 at 224×224.
     ResNet50,

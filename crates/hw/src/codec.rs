@@ -5,13 +5,12 @@
 //! ASIC processes, how many concurrent sessions it accepts, and what it
 //! draws from the power rail.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::Power;
 
 use crate::power::{LoadPowerModel, PowerState, Utilization};
 
 /// A hardware encode/decode engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HwCodecModel {
     /// Marketing name.
     pub name: String,

@@ -1,13 +1,12 @@
 //! CPU models: mobile big.LITTLE complexes and server many-core parts.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::{Frequency, Power};
 
 use crate::power::{LoadPowerModel, PowerState, Utilization};
 
 /// A homogeneous cluster of CPU cores (e.g. the prime/gold/silver tiers of a
 /// Kryo 585, or all cores of a server part).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreCluster {
     /// Human-readable tier name ("prime", "gold", "silver", …).
     pub name: String,
@@ -44,7 +43,7 @@ impl CoreCluster {
 ///   for Geekbench-style micro-benchmarks (Table 2);
 /// - [`transcode_capacity`](Self::transcode_capacity): throughput on many
 ///   independent transcode processes, which scale closer to linearly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuModel {
     /// Marketing name of the part.
     pub name: String,

@@ -5,13 +5,12 @@
 //! CPU … attributed to the fact that SoC DSPs are designed for low-power
 //! data processing, operating at frequencies of ≤ 500 MHz" (§5.2).
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::{Frequency, Power};
 
 use crate::power::{LoadPowerModel, PowerState, Utilization};
 
 /// Numeric formats a DSP can execute natively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DspPrecision {
     /// Fixed-point INT8 only (tensor accelerator generations before FP16
     /// support landed).
@@ -23,7 +22,7 @@ pub enum DspPrecision {
 }
 
 /// A Hexagon-class DSP with its tensor accelerator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DspModel {
     /// Marketing name.
     pub name: String,

@@ -8,12 +8,11 @@
 //! Linux cpufreq governors, letting experiments quantify race-to-idle
 //! versus pace-to-load policies on transcode-like work.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::time::SimDuration;
 use socc_sim::units::{Energy, Frequency, Power};
 
 /// One operating performance point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Core clock.
     pub freq: Frequency,
@@ -32,7 +31,7 @@ impl OperatingPoint {
 }
 
 /// An OPP table plus the dynamic-power coefficient of the core cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DvfsDomain {
     /// Domain name ("prime", "gold", "silver").
     pub name: String,
@@ -181,7 +180,7 @@ impl DvfsDomain {
 }
 
 /// cpufreq-style governors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Governor {
     /// Pin to the maximum OPP, race to idle.
     Performance,
@@ -192,7 +191,7 @@ pub enum Governor {
 }
 
 /// Outcome of running a work quantum under a governor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// OPP chosen.
     pub opp: OperatingPoint,

@@ -5,10 +5,8 @@
 //! multipliers *relative to the Snapdragon 865* (the SoC Cluster's chip),
 //! calibrated from the ratios reported in §7.
 
-use serde::{Deserialize, Serialize};
-
 /// The six Snapdragon generations of the longitudinal study (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SocGeneration {
     /// Snapdragon 835 (2017, Xiaomi 6).
     Sd835,
@@ -152,7 +150,7 @@ impl SocGeneration {
 }
 
 /// A phone used in the longitudinal study (Table 6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     /// Device marketing name.
     pub device: &'static str,

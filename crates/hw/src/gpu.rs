@@ -1,12 +1,11 @@
 //! GPU models: the mobile Adreno 650 and discrete NVIDIA server parts.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::Power;
 
 use crate::power::{LoadPowerModel, PowerState, Utilization};
 
 /// Broad GPU class, which determines power-behaviour defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuClass {
     /// Integrated mobile GPU sharing the SoC power budget.
     MobileIntegrated,
@@ -20,7 +19,7 @@ pub enum GpuClass {
 /// wildly different fractions of peak depending on the operator mix — so
 /// `socc-dl` anchors per-engine latency separately. This model carries the
 /// physical attributes the orchestrator and power accounting need.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuModel {
     /// Marketing name.
     pub name: String,

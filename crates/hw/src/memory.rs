@@ -1,12 +1,11 @@
 //! Memory and storage models.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::Power;
 
 use crate::power::{LoadPowerModel, PowerState, Utilization};
 
 /// DRAM technology generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramKind {
     /// Low-power mobile DRAM.
     Lpddr5,
@@ -17,7 +16,7 @@ pub enum DramKind {
 }
 
 /// A DRAM subsystem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryModel {
     /// Technology.
     pub kind: DramKind,
@@ -57,7 +56,7 @@ impl MemoryModel {
 }
 
 /// Storage technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageKind {
     /// Mobile UFS flash.
     UfsFlash,
@@ -68,7 +67,7 @@ pub enum StorageKind {
 }
 
 /// A storage device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageModel {
     /// Technology.
     pub kind: StorageKind,

@@ -7,10 +7,8 @@
 //! while monolithic servers lose up to half their raw throughput to shared
 //! caches, memory bandwidth and the benchmark's coordination overhead.
 
-use serde::{Deserialize, Serialize};
-
 /// The micro-benchmarks reported in Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MicroBenchmark {
     /// Geekbench 5 overall CPU score.
     CpuScore,
@@ -51,7 +49,7 @@ impl MicroBenchmark {
 }
 
 /// The four platforms of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchPlatform {
     /// The SoC Cluster ("Ours").
     SocCluster,

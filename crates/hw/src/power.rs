@@ -8,14 +8,13 @@
 //! as soon as *any* work is present, and a dynamic term linear in
 //! utilization.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::Power;
 
 /// Operating power state of a component or a whole SoC.
 ///
 /// State transitions are driven by the orchestrator's power-state manager;
 /// the hardware model only prices each state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
     /// Powered off: consumes nothing, serves nothing. Waking takes the
     /// longest (full OS boot on a mobile SoC).
@@ -36,7 +35,7 @@ impl PowerState {
 }
 
 /// Fraction of a component's capacity that is busy, clamped to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Utilization(f64);
 
 impl Utilization {
@@ -86,7 +85,7 @@ impl Utilization {
 ///
 /// *Workload power* (what the paper reports, §3 "Our report on workload
 /// power consumption excludes idle power") is `power(util) - idle`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPowerModel {
     /// Power drawn when powered on but completely idle.
     pub idle: Power,

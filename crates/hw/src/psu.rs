@@ -7,12 +7,11 @@
 //! the low-utilization operation Fig. 5 shows. Redundant operation (two
 //! PSUs sharing load at ~50% each) sits near the efficiency sweet spot.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::Power;
 
 /// An 80 PLUS-style efficiency curve: efficiency at 20%, 50% and 100% of
 /// rated load, interpolated piecewise-linearly (and degraded below 10%).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsuModel {
     /// Rated output per module in watts.
     pub rated_w: f64,
@@ -66,7 +65,7 @@ impl PsuModel {
 }
 
 /// A redundant pair of PSU modules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundantPsu {
     /// The module model (both identical).
     pub module: PsuModel,

@@ -1,7 +1,5 @@
 //! Platform specifications (Table 1) assembling component models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::HwCodecModel;
 use crate::cpu::CpuModel;
 use crate::dsp::DspModel;
@@ -9,7 +7,7 @@ use crate::gpu::GpuModel;
 use crate::memory::{MemoryModel, StorageModel};
 
 /// Full specification of one mobile SoC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SocSpec {
     /// Marketing name (e.g. "Qualcomm Snapdragon 865").
     pub name: String,
@@ -59,7 +57,7 @@ impl SocSpec {
 }
 
 /// Form factor and platform summary of a whole server (Table 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerSpec {
     /// Server marketing name.
     pub name: String,

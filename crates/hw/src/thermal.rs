@@ -5,12 +5,11 @@
 //! integrates dissipated power, thermal resistance `R` falls as the fans
 //! spin up. The BMC reads node temperatures and drives the fan duty cycle.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::time::SimDuration;
 use socc_sim::units::Power;
 
 /// One lumped thermal node (an SoC package, the ESB, …).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThermalNode {
     /// Ambient (inlet air) temperature in °C.
     pub ambient_c: f64,
@@ -84,7 +83,7 @@ impl ThermalNode {
 /// Proportional fan controller with hysteresis-free duty mapping.
 ///
 /// Duty rises linearly from `min_duty` at `target_c` to 1.0 at `max_c`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FanController {
     /// Temperature at which fans start ramping.
     pub target_c: f64,

@@ -12,12 +12,11 @@
 //! and a test checks the calibrated value reproduces the paper's
 //! measurement within 5%.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::time::SimDuration;
 use socc_sim::units::{DataRate, DataSize};
 
 /// TCP behaviour parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TcpModel {
     /// Path round-trip time.
     pub rtt: SimDuration,

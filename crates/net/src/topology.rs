@@ -8,19 +8,18 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::DataRate;
 
 /// Identifies a node (SoC, switch, external host).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifies a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// Role of a node in the fabric (used for reporting and capacity analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A compute SoC.
     Soc,
@@ -35,7 +34,7 @@ pub enum NodeKind {
 }
 
 /// A directed link with a fixed capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Source node.
     pub src: NodeId,

@@ -41,7 +41,6 @@ pub mod series;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 pub use event::EventQueue;

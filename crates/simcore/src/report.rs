@@ -123,7 +123,7 @@ pub fn dollars(v: f64) -> String {
     let digits = rounded.abs().to_string();
     let mut grouped = String::new();
     for (i, c) in digits.chars().enumerate() {
-        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
             grouped.push(',');
         }
         grouped.push(c);

@@ -14,19 +14,7 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// A span of simulated time with nanosecond resolution.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration {
     nanos: u64,
 }
@@ -238,19 +226,7 @@ impl fmt::Display for SimDuration {
 
 /// An absolute instant on the simulation clock, measured from the start of
 /// the simulation.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime {
     nanos: u64,
 }

@@ -15,7 +15,7 @@ use crate::time::SimDuration;
 macro_rules! scalar_unit {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {

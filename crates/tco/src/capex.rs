@@ -1,9 +1,7 @@
 //! Capital expenditure: component price breakdown (Table 4, top half).
 
-use serde::{Deserialize, Serialize};
-
 /// One line item of a server's bill of materials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapexItem {
     /// Component name as printed in Table 4.
     pub name: &'static str,
@@ -12,7 +10,7 @@ pub struct CapexItem {
 }
 
 /// The three server platforms of the TCO analysis (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Traditional edge server with 8× NVIDIA A40.
     EdgeWithGpu,

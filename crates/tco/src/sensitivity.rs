@@ -5,13 +5,11 @@
 //! months and duty at 50%. Operators face different numbers; this module
 //! sweeps them and finds where (if anywhere) the winners flip.
 
-use serde::{Deserialize, Serialize};
-
 use crate::capex::Platform;
 use crate::tco::{AMORTIZATION_MONTHS, DUTY_FACTOR, ELECTRICITY_USD_PER_KWH};
 
 /// Adjustable cost assumptions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostAssumptions {
     /// Electricity price in $/kWh.
     pub electricity_usd_per_kwh: f64,

@@ -1,7 +1,5 @@
 //! OpEx and monthly total cost of ownership (Table 4, bottom half).
 
-use serde::{Deserialize, Serialize};
-
 use crate::capex::Platform;
 
 /// U.S. industrial average electricity price, Aug 2021 – Jul 2022 (§6).
@@ -17,7 +15,7 @@ pub const AMORTIZATION_MONTHS: f64 = 36.0;
 pub const DUTY_FACTOR: f64 = 0.5;
 
 /// The full Table 4 cost model for one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcoBreakdown {
     /// Total purchase cost.
     pub total_capex: f64,

@@ -1,7 +1,6 @@
 //! Throughput per cost (Table 5): workload throughput normalized by the
 //! monthly TCO of the server that produces it.
 
-use serde::{Deserialize, Serialize};
 use socc_dl::{DType, Engine, ModelId};
 use socc_video::{TranscodeUnit, VideoMeta};
 
@@ -9,7 +8,7 @@ use crate::capex::Platform;
 use crate::tco::breakdown;
 
 /// One hardware row of Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HardwareRow {
     /// Intel CPU inside the 8-GPU server (pays the GPUs' CapEx).
     IntelOnGpuServer,

@@ -6,13 +6,12 @@
 //! CPU and hardware-codec budgets, and reports the egress fan-out — the
 //! capacity-planning layer on top of the Table 3 analysis.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::DataRate;
 
 use crate::video::{Resolution, VideoMeta};
 
 /// One rung of an ABR ladder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rendition {
     /// Output resolution.
     pub resolution: Resolution,
@@ -23,7 +22,7 @@ pub struct Rendition {
 }
 
 /// A ladder specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ladder {
     /// Renditions, highest first.
     pub renditions: Vec<Rendition>,
@@ -83,7 +82,7 @@ impl Ladder {
 }
 
 /// Cost of running one full ladder on a SoC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderCost {
     /// CPU perf-units if encoded in software.
     pub cpu_pu: f64,
@@ -130,8 +129,7 @@ pub fn cluster_ladder_capacity(source: &VideoMeta, ladder: &Ladder, hw: bool) ->
     };
     // Network bound: per-PCB 1 Gbps over 5 SoCs.
     let per_pcb_by_net = (socc_hw::calib::PCB_UPLINK_BPS / 1e6 / cost.net_mbps).floor() as usize;
-    let per_soc_by_net = per_pcb_by_net / socc_hw::calib::SOCS_PER_PCB
-        + usize::from(!per_pcb_by_net.is_multiple_of(socc_hw::calib::SOCS_PER_PCB));
+    let per_soc_by_net = per_pcb_by_net.div_ceil(socc_hw::calib::SOCS_PER_PCB);
     per_soc.min(per_soc_by_net.max(per_pcb_by_net / socc_hw::calib::SOCS_PER_PCB))
         * socc_hw::calib::CLUSTER_SOC_COUNT
 }

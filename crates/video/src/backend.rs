@@ -6,7 +6,6 @@
 //! A40's NVENC engine. Whole-server numbers multiply by the unit count
 //! (60 / 60 / 10 / 8).
 
-use serde::{Deserialize, Serialize};
 use socc_hw::codec::HwCodecModel;
 use socc_hw::cpu::CpuModel;
 use socc_hw::power::Utilization;
@@ -16,7 +15,7 @@ use crate::ratecontrol::EncoderKind;
 use crate::video::VideoMeta;
 
 /// A transcode execution unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TranscodeUnit {
     /// The 8-core Kryo 585 complex of one SoC, running libx264.
     SocCpu,

@@ -8,14 +8,13 @@
 //! a fixed-size client buffer. It backs the traffic generators and the
 //! rate-control tests.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::rng::SimRng;
 use socc_sim::units::{DataRate, DataSize};
 
 use crate::video::VideoMeta;
 
 /// Frame type in an H.264-like stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Intra-coded (keyframe).
     I,
@@ -26,7 +25,7 @@ pub enum FrameKind {
 }
 
 /// GOP structure parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GopStructure {
     /// Frames per GOP (keyframe interval).
     pub length: usize,
@@ -55,7 +54,7 @@ impl GopStructure {
         let pos = index % self.length;
         if pos == 0 {
             FrameKind::I
-        } else if self.b_frames > 0 && !pos.is_multiple_of(self.b_frames + 1) {
+        } else if self.b_frames > 0 && pos % (self.b_frames + 1) != 0 {
             FrameKind::B
         } else {
             FrameKind::P

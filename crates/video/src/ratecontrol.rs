@@ -6,13 +6,12 @@
 //! compress, even overshooting the source stream (V2). Software x264 and
 //! NVENC track low targets accurately.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::DataRate;
 
 use crate::video::VideoMeta;
 
 /// Rate-control mode of a transcode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateControl {
     /// Constant bitrate toward a target (live streaming transcoding, §4).
     Cbr(DataRate),
@@ -22,7 +21,7 @@ pub enum RateControl {
 }
 
 /// Encoder families with distinct rate-control behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncoderKind {
     /// libx264 software encoding (SoC CPU or Intel CPU).
     X264,

@@ -1,6 +1,5 @@
 //! Transcode session accounting: time, frames, energy and traffic.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::{DataRate, DataSize, Energy};
@@ -11,7 +10,7 @@ use crate::ratecontrol::RateControl;
 use crate::video::VideoMeta;
 
 /// What a transcode session does.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionKind {
     /// Real-time transcoding of a live feed for a given wall-clock span.
     Live {
@@ -46,7 +45,7 @@ impl core::fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 /// The planned outcome of one transcode session on one unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Wall-clock time the session occupies the unit.
     pub duration: SimDuration,

@@ -7,11 +7,10 @@
 //! videos carry residuals calibrated from Table 3/Table 5; synthetic videos
 //! default to residual 1.0.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::units::DataRate;
 
 /// Frame dimensions in pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resolution {
     /// Width in pixels.
     pub width: u32,
@@ -44,7 +43,7 @@ impl core::fmt::Display for Resolution {
 
 /// Per-backend calibration residuals (dimensionless multipliers on the
 /// formula-predicted cost; 1.0 = formula exact).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostResiduals {
     /// Software x264 on any CPU.
     pub cpu: f64,
@@ -66,7 +65,7 @@ impl Default for CostResiduals {
 
 /// Measured single-job archive throughput anchors in frames/s, when known
 /// (vbench videos; back-derived from Table 5's archive TpC rows).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ArchiveAnchors {
     /// One x264 process using a whole SoC (8 cores).
     pub soc_fps: Option<f64>,
@@ -77,7 +76,7 @@ pub struct ArchiveAnchors {
 }
 
 /// Metadata and calibrated cost model of one video.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VideoMeta {
     /// Short id ("V1".."V6" for vbench).
     pub id: String,

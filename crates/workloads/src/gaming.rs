@@ -6,13 +6,12 @@
 //! generator reproduces those statistics: a diurnal base curve with an
 //! evening peak, sharpened by an exponent, plus log-normal noise.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::rng::SimRng;
 use socc_sim::series::TimeSeries;
 use socc_sim::time::{SimDuration, SimTime};
 
 /// Gaming traffic model parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GamingTraceConfig {
     /// Trough throughput in Gbps.
     pub min_gbps: f64,
@@ -93,7 +92,7 @@ impl GamingTraceConfig {
 }
 
 /// Summary statistics of a throughput trace against a fabric capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Largest sample in Gbps.
     pub peak_gbps: f64,

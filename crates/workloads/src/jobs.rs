@@ -1,13 +1,12 @@
 //! Job-stream generators: transcode jobs and DL request streams.
 
-use serde::{Deserialize, Serialize};
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
 
 use crate::arrivals::DiurnalPoisson;
 
 /// One archive transcode job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveJob {
     /// Submission time.
     pub at: SimTime,
@@ -42,7 +41,7 @@ pub fn archive_job_stream(
 }
 
 /// One live-stream session: start time plus duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveSession {
     /// Session start.
     pub start: SimTime,

@@ -5,12 +5,10 @@
 //! SoCs (one VM per SoC, the cluster's isolation granularity) versus onto
 //! traditional servers, and what fraction of the fleet is cluster-eligible.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vmtrace::{VmPopulation, VmSubscription};
 
 /// Outcome of consolidating a fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsolidationReport {
     /// VMs in the fleet.
     pub total_vms: usize,

@@ -6,11 +6,10 @@
 //! mixtures below are fitted to those published quantiles: Azure skews
 //! small-and-many; edge VMs are mid-sized (the ENS median is 8 vCPUs, §3).
 
-use serde::{Deserialize, Serialize};
 use socc_sim::rng::SimRng;
 
 /// One VM's resource subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSubscription {
     /// vCPU cores.
     pub cores: u32,
@@ -28,7 +27,7 @@ impl VmSubscription {
 }
 
 /// A VM population model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmPopulation {
     /// Microsoft Azure (Cortez et al., paper ref 46): 2.7 M VMs, mostly small.
     Azure,
