@@ -164,22 +164,33 @@ pub struct FlowKey(u32);
 
 /// Counters describing how much waterfilling work the allocator has done.
 /// All counters are cumulative since construction; diff two snapshots to
-/// meter a window.
+/// meter a window. The benchmark's `net_churn` digest (`perfbench/`)
+/// folds five of them — `reallocations`, `waterfill_rounds`,
+/// `waterfill_touches`, `cert_touches` and `full_recomputes` — so a change
+/// to what any of those counts moves its pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FairnessStats {
-    /// Allocation updates of any kind (incremental or full).
+    /// Allocation updates: one per `add_flow`, `remove_flow`,
+    /// `commit_removals` and `rebuild_full`.
     pub reallocations: u64,
-    /// Updates that ran the full from-scratch waterfill.
+    /// Waterfills over every live flow: forced updates, `rebuild_full`,
+    /// and incremental updates whose affected set reached every live flow.
     pub full_recomputes: u64,
-    /// Updates served by the incremental path.
+    /// Updates that took the incremental path, including those that then
+    /// fell back to a full waterfill.
     pub incremental_updates: u64,
-    /// Progressive-filling rounds executed (both paths).
+    /// Progressive-filling rounds (raises of the water level), both paths.
     pub waterfill_rounds: u64,
-    /// Flow-link visits inside the waterfill inner loops.
+    /// The per-round user tally: summed over rounds, the route lengths of
+    /// the flows still active at the start of the round.
     pub waterfill_touches: u64,
-    /// Certificate-verification sweeps over the flow set.
+    /// Certificate sweeps: one after each partial waterfill.
     pub cert_rounds: u64,
-    /// Flow-link visits spent computing certificates and residuals.
+    /// Route lengths visited by the incremental path outside the
+    /// waterfill: the seeding scan over every live flow, then per sweep
+    /// the load scan over every live flow, the certificate test of every
+    /// flow below its demand and, when a test failed, the expansion scan
+    /// over the unaffected flows.
     pub cert_touches: u64,
 }
 
@@ -631,47 +642,48 @@ impl FairnessState {
         grew
     }
 
-    /// Progressive filling over `active` flows against `self.residual`.
-    /// Rates of `active` flows are reset and raised; everything else is
-    /// untouched.
+    /// Progressive filling over `active` flows against `self.residual`;
+    /// everything else is untouched. Every active flow starts at 0 and is
+    /// raised by the same increments, so all of them sit at one water
+    /// `level` (the demand bound `min(demand) − level` equals the
+    /// per-flow minimum bit for bit, as rounding is monotone). A flow's
+    /// rate is written once, when it freezes. Each round is one pass over
+    /// `active` that freezes, compacts, and re-tallies the link users and
+    /// the route-length sum counted by the next round.
     fn waterfill(&mut self, active: &mut Vec<u32>) {
-        for &f in active.iter() {
-            self.rate[f as usize] = 0.0;
-        }
-        // Collect the links touched by the active set.
+        // Collect the links touched by the active set and tally round 1.
         let touch = self.next_epoch();
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
+        let (mut tally, mut min_demand) = (0, f64::INFINITY);
         for &f in active.iter() {
-            for &l in self.routes.links_of(RouteId(self.route_of[f as usize])) {
+            let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
+            tally += links.len() as u64;
+            min_demand = min_demand.min(self.demand[f as usize]);
+            for &l in links {
                 if self.link_stamp[l as usize] != touch {
                     self.link_stamp[l as usize] = touch;
+                    self.users[l as usize] = 0;
                     touched.push(l);
                 }
+                self.users[l as usize] += 1;
             }
         }
+        let mut level = 0.0;
         while !active.is_empty() {
             self.stats.waterfill_rounds += 1;
-            for &l in &touched {
-                self.users[l as usize] = 0;
-            }
-            for &f in active.iter() {
-                let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
-                self.stats.waterfill_touches += links.len() as u64;
-                for &l in links {
-                    self.users[l as usize] += 1;
-                }
-            }
+            self.stats.waterfill_touches += tally;
+            // Links whose users all froze drop out: frozen flows never thaw.
+            let (users, residual) = (&self.users, &self.residual);
             let mut increment = f64::INFINITY;
-            for &l in &touched {
-                let u = self.users[l as usize];
+            touched.retain(|&l| {
+                let u = users[l as usize];
                 if u > 0 {
-                    increment = increment.min(self.residual[l as usize] / f64::from(u));
+                    increment = increment.min(residual[l as usize] / f64::from(u));
                 }
-            }
-            for &f in active.iter() {
-                increment = increment.min(self.demand[f as usize] - self.rate[f as usize]);
-            }
+                u > 0
+            });
+            increment = increment.min(min_demand - level);
             if !increment.is_finite() {
                 // Unreachable in practice: demands are capped at the
                 // elastic ceiling, so the bound above is always finite.
@@ -681,34 +693,42 @@ impl FairnessState {
                 break;
             }
             let increment = increment.max(0.0);
-            for &f in active.iter() {
-                self.rate[f as usize] += increment;
-            }
+            level += increment;
+            let mut saturated = false;
             for &l in &touched {
-                let u = self.users[l as usize];
-                if u > 0 {
-                    self.residual[l as usize] -= increment * f64::from(u);
-                }
+                let l = l as usize;
+                self.residual[l] -= increment * f64::from(self.users[l]);
+                self.users[l] = 0;
+                saturated |= self.residual[l] <= EPS_BPS;
             }
-            // Freeze flows that hit demand or a saturated link.
+            // Freeze flows at their demand or on a saturated link; keep
+            // and re-tally the rest.
             let before = active.len();
+            (tally, min_demand) = (0, f64::INFINITY);
             let mut kept = 0;
-            for i in 0..active.len() {
+            for i in 0..before {
                 let f = active[i] as usize;
-                let at_demand = self.rate[f] >= self.demand[f] - EPS_BPS;
-                let on_saturated = self
-                    .routes
-                    .links_of(RouteId(self.route_of[f]))
-                    .iter()
-                    .any(|&l| self.residual[l as usize] <= EPS_BPS);
-                if !(at_demand || on_saturated) {
-                    active[kept] = active[i];
-                    kept += 1;
+                let links = self.routes.links_of(RouteId(self.route_of[f]));
+                if level >= self.demand[f] - EPS_BPS
+                    || (saturated && links.iter().any(|&l| self.residual[l as usize] <= EPS_BPS))
+                {
+                    self.rate[f] = level;
+                    continue;
                 }
+                tally += links.len() as u64;
+                min_demand = min_demand.min(self.demand[f]);
+                for &l in links {
+                    self.users[l as usize] += 1;
+                }
+                active[kept] = active[i];
+                kept += 1;
             }
             active.truncate(kept);
-            if active.len() == before {
+            if kept == before {
                 // Numerical guard: nothing froze with a ~0 increment.
+                for &f in active.iter() {
+                    self.rate[f as usize] = level;
+                }
                 break;
             }
         }
@@ -716,36 +736,44 @@ impl FairnessState {
     }
 
     /// Maximum absolute difference in bits/s between the maintained rates
-    /// and a from-scratch [`max_min_fair`] reference over the same flows.
+    /// and a from-scratch [`max_min_fair`] reference over the live flows.
     /// Allocates; intended for tests and diagnostics, not the hot path.
     pub fn drift_vs_reference(&self) -> f64 {
+        let live = (0..self.route_of.len()).filter(|&s| self.route_of[s] != NO_ROUTE);
+        self.drift_over(live.map(|s| {
+            let demand = self.demand[s];
+            let capped = demand < ELASTIC_CEILING_BPS;
+            (FlowKey(s as u32), capped.then(|| DataRate::bps(demand)))
+        }))
+    }
+
+    /// [`drift_vs_reference`](Self::drift_vs_reference) over a caller's
+    /// own record of its flows and demands (`None` = elastic), so a
+    /// reference built from what the caller meant catches a wrong demand
+    /// handed to the allocator. Infinite when `flows` names a freed slot
+    /// or does not cover every live flow, i.e. the allocator holds a slot
+    /// the caller forgot to free.
+    pub fn drift_over(&self, flows: impl IntoIterator<Item = (FlowKey, Option<DataRate>)>) -> f64 {
         let capacity: HashMap<LinkId, DataRate> = self
             .capacity
             .iter()
             .enumerate()
             .map(|(i, &c)| (LinkId(i as u32), DataRate::bps(c)))
             .collect();
-        let mut keys = Vec::new();
-        let mut demands = Vec::new();
-        for s in 0..self.route_of.len() {
-            let route = self.route_of[s];
+        let mut keys = Vec::with_capacity(self.live_count);
+        let mut demands = Vec::with_capacity(self.live_count);
+        for (key, demand) in flows {
+            let route = self.route_of[key.0 as usize];
             if route == NO_ROUTE {
-                continue;
+                return f64::INFINITY;
             }
-            keys.push(s);
-            demands.push(FlowDemand {
-                route: self
-                    .routes
-                    .links_of(RouteId(route))
-                    .iter()
-                    .map(|&l| LinkId(l))
-                    .collect(),
-                demand: if self.demand[s] >= ELASTIC_CEILING_BPS {
-                    None
-                } else {
-                    Some(DataRate::bps(self.demand[s]))
-                },
-            });
+            keys.push(key.0 as usize);
+            let links = self.routes.links_of(RouteId(route));
+            let route = links.iter().map(|&l| LinkId(l)).collect();
+            demands.push(FlowDemand { route, demand });
+        }
+        if keys.len() != self.live_count {
+            return f64::INFINITY;
         }
         let reference = max_min_fair(&demands, &capacity);
         keys.iter()
@@ -1028,6 +1056,25 @@ mod tests {
         let f = st.add_flow(r, Some(1.23e8));
         assert!((st.rate_bps(f) - 1.23e8).abs() < 1.0);
         assert!(st.drift_vs_reference() < 1.0);
+    }
+
+    #[test]
+    fn drift_over_a_callers_records_catches_leaks_and_wrong_demands() {
+        let mut st = state(&[1.0]);
+        let r = st.intern_route(&link_ids(&[0]));
+        let capped = st.add_flow(r, Some(1e8));
+        let elastic = st.add_flow(r, None);
+        let mbps = |m: f64| Some(DataRate::mbps(m));
+        assert!(st.drift_over([(capped, mbps(100.0)), (elastic, None)]) < 1.0);
+        // The caller meant 200 Mbps: the allocator's 100/900 split is off.
+        assert!(st.drift_over([(capped, mbps(200.0)), (elastic, None)]) > 1e8 - 1.0);
+        // A live slot the caller does not hold is a leak.
+        assert_eq!(st.drift_over([(elastic, None)]), f64::INFINITY);
+        // A freed slot the caller still holds is one too.
+        st.remove_flow(capped);
+        let stale = [(capped, mbps(100.0)), (elastic, None)];
+        assert_eq!(st.drift_over(stale), f64::INFINITY);
+        assert!(st.drift_over([(elastic, None)]) < 1.0);
     }
 
     #[test]

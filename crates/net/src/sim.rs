@@ -33,7 +33,7 @@ use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::{DataRate, DataSize};
 
 use crate::failure::FailureAwareRouting;
-use crate::fairness::{max_min_fair, FairnessState, FairnessStats, FlowDemand, FlowKey, RouteId};
+use crate::fairness::{FairnessState, FairnessStats, FlowKey, RouteId};
 use crate::tcp::TcpModel;
 use crate::topology::{LinkId, NodeId, Topology};
 
@@ -103,9 +103,6 @@ pub struct FlowNet {
     /// `(src, dst)` → interned route, invalidated on fail/repair. `None`
     /// caches unreachability so repeated misses stay cheap too.
     route_cache: HashMap<(u32, u32), Option<RouteId>>,
-    /// Offered load per link in bits/s, maintained at reallocation time
-    /// and when a transfer finishes its startup ramp.
-    load: Vec<f64>,
     scratch_done: Vec<TransferId>,
     /// Typed event log (flow/transfer/link lifecycle). Disabled by default
     /// so the allocation-free hot paths pay a single branch per site.
@@ -120,7 +117,6 @@ impl FlowNet {
             .collect();
         let mut routing = FailureAwareRouting::new();
         routing.attach(&topology);
-        let link_count = capacity.len();
         Self {
             topology,
             tcp,
@@ -133,7 +129,6 @@ impl FlowNet {
             routing,
             fairness: FairnessState::new(capacity),
             route_cache: HashMap::new(),
-            load: vec![0.0; link_count],
             scratch_done: Vec::new(),
             events: EventLog::disabled(),
         }
@@ -282,28 +277,13 @@ impl FlowNet {
         self.streams.len()
     }
 
-    /// Syncs FlowNet-side caches after any allocation update: transfer
-    /// goodputs and the per-link offered-load cache. Allocation-free.
+    /// Refreshes every transfer's goodput after an allocation update.
+    /// Allocation-free.
     fn after_reallocation(&mut self) {
         for t in self.transfers.values_mut() {
             t.rate = self
                 .tcp
                 .goodput(DataRate::bps(self.fairness.rate_bps(t.flow)));
-        }
-        self.load.iter_mut().for_each(|v| *v = 0.0);
-        for s in self.streams.values() {
-            let rate = self.fairness.rate_bps(s.flow);
-            for &l in self.fairness.flow_links(s.flow) {
-                self.load[l as usize] += rate;
-            }
-        }
-        for t in self.transfers.values() {
-            if t.startup_left.is_zero() {
-                let rate = t.rate.as_bps();
-                for &l in self.fairness.flow_links(t.flow) {
-                    self.load[l as usize] += rate;
-                }
-            }
         }
     }
 
@@ -409,7 +389,6 @@ impl FlowNet {
 
     fn drain(&mut self, dt: SimDuration) {
         for t in self.transfers.values_mut() {
-            let had_startup = !t.startup_left.is_zero();
             let after_startup = if t.startup_left >= dt {
                 t.startup_left -= dt;
                 SimDuration::ZERO
@@ -419,39 +398,59 @@ impl FlowNet {
                 left
             };
             t.remaining = (t.remaining - t.rate.as_bps() * after_startup.as_secs_f64()).max(0.0);
-            if had_startup && t.startup_left.is_zero() {
-                // The transfer left its startup ramp mid-interval: it now
-                // offers load, so fold it into the link-load cache.
-                let rate = t.rate.as_bps();
-                for &l in self.fairness.flow_links(t.flow) {
-                    self.load[l as usize] += rate;
-                }
+        }
+    }
+
+    /// Visits every `(link, bits/s)` of offered load in a fixed order:
+    /// streams in attach order at their fair share, then transfers past
+    /// their startup ramp at their goodput, in start order.
+    fn for_each_load(&self, mut visit: impl FnMut(u32, f64)) {
+        let streams = self.stream_order.iter().map(|id| {
+            let flow = self.streams[id].flow;
+            (flow, self.fairness.rate_bps(flow))
+        });
+        let transfers = self
+            .transfer_order
+            .iter()
+            .map(|id| &self.transfers[id])
+            .filter(|t| t.startup_left.is_zero())
+            .map(|t| (t.flow, t.rate.as_bps()));
+        for (flow, rate) in streams.chain(transfers) {
+            for &l in self.fairness.flow_links(flow) {
+                visit(l, rate);
             }
         }
     }
 
-    /// Offered load per link in bits/s, from the current allocation.
-    /// Served from the load cache maintained at reallocation time; only
-    /// links with nonzero load appear. (Reporting API — the returned map
-    /// allocates; use [`link_utilization`](Self::link_utilization) on the
-    /// hot path.)
+    /// Offered load per link in bits/s, summed from the current allocation
+    /// on each call; only links with nonzero load appear. (Reporting API:
+    /// the returned map allocates, [`link_utilization`](Self::link_utilization)
+    /// does not.)
     pub fn link_load(&self) -> HashMap<LinkId, DataRate> {
-        self.load
-            .iter()
+        let mut load = vec![0.0; self.topology.link_count()];
+        self.for_each_load(|l, rate| load[l as usize] += rate);
+        load.iter()
             .enumerate()
             .filter(|(_, &v)| v > 0.0)
             .map(|(l, &v)| (LinkId(l as u32), DataRate::bps(v)))
             .collect()
     }
 
-    /// Utilization of a specific link in `[0, 1]`. Allocation-free: reads
-    /// the cached per-link load.
+    /// Utilization of a specific link in `[0, 1]`: its
+    /// [`link_load`](Self::link_load) entry, bit for bit, divided by its
+    /// capacity. Allocation-free.
     pub fn link_utilization(&self, link: LinkId) -> f64 {
         let cap = self.fairness.capacity_bps(link.0);
         if !cap.is_finite() || cap == 0.0 {
             return 0.0;
         }
-        self.load.get(link.0 as usize).map_or(0.0, |l| l / cap)
+        let mut load = 0.0;
+        self.for_each_load(|l, rate| {
+            if l == link.0 {
+                load += rate;
+            }
+        });
+        load / cap
     }
 
     /// Fails a link: streams crossing it are rerouted around the failure
@@ -545,46 +544,19 @@ impl FlowNet {
 
     /// Maximum absolute difference in bits/s between the maintained
     /// (incrementally updated) allocation and a from-scratch
-    /// [`max_min_fair`] reference over the current flows. Allocates;
-    /// intended for differential tests and diagnostics.
+    /// [`max_min_fair`](crate::fairness::max_min_fair) reference over the
+    /// streams and transfers this net holds, at the demands they were
+    /// opened with. Infinite when the allocator holds a flow the net no
+    /// longer does. Allocates; intended for differential tests and
+    /// diagnostics.
     pub fn fairness_drift_vs_reference(&self) -> f64 {
-        let capacity: HashMap<LinkId, DataRate> = (0..self.topology.link_count() as u32)
-            .map(|i| (LinkId(i), DataRate::bps(self.fairness.capacity_bps(i))))
-            .collect();
-        let mut demands = Vec::with_capacity(self.streams.len() + self.transfers.len());
-        let mut rates = Vec::with_capacity(demands.capacity());
-        for id in &self.stream_order {
+        let streams = self.stream_order.iter().map(|id| {
             let s = &self.streams[id];
-            demands.push(FlowDemand {
-                route: self
-                    .fairness
-                    .flow_links(s.flow)
-                    .iter()
-                    .map(|&l| LinkId(l))
-                    .collect(),
-                demand: Some(s.demand),
-            });
-            rates.push(self.fairness.rate_bps(s.flow));
-        }
-        for id in &self.transfer_order {
-            let t = &self.transfers[id];
-            demands.push(FlowDemand {
-                route: self
-                    .fairness
-                    .flow_links(t.flow)
-                    .iter()
-                    .map(|&l| LinkId(l))
-                    .collect(),
-                demand: None,
-            });
-            rates.push(self.fairness.rate_bps(t.flow));
-        }
-        let reference = max_min_fair(&demands, &capacity);
-        rates
-            .iter()
-            .zip(&reference)
-            .map(|(r, expected)| (r - expected.as_bps()).abs())
-            .fold(0.0, f64::max)
+            (s.flow, Some(s.demand))
+        });
+        let transfers = self.transfer_order.iter();
+        let transfers = transfers.map(|id| (self.transfers[id].flow, None));
+        self.fairness.drift_over(streams.chain(transfers))
     }
 }
 
