@@ -12,10 +12,11 @@
 //! ```
 //!
 //! Results land as JSONL rows (shared envelope: `schema`, `experiment`,
-//! `config_hash`, `seed`, `wall_ms`, `config`, `artifact`) in the cache
-//! directory (default `.bench-cache/`, override with `--cache-dir`).
+//! `config_hash`, `build`, `seed`, `wall_ms`, `config`, `artifact`) in the
+//! cache directory (default `.bench-cache/`, override with `--cache-dir`).
 //! Re-running a sweep executes only configurations whose FNV config hash
-//! is not already cached — so an interrupted sweep resumes instead of
+//! this build of `bench` has not already cached (a changed binary
+//! re-executes everything) — so an interrupted sweep resumes instead of
 //! restarting, and a repeat invocation executes nothing (`--assert-cached`
 //! turns that into a hard check; `--force` drops the cache first). Each
 //! experiment's artifact document is still printed and written
@@ -43,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use socc_bench::chaos::ChaosOptions;
 use socc_bench::fleetchaos::FleetChaosOptions;
 use socc_bench::runner::{
-    read_baseline, resolve, run_experiment, Cache, GridScale, DEFAULT_CACHE_DIR,
+    exe_fnv64, read_baseline, resolve, run_experiment, Cache, GridScale, DEFAULT_CACHE_DIR,
 };
 use socc_bench::tracebench::TraceOptions;
 
@@ -270,7 +271,8 @@ fn run(args: &Args) -> Result<(), String> {
             );
         }
     }
-    let cache = Cache::new(&args.cache_dir);
+    let build = exe_fnv64().ok_or("cannot read the bench executable to fingerprint its build")?;
+    let cache = Cache::new(&args.cache_dir, build);
     let mut failures: Vec<String> = Vec::new();
     let mut total_executed = 0usize;
     let mut total_cached = 0usize;

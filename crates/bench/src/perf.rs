@@ -81,8 +81,11 @@ pub struct PerfReport {
     pub p99_event_us: f64,
     /// Waterfilling rounds during the measured phase.
     pub waterfill_rounds: u64,
-    /// Flow-link visits inside waterfilling rounds (the core O(flows ×
-    /// links) work term the incremental path is designed to shrink).
+    /// The progressive-filling tally (`FairnessStats::waterfill_touches`):
+    /// summed over rounds, the route lengths of the flows active at the
+    /// start of each round — the O(flows × links × rounds) work term the
+    /// incremental path is designed to shrink. The allocator keeps it by
+    /// subtraction as flows freeze; it is not a count of visits.
     pub waterfill_touches: u64,
     /// Flow-link visits spent checking/expanding the bottleneck
     /// certificate (incremental-path overhead; zero in full mode).
@@ -283,8 +286,8 @@ impl PerfReport {
 }
 
 /// Renders the `BENCH_net.json` artifact: both runs plus the headline
-/// ratio of from-scratch waterfilling work to incremental work (the
-/// acceptance bar is ≥ 5). Built on the shared [`JsonBuilder`], which
+/// tally ratio, the from-scratch waterfill tally over the incremental one
+/// (the acceptance bar is ≥ 5). Built on the shared [`JsonBuilder`], which
 /// reproduces the committed artifact's byte format exactly.
 pub fn comparison_json(incremental: &PerfReport, full: &PerfReport) -> String {
     let ratio = if incremental.waterfill_touches > 0 {
@@ -341,7 +344,7 @@ pub fn experiment() -> crate::runner::Experiment {
             if let Some(ratio) = gate_num(doc, "net_churn", "waterfill_touch_ratio", &mut f) {
                 if ratio < 5.0 {
                     f.push(format!(
-                        "incremental waterfilling no longer ≥5× cheaper (ratio {ratio:.2})"
+                        "incremental waterfilling no longer ≥5× cheaper (tally ratio {ratio:.2})"
                     ));
                 }
             }

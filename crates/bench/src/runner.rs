@@ -11,13 +11,15 @@
 //! story.
 //!
 //! Results land as JSONL rows under a shared envelope schema
-//! (`schema`, `experiment`, `config_hash`, `seed`, `wall_ms`, `config`,
-//! `artifact`), cached on disk keyed by a stable FNV-1a hash of the
-//! config's sorted `name=value` pairs. Re-running a sweep executes only
-//! configurations whose hash is missing from the cache; an interrupted
-//! sweep resumes from the rows already appended instead of restarting —
-//! which is what makes thousand-candidate searches (the TCO planner,
-//! >1000-site fleet grids) affordable as incremental campaigns.
+//! (`schema`, `experiment`, `config_hash`, `build`, `seed`, `wall_ms`,
+//! `config`, `artifact`), cached on disk keyed by a stable FNV-1a hash of
+//! the config's sorted `name=value` pairs and by the FNV-1a of the
+//! executable that produced them ([`exe_fnv64`]). Re-running a sweep
+//! executes only configurations whose hash is missing from the cache
+//! for the running build, so edited code never re-gates old rows; an
+//! interrupted sweep resumes from the rows already appended instead of
+//! restarting — which is what makes thousand-candidate searches (the TCO
+//! planner, >1000-site fleet grids) affordable as incremental campaigns.
 
 use std::collections::HashMap;
 use std::fs;
@@ -29,7 +31,7 @@ use std::time::Instant;
 /// a different version are ignored by [`Cache::load`] (and thus
 /// re-executed), so a bump invalidates stale caches instead of
 /// misreading them.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Default on-disk cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".bench-cache";
@@ -46,6 +48,22 @@ pub fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a of the running executable's bytes, read in fixed-size chunks:
+/// the build fingerprint every cached row records (perfbench prints the
+/// same hash as `exe_fnv64`). `None` when the executable cannot be read.
+pub fn exe_fnv64() -> Option<u64> {
+    use std::io::Read as _;
+    let mut file = fs::File::open(std::env::current_exe().ok()?).ok()?;
+    let mut buf = [0u8; 1 << 14];
+    let mut hash = FNV_OFFSET;
+    loop {
+        match file.read(&mut buf).ok()? {
+            0 => return Some(hash),
+            n => hash = fnv1a64(&buf[..n], hash),
+        }
+    }
+}
 
 /// One typed config field value. The tag participates in the config
 /// hash, so `U64(1)` and `Str("1")` never collide.
@@ -281,6 +299,10 @@ pub struct Row {
     pub experiment: String,
     /// 16-hex-digit [`ExpConfig::hash_hex`] cache key.
     pub config_hash: String,
+    /// 16-hex-digit fingerprint of the build that produced the row (see
+    /// [`Cache::new`]). Like `wall_ms`, excluded from [`rows_digest`]:
+    /// it records where a result came from, not what it is.
+    pub build: String,
     /// The config's derived seed (provenance; also inside `config`).
     pub seed: u64,
     /// Wall-clock of the execute call, milliseconds. Excluded from
@@ -299,10 +321,11 @@ impl Row {
     /// Renders the envelope as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         format!(
-            "{{\"schema\":{},\"experiment\":\"{}\",\"config_hash\":\"{}\",\"seed\":{},\"wall_ms\":{:.3},\"config\":{},\"artifact\":\"{}\"}}",
+            "{{\"schema\":{},\"experiment\":\"{}\",\"config_hash\":\"{}\",\"build\":\"{}\",\"seed\":{},\"wall_ms\":{:.3},\"config\":{},\"artifact\":\"{}\"}}",
             SCHEMA_VERSION,
             self.experiment,
             self.config_hash,
+            self.build,
             self.seed,
             self.wall_ms,
             self.config_json,
@@ -318,10 +341,8 @@ impl Row {
             return None;
         }
         let experiment = field_raw_str(line, "experiment")?.to_string();
-        let config_hash = field_raw_str(line, "config_hash")?.to_string();
-        if config_hash.len() != 16 || !config_hash.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
+        let config_hash = field_hex16(line, "config_hash")?;
+        let build = field_hex16(line, "build")?;
         // Seeds are full-range u64s (mix_seed output); routing them
         // through f64 would silently round above 2^53.
         let seed = field_u64(line, "seed")?;
@@ -331,6 +352,7 @@ impl Row {
         Some(Row {
             experiment,
             config_hash,
+            build,
             seed,
             wall_ms,
             config_json,
@@ -394,6 +416,12 @@ fn field_raw_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
+/// A 16-hex-digit string field (config hashes and build fingerprints).
+fn field_hex16(line: &str, key: &str) -> Option<String> {
+    let hex = field_raw_str(line, key)?;
+    (hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit())).then(|| hex.to_string())
+}
+
 /// A string field read up to the first unescaped quote (still escaped).
 fn field_escaped_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let rest = after_key(line, key)?.strip_prefix('"')?;
@@ -443,12 +471,20 @@ fn field_object<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 #[derive(Debug, Clone)]
 pub struct Cache {
     dir: PathBuf,
+    build: String,
 }
 
 impl Cache {
-    /// A cache rooted at `dir` (created lazily on first append).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
+    /// A cache rooted at `dir` (created lazily on first append) for the
+    /// build fingerprinted as `build` — the `bench` binary passes
+    /// [`exe_fnv64`]. Rows it appends record that build, and rows
+    /// recorded by any other build are cache misses: a result is never
+    /// re-gated under code that did not produce it.
+    pub fn new(dir: impl Into<PathBuf>, build: u64) -> Self {
+        Self {
+            dir: dir.into(),
+            build: format!("{build:016x}"),
+        }
     }
 
     /// The JSONL file backing `experiment`.
@@ -456,11 +492,11 @@ impl Cache {
         self.dir.join(format!("{experiment}.jsonl"))
     }
 
-    /// Loads every parseable row for `experiment`, keyed by config
-    /// hash. Malformed lines (a partial tail from a killed run, foreign
-    /// schema versions) are skipped, not errors; a later duplicate hash
-    /// wins, so a deliberately re-executed config supersedes its
-    /// predecessor.
+    /// Loads every parseable row this build recorded for `experiment`,
+    /// keyed by config hash. Malformed lines (a partial tail from a
+    /// killed run, foreign schema versions) and other builds' rows are
+    /// skipped, not errors; a later duplicate hash wins, so a
+    /// deliberately re-executed config supersedes its predecessor.
     pub fn load(&self, experiment: &str) -> HashMap<String, Row> {
         let mut rows = HashMap::new();
         let Ok(text) = fs::read_to_string(self.path_for(experiment)) else {
@@ -468,7 +504,7 @@ impl Cache {
         };
         for line in text.lines() {
             if let Some(row) = Row::parse(line) {
-                if row.experiment == experiment {
+                if row.experiment == experiment && row.build == self.build {
                     rows.insert(row.config_hash.clone(), row);
                 }
             }
@@ -600,9 +636,10 @@ pub struct SweepOutcome {
 }
 
 /// Runs one experiment's grid against the cache: configurations whose
-/// hash is already cached are answered from disk; the rest execute and
-/// append. On an execute error the completed rows stay cached and the
-/// error propagates — re-running resumes where the sweep died.
+/// hash the cache's build already recorded are answered from disk; the
+/// rest execute and append. On an execute error the completed rows stay
+/// cached and the error propagates — re-running resumes where the sweep
+/// died.
 pub fn run_experiment(
     exp: &Experiment,
     scale: &GridScale,
@@ -631,6 +668,7 @@ pub fn run_experiment(
         let row = Row {
             experiment: exp.name.to_string(),
             config_hash: key,
+            build: cache.build.clone(),
             seed: cfg.seed(),
             wall_ms,
             config_json: cfg.to_json(),
@@ -683,7 +721,7 @@ pub fn resolve(names: &[String]) -> Result<Vec<Experiment>, String> {
 pub fn schema_description() -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "envelope v{SCHEMA_VERSION}: schema:u64 experiment:str config_hash:hex16 seed:u64 wall_ms:f64 config:object artifact:str\n"
+        "envelope v{SCHEMA_VERSION}: schema:u64 experiment:str config_hash:hex16 build:hex16 seed:u64 wall_ms:f64 config:object artifact:str\n"
     ));
     let scale = GridScale::full(42);
     for exp in registry() {
@@ -853,6 +891,7 @@ mod tests {
         let row = Row {
             experiment: "demo".to_string(),
             config_hash: cfg.hash_hex(),
+            build: "00c0ffee00c0ffee".to_string(),
             // Above 2^53: pins the exact-u64 seed parse (an f64 round
             // trip would corrupt the low bits).
             seed: 17_542_363_414_333_701_188,
@@ -867,6 +906,11 @@ mod tests {
         // Partial tail lines (killed mid-append) parse to None.
         assert_eq!(Row::parse(&line[..line.len() / 2]), None);
         assert_eq!(Row::parse(""), None);
+        // So do rows of the previous schema, which recorded no build.
+        let v1 = line
+            .replace("\"schema\":2", "\"schema\":1")
+            .replace(",\"build\":\"00c0ffee00c0ffee\"", "");
+        assert_eq!(Row::parse(&v1), None);
     }
 
     #[test]
@@ -874,6 +918,7 @@ mod tests {
         let mk = |hash: &str, wall: f64| Row {
             experiment: "demo".to_string(),
             config_hash: hash.to_string(),
+            build: format!("{:016x}", wall.to_bits()),
             seed: 1,
             wall_ms: wall,
             config_json: "{\"seed\":1}".to_string(),
@@ -894,7 +939,7 @@ mod tests {
             NONCE.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = fs::remove_dir_all(&dir);
-        Cache::new(dir)
+        Cache::new(dir, 1)
     }
 
     static DEMO_EXECS: AtomicU64 = AtomicU64::new(0);

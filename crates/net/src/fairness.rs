@@ -181,8 +181,9 @@ pub struct FairnessStats {
     pub incremental_updates: u64,
     /// Progressive-filling rounds (raises of the water level), both paths.
     pub waterfill_rounds: u64,
-    /// The per-round user tally: summed over rounds, the route lengths of
-    /// the flows still active at the start of the round.
+    /// The progressive-filling tally: summed over rounds, the route
+    /// lengths of the flows active at the start of each round. It is kept
+    /// by subtraction as flows freeze, so it is not a count of visits.
     pub waterfill_touches: u64,
     /// Certificate sweeps: one after each partial waterfill.
     pub cert_rounds: u64,
@@ -413,17 +414,12 @@ impl FairnessState {
     }
 
     fn release_slot_collecting_seeds(&mut self, key: FlowKey) {
-        let slot = key.0 as usize;
-        debug_assert!(self.route_of[slot] != NO_ROUTE, "double free of flow slot");
-        let route = RouteId(self.route_of[slot]);
+        let route = self.route_of[key.0 as usize];
+        debug_assert!(route != NO_ROUTE, "double free of flow slot");
         // Collect seed links before freeing (dedup happens via stamps later).
-        let (offset, len) = self.routes.spans[route.0 as usize];
         self.seeds
-            .extend_from_slice(&self.routes.links[offset as usize..(offset + len) as usize]);
-        self.route_of[slot] = NO_ROUTE;
-        self.rate[slot] = 0.0;
-        self.free.push(key.0);
-        self.live_count -= 1;
+            .extend_from_slice(self.routes.links_of(RouteId(route)));
+        self.drop_slot(key);
     }
 
     /// Rebinds a live flow to a new route **without** updating the
@@ -477,14 +473,12 @@ impl FairnessState {
     /// Exact from-scratch waterfill over all live flows.
     fn full_waterfill(&mut self) {
         self.stats.full_recomputes += 1;
-        let mut active = std::mem::take(&mut self.active);
-        active.clear();
-        active.extend(
+        self.active.clear();
+        self.active.extend(
             (0..self.route_of.len() as u32).filter(|&s| self.route_of[s as usize] != NO_ROUTE),
         );
         self.residual.copy_from_slice(&self.capacity);
-        self.waterfill(&mut active);
-        self.active = active;
+        self.waterfill();
     }
 
     /// The incremental path: seed → partial waterfill → certificate →
@@ -494,12 +488,10 @@ impl FairnessState {
         // Mark seed links and build the initial affected set: every live
         // flow crossing a seeded link.
         let epoch = self.next_epoch();
-        let mut seeds = std::mem::take(&mut self.seeds);
-        for &l in &seeds {
+        for &l in &self.seeds {
             self.link_stamp[l as usize] = epoch;
         }
-        seeds.clear();
-        self.seeds = seeds;
+        self.seeds.clear();
 
         let mut affected = std::mem::take(&mut self.affected);
         affected.clear();
@@ -517,20 +509,16 @@ impl FairnessState {
         }
         // Directly-seeded slots (e.g. a freshly added flow whose route is
         // empty and therefore crosses no seeded link).
-        let mut seed_flows = std::mem::take(&mut self.seed_flows);
-        for &s in &seed_flows {
+        for &s in &self.seed_flows {
             if self.route_of[s as usize] != NO_ROUTE && self.flow_stamp[s as usize] != epoch {
                 affected.push(s);
                 self.flow_stamp[s as usize] = epoch;
             }
         }
-        seed_flows.clear();
-        self.seed_flows = seed_flows;
+        self.seed_flows.clear();
 
-        let mut active = std::mem::take(&mut self.active);
         loop {
             if affected.len() == self.live_count {
-                self.active = active;
                 self.affected = affected;
                 self.full_waterfill();
                 return;
@@ -555,15 +543,14 @@ impl FairnessState {
                     *r = 0.0;
                 }
             }
-            active.clear();
-            active.extend_from_slice(&affected);
-            self.waterfill(&mut active);
+            self.active.clear();
+            self.active.extend_from_slice(&affected);
+            self.waterfill();
 
             if !self.expand_uncertified(&mut affected) {
                 break;
             }
         }
-        self.active = active;
         self.affected = affected;
     }
 
@@ -642,48 +629,50 @@ impl FairnessState {
         grew
     }
 
-    /// Progressive filling over `active` flows against `self.residual`;
-    /// everything else is untouched. Every active flow starts at 0 and is
-    /// raised by the same increments, so all of them sit at one water
-    /// `level` (the demand bound `min(demand) − level` equals the
-    /// per-flow minimum bit for bit, as rounding is monotone). A flow's
-    /// rate is written once, when it freezes. Each round is one pass over
-    /// `active` that freezes, compacts, and re-tallies the link users and
-    /// the route-length sum counted by the next round.
-    fn waterfill(&mut self, active: &mut Vec<u32>) {
-        // Collect the links touched by the active set and tally round 1.
+    /// Progressive filling over the `active` flows against `self.residual`;
+    /// everything else is untouched. All active flows rise together from
+    /// 0, so they share one water `level`; a rate is written when its flow
+    /// freezes. `active` is sorted by descending demand once: rounding is
+    /// monotone, so the flows at their demand are a suffix and the last
+    /// one bounds the raise. `users[l]` and the route-length `tally` are
+    /// running counts a freeze decrements, so a round scans the live links
+    /// and the frozen flows' routes, and the other routes only when a link
+    /// saturated. The tally is the work measure progressive filling
+    /// defines, not a visit count; the perf gate's ratio is a tally ratio.
+    fn waterfill(&mut self) {
+        let mut active = std::mem::take(&mut self.active);
+        let demand = &self.demand;
+        active.sort_unstable_by(|&a, &b| demand[b as usize].total_cmp(&demand[a as usize]));
+        // Collect the links touched by the active set and count their users.
         let touch = self.next_epoch();
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
-        let (mut tally, mut min_demand) = (0, f64::INFINITY);
+        self.touched.clear();
+        let mut tally = 0;
         for &f in active.iter() {
             let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
             tally += links.len() as u64;
-            min_demand = min_demand.min(self.demand[f as usize]);
             for &l in links {
                 if self.link_stamp[l as usize] != touch {
                     self.link_stamp[l as usize] = touch;
                     self.users[l as usize] = 0;
-                    touched.push(l);
+                    self.touched.push(l);
                 }
                 self.users[l as usize] += 1;
             }
         }
         let mut level = 0.0;
-        while !active.is_empty() {
+        while let Some(&last) = active.last() {
             self.stats.waterfill_rounds += 1;
             self.stats.waterfill_touches += tally;
             // Links whose users all froze drop out: frozen flows never thaw.
-            let (users, residual) = (&self.users, &self.residual);
             let mut increment = f64::INFINITY;
-            touched.retain(|&l| {
-                let u = users[l as usize];
+            self.touched.retain(|&l| {
+                let u = self.users[l as usize];
                 if u > 0 {
-                    increment = increment.min(residual[l as usize] / f64::from(u));
+                    increment = increment.min(self.residual[l as usize] / f64::from(u));
                 }
                 u > 0
             });
-            increment = increment.min(min_demand - level);
+            increment = increment.min(self.demand[last as usize] - level);
             if !increment.is_finite() {
                 // Unreachable in practice: demands are capped at the
                 // elastic ceiling, so the bound above is always finite.
@@ -695,36 +684,32 @@ impl FairnessState {
             let increment = increment.max(0.0);
             level += increment;
             let mut saturated = false;
-            for &l in &touched {
+            for &l in &self.touched {
                 let l = l as usize;
                 self.residual[l] -= increment * f64::from(self.users[l]);
-                self.users[l] = 0;
                 saturated |= self.residual[l] <= EPS_BPS;
             }
-            // Freeze flows at their demand or on a saturated link; keep
-            // and re-tally the rest.
-            let before = active.len();
-            (tally, min_demand) = (0, f64::INFINITY);
-            let mut kept = 0;
-            for i in 0..before {
-                let f = active[i] as usize;
-                let links = self.routes.links_of(RouteId(self.route_of[f]));
-                if level >= self.demand[f] - EPS_BPS
-                    || (saturated && links.iter().any(|&l| self.residual[l as usize] <= EPS_BPS))
-                {
-                    self.rate[f] = level;
-                    continue;
-                }
-                tally += links.len() as u64;
-                min_demand = min_demand.min(self.demand[f]);
-                for &l in links {
-                    self.users[l as usize] += 1;
-                }
-                active[kept] = active[i];
-                kept += 1;
+            // Freeze the flows at their demand, then, if a link saturated,
+            // those crossing one; the rest stay in demand order.
+            let unfrozen = active.len();
+            while let Some(&f) = active
+                .last()
+                .filter(|&&f| level >= self.demand[f as usize] - EPS_BPS)
+            {
+                tally -= self.freeze(f, level);
+                active.pop();
             }
-            active.truncate(kept);
-            if kept == before {
+            if saturated {
+                active.retain(|&f| {
+                    let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
+                    let on_saturated = links.iter().any(|&l| self.residual[l as usize] <= EPS_BPS);
+                    if on_saturated {
+                        tally -= self.freeze(f, level);
+                    }
+                    !on_saturated
+                });
+            }
+            if active.len() == unfrozen {
                 // Numerical guard: nothing froze with a ~0 increment.
                 for &f in active.iter() {
                     self.rate[f as usize] = level;
@@ -732,7 +717,22 @@ impl FairnessState {
                 break;
             }
         }
-        self.touched = touched;
+        debug_assert!(
+            !active.is_empty()
+                || (tally == 0 && self.touched.iter().all(|&l| self.users[l as usize] == 0)),
+            "a full freeze left running counts behind"
+        );
+        self.active = active;
+    }
+
+    /// Freezes flow `f` at `level`; returns its route length for the tally.
+    fn freeze(&mut self, f: u32, level: f64) -> u64 {
+        self.rate[f as usize] = level;
+        let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
+        for &l in links {
+            self.users[l as usize] -= 1;
+        }
+        links.len() as u64
     }
 
     /// Maximum absolute difference in bits/s between the maintained rates

@@ -1,12 +1,15 @@
 //! Property tests for the incremental fairness engine: randomized flow
-//! churn must stay indistinguishable from from-scratch `max_min_fair`,
-//! and link fail/repair round-trips must leave the allocation consistent.
+//! churn must stay indistinguishable from from-scratch `max_min_fair`
+//! (bit for bit on the forced full path), and link fail/repair
+//! round-trips must leave the allocation consistent.
 //! A seeded churn pins the allocator's rates and work counters bit for
 //! bit, and edge cases of the progressive-filling loop (the numerical
 //! guard, a zero-residual link) are pinned directly.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
-use socc_net::fairness::{FairnessState, FlowKey};
+use socc_net::fairness::{max_min_fair, FairnessState, FlowDemand, FlowKey};
 use socc_net::sim::{FlowNet, StreamId};
 use socc_net::tcp::TcpModel;
 use socc_net::topology::{LinkId, Topology};
@@ -27,11 +30,14 @@ proptest! {
     /// Interleaved adds, removals and removal batches
     /// (`begin_removals` / `defer_remove` / `commit_removals`) on the
     /// persistent allocator match a from-scratch waterfill after every
-    /// operation, and each batch is one reallocation. Adds outweigh the
-    /// flows removed (5/8 of ops add one; 2/8 remove one; 1/8 remove a
-    /// batch of 1-3), so the live set grows over a case and bottlenecks
-    /// are shared. Most demands come from a small set, so several flows
-    /// often freeze in one round.
+    /// operation, and each batch is one reallocation. A twin fed the same
+    /// operations with `set_force_full(true)` runs the same progressive
+    /// filling as `max_min_fair`, so its rates must equal the reference's
+    /// bit for bit; the incremental path keeps a 1 bps tolerance for its
+    /// different summation order. Adds outweigh the flows removed (5/8 of
+    /// ops add one; 2/8 remove one; 1/8 remove a batch of 1-3), so the
+    /// live set grows over a case and bottlenecks are shared. Most demands
+    /// come from a small set, so several flows often freeze in one round.
     #[test]
     fn incremental_matches_reference_under_churn(
         caps in prop::collection::vec(0.5f64..4.0, 2..8),
@@ -47,8 +53,19 @@ proptest! {
             1..60
         )
     ) {
-        let mut st = FairnessState::new(caps.iter().map(|g| g * 1e9).collect());
-        let mut live: Vec<FlowKey> = Vec::new();
+        let capacity: Vec<f64> = caps.iter().map(|g| g * 1e9).collect();
+        let reference_caps: HashMap<LinkId, DataRate> = capacity
+            .iter()
+            .enumerate()
+            .map(|(l, &c)| (LinkId(l as u32), DataRate::bps(c)))
+            .collect();
+        let mut st = FairnessState::new(capacity.clone());
+        let mut twin = FairnessState::new(capacity);
+        twin.set_force_full(true);
+        // Each live flow's key in `st` and in `twin`, and, at the same
+        // index, the flow as the reference sees it.
+        let mut live: Vec<(FlowKey, FlowKey)> = Vec::new();
+        let mut flows: Vec<FlowDemand> = Vec::new();
         for (kind, route, demand_mbps, set_pick, pick, batch) in ops {
             let before = st.stats().reallocations;
             if kind <= 4 || live.is_empty() {
@@ -57,24 +74,43 @@ proptest! {
                     .filter(|&&l| l < caps.len())
                     .map(|&l| LinkId(l as u32))
                     .collect();
-                let r = st.intern_route(&links);
+                let (r, twin_r) = (st.intern_route(&links), twin.intern_route(&links));
                 let demand = DEMAND_SET_MBPS.get(set_pick).map_or(demand_mbps, |&d| d);
-                live.push(st.add_flow(r, demand.map(|m| m * 1e6)));
+                let bps = demand.map(|m| m * 1e6);
+                live.push((st.add_flow(r, bps), twin.add_flow(twin_r, bps)));
+                flows.push(FlowDemand { route: links, demand: bps.map(DataRate::bps) });
             } else if kind <= 6 {
-                let key = live.swap_remove(pick % live.len());
+                let at = pick % live.len();
+                let (key, twin_key) = live.swap_remove(at);
+                flows.swap_remove(at);
                 st.remove_flow(key);
+                twin.remove_flow(twin_key);
             } else {
                 st.begin_removals();
+                twin.begin_removals();
                 for i in 0..batch.min(live.len()) {
-                    let key = live.swap_remove((pick + i) % live.len());
+                    let at = (pick + i) % live.len();
+                    let (key, twin_key) = live.swap_remove(at);
+                    flows.swap_remove(at);
                     st.defer_remove(key);
+                    twin.defer_remove(twin_key);
                 }
                 st.commit_removals();
+                twin.commit_removals();
             }
             prop_assert_eq!(st.stats().reallocations, before + 1);
             prop_assert_eq!(st.live_flows(), live.len());
             let drift = st.drift_vs_reference();
             prop_assert!(drift < DRIFT_BPS, "drift {drift} bps after churn op");
+            let reference = max_min_fair(&flows, &reference_caps);
+            for (&(_, twin_key), r) in live.iter().zip(&reference) {
+                let full = twin.rate_bps(twin_key);
+                prop_assert!(
+                    full.to_bits() == r.as_bps().to_bits(),
+                    "full path {full} bps vs reference {} bps",
+                    r.as_bps()
+                );
+            }
         }
     }
 

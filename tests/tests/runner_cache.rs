@@ -1,6 +1,7 @@
 //! Contract tests for the unified experiment runner (`socc_bench::runner`):
 //! the proptest config-hash contract, sweep resumability after a mid-grid
-//! kill, and a golden pin of the JSONL envelope schema.
+//! kill, rows that answer only for the build that recorded them, and a
+//! golden pin of the JSONL envelope schema.
 //!
 //! To re-bless the schema golden after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test -p integration-tests --test runner_cache`
@@ -164,7 +165,11 @@ fn fused_experiment() -> Experiment {
     }
 }
 
-fn temp_cache(tag: &str) -> Cache {
+/// Build fingerprints for the tests; `bench` passes `runner::exe_fnv64()`.
+const BUILD_A: u64 = 0xa;
+const BUILD_B: u64 = 0xb;
+
+fn temp_dir(tag: &str) -> PathBuf {
     static NONCE: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "socc-runner-it-{tag}-{}-{}",
@@ -172,7 +177,11 @@ fn temp_cache(tag: &str) -> Cache {
         NONCE.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = fs::remove_dir_all(&dir);
-    Cache::new(dir)
+    dir
+}
+
+fn temp_cache(tag: &str) -> Cache {
+    Cache::new(temp_dir(tag), BUILD_A)
 }
 
 #[test]
@@ -234,6 +243,42 @@ fn equal_hashes_hit_cache_with_zero_executions() {
     assert_eq!(second.cached as u64, GRID);
     assert_eq!(EXECS.load(Ordering::Relaxed), before);
     assert_eq!(rows_digest(&first.rows), rows_digest(&second.rows));
+}
+
+/// A row answers only for the build that recorded it: the same sweep
+/// under another build re-executes every config (edited code is never
+/// gated on rows it did not produce), while the original build still
+/// hits its own rows in the shared file.
+#[test]
+fn rows_from_another_build_re_execute() {
+    let _guard = LOCK.lock().unwrap();
+    let exp = fused_experiment();
+    let scale = GridScale::full(11);
+    let dir = temp_dir("build");
+    FUSE.store(u64::MAX, Ordering::Relaxed);
+    let sweep = |build| run_experiment(&exp, &scale, &Cache::new(&dir, build), &|| 0);
+
+    let a = sweep(BUILD_A).expect("sweep under build A");
+    assert_eq!(a.executed as u64, GRID);
+    let b = sweep(BUILD_B).expect("sweep under build B");
+    assert_eq!(
+        b.executed as u64, GRID,
+        "build A's rows must not answer build B"
+    );
+    assert_eq!(b.cached, 0);
+    let again = sweep(BUILD_A).expect("repeat under build A");
+    assert_eq!(
+        again.executed, 0,
+        "build A's rows must still answer build A"
+    );
+    assert_eq!(again.cached as u64, GRID);
+    assert!(again
+        .rows
+        .iter()
+        .all(|r| r.build == format!("{BUILD_A:016x}")));
+    assert!(b.rows.iter().all(|r| r.build == format!("{BUILD_B:016x}")));
+    assert_eq!(rows_digest(&again.rows), rows_digest(&b.rows));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
