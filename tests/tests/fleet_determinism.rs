@@ -7,10 +7,13 @@
 //! 2. a 1-site fleet is exactly a standalone [`Orchestrator`] replaying
 //!    the same trace — the fleet layer adds control-plane routing, not
 //!    simulation drift.
+//!
+//! A third test pins the order in which one window's faults apply.
 
 use proptest::prelude::*;
 use socc_bench::fleet::{run_fleet_once, FleetBenchOptions};
 use socc_bench::harness::mix_seed;
+use socc_cluster::faults::SiteFaultInjector;
 use socc_cluster::fleet::{FleetConfig, FleetSim};
 use socc_cluster::orchestrator::{Orchestrator, OrchestratorConfig};
 use socc_cluster::scheduler;
@@ -119,4 +122,45 @@ fn one_site_fleet_matches_standalone_orchestrator() {
     );
     assert_eq!(fleet.report().rerouted, 0);
     assert_eq!(fleet.report().unplaceable, 0);
+}
+
+/// Pins the order in which one window's faults apply: the seeded WAN
+/// partitions first, in descending (site, length) order, then the
+/// scheduled site faults in ascending `SiteFault::order()`. The grid
+/// makes seeded partitions collide with each other and with a dense
+/// site-fault schedule, and folds every fleet's digest into one FNV-1a
+/// literal. Two runs of one build cannot see an order change; this
+/// literal can.
+#[test]
+fn colliding_fault_order_is_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..12u64 {
+        for mean_partitions in [8.0, 30.0] {
+            let cfg = FleetConfig {
+                sites: 8,
+                regions: 4,
+                hours: 2,
+                seed,
+                mean_partitions,
+                ..FleetConfig::default()
+            };
+            let site_faults = SiteFaultInjector {
+                mean_partitions: 6.0,
+                mean_storms: 2.0,
+                mean_blackouts: 2.0,
+                mean_brownouts: 2.0,
+                mean_windows: 3.0,
+            }
+            .schedule(8, 4, 60, &mut SimRng::seed(seed).split("pin-site"));
+            for schedule in [Vec::new(), site_faults] {
+                let mut fleet = FleetSim::with_site_faults(cfg, schedule);
+                fleet.run_to_end();
+                for b in fleet.digest().to_le_bytes() {
+                    hash ^= u64::from(b);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    assert_eq!(format!("{hash:016x}"), "c71bdf044f5f7d50");
 }
