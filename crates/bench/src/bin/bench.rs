@@ -8,7 +8,7 @@
 //! bench --list                         # registered experiments
 //! bench --run perf --check             # one experiment + its gates vs its committed baseline
 //! bench --run all --smoke --check      # the whole CI smoke sweep in one invocation
-//! bench --run netval --cases 64        # scale overrides reuse the legacy flag names
+//! bench --run netval --cases 64        # scale override for one experiment
 //! ```
 //!
 //! Results land as JSONL rows (shared envelope: `schema`, `experiment`,
@@ -29,12 +29,10 @@
 //! under `--check`, against the experiment's committed `BENCH_*.json`
 //! (or an explicit `--check PATH` when a single experiment runs).
 //!
-//! The legacy single-mode flags (`--perf`, `--serve`, `--chaos`,
-//! `--trace`, `--netval`, `--fleet`, `--fleetchaos`, `--video`) remain
-//! as aliases for `--run <name>`, so committed repro lines keep working.
 //! Two mode-specific escapes stay outside the cache: `--step K` replays
-//! one chaos/fleetchaos campaign pair as deterministic text, and
-//! `--chrome FILE` exports the trace scenario's span log in Chrome
+//! one chaos/fleetchaos campaign pair as deterministic text (the repro
+//! line every violation prints: `bench --run chaos --seed N --step K`),
+//! and `--chrome FILE` exports the trace scenario's span log in Chrome
 //! `trace_event` format.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -124,16 +122,6 @@ fn parse_args() -> Result<Args, String> {
                     }
                 }
             }
-            // Legacy single-mode flags, kept as aliases so committed
-            // repro lines stay valid.
-            "--perf" => args.run.push("perf".to_string()),
-            "--serve" => args.run.push("serve".to_string()),
-            "--chaos" => args.run.push("chaos".to_string()),
-            "--trace" => args.run.push("trace".to_string()),
-            "--netval" => args.run.push("netval".to_string()),
-            "--fleet" => args.run.push("fleet".to_string()),
-            "--fleetchaos" => args.run.push("fleetchaos".to_string()),
-            "--video" => args.run.push("video".to_string()),
             "--list" => args.list = true,
             "--smoke" => {
                 args.smoke = true;
@@ -199,7 +187,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    args.run.dedup();
     Ok(args)
 }
 
@@ -230,7 +217,7 @@ fn run_step(args: &Args, k: usize) -> Result<(), String> {
             print!("{}", socc_bench::fleetchaos::replay(&opts, k));
             Ok(())
         }
-        _ => Err("--step needs exactly one of --chaos / --fleetchaos".to_string()),
+        _ => Err("--step needs exactly one of --run chaos / --run fleetchaos".to_string()),
     }
 }
 
@@ -239,8 +226,8 @@ fn usage() -> String {
         "usage: bench --run <names|all> [--smoke] [--check [BASELINE]] [--out FILE | --out-suffix SUF]\n\
          \x20             [--cache-dir DIR] [--force] [--assert-cached] [--seed N] [scale overrides]\n\
          \x20      bench --list\n\
-         \x20      bench --chaos --seed N --step K        (campaign replay; also --fleetchaos)\n\
-         \x20      bench --trace --chrome FILE            (Chrome trace_event export)\n\
+         \x20      bench --run chaos --seed N --step K    (campaign replay; also --run fleetchaos)\n\
+         \x20      bench --run trace --chrome FILE        (Chrome trace_event export)\n\
          scale overrides: --flows --events --points --cases --campaigns --sites --socs\n\
          \x20                --hours --window --peak --reps\n\
          experiments:\n",

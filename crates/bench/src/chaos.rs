@@ -24,15 +24,16 @@
 //! overwhelms the instantaneous headroom a trickle would be absorbed by.
 //!
 //! A campaign that violates an invariant is shrunk to a minimal fault
-//! schedule by greedy event removal, and the report carries a one-line
-//! repro (`bench --chaos --seed N --step K`). Equal seeds give
+//! schedule by the shared greedy shrinker ([`crate::campaign`]), and the
+//! report carries a one-line repro
+//! (`bench --run chaos --seed N --step K`). Equal seeds give
 //! byte-identical replays.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
-use crate::harness::JsonBuilder;
-use crate::runner::json_escape;
+use crate::campaign::{self, Shrink, Violation};
+use crate::harness::{mix_seed, JsonBuilder};
 
 use socc_cluster::faults::{
     DomainFault, FailureDomains, FaultEvent, FaultInjector, FaultKind, FaultSchedule,
@@ -137,21 +138,6 @@ pub struct CampaignOutcome {
     pub mttr: Vec<ClassMttr>,
 }
 
-/// One shrunk invariant violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ViolationRecord {
-    /// Campaign index.
-    pub campaign: usize,
-    /// Which side of the pair violated.
-    pub correlated: bool,
-    /// First violation message.
-    pub detail: String,
-    /// Events left after greedy shrinking (minimal repro schedule).
-    pub minimal_events: usize,
-    /// One-line repro command.
-    pub repro: String,
-}
-
 /// Aggregated result of a chaos sweep.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -160,7 +146,7 @@ pub struct ChaosReport {
     /// Every campaign outcome, correlated and independent interleaved.
     pub outcomes: Vec<CampaignOutcome>,
     /// Shrunk violations (empty on a clean sweep).
-    pub violations: Vec<ViolationRecord>,
+    pub violations: Vec<Violation>,
     /// Mean availability across correlated campaigns.
     pub correlated_mean: f64,
     /// Worst correlated campaign.
@@ -177,9 +163,22 @@ pub struct ChaosReport {
     pub campaigns_per_sec: f64,
 }
 
-/// Campaign `k`'s private seed ([`crate::harness::mix_seed`]).
-fn campaign_seed(seed: u64, k: usize) -> u64 {
-    crate::harness::mix_seed(seed, k)
+/// Domain events first, then per-SoC events: the order the shrinker
+/// tries removals in.
+impl Shrink for FaultSchedule {
+    fn items(&self) -> usize {
+        self.len()
+    }
+
+    fn without(&self, i: usize) -> Self {
+        let mut s = self.clone();
+        if i < s.domain.len() {
+            s.domain.remove(i);
+        } else {
+            s.soc.remove(i - s.domain.len());
+        }
+        s
+    }
 }
 
 /// Draws campaign `k`'s correlated schedule and its independent twin.
@@ -187,7 +186,7 @@ fn campaign_seed(seed: u64, k: usize) -> u64 {
 pub fn campaign_schedules(opts: &ChaosOptions, k: usize) -> (FaultSchedule, FaultSchedule, usize) {
     let domains = FailureDomains::for_cluster(60);
     let horizon = SimDuration::from_secs(opts.horizon_secs);
-    let mut rng = SimRng::seed(campaign_seed(opts.seed, k)).split("chaos-schedule");
+    let mut rng = SimRng::seed(mix_seed(opts.seed, k)).split("chaos-schedule");
     // Sweep axes: board-drop intensity by campaign index, partition
     // duration on a coarser stride — nine (tier, duration) combinations.
     let tier = (k % 3 + 1) as f64;
@@ -266,7 +265,7 @@ pub fn campaign_schedules(opts: &ChaosOptions, k: usize) -> (FaultSchedule, Faul
     // Independent twin: identical base events, each board burst re-spread
     // as five independent flash deaths at seeded uniform times — the same
     // realized per-SoC death volume without the correlation.
-    let mut spread = SimRng::seed(campaign_seed(opts.seed, k)).split("chaos-spread");
+    let mut spread = SimRng::seed(mix_seed(opts.seed, k)).split("chaos-spread");
     let max_at = opts.horizon_secs.saturating_sub(STRAND_MARGIN_SECS) as f64;
     let mut twin = soc;
     for board in downed_boards {
@@ -390,7 +389,7 @@ fn run_with_schedule(
     let mut eng = RecoveryEngine::new(
         OrchestratorConfig::default(),
         RecoveryConfig::default(),
-        campaign_seed(opts.seed, k),
+        mix_seed(opts.seed, k),
     );
     let (interactive, submitted) = submit_load(&mut eng);
     let horizon = SimTime::from_secs(opts.horizon_secs);
@@ -453,49 +452,6 @@ pub fn run_campaign(opts: &ChaosOptions, k: usize, correlated: bool) -> Campaign
     }
 }
 
-/// Greedily removes events from `schedule` while the campaign still
-/// violates an invariant, returning the minimal violating schedule.
-fn shrink(
-    opts: &ChaosOptions,
-    k: usize,
-    correlated: bool,
-    schedule: &FaultSchedule,
-) -> FaultSchedule {
-    let violates = |s: &FaultSchedule| {
-        !run_with_schedule(opts, k, correlated, s, 0)
-            .violations
-            .is_empty()
-    };
-    let mut current = schedule.clone();
-    loop {
-        let mut progressed = false;
-        for i in 0..current.domain.len() {
-            let mut candidate = current.clone();
-            candidate.domain.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-        for i in 0..current.soc.len() {
-            let mut candidate = current.clone();
-            candidate.soc.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            return current;
-        }
-    }
-}
-
 /// Runs the full sweep: `campaigns` correlated/independent pairs, shrink
 /// on every violation.
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
@@ -513,28 +469,28 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
         }
         let (corr, indep, _) = campaign_schedules(opts, o.index);
         let full = if o.correlated { corr } else { indep };
-        let minimal = shrink(opts, o.index, o.correlated, &full);
-        violations.push(ViolationRecord {
-            campaign: o.index,
-            correlated: o.correlated,
-            detail: o.violations[0].clone(),
-            minimal_events: minimal.len(),
-            repro: format!(
-                "cargo run --release -p socc-bench --bin bench -- --chaos --seed {} --step {}",
-                opts.seed, o.index
-            ),
+        let minimal = campaign::shrink(&full, |s| {
+            !run_with_schedule(opts, o.index, o.correlated, s, 0)
+                .violations
+                .is_empty()
         });
+        violations.push(Violation::new(
+            "chaos",
+            opts.seed,
+            o.index,
+            o.correlated,
+            o.violations[0].clone(),
+            minimal.len(),
+        ));
     }
     let elapsed_secs = started.elapsed().as_secs_f64();
     let stats = |correlated: bool| {
-        let vals: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.correlated == correlated)
-            .map(|o| o.availability)
-            .collect();
-        let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-        let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-        (mean, if min.is_finite() { min } else { 1.0 })
+        campaign::mean_min(
+            outcomes
+                .iter()
+                .filter(|o| o.correlated == correlated)
+                .map(|o| o.availability),
+        )
     };
     let (correlated_mean, correlated_min) = stats(true);
     let (independent_mean, independent_min) = stats(false);
@@ -625,7 +581,7 @@ fn render_outcome(o: &CampaignOutcome) -> String {
 
 /// Replays campaign `k` (both sides of the pair) and renders the outcome.
 /// Pure function of `(opts, k)` — two calls give byte-identical strings,
-/// which is what makes `--chaos --seed N --step K` a real repro.
+/// which is what makes `--run chaos --seed N --step K` a real repro.
 pub fn replay(opts: &ChaosOptions, k: usize) -> String {
     let correlated = run_campaign(opts, k, true);
     let independent = run_campaign(opts, k, false);
@@ -703,24 +659,7 @@ pub fn report_json(r: &ChaosReport) -> String {
                 sum(|o| o.anti_affinity_fallbacks),
             );
     });
-    let viols: Vec<String> = r
-        .violations
-        .iter()
-        .map(|v| {
-            format!(
-                "\"campaign {} ({}): {}; minimal schedule {} events; repro: {}\"",
-                v.campaign,
-                if v.correlated {
-                    "correlated"
-                } else {
-                    "independent"
-                },
-                json_escape(&v.detail),
-                v.minimal_events,
-                json_escape(&v.repro),
-            )
-        })
-        .collect();
+    let viols: Vec<String> = r.violations.iter().map(Violation::json_item).collect();
     j.list("violations", &viols);
     j.finish()
 }
@@ -733,7 +672,7 @@ pub const MTTR_GATE_CLASSES: [&str; 4] = ["crash", "hang", "thermal_trip", "link
 /// live in the `bench` binary's `--chaos` branch. The smoke tier drops
 /// from 256 to 64 campaign pairs (the old CI scale).
 pub fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_num, ExpConfig, Experiment};
+    use crate::runner::{ExpConfig, Experiment};
     Experiment {
         name: "chaos",
         about: "correlated vs independent failure-domain campaigns on one enclosure",
@@ -759,23 +698,7 @@ pub fn experiment() -> crate::runner::Experiment {
             });
             Ok(report_json(&report))
         },
-        gates: |doc| {
-            let mut f = Vec::new();
-            for v in crate::harness::extract_list(doc, "violations") {
-                f.push(format!("invariant violation: {v}"));
-            }
-            let corr = gate_num(doc, "availability", "correlated_mean", &mut f);
-            let indep = gate_num(doc, "availability", "independent_mean", &mut f);
-            if let (Some(corr), Some(indep)) = (corr, indep) {
-                if corr >= indep {
-                    f.push(format!(
-                        "correlated availability {corr:.4} not below independent {indep:.4} — \
-                         the domain model lost its teeth"
-                    ));
-                }
-            }
-            f
-        },
+        gates: campaign::gates,
         baseline_gates: |doc, baseline| {
             let mut f = Vec::new();
             for class in MTTR_GATE_CLASSES {
@@ -799,6 +722,7 @@ pub fn experiment() -> crate::runner::Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::json_escape;
 
     fn small() -> ChaosOptions {
         ChaosOptions {
@@ -888,8 +812,33 @@ mod tests {
         if corr.is_empty() {
             return; // nothing to shrink at this seed
         }
-        let minimal = shrink(&opts, 0, true, &corr);
+        let minimal = campaign::shrink(&corr, |s| {
+            !run_with_schedule(&opts, 0, true, s, 0)
+                .violations
+                .is_empty()
+        });
         assert!(minimal.is_empty(), "{} events left", minimal.len());
+    }
+
+    #[test]
+    fn shrinking_tries_domain_events_before_soc_events() {
+        // Under "at least one event", the search order alone picks the
+        // survivor: the domain event goes first, then the first SoC event.
+        let soc = |at: u64, soc: usize| FaultEvent {
+            at: SimTime::from_secs(at),
+            soc,
+            kind: FaultKind::SocHang,
+        };
+        let schedule = FaultSchedule {
+            soc: vec![soc(10, 0), soc(20, 1)],
+            domain: vec![socc_cluster::faults::DomainFaultEvent {
+                at: SimTime::from_secs(5),
+                fault: DomainFault::BoardDown { board: 0 },
+            }],
+        };
+        let minimal = campaign::shrink(&schedule, |s| !s.is_empty());
+        assert_eq!(minimal.domain, vec![]);
+        assert_eq!(minimal.soc, vec![soc(20, 1)]);
     }
 
     #[test]
@@ -1017,20 +966,22 @@ mod tests {
         // Synthetic violations exercise the array items and the
         // escaping path the clean sweep leaves idle.
         let mut dirty = clean;
-        dirty.violations.push(ViolationRecord {
-            campaign: 3,
-            correlated: true,
-            detail: "availability 0.80 < floor \"0.90\" (path \\x)".to_string(),
-            minimal_events: 5,
-            repro: "bench --chaos --seed 42 --step 3".to_string(),
-        });
-        dirty.violations.push(ViolationRecord {
-            campaign: 4,
-            correlated: false,
-            detail: "workload lost".to_string(),
-            minimal_events: 2,
-            repro: "bench --chaos --seed 42 --step 4".to_string(),
-        });
+        dirty.violations.push(Violation::new(
+            "chaos",
+            42,
+            3,
+            true,
+            "availability 0.80 < floor \"0.90\" (path \\x)".to_string(),
+            5,
+        ));
+        dirty.violations.push(Violation::new(
+            "chaos",
+            42,
+            4,
+            false,
+            "workload lost".to_string(),
+            2,
+        ));
         assert_eq!(report_json(&dirty), handrolled_report_json(&dirty));
     }
 }

@@ -8,8 +8,8 @@
 //! window — and an *independent twin* that re-spreads the same fault
 //! volume (every storm site as a lone partition of equal length, the
 //! blackout and brownout at re-drawn windows) across the run. The pair
-//! isolates the cost of correlation one tier above `--chaos`: a regional
-//! storm displaces several sites' sessions into the fleet's
+//! isolates the cost of correlation one tier above [`crate::chaos`]: a
+//! regional storm displaces several sites' sessions into the fleet's
 //! *instantaneous* headroom at once, where the same sites partitioned one
 //! at a time are absorbed by headroom that has time to recover.
 //!
@@ -33,14 +33,16 @@
 //! The correlated side runs once per [`WORKER_COUNTS`] entry and the
 //! fleet digests must be bit-identical — chaos must not cost the
 //! conservative-sync determinism the fleet simulator is built on. A
-//! violating campaign is shrunk to a minimal fault schedule by greedy
-//! event removal and reported with a `--fleetchaos --seed N --step K`
-//! repro line. Equal seeds give byte-identical replays.
+//! violating campaign is shrunk to a minimal fault schedule by the
+//! shared greedy shrinker ([`crate::campaign`]), against exactly the
+//! checks the sweep applied to the violating side, and reported with a
+//! `--run fleetchaos --seed N --step K` repro line. Equal seeds give
+//! byte-identical replays.
 
 use std::time::Instant;
 
+use crate::campaign::{self, Violation};
 use crate::harness::{mix_seed, JsonBuilder};
-use crate::runner::json_escape;
 use crate::sweep::parallel_map_with;
 
 use socc_cluster::evacuation::EvacuationPacing;
@@ -132,8 +134,8 @@ impl FleetChaosOptions {
             window: SimDuration::from_secs(self.window_secs),
             seed: mix_seed(self.seed, k),
             session_capacity: SESSION_CAPACITY,
-            // Site-tier chaos owns the fault plane: the legacy Poisson
-            // partition stream is off so the twin comparison is clean.
+            // Site-tier chaos owns the fault plane: the fleet's seeded
+            // WAN partitions are off so the twin comparison is clean.
             mean_partitions: 0.0,
             migration: EvacuationPacing {
                 max_concurrent: MIGRATION_STREAMS,
@@ -357,8 +359,9 @@ pub struct PairOutcome {
     pub independent: CampaignRun,
     /// Correlated digests at every [`WORKER_COUNTS`] entry.
     pub worker_digests: Vec<String>,
-    /// Violations across the pair, tagged with the side they came from.
-    pub violations: Vec<String>,
+    /// Violations across the pair, correlated side first, each with its
+    /// side (`true` for the correlated one).
+    pub violations: Vec<(bool, String)>,
 }
 
 impl PairOutcome {
@@ -375,30 +378,26 @@ impl PairOutcome {
 pub fn run_campaign(opts: &FleetChaosOptions, k: usize) -> PairOutcome {
     let (corr_schedule, ind_schedule) = campaign_schedules(opts, k);
     let cfg = opts.fleet_config(k);
-    let mut worker_runs: Vec<(usize, CampaignRun)> = WORKER_COUNTS
+    let mut worker_runs: Vec<CampaignRun> = WORKER_COUNTS
         .iter()
-        .map(|&w| (w, run_side(cfg, &corr_schedule, w, opts.availability_floor)))
+        .map(|&w| run_side(cfg, &corr_schedule, w, opts.availability_floor))
         .collect();
     let independent = run_side(cfg, &ind_schedule, 1, opts.availability_floor);
 
-    let worker_digests: Vec<String> = worker_runs
-        .iter()
-        .map(|(_, r)| r.digest_hex.clone())
-        .collect();
+    let worker_digests: Vec<String> = worker_runs.iter().map(|r| r.digest_hex.clone()).collect();
     let mut violations = Vec::new();
     if worker_digests.iter().any(|d| *d != worker_digests[0]) {
-        violations.push(format!(
-            "correlated: digest differs across worker counts {WORKER_COUNTS:?}: \
-             {worker_digests:?} — chaos broke conservative-sync determinism"
+        violations.push((
+            true,
+            format!(
+                "digest differs across worker counts {WORKER_COUNTS:?}: \
+                 {worker_digests:?} — chaos broke conservative-sync determinism"
+            ),
         ));
     }
-    let correlated = worker_runs.swap_remove(0).1;
-    for v in &correlated.violations {
-        violations.push(format!("correlated: {v}"));
-    }
-    for v in &independent.violations {
-        violations.push(format!("independent: {v}"));
-    }
+    let correlated = worker_runs.swap_remove(0);
+    violations.extend(correlated.violations.iter().map(|v| (true, v.clone())));
+    violations.extend(independent.violations.iter().map(|v| (false, v.clone())));
     PairOutcome {
         index: k,
         correlated,
@@ -408,48 +407,23 @@ pub fn run_campaign(opts: &FleetChaosOptions, k: usize) -> PairOutcome {
     }
 }
 
-/// One shrunk invariant violation.
-#[derive(Debug, Clone)]
-pub struct ViolationRecord {
-    /// Campaign index.
-    pub campaign: usize,
-    /// First violation message (side-tagged).
-    pub detail: String,
-    /// Events left after greedy shrinking (minimal repro schedule).
-    pub minimal_events: usize,
-    /// One-line repro command.
-    pub repro: String,
-}
-
-/// Greedily removes events from `schedule` while the side still
-/// violates, returning the minimal violating schedule. Digest-mismatch
-/// violations shrink too: the check re-runs the subset at one and eight
-/// workers.
-fn shrink(opts: &FleetChaosOptions, k: usize, schedule: &[SiteFaultEvent]) -> Vec<SiteFaultEvent> {
+/// The shrink predicate: exactly the checks the sweep applies to one
+/// side of pair `k` — the 1-worker run's invariants, and on the
+/// correlated side equal digests at every [`WORKER_COUNTS`] entry.
+fn side_violates(
+    opts: &FleetChaosOptions,
+    k: usize,
+    correlated: bool,
+    schedule: &[SiteFaultEvent],
+) -> bool {
     let cfg = opts.fleet_config(k);
-    let violates = |s: &[SiteFaultEvent]| {
-        let one = run_side(cfg, s, 1, opts.availability_floor);
-        if !one.violations.is_empty() {
-            return true;
-        }
-        one.digest != run_side(cfg, s, 8, opts.availability_floor).digest
-    };
-    let mut current = schedule.to_vec();
-    loop {
-        let mut progressed = false;
-        for i in 0..current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            return current;
-        }
-    }
+    let run = |workers| run_side(cfg, schedule, workers, opts.availability_floor);
+    let first = run(WORKER_COUNTS[0]);
+    !first.violations.is_empty()
+        || (correlated
+            && WORKER_COUNTS[1..]
+                .iter()
+                .any(|&w| run(w).digest != first.digest))
 }
 
 /// Aggregated result of a fleet-chaos sweep.
@@ -460,7 +434,7 @@ pub struct FleetChaosReport {
     /// Every campaign pair.
     pub outcomes: Vec<PairOutcome>,
     /// Shrunk violations (empty on a clean sweep).
-    pub violations: Vec<ViolationRecord>,
+    pub violations: Vec<Violation>,
     /// Mean availability across correlated campaigns.
     pub correlated_mean: f64,
     /// Worst correlated campaign.
@@ -504,33 +478,23 @@ pub fn run_fleet_chaos(opts: &FleetChaosOptions) -> FleetChaosReport {
 
     let mut violations = Vec::new();
     for o in &outcomes {
-        if o.violations.is_empty() {
+        let Some((correlated, detail)) = o.violations.first().cloned() else {
             continue;
-        }
-        let (corr, ind) = campaign_schedules(opts, o.index);
-        let side = if o.violations[0].starts_with("independent:") {
-            ind
-        } else {
-            corr
         };
-        let minimal = shrink(opts, o.index, &side);
-        violations.push(ViolationRecord {
-            campaign: o.index,
-            detail: o.violations[0].clone(),
-            minimal_events: minimal.len(),
-            repro: format!(
-                "cargo run --release -p socc-bench --bin bench -- --fleetchaos --seed {} --step {}",
-                opts.seed, o.index
-            ),
-        });
+        let (corr, ind) = campaign_schedules(opts, o.index);
+        let side = if correlated { corr } else { ind };
+        let minimal = campaign::shrink(&side, |s| side_violates(opts, o.index, correlated, s));
+        violations.push(Violation::new(
+            "fleetchaos",
+            opts.seed,
+            o.index,
+            correlated,
+            detail,
+            minimal.len(),
+        ));
     }
 
-    let stats = |f: fn(&PairOutcome) -> f64| {
-        let vals: Vec<f64> = outcomes.iter().map(f).collect();
-        let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-        let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-        (mean, if min.is_finite() { min } else { 1.0 })
-    };
+    let stats = |f: fn(&PairOutcome) -> f64| campaign::mean_min(outcomes.iter().map(f));
     let (correlated_mean, correlated_min) = stats(|o| o.correlated.report.availability());
     let (independent_mean, independent_min) = stats(|o| o.independent.report.availability());
     let sum = |f: fn(&FleetReport) -> u64| {
@@ -612,7 +576,7 @@ fn render_run(label: &str, run: &CampaignRun) -> String {
 
 /// Replays campaign pair `k` and renders the outcome. Pure function of
 /// `(opts, k)` — two calls give byte-identical strings, which is what
-/// makes `--fleetchaos --seed N --step K` a real repro.
+/// makes `--run fleetchaos --seed N --step K` a real repro.
 pub fn replay(opts: &FleetChaosOptions, k: usize) -> String {
     use std::fmt::Write as _;
     let (corr_schedule, ind_schedule) = campaign_schedules(opts, k);
@@ -702,19 +666,7 @@ pub fn report_json(r: &FleetChaosReport) -> String {
             .int("killed", sum(|f| f.killed))
             .int("zombies_reaped", sum(|f| f.zombies_reaped));
     });
-    let viols: Vec<String> = r
-        .violations
-        .iter()
-        .map(|v| {
-            format!(
-                "\"campaign {}: {}; minimal schedule {} events; repro: {}\"",
-                v.campaign,
-                json_escape(&v.detail),
-                v.minimal_events,
-                json_escape(&v.repro),
-            )
-        })
-        .collect();
+    let viols: Vec<String> = r.violations.iter().map(Violation::json_item).collect();
     j.list("violations", &viols);
     j.finish()
 }
@@ -757,10 +709,7 @@ pub fn experiment() -> crate::runner::Experiment {
             Ok(report_json(&report))
         },
         gates: |doc| {
-            let mut f = Vec::new();
-            for v in crate::harness::extract_list(doc, "violations") {
-                f.push(format!("invariant violation: {v}"));
-            }
+            let mut f = campaign::gates(doc);
             if let Some(digests_match) = gate_bool(
                 doc,
                 "determinism",
@@ -773,16 +722,6 @@ pub fn experiment() -> crate::runner::Experiment {
                          conservative sync is leaking nondeterminism"
                             .to_string(),
                     );
-                }
-            }
-            let corr = gate_num(doc, "availability", "correlated_mean", &mut f);
-            let indep = gate_num(doc, "availability", "independent_mean", &mut f);
-            if let (Some(corr), Some(indep)) = (corr, indep) {
-                if corr >= indep {
-                    f.push(format!(
-                        "correlated availability {corr:.4} not below independent {indep:.4} — \
-                         the site-tier domain model lost its teeth"
-                    ));
                 }
             }
             if let Some(rate) = gate_num(doc, "migration", "live_migration_rate", &mut f) {
@@ -974,7 +913,7 @@ mod tests {
             ..small()
         };
         let (corr, _) = campaign_schedules(&opts, 0);
-        let minimal = shrink(&opts, 0, &corr);
+        let minimal = campaign::shrink(&corr, |s| side_violates(&opts, 0, true, s));
         assert!(minimal.is_empty(), "{} events left", minimal.len());
     }
 }

@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod campaign;
 pub mod chaos;
 pub mod extensions;
 pub mod fleet;

@@ -15,19 +15,21 @@
 //!    within [`AGREEMENT_TOLERANCE`] of the flow model's prediction
 //!    (`tcp.goodput(max-min fair share)`).
 //!
-//! A failing case is shrunk by greedy removal (churn ops, then flows,
-//! then backup uplinks) to a minimal counterexample, and the report
-//! carries a one-line repro (`bench --netval --seed N --cases 1`).
+//! A failing case is shrunk by the shared greedy shrinker
+//! ([`crate::campaign`]: churn ops, then flows, then backup uplinks) to
+//! a minimal counterexample, and the report carries a one-line repro
+//! (`bench --run netval --seed N --cases 1`).
 //!
 //! The same harness re-runs the goodput calibration (the packet-measured
 //! factor must reproduce the paper's ~903 Mbps within
 //! [`CALIBRATION_TOLERANCE`]) and the incast pacing experiment (an
 //! unpaced N-to-1 burst must drop; the paced storm must not, at bounded
-//! completion-time inflation) so `bench --netval` gates all three.
+//! completion-time inflation) so `bench --run netval` gates all three.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::campaign::{self, Shrink};
 use crate::harness::JsonBuilder;
 use crate::runner::json_escape;
 
@@ -298,52 +300,31 @@ pub fn run_case(s: &Scenario) -> Result<CaseReport, String> {
     })
 }
 
-/// Greedily shrinks a failing scenario to a minimal counterexample:
-/// repeatedly drops the first churn op, flow, or backup uplink whose
-/// removal keeps the case failing, until no single removal does. The
-/// vendored proptest stub does not shrink, so the harness must.
-pub fn shrink_scenario(s: &Scenario) -> Scenario {
-    let still_fails = |c: &Scenario| run_case(c).is_err();
-    let mut current = s.clone();
-    loop {
-        let mut progressed = false;
-        for i in 0..current.churn.len() {
-            let mut candidate = current.clone();
-            candidate.churn.remove(i);
-            if still_fails(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-        for i in 0..current.flows.len() {
-            let mut candidate = current.clone();
-            candidate.flows.remove(i);
-            if still_fails(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-        for i in 0..current.backup_pcbs.len() {
-            let mut candidate = current.clone();
-            candidate.backup_pcbs.remove(i);
-            if still_fails(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            return current;
-        }
+/// Churn ops first, then flows, then backup PCBs: the order the
+/// shrinker tries removals in.
+impl Shrink for Scenario {
+    fn items(&self) -> usize {
+        self.churn.len() + self.flows.len() + self.backup_pcbs.len()
     }
+
+    fn without(&self, i: usize) -> Self {
+        let mut s = self.clone();
+        let (churn, flows) = (s.churn.len(), s.flows.len());
+        if i < churn {
+            s.churn.remove(i);
+        } else if i < churn + flows {
+            s.flows.remove(i - churn);
+        } else {
+            s.backup_pcbs.remove(i - churn - flows);
+        }
+        s
+    }
+}
+
+/// Shrinks a failing scenario to a minimal counterexample: one that
+/// still fails, where no single churn op, flow or backup uplink can go.
+pub fn shrink_scenario(s: &Scenario) -> Scenario {
+    campaign::shrink(s, |c| run_case(c).is_err())
 }
 
 /// Outcome of one incast run (see [`run_incast`]).
@@ -413,7 +394,7 @@ pub fn run_incast(senders: usize, paced: bool) -> IncastOutcome {
     }
 }
 
-/// Sweep parameters for `bench --netval`.
+/// Sweep parameters for `bench --run netval`.
 #[derive(Debug, Clone)]
 pub struct NetvalOptions {
     /// Randomized cases to run.
@@ -511,7 +492,7 @@ pub fn run_netval(opts: &NetvalOptions) -> NetvalReport {
                     detail: detail.lines().next().unwrap_or("").to_string(),
                     minimal,
                     repro: format!(
-                        "cargo run --release -p socc-bench --bin bench -- --netval --seed {seed} --cases 1"
+                        "cargo run --release -p socc-bench --bin bench -- --run netval --seed {seed} --cases 1"
                     ),
                 });
             }
@@ -754,19 +735,33 @@ mod tests {
 
     #[test]
     fn shrinking_strips_irrelevant_structure() {
-        // An impossible tolerance is simulated by a scenario that fails on
-        // dead-set agreement… instead, exercise the shrinker on a real
-        // passing scenario's negation: shrink only runs on failures in
-        // production, so here just check it is a no-op on passing cases'
-        // helper (a failing candidate is needed for a real shrink run —
-        // covered by the proptest harness when a regression appears).
+        // A synthetic failure: any scenario with a flow between the two
+        // PCBs (SoCs 0–4 and 5–9). Shrinking must keep the last such flow
+        // and strip every churn op, other flow and backup uplink.
+        let crosses = |c: &Scenario| c.flows.iter().any(|&(a, b)| (a < 5) != (b < 5));
         let s = Scenario {
-            socs: 4,
-            backup_pcbs: vec![],
-            flows: vec![(0, 1)],
-            churn: vec![],
+            socs: 10,
+            backup_pcbs: vec![0, 1],
+            flows: vec![(0, 1), (2, 7), (6, 8), (9, 3)],
+            churn: vec![
+                ChurnOp::Fail { pcb: 0, slot: 0 },
+                ChurnOp::Repair { pcb: 1, slot: 2 },
+            ],
         };
-        assert!(run_case(&s).is_ok());
+        let minimal = campaign::shrink(&s, crosses);
+        assert_eq!(
+            minimal,
+            Scenario {
+                socs: 10,
+                backup_pcbs: vec![],
+                flows: vec![(9, 3)],
+                churn: vec![],
+            }
+        );
+        // The search order alone picks the survivor under "at least one
+        // item": churn, then flows, then backups, so the last backup PCB.
+        let survivor = campaign::shrink(&s, |c| c.items() > 0);
+        assert_eq!((survivor.items(), survivor.backup_pcbs), (1, vec![1]));
     }
 
     #[test]
@@ -909,7 +904,7 @@ mod tests {
                 flows: vec![(0, 3)],
                 churn: vec![ChurnOp::Fail { pcb: 0, slot: 0 }],
             },
-            repro: "bench --netval --seed 11 --step 1".to_string(),
+            repro: "bench --run netval --seed 11 --cases 1".to_string(),
         });
         assert_eq!(report_json(&dirty), handrolled_report_json(&dirty));
     }

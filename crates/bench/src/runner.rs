@@ -541,9 +541,9 @@ impl Cache {
 }
 
 /// Scale knobs shared by every grid builder: the master seed, the
-/// smoke/full switch, and the optional CLI overrides the legacy
-/// per-mode flags map onto. `None` means "the experiment's declared
-/// default for this tier".
+/// smoke/full switch, and the optional CLI scale overrides (`--cases`,
+/// `--campaigns`, …). `None` means "the experiment's declared default
+/// for this tier".
 #[derive(Debug, Clone, Default)]
 pub struct GridScale {
     /// Master seed; config `k` of a grid seeds itself with
@@ -697,15 +697,18 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
-/// Looks up experiments by name, with `all` expanding to the full
-/// registry in canonical order.
+/// Looks up experiments by name, in first-seen order with repeats
+/// dropped; `all` expands to the full registry in canonical order.
 pub fn resolve(names: &[String]) -> Result<Vec<Experiment>, String> {
     let mut all = registry();
     if names.iter().any(|n| n == "all") {
         return Ok(all);
     }
-    let mut picked = Vec::new();
+    let mut picked: Vec<Experiment> = Vec::new();
     for name in names {
+        if picked.iter().any(|e| e.name == name) {
+            continue;
+        }
         let at = all
             .iter()
             .position(|e| e.name == name)
@@ -1005,6 +1008,15 @@ mod tests {
         let third = run_experiment(&exp, &GridScale::full(43), &cache, &|| 0).unwrap();
         assert_eq!(third.executed, 4);
         let _ = fs::remove_dir_all(cache.path_for("demo").parent().unwrap());
+    }
+
+    #[test]
+    fn resolve_drops_repeated_names_in_first_seen_order() {
+        let names: Vec<String> = ["chaos", "perf", "chaos"].map(String::from).to_vec();
+        let picked: Vec<&str> = resolve(&names).unwrap().iter().map(|e| e.name).collect();
+        assert_eq!(picked, ["chaos", "perf"]);
+        let err = resolve(&["nope".to_string()]).err().unwrap();
+        assert!(err.contains("unknown experiment nope"), "{err}");
     }
 
     #[test]

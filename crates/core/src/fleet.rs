@@ -374,15 +374,6 @@ impl FleetReport {
     }
 }
 
-/// A planned WAN partition: `site` unreachable from `start` for `dur`
-/// windows.
-#[derive(Debug, Clone, Copy)]
-struct WanFault {
-    start: usize,
-    site: usize,
-    dur: usize,
-}
-
 /// What a scheduled heal restores. Variant order is the tie-break for
 /// heals due at the same window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -440,9 +431,8 @@ pub struct FleetSim {
     dark: Vec<bool>,
     /// Site rail derated (brownout in progress).
     derated: Vec<bool>,
-    /// Remaining WAN faults, soonest last (popped as windows pass).
-    faults: Vec<WanFault>,
-    /// Remaining site-tier faults, soonest last.
+    /// Remaining faults, seeded WAN partitions and site-tier faults
+    /// alike, soonest last (popped as windows pass).
     site_faults: Vec<SiteFaultEvent>,
     /// Heals scheduled as `(window, kind, site)`, kept sorted descending
     /// (soonest last) by binary insertion.
@@ -517,10 +507,6 @@ impl FleetSim {
                 ),
             }
         }
-        // Soonest last so applying due events is a pop; the secondary key
-        // makes same-window bursts deterministic.
-        site_faults.sort_by_key(|e| std::cmp::Reverse((e.window, e.fault.order())));
-
         let root = SimRng::seed(cfg.seed);
         let base_trace = socc_workloads::gaming::GamingTraceConfig::default();
         let mut traces = Vec::with_capacity(cfg.sites);
@@ -552,21 +538,29 @@ impl FleetSim {
         }
         let windows = traces[0].len();
 
-        // WAN fault schedule: Poisson count of partitions, each at a
-        // uniform site and window with a 1 + Poisson length.
+        // Seeded WAN partitions: a Poisson count, each at a uniform window
+        // and site with a 1 + Poisson length. Within a window they apply
+        // before the scheduled site faults, in descending (site, length)
+        // order; the site faults follow in ascending `order()`. The queue
+        // holds soonest last, so applying due events is a pop.
         let mut frng = root.split("wan-faults");
-        let mut faults = Vec::new();
+        let mut seeded = Vec::new();
         if cfg.mean_partitions > 0.0 && cfg.sites > 1 {
             for _ in 0..frng.poisson(cfg.mean_partitions) {
-                faults.push(WanFault {
-                    start: frng.uniform_usize(0, windows),
-                    site: frng.uniform_usize(0, cfg.sites),
-                    dur: 1 + frng.poisson(cfg.mean_partition_windows) as usize,
+                let window = frng.uniform_usize(0, windows);
+                let site = frng.uniform_usize(0, cfg.sites);
+                let len = 1 + frng.poisson(cfg.mean_partition_windows) as usize;
+                seeded.push(SiteFaultEvent {
+                    window,
+                    fault: SiteFault::Partition { site, windows: len },
                 });
             }
         }
-        // Soonest last so applying due faults is a pop.
-        faults.sort_by_key(|f| (std::cmp::Reverse(f.start), f.site, f.dur));
+        seeded.sort_by_key(|e| std::cmp::Reverse(e.fault.order()));
+        site_faults.sort_by_key(|e| e.fault.order());
+        site_faults.splice(0..0, seeded);
+        site_faults.sort_by_key(|e| e.window);
+        site_faults.reverse();
 
         let mut events = EventLog::new(4096);
         events.set_scopes(&[Scope::Fleet]);
@@ -582,7 +576,6 @@ impl FleetSim {
             unreachable: vec![false; cfg.sites],
             dark: vec![false; cfg.sites],
             derated: vec![false; cfg.sites],
-            faults,
             site_faults,
             heals: Vec::new(),
             mig_out_by_site: vec![0; cfg.sites],
@@ -757,16 +750,7 @@ impl FleetSim {
         // and a same-window fault on it re-applies cleanly afterwards.
         self.apply_heals(w, barrier);
 
-        // Legacy seeded WAN partitions.
-        while let Some(&f) = self.faults.last() {
-            if f.start > w {
-                break;
-            }
-            self.faults.pop();
-            self.partition_site(f.site, f.dur, w, barrier);
-        }
-
-        // Site-tier chaos events.
+        // Due faults: seeded WAN partitions and site-tier chaos events.
         while let Some(&e) = self.site_faults.last() {
             if e.window > w {
                 break;

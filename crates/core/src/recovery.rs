@@ -256,7 +256,7 @@ impl RecoveryEngine {
     }
 
     /// Enables or disables structured-event recording. Disabled recording
-    /// costs one branch per would-be event — the `bench --trace` harness
+    /// costs one branch per would-be event — the `bench --run trace` harness
     /// measures exactly this spans-on vs spans-off difference.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.orch.events_mut().set_enabled(enabled);

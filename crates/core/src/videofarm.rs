@@ -33,7 +33,7 @@
 //! `sleep_after: None`), cluster power is piecewise-constant between
 //! events and the two modes compute the *same* integrals — a property the
 //! `video_farm` proptest pins within float tolerance, alongside
-//! bit-identical placement digests. `bench --video` gates the analytic
+//! bit-identical placement digests. `bench --run video` gates the analytic
 //! mode at ≥5× over simulation at equal horizons with zero steady-state
 //! allocations.
 //!

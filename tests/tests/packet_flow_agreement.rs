@@ -27,7 +27,7 @@ proptest! {
             panic!(
                 "packet engine disagreed with the flow model (seed {seed}):\n{detail}\n\
                  minimal counterexample: {minimal:?}\n\
-                 repro: cargo run --release -p socc-bench --bin bench -- --netval --seed {seed} --cases 1"
+                 repro: cargo run --release -p socc-bench --bin bench -- --run netval --seed {seed} --cases 1"
             );
         }
     }
@@ -49,7 +49,7 @@ proptest! {
 
 /// The sweep's per-case seeds replay exactly: case `k` of a sweep at seed
 /// `S` equals a one-case sweep at `case_seed(S, k)` — the contract behind
-/// the `--netval --seed N --cases 1` repro line.
+/// the `--run netval --seed N --cases 1` repro line.
 #[test]
 fn case_seed_replay_contract() {
     assert_eq!(case_seed(42, 0), 42, "case 0 must replay the master seed");
