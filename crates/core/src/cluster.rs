@@ -167,6 +167,12 @@ impl SocCluster {
         self.fan_duty
     }
 
+    /// A SoC's junction temperature in °C, as the thermal model last
+    /// stepped it (the BMC reading may be overridden by fault injection).
+    pub fn temperature_c(&self, soc: usize) -> f64 {
+        self.thermal[soc].temperature_c()
+    }
+
     /// `true` if any SoC is at its thermal throttle point.
     pub fn any_throttling(&self) -> bool {
         self.thermal.iter().any(ThermalNode::is_throttling)
