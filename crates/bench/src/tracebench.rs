@@ -161,11 +161,14 @@ pub fn trace_overhead(opts: &TraceOptions, alloc_count: &dyn Fn() -> u64) -> Tra
 
     // Macro phase: interleave spans-on and spans-off samples so slow
     // drift (thermal, scheduler) hits both sides equally. A single run is
-    // ~1 ms — too short to time reliably — so each sample batches
-    // RUNS_PER_SAMPLE back-to-back runs, and each side keeps its fastest
-    // sample: noise only ever adds time, so the minimum estimates the
-    // true cost.
-    const RUNS_PER_SAMPLE: usize = 4;
+    // under 1 ms (0.5–0.9 ms on a 2-vCPU Xeon) — too short to time
+    // reliably — so each sample batches RUNS_PER_SAMPLE back-to-back runs,
+    // ~5 ms, and each side keeps its fastest sample: noise only ever adds
+    // time, so the minimum estimates the true cost. Longer samples fare
+    // worse on a host whose speed changes in bursts: interleaved smoke
+    // runs there failed the budget 0 of 23 times at 8 runs per sample, 3
+    // at 16 and 2 at 32.
+    const RUNS_PER_SAMPLE: usize = 8;
     let mut on_ms = f64::INFINITY;
     let mut off_ms = f64::INFINITY;
     let eng = engine_run(opts, true); // warm-up (code + data caches)

@@ -2,7 +2,7 @@
 
 use socc_hw::calib;
 use socc_hw::power::PowerState;
-use socc_hw::thermal::{FanController, ThermalNode};
+use socc_hw::thermal::{FanController, ThermalBank, ThermalNode};
 use socc_sim::time::SimDuration;
 use socc_sim::units::Power;
 
@@ -37,7 +37,8 @@ pub struct SocCluster {
     pub socs: Vec<SocUnit>,
     /// The management controller.
     pub bmc: Bmc,
-    thermal: Vec<ThermalNode>,
+    /// One Snapdragon 865 package model for every slot.
+    thermal: ThermalBank,
     fan: FanController,
     fan_duty: f64,
 }
@@ -55,9 +56,8 @@ impl SocCluster {
         let socs: Vec<SocUnit> = (0..config.soc_count)
             .map(|i| SocUnit::new(i, config.deployment))
             .collect();
-        let thermal = (0..config.soc_count)
-            .map(|_| ThermalNode::soc_package(config.ambient_c))
-            .collect();
+        let thermal =
+            ThermalBank::new(ThermalNode::soc_package(config.ambient_c), config.soc_count);
         let bmc = Bmc::new(config.soc_count);
         Self {
             socs,
@@ -144,22 +144,14 @@ impl SocCluster {
     }
 
     /// Advances the thermal model by `dt`, SoC `i` drawing `soc_power[i]`
-    /// throughout, and updates the fan duty from the hottest SoC.
+    /// throughout, hands each new temperature to the BMC and updates the
+    /// fan duty from the hottest SoC.
     pub fn step_thermal(&mut self, dt: SimDuration, soc_power: &[Power]) {
-        assert_eq!(soc_power.len(), self.socs.len(), "one power per SoC slot");
-        let duty = self.fan_duty;
-        for (node, &p) in self.thermal.iter_mut().zip(soc_power) {
-            node.step(dt, p, duty);
-        }
+        let bmc = &mut self.bmc;
         let hottest = self
             .thermal
-            .iter()
-            .map(ThermalNode::temperature_c)
-            .fold(f64::NEG_INFINITY, f64::max);
+            .step(dt, soc_power, self.fan_duty, |i, t| bmc.set_temp(i, t));
         self.fan_duty = self.fan.duty_for(hottest);
-        for (i, node) in self.thermal.iter().enumerate() {
-            self.bmc.set_temp(i, node.temperature_c());
-        }
     }
 
     /// Current fan duty cycle.
@@ -170,12 +162,12 @@ impl SocCluster {
     /// A SoC's junction temperature in °C, as the thermal model last
     /// stepped it (the BMC reading may be overridden by fault injection).
     pub fn temperature_c(&self, soc: usize) -> f64 {
-        self.thermal[soc].temperature_c()
+        self.thermal.temperatures_c()[soc]
     }
 
     /// `true` if any SoC is at its thermal throttle point.
     pub fn any_throttling(&self) -> bool {
-        self.thermal.iter().any(ThermalNode::is_throttling)
+        self.thermal.any_throttling()
     }
 
     /// Refreshes the BMC's sensor snapshot, SoC `i` drawing `soc_power[i]`.

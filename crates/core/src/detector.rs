@@ -50,15 +50,37 @@ impl DetectedClass {
         !matches!(self, DetectedClass::Crash)
     }
 
+    /// Per class, in declaration order: the label, the detection counter
+    /// `ft.detected.<label>` and the MTTR histogram `ft.mttr_ms.<label>`.
+    const NAMES: [[&'static str; 3]; 5] = [
+        ["crash", "ft.detected.crash", "ft.mttr_ms.crash"],
+        ["hang", "ft.detected.hang", "ft.mttr_ms.hang"],
+        [
+            "thermal_trip",
+            "ft.detected.thermal_trip",
+            "ft.mttr_ms.thermal_trip",
+        ],
+        ["link_loss", "ft.detected.link_loss", "ft.mttr_ms.link_loss"],
+        [
+            "partitioned",
+            "ft.detected.partitioned",
+            "ft.mttr_ms.partitioned",
+        ],
+    ];
+
     /// Short label for telemetry counter names and trace messages.
     pub fn label(self) -> &'static str {
-        match self {
-            DetectedClass::Crash => "crash",
-            DetectedClass::Hang => "hang",
-            DetectedClass::ThermalTrip => "thermal_trip",
-            DetectedClass::LinkLoss => "link_loss",
-            DetectedClass::Partitioned => "partitioned",
-        }
+        Self::NAMES[self as usize][0]
+    }
+
+    /// Name of the telemetry counter of detections of this class.
+    pub fn detected_metric(self) -> &'static str {
+        Self::NAMES[self as usize][1]
+    }
+
+    /// Name of the telemetry histogram of this class's repair times.
+    pub fn mttr_metric(self) -> &'static str {
+        Self::NAMES[self as usize][2]
     }
 
     /// The class a correct detector should assign to a ground-truth fault
@@ -73,12 +95,25 @@ impl DetectedClass {
     }
 }
 
-/// Tracks per-SoC heartbeats and flags SoCs whose last beat is older than
-/// the detection window.
+/// Tracks heartbeats and flags SoCs whose last beat is older than the
+/// detection window.
+///
+/// A SoC that beats at every sweep was last seen at the latest sweep, so a
+/// sweep is recorded as one timestamp and a per-SoC last beat matters only
+/// for the *muted* SoCs, the ones that stopped beating: [`Self::mute`]
+/// freezes a SoC's last beat at the latest sweep it answered, and
+/// [`Self::clear`] unmutes it. A sweep then costs O(1) and
+/// [`Self::overdue`] visits the muted SoCs only.
 #[derive(Debug, Clone)]
 pub struct HeartbeatMonitor {
     window: SimDuration,
+    /// The latest sweep: the last beat of every unmuted SoC.
+    swept: SimTime,
+    /// Each SoC's last beat as of its latest mute or clear; a muted SoC's
+    /// stays frozen.
     last_seen: Vec<SimTime>,
+    /// Bit `i % 64` of word `i / 64` is set while SoC `i` is muted.
+    muted: Vec<u64>,
     reported: Vec<bool>,
 }
 
@@ -88,7 +123,9 @@ impl HeartbeatMonitor {
     pub fn new(soc_count: usize, window: SimDuration) -> Self {
         Self {
             window,
+            swept: SimTime::ZERO,
             last_seen: vec![SimTime::ZERO; soc_count],
+            muted: vec![0; soc_count.div_ceil(64)],
             reported: vec![false; soc_count],
         }
     }
@@ -98,19 +135,42 @@ impl HeartbeatMonitor {
         self.window
     }
 
-    /// Records a heartbeat from a SoC.
-    pub fn beat(&mut self, soc: usize, at: SimTime) {
-        if let Some(t) = self.last_seen.get_mut(soc) {
-            *t = (*t).max(at);
+    /// Records a sweep at `at`: every unmuted SoC beats.
+    pub fn sweep(&mut self, at: SimTime) {
+        self.swept = self.swept.max(at);
+    }
+
+    /// Whether a SoC has stopped beating.
+    pub fn is_muted(&self, soc: usize) -> bool {
+        self.muted[soc / 64] & (1 << (soc % 64)) != 0
+    }
+
+    /// Stops a SoC's heartbeat: later sweeps pass it by, and its last beat
+    /// is the latest sweep it answered. Muting a muted SoC changes nothing.
+    pub fn mute(&mut self, soc: usize) {
+        if !self.is_muted(soc) {
+            self.last_seen[soc] = self.last_seen[soc].max(self.swept);
+            self.muted[soc / 64] |= 1 << (soc % 64);
         }
     }
 
-    /// SoCs (ascending) whose heartbeat is overdue and that have not yet
-    /// been reported. Detection fires strictly *after* the window elapses.
-    pub fn overdue(&self, now: SimTime) -> Vec<usize> {
-        (0..self.last_seen.len())
-            .filter(|&i| !self.reported[i] && now.saturating_since(self.last_seen[i]) > self.window)
-            .collect()
+    /// Fills `out` with the SoCs (ascending) whose heartbeat is overdue
+    /// at `now` and that have not yet been reported. Detection fires
+    /// strictly *after* the window elapses. Only muted SoCs can be
+    /// overdue: the others beat at the latest sweep, which callers make
+    /// at `now` first.
+    pub fn overdue(&self, now: SimTime, out: &mut Vec<usize>) {
+        out.clear();
+        for (w, &word) in self.muted.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let soc = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !self.reported[soc] && now.saturating_since(self.last_seen[soc]) > self.window {
+                    out.push(soc);
+                }
+            }
+        }
     }
 
     /// Marks a SoC as reported so it is not flagged again while it is being
@@ -121,11 +181,13 @@ impl HeartbeatMonitor {
         }
     }
 
-    /// Re-arms monitoring for a SoC returning to service at `at`.
+    /// Re-arms monitoring for a SoC returning to service at `at`: it is
+    /// unmuted and counts as seen at `at`.
     pub fn clear(&mut self, soc: usize, at: SimTime) {
         if let Some(r) = self.reported.get_mut(soc) {
             *r = false;
             self.last_seen[soc] = at;
+            self.muted[soc / 64] &= !(1 << (soc % 64));
         }
     }
 }
@@ -206,24 +268,43 @@ mod tests {
     #[test]
     fn monitor_flags_only_after_window() {
         let mut m = HeartbeatMonitor::new(3, SimDuration::from_secs(5));
-        m.beat(0, secs(10));
-        m.beat(1, secs(10));
-        m.beat(2, secs(12));
-        assert!(m.overdue(secs(15)).is_empty(), "window not yet exceeded");
-        assert_eq!(m.overdue(secs(16)), vec![0, 1]);
+        let mut out = Vec::new();
+        m.sweep(secs(10));
+        m.mute(0);
+        m.mute(1);
+        m.sweep(secs(12));
+        m.mute(2);
+        m.sweep(secs(15));
+        m.overdue(secs(15), &mut out);
+        assert!(out.is_empty(), "window not yet exceeded");
+        m.sweep(secs(16));
+        m.overdue(secs(16), &mut out);
+        assert_eq!(out, vec![0, 1]);
         m.confirm(0);
-        assert_eq!(m.overdue(secs(16)), vec![1]);
+        m.overdue(secs(16), &mut out);
+        assert_eq!(out, vec![1]);
         m.clear(0, secs(16));
-        assert!(m.overdue(secs(17)).is_empty() || m.overdue(secs(17)) == vec![1]);
+        m.sweep(secs(17));
+        m.overdue(secs(17), &mut out);
+        assert_eq!(out, vec![1], "a cleared SoC beats again");
     }
 
     #[test]
     fn cleared_soc_is_monitored_again() {
         let mut m = HeartbeatMonitor::new(1, SimDuration::from_secs(2));
+        let mut out = Vec::new();
+        m.mute(0);
         m.confirm(0);
-        assert!(m.overdue(secs(100)).is_empty());
+        m.overdue(secs(100), &mut out);
+        assert!(out.is_empty());
         m.clear(0, secs(100));
-        assert_eq!(m.overdue(secs(103)), vec![0]);
+        assert!(!m.is_muted(0));
+        m.sweep(secs(101));
+        m.mute(0);
+        m.overdue(secs(103), &mut out);
+        assert!(out.is_empty(), "last seen at the 101 s sweep");
+        m.overdue(secs(104), &mut out);
+        assert_eq!(out, vec![0]);
     }
 
     fn harness() -> (SocCluster, FailureAwareRouting, ClusterFabric) {
@@ -301,6 +382,23 @@ mod tests {
     fn partitioned_is_recoverable_with_label() {
         assert!(DetectedClass::Partitioned.recoverable());
         assert_eq!(DetectedClass::Partitioned.label(), "partitioned");
+    }
+
+    #[test]
+    fn metric_names_carry_the_label() {
+        for class in [
+            DetectedClass::Crash,
+            DetectedClass::Hang,
+            DetectedClass::ThermalTrip,
+            DetectedClass::LinkLoss,
+            DetectedClass::Partitioned,
+        ] {
+            let label = class.label();
+            assert_eq!(class.detected_metric(), format!("ft.detected.{label}"));
+            assert_eq!(class.mttr_metric(), format!("ft.mttr_ms.{label}"));
+        }
+        assert_eq!(DetectedClass::ThermalTrip.label(), "thermal_trip");
+        assert_eq!(DetectedClass::LinkLoss.label(), "link_loss");
     }
 
     #[test]

@@ -83,6 +83,9 @@ pub struct Orchestrator {
     deadlines: BTreeSet<(SimTime, WorkloadId)>,
     /// Scratch buffer for the archive completions due at one event.
     due: Vec<WorkloadId>,
+    /// When each SoC last went idle: `Some` exactly while the SoC is
+    /// healthy and awake-idle, so sleep deadlines are found without
+    /// reading a `SocUnit`.
     idle_since: Vec<Option<SimTime>>,
     next_id: u64,
     stats: OrchestratorStats,
@@ -547,14 +550,17 @@ impl Orchestrator {
             Bound::Unbounded,
         );
         let completion = self.deadlines.range(after_now).next().map(|&(t, _)| t);
+        debug_assert!(
+            self.idle_since
+                .iter()
+                .zip(&self.cluster.socs)
+                .all(|(t, s)| t.is_some() == (s.healthy && s.state == PowerState::Idle)),
+            "idle_since must be set exactly on healthy awake-idle SoCs"
+        );
         let sleep = self.sleep_after.and_then(|after| {
             self.idle_since
                 .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    self.cluster.socs[*i].healthy && self.cluster.socs[*i].state == PowerState::Idle
-                })
-                .filter_map(|(_, t)| t.map(|t| t + after))
+                .filter_map(|t| t.map(|t| t + after))
                 .filter(|&t| t > self.now)
                 .min()
         });
@@ -602,15 +608,12 @@ impl Orchestrator {
                 );
             }
             self.due = due;
-            // Sleep transitions due now.
+            // Sleep transitions due now, in slot order.
             if let Some(after) = self.sleep_after {
-                for i in 0..self.cluster.socs.len() {
-                    let soc = &mut self.cluster.socs[i];
-                    if soc.healthy
-                        && soc.state == PowerState::Idle
-                        && self.idle_since[i].is_some_and(|since| since + after <= event_time)
-                    {
-                        soc.state = PowerState::Sleep;
+                for i in 0..self.idle_since.len() {
+                    if self.idle_since[i].is_some_and(|since| since + after <= event_time) {
+                        self.idle_since[i] = None;
+                        self.cluster.socs[i].state = PowerState::Sleep;
                         self.soc_changed(i);
                         self.cluster.bmc.count_event();
                         self.events.record(
@@ -630,8 +633,7 @@ impl Orchestrator {
         // Energy-conservation tick: the per-component ledger and the
         // incrementally maintained PSU-rail roll-up must tell the same
         // story. A bookkeeping bug on either side fails loudly here.
-        self.ledger.advance(t);
-        if let Err(rel) = self.ledger.verify_conservation(t, CONSERVATION_REL_TOL) {
+        if let Err(rel) = self.ledger.advance_verified(t, CONSERVATION_REL_TOL) {
             panic!("energy ledger conservation violated at {t}: relative error {rel:.3e}");
         }
     }
@@ -644,6 +646,7 @@ impl Orchestrator {
         }
         self.cluster.socs[soc].decommission();
         self.soc_changed(soc);
+        self.idle_since[soc] = None;
         self.cluster.bmc.count_event();
         self.events.record(
             self.now,

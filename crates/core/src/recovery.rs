@@ -156,6 +156,9 @@ enum Action {
 pub struct RecoveryEngine {
     orch: Orchestrator,
     config: RecoveryConfig,
+    /// Heartbeat state; its muted set is the ground truth of which SoCs
+    /// stopped heartbeating (faulted, dropped with their board, or cut
+    /// off by a partition) until they return to service.
     monitor: HeartbeatMonitor,
     fabric: ClusterFabric,
     routing: FailureAwareRouting,
@@ -168,8 +171,10 @@ pub struct RecoveryEngine {
     alias: HashMap<WorkloadId, WorkloadId>,
     /// Workloads stranded by an instant-death fault, held until detection.
     pending: Vec<Vec<(WorkloadId, WorkloadSpec)>>,
-    /// Ground truth: SoC stopped heartbeating.
-    silent: Vec<bool>,
+    /// Scratch for the SoCs one sweep finds overdue.
+    overdue: Vec<usize>,
+    /// Scratch for the slot ranges one placement attempt avoids.
+    avoid: Vec<Range<usize>>,
     /// SoCs whose BMC temperature must be re-asserted after thermal steps.
     tripped: Vec<bool>,
     /// Ground-truth fault time per SoC, while it is down.
@@ -211,7 +216,8 @@ impl RecoveryEngine {
             fates: BTreeMap::new(),
             alias: HashMap::new(),
             pending: vec![Vec::new(); socs],
-            silent: vec![false; socs],
+            overdue: Vec::new(),
+            avoid: Vec::new(),
             tripped: vec![false; socs],
             down_at: vec![None; socs],
             horizon: None,
@@ -404,11 +410,11 @@ impl RecoveryEngine {
     fn on_fault(&mut self, e: FaultEvent, now: SimTime) {
         self.telemetry.add("ft.faults_injected", 1);
         let soc = e.soc;
-        if self.silent[soc] || !self.orch.cluster().socs[soc].healthy {
+        if self.monitor.is_muted(soc) {
             // Already down: the fault changes nothing and records nothing.
             return;
         }
-        self.silent[soc] = true;
+        self.monitor.mute(soc);
         self.down_at[soc] = Some(now);
         self.orch.events_mut().record(
             now,
@@ -475,10 +481,10 @@ impl RecoveryEngine {
                     self.routing.fail(link);
                 }
                 for soc in self.domains.socs_of_board(board) {
-                    if self.silent[soc] || !self.orch.cluster().socs[soc].healthy {
+                    if self.monitor.is_muted(soc) {
                         continue;
                     }
-                    self.silent[soc] = true;
+                    self.monitor.mute(soc);
                     self.down_at[soc] = Some(now);
                     let victims = self.orch.fail_soc(soc);
                     self.strand(soc, victims, now);
@@ -511,12 +517,12 @@ impl RecoveryEngine {
                     }
                 }
                 for soc in self.domains.socs_of_port_group(group) {
-                    if self.silent[soc] || !self.orch.cluster().socs[soc].healthy {
+                    if self.monitor.is_muted(soc) {
                         continue;
                     }
                     // The SoC keeps running its local work; it just stops
                     // heartbeating. Nothing is stranded or evacuated.
-                    self.silent[soc] = true;
+                    self.monitor.mute(soc);
                     self.down_at[soc] = Some(now);
                 }
                 self.queue
@@ -621,7 +627,7 @@ impl RecoveryEngine {
         for soc in self.domains.socs_of_port_group(group) {
             // Only SoCs the partition silenced return here; ones that died
             // behind it (crash, board down) stay down.
-            if self.silent[soc] && self.orch.cluster().socs[soc].healthy {
+            if self.monitor.is_muted(soc) && self.orch.cluster().socs[soc].healthy {
                 self.return_to_service(soc, now);
             }
         }
@@ -649,12 +655,20 @@ impl RecoveryEngine {
     }
 
     fn on_sweep(&mut self, now: SimTime, horizon: SimTime) {
-        for soc in 0..self.silent.len() {
-            if !self.silent[soc] && self.orch.cluster().socs[soc].healthy {
-                self.monitor.beat(soc, now);
-            }
-        }
-        let overdue = self.monitor.overdue(now);
+        // Muted means silent or out of service: every SoC that went down
+        // was silenced first.
+        debug_assert!(
+            self.orch
+                .cluster()
+                .socs
+                .iter()
+                .enumerate()
+                .all(|(soc, unit)| unit.healthy || self.monitor.is_muted(soc)),
+            "an out-of-service SoC is still heartbeating"
+        );
+        self.monitor.sweep(now);
+        let mut overdue = std::mem::take(&mut self.overdue);
+        self.monitor.overdue(now, &mut overdue);
         for &soc in &overdue {
             self.monitor.confirm(soc);
         }
@@ -662,17 +676,11 @@ impl RecoveryEngine {
         // same-board SoCs are contiguous): a whole-board failure is then
         // evacuated as one batch with a single priority-sorted placement
         // pass. Single-SoC faults degenerate to the one-victim case.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for soc in overdue {
-            let board = self.domains.board_of_soc(soc);
-            match groups.last_mut() {
-                Some((b, list)) if *b == board => list.push(soc),
-                _ => groups.push((board, vec![soc])),
-            }
+        let domains = self.domains;
+        for socs in overdue.chunk_by(|&a, &b| domains.board_of_soc(a) == domains.board_of_soc(b)) {
+            self.detect_batch(domains.board_of_soc(socs[0]), socs, now);
         }
-        for (board, socs) in groups {
-            self.detect_batch(board, &socs, now);
-        }
+        self.overdue = overdue;
         let next = now + self.config.heartbeat_interval;
         if next <= horizon {
             self.queue.schedule(next, Action::Sweep);
@@ -690,8 +698,7 @@ impl RecoveryEngine {
             let class = classify(self.orch.cluster_mut(), &self.routing, &self.fabric, soc);
             let fault_at = self.down_at[soc].unwrap_or(now);
             self.telemetry.add("ft.faults_detected", 1);
-            self.telemetry
-                .add(&format!("ft.detected.{}", class.label()), 1);
+            self.telemetry.add(class.detected_metric(), 1);
             self.telemetry
                 .observe("ft.detection_ms", now.since(fault_at).as_millis_f64());
             self.orch.events_mut().record(
@@ -835,13 +842,12 @@ impl RecoveryEngine {
     /// Slot ranges no placement may use right now: SoCs behind partitioned
     /// ESB port groups look healthy to the placement index but are
     /// unreachable for migration.
-    fn partition_avoid_ranges(&self) -> Vec<Range<usize>> {
+    fn partition_avoid_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         self.partitioned_groups
             .iter()
             .enumerate()
             .filter(|(_, &cut)| cut)
             .map(|(g, _)| self.domains.socs_of_port_group(g))
-            .collect()
     }
 
     /// One placement attempt for a fault-displaced workload. `attempt`
@@ -863,8 +869,11 @@ impl RecoveryEngine {
         if attempt > 1 {
             self.telemetry.add("ft.retries", 1);
         }
-        let hard = self.partition_avoid_ranges();
-        let mut avoid = hard.clone();
+        // The hard ranges first, then the home board's.
+        let mut avoid = std::mem::take(&mut self.avoid);
+        avoid.clear();
+        avoid.extend(self.partition_avoid_ranges());
+        let hard = avoid.len();
         if let Some(board) = from_board {
             avoid.push(self.domains.socs_of_board(board));
         }
@@ -873,10 +882,10 @@ impl RecoveryEngine {
         } else {
             match self.orch.submit_avoiding(spec.clone(), &avoid) {
                 Err(crate::AdmissionError::NoCapacity) if from_board.is_some() => {
-                    let fallback = if hard.is_empty() {
+                    let fallback = if hard == 0 {
                         self.orch.submit(spec.clone())
                     } else {
-                        self.orch.submit_avoiding(spec.clone(), &hard)
+                        self.orch.submit_avoiding(spec.clone(), &avoid[..hard])
                     };
                     if fallback.is_ok() {
                         self.telemetry.add("ft.anti_affinity_fallbacks", 1);
@@ -886,6 +895,7 @@ impl RecoveryEngine {
                 other => other,
             }
         };
+        self.avoid = avoid;
         match placed {
             Ok(new_id) => self.settle(original, new_id, fault_at, now, class),
             Err(_) if attempt <= self.config.max_retries => {
@@ -968,10 +978,8 @@ impl RecoveryEngine {
         }
         self.telemetry.add("ft.migrations", 1);
         self.telemetry.observe("ft.mttr_ms", outage.as_millis_f64());
-        self.telemetry.observe(
-            &format!("ft.mttr_ms.{}", class.label()),
-            outage.as_millis_f64(),
-        );
+        self.telemetry
+            .observe(class.mttr_metric(), outage.as_millis_f64());
         let target = self.orch.placement_of(new_id).unwrap_or(usize::MAX);
         self.orch.events_mut().record(
             now,
@@ -1014,7 +1022,6 @@ impl RecoveryEngine {
     /// paths that actually re-commission the slot; a partition heal (the
     /// SoC never left service) records `PartitionHealed` instead.
     fn return_to_service(&mut self, soc: usize, now: SimTime) {
-        self.silent[soc] = false;
         self.down_at[soc] = None;
         self.monitor.clear(soc, now);
         self.telemetry.add("ft.socs_restored", 1);

@@ -350,15 +350,50 @@ impl EnergyLedger {
     /// rail-sum energy within `rel_tol` relative tolerance. Returns the
     /// observed relative error on failure.
     pub fn verify_conservation(&self, t: SimTime, rel_tol: f64) -> Result<(), f64> {
-        let demand = self.component_total(t).as_joules();
-        let supply = self.rail_total(t).as_joules();
-        let scale = demand.abs().max(supply.abs()).max(1e-12);
-        let rel = (demand - supply).abs() / scale;
-        if rel <= rel_tol {
-            Ok(())
-        } else {
-            Err(rel)
-        }
+        conservation(
+            self.component_total(t).as_joules(),
+            self.rail_total(t).as_joules(),
+            rel_tol,
+        )
+    }
+
+    /// [`Self::advance`] followed by [`Self::verify_conservation`] at `t`,
+    /// in one pass: each meter is summed as soon as it is integrated. Once
+    /// a meter is integrated to `t` its pending term is exactly `+0.0`, so
+    /// the sums (each SoC's components `cpu → memory`, SoCs in slot order,
+    /// then chassis; rails in order) and the returned error are bit-equal
+    /// to the two-call form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` precedes any meter's previous timestamp.
+    pub fn advance_verified(&mut self, t: SimTime, rel_tol: f64) -> Result<(), f64> {
+        let socs: f64 = (0..self.socs())
+            .map(|soc| {
+                self.integrate_soc(soc, t);
+                self.soc_energy[soc].iter().sum::<f64>()
+            })
+            .sum();
+        let supply: f64 = (0..self.rails)
+            .map(|rail| {
+                self.integrate_rail(rail, t);
+                self.rail_energy_j[rail]
+            })
+            .sum();
+        self.integrate_chassis(t);
+        conservation(socs + self.chassis_energy_j, supply, rel_tol)
+    }
+}
+
+/// The conservation verdict: `Err` with the relative error between the
+/// demand and supply totals when it exceeds `rel_tol`.
+fn conservation(demand: f64, supply: f64, rel_tol: f64) -> Result<(), f64> {
+    let scale = demand.abs().max(supply.abs()).max(1e-12);
+    let rel = (demand - supply).abs() / scale;
+    if rel <= rel_tol {
+        Ok(())
+    } else {
+        Err(rel)
     }
 }
 
@@ -496,6 +531,14 @@ mod tests {
         l.advance(t(4.0));
         assert!((l.board_energy(1, t(4.0)).as_joules() - 4.0).abs() < 1e-9);
         l.verify_conservation(t(4.0), 1e-9).expect("conserved");
+    }
+
+    #[test]
+    #[should_panic(expected = "earlier instant is in the future")]
+    fn one_pass_tick_cannot_go_backwards() {
+        let mut l = EnergyLedger::new(t(0.0), 5, 5, 1);
+        l.set_soc_power(t(2.0), 0, powers(1.0, 0.0, 0.0, 0.0, 0.0));
+        let _ = l.advance_verified(t(1.0), 1e-9);
     }
 
     #[test]

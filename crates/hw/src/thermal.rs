@@ -69,14 +69,84 @@ impl ThermalNode {
         self.ambient_c + power.as_watts() * self.resistance(fan_duty)
     }
 
+    /// Thermal resistance and decay factor `exp(-dt/τ)`, `τ = R·C`, of one
+    /// step of `dt` at a fan duty: what every node of one model shares.
+    fn decay(&self, dt: SimDuration, fan_duty: f64) -> (f64, f64) {
+        let r = self.resistance(fan_duty);
+        let tau = r * self.capacity_j_per_c;
+        (r, (-dt.as_secs_f64() / tau).exp())
+    }
+
+    /// The exact exponential solution of the RC equation: `temperature_c`
+    /// relaxes toward `ambient + P·R` by the decay factor `alpha`.
+    fn relax(&self, temperature_c: f64, power: Power, r: f64, alpha: f64) -> f64 {
+        let t_inf = self.ambient_c + power.as_watts() * r;
+        t_inf + (temperature_c - t_inf) * alpha
+    }
+
     /// Advances the node by `dt` under constant dissipation and fan duty,
     /// using the exact exponential solution of the RC equation.
     pub fn step(&mut self, dt: SimDuration, power: Power, fan_duty: f64) {
-        let r = self.resistance(fan_duty);
-        let t_inf = self.ambient_c + power.as_watts() * r;
-        let tau = r * self.capacity_j_per_c;
-        let alpha = (-dt.as_secs_f64() / tau).exp();
-        self.temperature_c = t_inf + (self.temperature_c - t_inf) * alpha;
+        let (r, alpha) = self.decay(dt, fan_duty);
+        self.temperature_c = self.relax(self.temperature_c, power, r, alpha);
+    }
+}
+
+/// Many identical nodes sharing one RC model and one fan duty: the SoC
+/// packages of a cluster. A step computes the resistance and the decay
+/// factor once and then relaxes every temperature with
+/// [`ThermalNode::step`]'s arithmetic, so each temperature is bit-equal to
+/// that of a node stepped on its own.
+#[derive(Debug, Clone)]
+pub struct ThermalBank {
+    model: ThermalNode,
+    temperatures_c: Vec<f64>,
+}
+
+impl ThermalBank {
+    /// `count` nodes of `model`, each at the model's temperature.
+    pub fn new(model: ThermalNode, count: usize) -> Self {
+        Self {
+            temperatures_c: vec![model.temperature_c; count],
+            model,
+        }
+    }
+
+    /// Every node's junction temperature in °C, in slot order.
+    pub fn temperatures_c(&self) -> &[f64] {
+        &self.temperatures_c
+    }
+
+    /// Returns `true` if any node is at or above the throttle point.
+    pub fn any_throttling(&self) -> bool {
+        self.temperatures_c
+            .iter()
+            .any(|&t| t >= self.model.throttle_c)
+    }
+
+    /// Advances every node by `dt`, node `i` dissipating `power[i]`, at one
+    /// fan duty. Calls `each(i, temperature)` with every new temperature in
+    /// slot order and returns the hottest (`-inf` for an empty bank).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one power per node.
+    pub fn step(
+        &mut self,
+        dt: SimDuration,
+        power: &[Power],
+        fan_duty: f64,
+        mut each: impl FnMut(usize, f64),
+    ) -> f64 {
+        assert_eq!(power.len(), self.temperatures_c.len(), "one power per node");
+        let (r, alpha) = self.model.decay(dt, fan_duty);
+        let mut hottest = f64::NEG_INFINITY;
+        for (i, (t, &p)) in self.temperatures_c.iter_mut().zip(power).enumerate() {
+            *t = self.model.relax(*t, p, r, alpha);
+            hottest = hottest.max(*t);
+            each(i, *t);
+        }
+        hottest
     }
 }
 

@@ -196,6 +196,20 @@ impl fmt::Display for LogHistogram {
     }
 }
 
+/// The entry under `name`, inserted from `make` on first use. The key
+/// `String` is built only then: a bump of an existing metric allocates
+/// nothing.
+fn get_or_insert<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    name: &str,
+    make: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), make());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// A string-keyed registry of metrics for telemetry snapshots.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
@@ -212,20 +226,18 @@ impl MetricRegistry {
 
     /// Returns the counter registered under `name`, creating it on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        get_or_insert(&mut self.counters, name, Counter::default)
     }
 
     /// Returns the gauge registered under `name`, creating it on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_string()).or_default()
+        get_or_insert(&mut self.gauges, name, Gauge::default)
     }
 
     /// Returns the histogram registered under `name`, creating a
     /// latency-shaped one ([`LogHistogram::for_latency_ms`]) on first use.
     pub fn histogram(&mut self, name: &str) -> &mut LogHistogram {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(LogHistogram::for_latency_ms)
+        get_or_insert(&mut self.histograms, name, LogHistogram::for_latency_ms)
     }
 
     /// Reads a histogram, if one has been registered under `name`.

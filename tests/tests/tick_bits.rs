@@ -7,7 +7,7 @@
 //! counters, so none of them would notice a tick that moved a SoC
 //! temperature, a per-SoC ledger energy or the order in which the
 //! detector reports silent SoCs. These tests fold all of that, after
-//! every step of two drivers, into one FNV-1a literal each:
+//! every step of two scenarios, into one FNV-1a literal each:
 //!
 //! - a `RecoveryEngine` through correlated, chaos-shaped fault schedules
 //!   (board drops, a port-group partition, a brownout, hangs, trips, link
