@@ -227,6 +227,20 @@ mod tests {
     }
 
     #[test]
+    fn every_soc_of_every_cluster_shares_one_spec() {
+        let (a, b) = (
+            SocCluster::new(ClusterConfig::default()),
+            SocCluster::new(ClusterConfig::default()),
+        );
+        let first = a.socs[0].spec;
+        assert!(a
+            .socs
+            .iter()
+            .chain(&b.socs)
+            .all(|s| std::ptr::eq(s.spec, first)));
+    }
+
+    #[test]
     fn network_admission_bounds() {
         let mut c = SocCluster::new(ClusterConfig::default());
         // One SoC can carry at most 1 Gbps of summed traffic.

@@ -3,6 +3,7 @@
 //! the paper calls for (§5.3, §8).
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Bound, Range};
 
 use socc_hw::ledger::EnergyLedger;
@@ -47,6 +48,111 @@ struct Placed {
     completes: Option<SimTime>,
 }
 
+/// Multiplicative (Fibonacci) hashing of a workload id. The orchestrator
+/// hands ids out in sequence and never takes one from outside, so the
+/// product's low bits, which pick the bucket, differ between nearby ids,
+/// and its high bits, which fill the control byte, are well mixed. One
+/// multiply, and the same in every process.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // A `WorkloadId` reaches only `write_u64`; fold anything else.
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// One slot of the [`WorkloadTable`] slab.
+// A vacant slot is as large as a used one on purpose: records live inline,
+// and boxing them would bring back an allocation per arrival.
+#[allow(clippy::large_enum_variant)]
+enum Slot {
+    Used(WorkloadId, Placed),
+    /// A vacant slot, linking to the next vacant one.
+    Free(Option<usize>),
+}
+
+/// The deployed workloads: `Placed` records in a slab whose vacant slots
+/// thread a free list, found by id through a map of 16-byte entries. The
+/// slot a finish frees is the first the next arrival takes, so it is
+/// reused while still cached. Iteration runs in slot order; every reader
+/// whose result depends on order sorts by id.
+struct WorkloadTable {
+    slots: Vec<Slot>,
+    /// Head of the free list.
+    free: Option<usize>,
+    by_id: HashMap<WorkloadId, usize, BuildHasherDefault<IdHasher>>,
+}
+
+impl WorkloadTable {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            slots: Vec::with_capacity(n),
+            free: None,
+            by_id: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    fn get(&self, id: WorkloadId) -> Option<&Placed> {
+        match &self.slots[*self.by_id.get(&id)?] {
+            Slot::Used(_, placed) => Some(placed),
+            Slot::Free(_) => unreachable!("the id map points at used slots only"),
+        }
+    }
+
+    fn insert(&mut self, id: WorkloadId, placed: Placed) {
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Free(next) = self.slots[slot] else {
+                    unreachable!("the free list links vacant slots only")
+                };
+                self.free = next;
+                self.slots[slot] = Slot::Used(id, placed);
+                slot
+            }
+            None => {
+                self.slots.push(Slot::Used(id, placed));
+                self.slots.len() - 1
+            }
+        };
+        let previous = self.by_id.insert(id, slot);
+        debug_assert!(previous.is_none(), "{id:?} deployed twice");
+    }
+
+    fn remove(&mut self, id: WorkloadId) -> Option<Placed> {
+        let slot = self.by_id.remove(&id)?;
+        match std::mem::replace(&mut self.slots[slot], Slot::Free(self.free)) {
+            Slot::Used(_, placed) => {
+                self.free = Some(slot);
+                Some(placed)
+            }
+            Slot::Free(_) => unreachable!("the id map points at used slots only"),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (WorkloadId, &Placed)> {
+        self.slots.iter().filter_map(|slot| match slot {
+            Slot::Used(id, placed) => Some((*id, placed)),
+            Slot::Free(_) => None,
+        })
+    }
+}
+
 /// Orchestrator statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OrchestratorStats {
@@ -78,7 +184,11 @@ pub struct Orchestrator {
     sleep_after: Option<SimDuration>,
     now: SimTime,
     meter: EnergyMeter,
-    workloads: HashMap<WorkloadId, Placed>,
+    /// Set when an operation at the current instant may have changed
+    /// server power; [`Self::sample_meter`] takes the instant's one
+    /// sample before the clock moves on.
+    meter_stale: bool,
+    workloads: WorkloadTable,
     /// Archive-job deadlines of the deployed workloads, earliest first.
     deadlines: BTreeSet<(SimTime, WorkloadId)>,
     /// Scratch buffer for the archive completions due at one event.
@@ -139,7 +249,8 @@ impl Orchestrator {
             sleep_after: config.sleep_after,
             now: SimTime::ZERO,
             meter: EnergyMeter::new(SimTime::ZERO, initial_power),
-            workloads: HashMap::new(),
+            meter_stale: false,
+            workloads: WorkloadTable::with_capacity(soc_count),
             deadlines: BTreeSet::new(),
             due: Vec::new(),
             idle_since: vec![Some(SimTime::ZERO); soc_count],
@@ -180,7 +291,9 @@ impl Orchestrator {
         self.soc_power.iter().copied().sum::<Power>() + self.cluster.chassis_power()
     }
 
-    /// Energy consumed by the whole server since t=0.
+    /// Energy consumed by the whole server since t=0. A meter not yet
+    /// sampled at this instant reads the same bits: its pending sample
+    /// would add `acc + p·Δt` and then `p'·0`.
     pub fn energy(&self) -> Energy {
         self.meter.energy_at(self.now)
     }
@@ -216,10 +329,25 @@ impl Orchestrator {
         self.workloads.len()
     }
 
-    /// Samples server power into the meter and chassis power into the
-    /// ledger. SoC power reached the ledger already, from
-    /// [`Self::soc_changed`], when it changed.
+    /// Books chassis power in the ledger and marks the meter stale. SoC
+    /// power reached the ledger already, from [`Self::soc_changed`], when
+    /// it changed. The ledger is booked here, not deferred: where its rail
+    /// nudges fall among the SoC deltas is part of its bits.
     fn record_power(&mut self) {
+        self.ledger
+            .set_chassis_power(self.now, self.cluster.chassis_power());
+        self.meter_stale = true;
+    }
+
+    /// Samples server power into the meter if an operation marked it
+    /// stale at the current instant. Called just before the clock moves.
+    /// A same-instant `EnergyMeter::set_power` adds `current × 0 = +0.0`,
+    /// so only an instant's last sample counts, and this one sample leaves
+    /// the meter bit-identical to sampling after every operation.
+    fn sample_meter(&mut self) {
+        if !self.meter_stale {
+            return;
+        }
         debug_assert!(
             self.cluster
                 .socs
@@ -229,8 +357,7 @@ impl Orchestrator {
             "per-SoC power cache is stale"
         );
         self.meter.set_power(self.now, self.power());
-        self.ledger
-            .set_chassis_power(self.now, self.cluster.chassis_power());
+        self.meter_stale = false;
     }
 
     /// The per-SoC change hook. Every code path that mutates a SoC's
@@ -441,17 +568,18 @@ impl Orchestrator {
 
     /// The SoC a workload currently runs on.
     pub fn placement_of(&self, id: WorkloadId) -> Option<usize> {
-        self.workloads.get(&id).map(|p| p.soc)
+        self.workloads.get(id).map(|p| p.soc)
     }
 
     /// The spec of a deployed workload.
     pub fn spec_of(&self, id: WorkloadId) -> Option<&WorkloadSpec> {
-        self.workloads.get(&id).map(|p| &p.spec)
+        self.workloads.get(id).map(|p| &p.spec)
     }
 
     /// Ids of all deployed workloads, ascending.
     pub fn workload_ids(&self) -> Vec<WorkloadId> {
-        let mut ids: Vec<WorkloadId> = self.workloads.keys().copied().collect();
+        let mut ids = Vec::with_capacity(self.workloads.len());
+        ids.extend(self.workloads.iter().map(|(id, _)| id));
         ids.sort();
         ids
     }
@@ -492,7 +620,7 @@ impl Orchestrator {
 
     /// Removes a workload from the deployment, forgetting its deadline.
     fn undeploy(&mut self, id: WorkloadId) -> Option<Placed> {
-        let placed = self.workloads.remove(&id)?;
+        let placed = self.workloads.remove(id)?;
         if let Some(t) = placed.completes {
             self.deadlines.remove(&(t, id));
         }
@@ -581,6 +709,7 @@ impl Orchestrator {
         assert!(t >= self.now, "cannot advance backwards");
         let start = self.now;
         while let Some(event_time) = self.next_event(t) {
+            self.sample_meter();
             self.now = event_time;
             // Archive completions due now, id-sorted: completion order is
             // observable through `drain_completions`.
@@ -594,7 +723,7 @@ impl Orchestrator {
             }
             due.sort_unstable();
             for id in due.drain(..) {
-                let placed = self.workloads.remove(&id).expect("due workload exists");
+                let placed = self.workloads.remove(id).expect("due workload exists");
                 self.release(&placed);
                 self.stats.completed += 1;
                 self.completions.push(id);
@@ -626,6 +755,7 @@ impl Orchestrator {
             }
             self.record_power();
         }
+        self.sample_meter();
         self.now = t;
         self.cluster
             .step_thermal(t.saturating_since(start), &self.soc_power);
@@ -659,7 +789,7 @@ impl Orchestrator {
             .workloads
             .iter()
             .filter(|(_, p)| p.soc == soc)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         victims.sort_unstable();
         for id in victims {
@@ -727,7 +857,7 @@ impl Orchestrator {
             .workloads
             .iter()
             .filter(|(_, p)| p.soc == soc)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         victims.sort();
         let stranded = victims
@@ -738,7 +868,7 @@ impl Orchestrator {
             })
             .collect();
         // The meter and ledger must see the slot go dark *now*: without a
-        // sample here, energy until the next power-recording operation
+        // record here, energy until the next power-recording operation
         // would be billed at the pre-fault level — a whole-site blackout
         // (every SoC failed, nothing submitted until power returns) would
         // never flatline.
@@ -900,6 +1030,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use socc_dl::{DType, ModelId};
 
     fn orch() -> Orchestrator {
@@ -1197,6 +1328,102 @@ mod tests {
         o.finish(a).unwrap();
         o.restore_soc(1);
         assert!(o.verify_placement_index());
+    }
+
+    /// One seeded operation: a submit of every kind, a finish, a fault,
+    /// a restore, a BMC power frame, or a clock advance (zero-length or
+    /// up to 90 s, across the default 30 s sleep deadline). Most draws
+    /// are not advances, so runs of operations share one instant.
+    fn apply(o: &mut Orchestrator, op: usize, soc: usize, arg: u64) {
+        use crate::bmc::{encode_command, BmcCommand};
+        let soc = soc % o.cluster().soc_count();
+        let video = socc_video::vbench::by_id(["V1", "V3", "V6"][soc % 3]).unwrap();
+        match op {
+            0..=4 => {
+                let spec = match op {
+                    0 => WorkloadSpec::GamingSession { stream_mbps: 8.0 },
+                    1 => WorkloadSpec::LiveStreamCpu { video },
+                    2 => WorkloadSpec::LiveStreamHw { video },
+                    // Zero frames: a job due with the next internal event.
+                    3 => WorkloadSpec::ArchiveJob {
+                        video,
+                        frames: arg % 900,
+                    },
+                    _ => WorkloadSpec::DlServe {
+                        processor: [SocProcessor::Cpu, SocProcessor::Gpu, SocProcessor::Dsp]
+                            [soc % 3],
+                        model: ModelId::ResNet50,
+                        dtype: DType::Int8,
+                        offered_fps: (arg % 40 + 1) as f64,
+                    },
+                };
+                let _ = o.submit(spec);
+            }
+            5 => {
+                let ids = o.workload_ids();
+                if !ids.is_empty() {
+                    o.finish(ids[arg as usize % ids.len()]).unwrap();
+                }
+            }
+            6 => o.advance_to(o.now() + SimDuration::from_millis(arg % 90_000)),
+            7 => o.advance_to(o.now()),
+            8 => {
+                o.fail_soc(soc);
+            }
+            9 => {
+                o.restore_soc(soc);
+            }
+            10 => o.inject_fault(soc),
+            _ => {
+                // Off is only legal once the SoC's workloads are evacuated.
+                let state = if o.cluster().socs[soc].is_idle() && arg % 2 == 0 {
+                    PowerState::Off
+                } else {
+                    PowerState::Idle
+                };
+                let frame = encode_command(BmcCommand::SetSocPowerState(soc as u8, state));
+                o.bmc_frame(&frame).unwrap();
+                o.apply_bmc_state_changes();
+            }
+        }
+    }
+
+    proptest! {
+        /// The meter sampled once per instant, just before the clock
+        /// moves, reads the same bits as a twin sampled after every
+        /// operation (the eager form it replaced), and the ledger, booked
+        /// eagerly in both, agrees too.
+        #[test]
+        fn lazy_meter_matches_an_eager_twin(
+            ops in prop::collection::vec((0usize..12, 0usize..60, 0u64..1_000_000), 1..80)
+        ) {
+            let (mut lazy, mut eager) = (orch(), orch());
+            for (step, &(op, soc, arg)) in ops.iter().enumerate() {
+                apply(&mut lazy, op, soc, arg);
+                apply(&mut eager, op, soc, arg);
+                eager.sample_meter();
+                let t = lazy.now();
+                prop_assert_eq!(t, eager.now());
+                prop_assert_eq!(
+                    lazy.energy().as_joules().to_bits(),
+                    eager.energy().as_joules().to_bits(),
+                    "step {} (op {}): lazy {} J vs eager {} J",
+                    step,
+                    op,
+                    lazy.energy().as_joules(),
+                    eager.energy().as_joules()
+                );
+                let (a, b) = (lazy.energy_ledger(), eager.energy_ledger());
+                let reads = |l: &EnergyLedger| {
+                    [l.component_total(t), l.rail_total(t), l.chassis_energy(t)]
+                        .into_iter()
+                        .chain((0..l.socs()).map(|i| l.soc_energy(i, t)))
+                        .map(|e| e.as_joules().to_bits())
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(reads(a), reads(b), "step {} (op {}): ledgers differ", step, op);
+            }
+        }
     }
 
     #[test]

@@ -112,6 +112,26 @@ impl Summary {
         }
     }
 
+    /// Bit-for-bit equality: `to_bits` on every float, so a re-merge that
+    /// reproduces the stored node is recognised exactly.
+    fn same_bits(&self, other: &Self) -> bool {
+        let floats = |s: &Self| {
+            [
+                s.cpu_pu,
+                s.codec_mb_s,
+                s.gpu_frac,
+                s.dsp_frac,
+                s.mem_gb,
+                s.net_mbps,
+                s.min_cpu_util,
+            ]
+            .map(f64::to_bits)
+        };
+        floats(self) == floats(other)
+            && self.codec_sessions == other.codec_sessions
+            && self.any_healthy == other.any_healthy
+    }
+
     /// Could *some* SoC in this range fit `demand`? `false` is a proof of
     /// no-fit; `true` only licenses descending.
     fn may_fit(&self, d: &Demand) -> bool {
@@ -171,14 +191,22 @@ impl PlacementIndex {
     /// Re-summarizes slot `i` from its SoC and refreshes the O(log n)
     /// ancestor path. Must be called after *every* resource or health
     /// mutation of `socs[i]` (invariant 2 above).
+    ///
+    /// Stops at the first node on the path whose new summary equals the
+    /// stored one bit for bit: `merge` picks its operands verbatim, so
+    /// every ancestor above an unchanged node is unchanged too, and the
+    /// tree still equals a fresh [`Self::new`] bit for bit.
     pub fn update(&mut self, i: usize, soc: &SocUnit) {
         assert!(i < self.len, "slot {i} out of range ({} slots)", self.len);
         let mut node = self.base + i;
-        self.nodes[node] = Summary::leaf(soc);
-        node /= 2;
-        while node >= 1 {
-            self.nodes[node] = Summary::merge(&self.nodes[2 * node], &self.nodes[2 * node + 1]);
+        let mut summary = Summary::leaf(soc);
+        while !summary.same_bits(&self.nodes[node]) {
+            self.nodes[node] = summary;
             node /= 2;
+            if node == 0 {
+                return;
+            }
+            summary = Summary::merge(&self.nodes[2 * node], &self.nodes[2 * node + 1]);
         }
     }
 
@@ -331,6 +359,7 @@ impl PlacementIndex {
 mod tests {
     use super::*;
     use crate::virt::DeploymentMode;
+    use proptest::prelude::*;
 
     fn fleet(n: usize) -> Vec<SocUnit> {
         (0..n)
@@ -529,6 +558,75 @@ mod tests {
             idx.first_fit_outside(&demand, &socs, &[]),
             idx.first_fit(&demand, &socs)
         );
+    }
+
+    /// Asserts that every node of `idx` equals the same node of an index
+    /// built afresh from `socs`, bit for bit.
+    fn assert_matches_rebuild(idx: &PlacementIndex, socs: &[SocUnit], step: usize) {
+        let fresh = PlacementIndex::new(socs);
+        assert_eq!(idx.nodes.len(), fresh.nodes.len());
+        for (n, (kept, built)) in idx.nodes.iter().zip(&fresh.nodes).enumerate() {
+            assert!(
+                kept.same_bits(built),
+                "step {step}, node {n}: kept {kept:?}, rebuilt {built:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Updates that stop at the first unchanged node leave the tree
+        /// equal to a rebuild after every place, release, decommission,
+        /// restore and no-op update. Demands come from a short list, so
+        /// siblings often tie and paths stop early.
+        #[test]
+        fn early_exit_update_matches_a_rebuild(
+            n in 1usize..70,
+            ops in prop::collection::vec((0usize..5, 0usize..70, 0usize..4), 1..150)
+        ) {
+            let demands = [
+                d(300.0),
+                d(1500.0),
+                Demand {
+                    gpu_frac: 0.125,
+                    cpu_pu: 300.0,
+                    net_mbps: 8.0,
+                    mem_gb: 1.2,
+                    ..Default::default()
+                },
+                Demand {
+                    codec_mb_s: 2.0e5,
+                    codec_sessions: 1,
+                    dsp_frac: 0.25,
+                    mem_gb: 0.3,
+                    ..Default::default()
+                },
+            ];
+            let mut socs = fleet(n);
+            let mut placed: Vec<Vec<Demand>> = vec![Vec::new(); n];
+            let mut idx = PlacementIndex::new(&socs);
+            for (step, &(op, i, k)) in ops.iter().enumerate() {
+                let i = i % n;
+                match op {
+                    0 if socs[i].fits(&demands[k]) => {
+                        socs[i].place(&demands[k]);
+                        placed[i].push(demands[k]);
+                    }
+                    1 => {
+                        if let Some(demand) = placed[i].pop() {
+                            socs[i].release(&demand);
+                        }
+                    }
+                    2 => {
+                        socs[i].decommission();
+                        placed[i].clear();
+                    }
+                    3 if !socs[i].healthy => socs[i].restore(),
+                    _ => {}
+                }
+                idx.update(i, &socs[i]);
+                assert_matches_rebuild(&idx, &socs, step);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Per-SoC runtime state: load accounting, power states, health.
 
+use std::sync::OnceLock;
+
 use socc_hw::ledger::ComponentPowers;
 use socc_hw::power::{PowerState, Utilization};
 use socc_hw::spec::SocSpec;
@@ -31,8 +33,8 @@ pub struct Demand {
 pub struct SocUnit {
     /// Slot index (0..59).
     pub index: usize,
-    /// Hardware specification.
-    pub spec: SocSpec,
+    /// Hardware specification, shared by every slot in the process.
+    pub spec: &'static SocSpec,
     /// Current power state.
     pub state: PowerState,
     /// Software deployment mode.
@@ -41,6 +43,14 @@ pub struct SocUnit {
     pub healthy: bool,
     used: Demand,
     active_workloads: usize,
+}
+
+/// The one Snapdragon 865 spec of the process. A spec is never mutated,
+/// so every slot of every cluster points here instead of carrying its own
+/// copy, with its own strings and core-cluster `Vec`.
+fn snapdragon_865() -> &'static SocSpec {
+    static SPEC: OnceLock<SocSpec> = OnceLock::new();
+    SPEC.get_or_init(SocSpec::snapdragon_865)
 }
 
 impl SocUnit {
@@ -53,7 +63,7 @@ impl SocUnit {
         };
         Self {
             index,
-            spec: SocSpec::snapdragon_865(),
+            spec: snapdragon_865(),
             state: PowerState::Idle,
             deployment,
             healthy: true,
