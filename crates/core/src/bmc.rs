@@ -90,18 +90,52 @@ fn power_state_from_byte(b: u8) -> Option<PowerState> {
     })
 }
 
+/// Longest frame the protocol uses: header, two payload bytes, checksum.
+const MAX_FRAME: usize = 6;
+
+/// One encoded wire frame, held inline: it reads as its bytes
+/// (`&frame[..]`) and costs no allocation to build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    bytes: [u8; MAX_FRAME],
+    len: usize,
+}
+
+impl Frame {
+    fn push(&mut self, b: u8) {
+        self.bytes[self.len] = b;
+        self.len += 1;
+    }
+}
+
+impl core::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Encodes a command as a wire frame: `[START, cmd, len, payload…, xor]`.
-pub fn encode_command(cmd: BmcCommand) -> Vec<u8> {
-    let (op, payload): (u8, Vec<u8>) = match cmd {
-        BmcCommand::ReadSocPower(i) => (0x01, vec![i]),
-        BmcCommand::ReadChassisPower => (0x02, vec![]),
-        BmcCommand::ReadSocTemp(i) => (0x03, vec![i]),
-        BmcCommand::SetSocPowerState(i, s) => (0x04, vec![i, power_state_byte(s)]),
-        BmcCommand::ReadFanDuty => (0x05, vec![]),
-        BmcCommand::ReadEventCount => (0x06, vec![]),
+pub fn encode_command(cmd: BmcCommand) -> Frame {
+    let (op, payload): (u8, &[u8]) = match cmd {
+        BmcCommand::ReadSocPower(i) => (0x01, &[i]),
+        BmcCommand::ReadChassisPower => (0x02, &[]),
+        BmcCommand::ReadSocTemp(i) => (0x03, &[i]),
+        BmcCommand::SetSocPowerState(i, s) => (0x04, &[i, power_state_byte(s)]),
+        BmcCommand::ReadFanDuty => (0x05, &[]),
+        BmcCommand::ReadEventCount => (0x06, &[]),
     };
-    let mut frame = vec![FRAME_START, op, payload.len() as u8];
-    frame.extend_from_slice(&payload);
+    let mut frame = Frame {
+        bytes: [0; MAX_FRAME],
+        len: 0,
+    };
+    for b in [FRAME_START, op, payload.len() as u8]
+        .into_iter()
+        .chain(payload.iter().copied())
+    {
+        frame.push(b);
+    }
     let checksum = frame.iter().fold(0u8, |a, b| a ^ b);
     frame.push(checksum);
     frame
@@ -139,11 +173,19 @@ pub fn decode_command(frame: &[u8]) -> Result<BmcCommand, BmcProtocolError> {
     }
 }
 
+/// Junction temperature the BMC reports for a SoC in thermal-trip
+/// shutdown, whatever the thermal model last computed, until the trip
+/// clears.
+pub const TRIP_TEMP_C: f64 = 105.0;
+
 /// The BMC: sensor snapshot plus event counter.
 #[derive(Debug, Clone, Default)]
 pub struct Bmc {
     soc_power_w: Vec<f64>,
     soc_temp_c: Vec<f64>,
+    /// SoCs in thermal-trip shutdown: their temperature reads
+    /// [`TRIP_TEMP_C`] over the wire while set.
+    tripped: Vec<bool>,
     chassis_power_w: f64,
     fan_duty: f64,
     /// Management events seen (wakes, sleeps, faults, migrations); the
@@ -160,10 +202,13 @@ impl Bmc {
         Self {
             soc_power_w: vec![0.0; soc_count],
             soc_temp_c: vec![25.0; soc_count],
+            tripped: vec![false; soc_count],
             chassis_power_w: 0.0,
             fan_duty: 0.25,
             event_count: 0,
-            pending_state_changes: Vec::new(),
+            // Room for one power cycle's command, so the first one queued
+            // at run time allocates nothing.
+            pending_state_changes: Vec::with_capacity(1),
         }
     }
 
@@ -183,14 +228,34 @@ impl Bmc {
         }
     }
 
+    /// Takes every SoC's temperature reading from the thermal model, in
+    /// slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one temperature per SoC.
+    pub fn set_temps(&mut self, temps_c: &[f64]) {
+        self.soc_temp_c.copy_from_slice(temps_c);
+    }
+
+    /// Marks a SoC as in (or out of) thermal-trip shutdown. While tripped
+    /// its temperature reads [`TRIP_TEMP_C`], so the thermal model's
+    /// later readings cannot hide the trip from a probe.
+    pub fn set_tripped(&mut self, soc: usize, tripped: bool) {
+        if let Some(t) = self.tripped.get_mut(soc) {
+            *t = tripped;
+        }
+    }
+
     /// Counts one management event (what `ReadEventCount` reports).
     pub fn count_event(&mut self) {
         self.event_count = self.event_count.saturating_add(1);
     }
 
-    /// Drains queued power-state change requests.
-    pub fn take_state_changes(&mut self) -> Vec<(usize, PowerState)> {
-        std::mem::take(&mut self.pending_state_changes)
+    /// Takes the oldest queued power-state change request, if any. The
+    /// queue keeps its buffer, so draining it allocates nothing.
+    pub fn next_state_change(&mut self) -> Option<(usize, PowerState)> {
+        (!self.pending_state_changes.is_empty()).then(|| self.pending_state_changes.remove(0))
     }
 
     /// Executes one decoded command against the snapshot.
@@ -211,6 +276,11 @@ impl Bmc {
                     .soc_temp_c
                     .get(i as usize)
                     .ok_or(BmcProtocolError::BadAddress(i))?;
+                let t = if self.tripped[i as usize] {
+                    TRIP_TEMP_C
+                } else {
+                    *t
+                };
                 Ok(BmcResponse::TempDc((t * 10.0).round() as u16))
             }
             BmcCommand::SetSocPowerState(i, state) => {
@@ -256,7 +326,7 @@ mod tests {
     #[test]
     fn corrupted_frame_rejected() {
         let mut frame = encode_command(BmcCommand::ReadChassisPower);
-        frame[1] ^= 0x40;
+        frame.bytes[1] ^= 0x40;
         assert_eq!(decode_command(&frame), Err(BmcProtocolError::BadChecksum));
         assert_eq!(decode_command(&[0xB5]), Err(BmcProtocolError::ShortFrame));
     }
@@ -308,9 +378,9 @@ mod tests {
             .unwrap();
         bmc.execute(BmcCommand::SetSocPowerState(3, PowerState::Active))
             .unwrap();
-        let changes = bmc.take_state_changes();
+        let changes: Vec<_> = std::iter::from_fn(|| bmc.next_state_change()).collect();
         assert_eq!(changes, vec![(2, PowerState::Off), (3, PowerState::Active)]);
-        assert!(bmc.take_state_changes().is_empty());
+        assert_eq!(bmc.next_state_change(), None);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl NetworkBoundRow {
         let pcb_mbps = per_soc_mbps * calib::SOCS_PER_PCB as f64;
         let server_mbps = per_soc_mbps * calib::CLUSTER_SOC_COUNT as f64;
         Self {
-            video_id: video.id.clone(),
+            video_id: video.id.to_string(),
             cpu_streams,
             hw_streams,
             pcb_mbps,

@@ -144,13 +144,11 @@ impl SocCluster {
     }
 
     /// Advances the thermal model by `dt`, SoC `i` drawing `soc_power[i]`
-    /// throughout, hands each new temperature to the BMC and updates the
+    /// throughout, hands the new temperatures to the BMC and updates the
     /// fan duty from the hottest SoC.
     pub fn step_thermal(&mut self, dt: SimDuration, soc_power: &[Power]) {
-        let bmc = &mut self.bmc;
-        let hottest = self
-            .thermal
-            .step(dt, soc_power, self.fan_duty, |i, t| bmc.set_temp(i, t));
+        let hottest = self.thermal.step(dt, soc_power, self.fan_duty);
+        self.bmc.set_temps(self.thermal.temperatures_c());
         self.fan_duty = self.fan.duty_for(hottest);
     }
 

@@ -45,6 +45,15 @@ pub enum DetectedClass {
 }
 
 impl DetectedClass {
+    /// Every class, in declaration order.
+    pub const ALL: [DetectedClass; 5] = [
+        DetectedClass::Crash,
+        DetectedClass::Hang,
+        DetectedClass::ThermalTrip,
+        DetectedClass::LinkLoss,
+        DetectedClass::Partitioned,
+    ];
+
     /// Whether remediation can return the SoC to service.
     pub fn recoverable(self) -> bool {
         !matches!(self, DetectedClass::Crash)
@@ -193,15 +202,14 @@ impl HeartbeatMonitor {
 }
 
 /// Both directions of a SoC's fabric access link, for failing/repairing.
-pub fn access_links(fabric: &ClusterFabric, soc: usize) -> Vec<LinkId> {
+pub fn access_links(fabric: &ClusterFabric, soc: usize) -> impl Iterator<Item = LinkId> + '_ {
     let node = fabric.socs[soc];
     (0..fabric.topology.link_count() as u32)
         .map(LinkId)
-        .filter(|&id| {
+        .filter(move |&id| {
             let link = fabric.topology.link(id);
             link.src == node || link.dst == node
         })
-        .collect()
 }
 
 /// Classifies a silent SoC by probing out-of-band state: BMC temperature
@@ -212,7 +220,7 @@ pub fn access_links(fabric: &ClusterFabric, soc: usize) -> Vec<LinkId> {
 /// powered and healthy) from a crashed one.
 pub fn classify(
     cluster: &mut SocCluster,
-    routing: &FailureAwareRouting,
+    routing: &mut FailureAwareRouting,
     fabric: &ClusterFabric,
     soc: usize,
 ) -> DetectedClass {
@@ -229,10 +237,7 @@ pub fn classify(
             _ => false,
         }
     };
-    if routing
-        .route(&fabric.topology, fabric.socs[soc], fabric.external)
-        .is_none()
-    {
+    if !routing.reaches(&fabric.topology, fabric.socs[soc], fabric.external) {
         if !powered {
             // Dark *and* unroutable: the board (or the SoC itself) died;
             // the missing route is a consequence, not the cause.
@@ -240,9 +245,7 @@ pub fn classify(
         }
         // Powered but unroutable: is the SoC's own access link the break,
         // or something upstream of it?
-        let own_link_up = access_links(fabric, soc)
-            .iter()
-            .all(|&link| routing.usable(link));
+        let own_link_up = access_links(fabric, soc).all(|link| routing.usable(link));
         return if own_link_up {
             DetectedClass::Partitioned
         } else {
@@ -316,10 +319,10 @@ mod tests {
 
     #[test]
     fn classifies_thermal_trip_from_bmc_temperature() {
-        let (mut cluster, routing, fabric) = harness();
+        let (mut cluster, mut routing, fabric) = harness();
         cluster.bmc.set_temp(7, 105.0);
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 7),
+            classify(&mut cluster, &mut routing, &fabric, 7),
             DetectedClass::ThermalTrip
         );
     }
@@ -331,7 +334,7 @@ mod tests {
             routing.fail(link);
         }
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 9),
+            classify(&mut cluster, &mut routing, &fabric, 9),
             DetectedClass::LinkLoss
         );
     }
@@ -347,13 +350,13 @@ mod tests {
         }
         for soc in 5..10 {
             assert_eq!(
-                classify(&mut cluster, &routing, &fabric, soc),
+                classify(&mut cluster, &mut routing, &fabric, soc),
                 DetectedClass::Partitioned
             );
         }
         // SoCs on other boards still route; nothing else is misclassified.
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 0),
+            classify(&mut cluster, &mut routing, &fabric, 0),
             DetectedClass::Hang
         );
     }
@@ -369,11 +372,11 @@ mod tests {
         cluster.socs[6].decommission();
         cluster.refresh_bmc(&cluster.soc_powers());
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 6),
+            classify(&mut cluster, &mut routing, &fabric, 6),
             DetectedClass::Crash
         );
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 7),
+            classify(&mut cluster, &mut routing, &fabric, 7),
             DetectedClass::Partitioned
         );
     }
@@ -403,20 +406,20 @@ mod tests {
 
     #[test]
     fn classifies_crash_from_zero_power() {
-        let (mut cluster, routing, fabric) = harness();
+        let (mut cluster, mut routing, fabric) = harness();
         cluster.socs[4].decommission();
         cluster.refresh_bmc(&cluster.soc_powers());
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 4),
+            classify(&mut cluster, &mut routing, &fabric, 4),
             DetectedClass::Crash
         );
     }
 
     #[test]
     fn defaults_to_hang_when_probes_look_normal() {
-        let (mut cluster, routing, fabric) = harness();
+        let (mut cluster, mut routing, fabric) = harness();
         assert_eq!(
-            classify(&mut cluster, &routing, &fabric, 0),
+            classify(&mut cluster, &mut routing, &fabric, 0),
             DetectedClass::Hang
         );
     }
@@ -424,7 +427,7 @@ mod tests {
     #[test]
     fn access_links_cover_both_directions() {
         let fabric = Topology::soc_cluster(60);
-        let links = access_links(&fabric, 0);
+        let links: Vec<LinkId> = access_links(&fabric, 0).collect();
         assert_eq!(links.len(), 2, "one duplex pair per SoC");
     }
 

@@ -36,7 +36,7 @@ pub fn fig6a_live_tpe() -> Vec<LiveTpeRow> {
     socc_video::vbench::videos()
         .iter()
         .map(|v| LiveTpeRow {
-            video_id: v.id.clone(),
+            video_id: v.id.to_string(),
             soc_cpu: TranscodeUnit::SocCpu.live_streams_per_watt(v),
             intel: TranscodeUnit::IntelContainer.live_streams_per_watt(v),
             a40: TranscodeUnit::A40Nvenc.live_streams_per_watt(v),
@@ -62,7 +62,7 @@ pub fn fig6b_archive_tpe() -> Vec<ArchiveTpeRow> {
     socc_video::vbench::videos()
         .iter()
         .map(|v| ArchiveTpeRow {
-            video_id: v.id.clone(),
+            video_id: v.id.to_string(),
             soc_cpu: TranscodeUnit::SocCpu
                 .archive_frames_per_joule(v)
                 .unwrap_or(0.0),
@@ -150,7 +150,7 @@ pub fn fig8_hw_codec() -> Vec<Fig8Row> {
     socc_video::vbench::videos()
         .iter()
         .map(|v| Fig8Row {
-            video_id: v.id.clone(),
+            video_id: v.id.to_string(),
             cpu_streams: TranscodeUnit::SocCpu.max_live_streams(v) * socs,
             hw_streams: TranscodeUnit::SocHwCodec.max_live_streams(v) * socs,
             cpu_tpe: TranscodeUnit::SocCpu.live_streams_per_watt(v),
@@ -185,7 +185,7 @@ pub fn fig9_bitrates() -> Vec<Fig9Row> {
         .map(|v| {
             let rc = RateControl::Cbr(v.target_bitrate);
             Fig9Row {
-                video_id: v.id.clone(),
+                video_id: v.id.to_string(),
                 target_kbps: v.target_bitrate.as_bps() / 1e3,
                 source_kbps: v.source_bitrate.as_bps() / 1e3,
                 x264_kbps: EncoderKind::X264.output_bitrate(v, rc).as_bps() / 1e3,
@@ -219,7 +219,7 @@ pub fn fig10_quality() -> Vec<Fig10Row> {
     socc_video::vbench::videos()
         .iter()
         .map(|v| Fig10Row {
-            video_id: v.id.clone(),
+            video_id: v.id.to_string(),
             x264_soc: live_psnr(EncoderKind::X264, v),
             x264_intel: live_psnr(EncoderKind::X264, v),
             nvenc: live_psnr(EncoderKind::Nvenc, v),

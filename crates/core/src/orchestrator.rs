@@ -2,12 +2,13 @@
 //! failover — the "advanced software that can orchestrate multiple SoCs"
 //! the paper calls for (§5.3, §8).
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::ops::{Bound, Range};
 
 use socc_hw::ledger::EnergyLedger;
 use socc_hw::power::PowerState;
+use socc_sim::hash::IdMap;
 use socc_sim::series::EnergyMeter;
 use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
@@ -48,31 +49,6 @@ struct Placed {
     completes: Option<SimTime>,
 }
 
-/// Multiplicative (Fibonacci) hashing of a workload id. The orchestrator
-/// hands ids out in sequence and never takes one from outside, so the
-/// product's low bits, which pick the bucket, differ between nearby ids,
-/// and its high bits, which fill the control byte, are well mixed. One
-/// multiply, and the same in every process.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // A `WorkloadId` reaches only `write_u64`; fold anything else.
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 /// One slot of the [`WorkloadTable`] slab.
 // A vacant slot is as large as a used one on purpose: records live inline,
 // and boxing them would bring back an allocation per arrival.
@@ -92,7 +68,7 @@ struct WorkloadTable {
     slots: Vec<Slot>,
     /// Head of the free list.
     free: Option<usize>,
-    by_id: HashMap<WorkloadId, usize, BuildHasherDefault<IdHasher>>,
+    by_id: IdMap<WorkloadId, usize>,
 }
 
 impl WorkloadTable {
@@ -100,7 +76,7 @@ impl WorkloadTable {
         Self {
             slots: Vec::with_capacity(n),
             free: None,
-            by_id: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+            by_id: IdMap::with_capacity_and_hasher(n, Default::default()),
         }
     }
 
@@ -191,8 +167,11 @@ pub struct Orchestrator {
     workloads: WorkloadTable,
     /// Archive-job deadlines of the deployed workloads, earliest first.
     deadlines: BTreeSet<(SimTime, WorkloadId)>,
-    /// Scratch buffer for the archive completions due at one event.
-    due: Vec<WorkloadId>,
+    /// Scratch for id lists: the archive completions due at one event,
+    /// or a failed SoC's victims.
+    ids: Vec<WorkloadId>,
+    /// Scratch for [`Self::submit_preempting`]'s eviction candidates.
+    preempt: Vec<(Priority, WorkloadId)>,
     /// When each SoC last went idle: `Some` exactly while the SoC is
     /// healthy and awake-idle, so sleep deadlines are found without
     /// reading a `SocUnit`.
@@ -252,11 +231,14 @@ impl Orchestrator {
             meter_stale: false,
             workloads: WorkloadTable::with_capacity(soc_count),
             deadlines: BTreeSet::new(),
-            due: Vec::new(),
+            // Room for a SoC's worth of ids and of one instant's
+            // completions, so their first use allocates nothing.
+            ids: Vec::with_capacity(16),
+            preempt: Vec::new(),
             idle_since: vec![Some(SimTime::ZERO); soc_count],
             next_id: 0,
             stats: OrchestratorStats::default(),
-            completions: Vec::new(),
+            completions: Vec::with_capacity(16),
             admission_floor: None,
             ledger,
             events: EventLog::new(EVENT_CAPACITY),
@@ -464,7 +446,68 @@ impl Orchestrator {
 
     /// Submits a workload; places it on a SoC or rejects it.
     pub fn submit(&mut self, spec: WorkloadSpec) -> Result<WorkloadId, AdmissionError> {
-        self.submit_on(spec, None)
+        self.submit_on(Cow::Owned(spec), None)
+    }
+
+    /// Submits a copy of `spec`, made only if it is admitted, so a caller
+    /// that retries keeps its own. `avoid` places like
+    /// [`Self::submit_avoiding`]; `None` places like [`Self::submit`].
+    pub fn submit_clone(
+        &mut self,
+        spec: &WorkloadSpec,
+        avoid: Option<&[Range<usize>]>,
+    ) -> Result<WorkloadId, AdmissionError> {
+        self.submit_on(Cow::Borrowed(spec), avoid)
+    }
+
+    /// [`PriorityAdmission::submit_with_preemption`] for a borrowed spec,
+    /// copied only if admitted: evicted ids go to `evicted` (cleared
+    /// first), and the candidates are sorted in the orchestrator's own
+    /// scratch, so a call allocates nothing once the buffers have grown.
+    ///
+    /// [`PriorityAdmission::submit_with_preemption`]: crate::priority::PriorityAdmission::submit_with_preemption
+    pub fn submit_preempting(
+        &mut self,
+        spec: &WorkloadSpec,
+        evicted: &mut Vec<WorkloadId>,
+    ) -> Result<WorkloadId, AdmissionError> {
+        evicted.clear();
+        match self.submit_clone(spec, None) {
+            Ok(id) => Ok(id),
+            // Unsupported shapes can never run; a below-floor priority in a
+            // brownout must not evict its way past the floor either.
+            Err(e @ (AdmissionError::Unsupported | AdmissionError::Degraded)) => Err(e),
+            Err(_) => {
+                let want = priority_of(spec);
+                // Victims strictly below the incoming priority, lowest
+                // class first, newest first (cheapest restart).
+                let mut victims = std::mem::take(&mut self.preempt);
+                victims.clear();
+                let below = || {
+                    self.workloads.iter().filter_map(|(id, placed)| {
+                        let p = priority_of(&placed.spec);
+                        (p < want).then_some((p, id))
+                    })
+                };
+                victims.reserve(below().count());
+                victims.extend(below());
+                victims.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+                // With nothing (more) to evict, any evictions already made
+                // freed capacity the incoming workload still could not use,
+                // so the demand shape is the blocker: report the rejection.
+                let mut admitted = Err(AdmissionError::NoCapacity);
+                for &(_, victim) in &victims {
+                    self.finish(victim).expect("victim exists");
+                    evicted.push(victim);
+                    if let Ok(id) = self.submit_clone(spec, None) {
+                        admitted = Ok(id);
+                        break;
+                    }
+                }
+                self.preempt = victims;
+                admitted
+            }
+        }
     }
 
     /// Submits a workload like [`Self::submit`] but never places it inside
@@ -476,7 +519,7 @@ impl Orchestrator {
         spec: WorkloadSpec,
         avoid: &[Range<usize>],
     ) -> Result<WorkloadId, AdmissionError> {
-        self.submit_on(spec, Some(avoid))
+        self.submit_on(Cow::Owned(spec), Some(avoid))
     }
 
     /// While set, submissions strictly below `floor` are rejected with
@@ -490,9 +533,11 @@ impl Orchestrator {
         self.admission_floor
     }
 
+    /// The one admission path. A borrowed spec is cloned only once the
+    /// workload is placed.
     fn submit_on(
         &mut self,
-        spec: WorkloadSpec,
+        spec: Cow<'_, WorkloadSpec>,
         avoid: Option<&[Range<usize>]>,
     ) -> Result<WorkloadId, AdmissionError> {
         if let Some(floor) = self.admission_floor {
@@ -555,7 +600,7 @@ impl Orchestrator {
         self.deploy(
             id,
             Placed {
-                spec,
+                spec: spec.into_owned(),
                 soc,
                 demand,
                 completes,
@@ -579,9 +624,23 @@ impl Orchestrator {
     /// Ids of all deployed workloads, ascending.
     pub fn workload_ids(&self) -> Vec<WorkloadId> {
         let mut ids = Vec::with_capacity(self.workloads.len());
-        ids.extend(self.workloads.iter().map(|(id, _)| id));
-        ids.sort();
+        self.workload_ids_where(&mut ids, |_| true);
         ids
+    }
+
+    /// Fills `ids` (cleared first) with the ids of the deployed workloads
+    /// whose spec satisfies `keep`, ascending. The buffer grows at most
+    /// once, to the exact count.
+    pub fn workload_ids_where(
+        &self,
+        ids: &mut Vec<WorkloadId>,
+        keep: impl Fn(&WorkloadSpec) -> bool,
+    ) {
+        ids.clear();
+        let kept = || self.workloads.iter().filter(|(_, p)| keep(&p.spec));
+        ids.reserve(kept().count());
+        ids.extend(kept().map(|(id, _)| id));
+        ids.sort_unstable();
     }
 
     /// Explicitly finishes a workload (live streams, DL serving).
@@ -713,7 +772,7 @@ impl Orchestrator {
             self.now = event_time;
             // Archive completions due now, id-sorted: completion order is
             // observable through `drain_completions`.
-            let mut due = std::mem::take(&mut self.due);
+            let mut due = std::mem::take(&mut self.ids);
             while let Some(&(t, id)) = self.deadlines.first() {
                 if t > event_time {
                     break;
@@ -736,7 +795,7 @@ impl Orchestrator {
                     },
                 );
             }
-            self.due = due;
+            self.ids = due;
             // Sleep transitions due now, in slot order.
             if let Some(after) = self.sleep_after {
                 for i in 0..self.idle_since.len() {
@@ -841,8 +900,16 @@ impl Orchestrator {
     /// schedule. This is the primitive the fault-tolerance loop builds on —
     /// unlike [`Self::inject_fault`], nothing is silently dropped here.
     pub fn fail_soc(&mut self, soc: usize) -> Vec<(WorkloadId, WorkloadSpec)> {
+        let mut stranded = Vec::new();
+        self.fail_soc_into(soc, &mut stranded);
+        stranded
+    }
+
+    /// [`Self::fail_soc`], appending the stranded workloads (id-sorted) to
+    /// a caller's buffer instead of returning a fresh one.
+    pub fn fail_soc_into(&mut self, soc: usize, stranded: &mut Vec<(WorkloadId, WorkloadSpec)>) {
         if !self.cluster.socs[soc].healthy {
-            return Vec::new();
+            return;
         }
         self.cluster.socs[soc].decommission();
         self.soc_changed(soc);
@@ -853,27 +920,29 @@ impl Orchestrator {
             Scope::Fault,
             EventKind::SocOff { soc: soc as u32 },
         );
-        let mut victims: Vec<WorkloadId> = self
-            .workloads
-            .iter()
-            .filter(|(_, p)| p.soc == soc)
-            .map(|(id, _)| id)
-            .collect();
-        victims.sort();
-        let stranded = victims
-            .into_iter()
-            .map(|id| {
-                let placed = self.undeploy(id).expect("victim exists");
-                (id, placed.spec)
-            })
-            .collect();
+        let mut victims = std::mem::take(&mut self.ids);
+        victims.clear();
+        let on_soc = || {
+            self.workloads
+                .iter()
+                .filter(|(_, p)| p.soc == soc)
+                .map(|(id, _)| id)
+        };
+        victims.reserve(on_soc().count());
+        victims.extend(on_soc());
+        victims.sort_unstable();
+        stranded.reserve(victims.len());
+        for id in victims.drain(..) {
+            let placed = self.undeploy(id).expect("victim exists");
+            stranded.push((id, placed.spec));
+        }
+        self.ids = victims;
         // The meter and ledger must see the slot go dark *now*: without a
         // record here, energy until the next power-recording operation
         // would be billed at the pre-fault level — a whole-site blackout
         // (every SoC failed, nothing submitted until power returns) would
         // never flatline.
         self.record_power();
-        stranded
     }
 
     /// Returns a previously failed SoC to service (post power-cycle,
@@ -912,7 +981,7 @@ impl Orchestrator {
     /// failed one. Returns the number of transitions applied.
     pub fn apply_bmc_state_changes(&mut self) -> usize {
         let mut applied = 0;
-        for (soc, state) in self.cluster.bmc.take_state_changes() {
+        while let Some((soc, state)) = self.cluster.bmc.next_state_change() {
             match state {
                 PowerState::Off | PowerState::Sleep => {
                     if self.cluster.socs[soc].healthy {
@@ -943,10 +1012,17 @@ impl Orchestrator {
 
     /// Overrides one SoC's BMC temperature reading (deci-°C granularity at
     /// the wire). The thermal model overwrites this on the next
-    /// [`Self::advance_to`]; fault injection re-asserts it while a thermal
-    /// trip is active.
+    /// [`Self::advance_to`]; a thermal trip ([`Self::set_thermal_trip`])
+    /// outlasts it.
     pub fn set_soc_temp(&mut self, soc: usize, temp_c: f64) {
         self.cluster.bmc.set_temp(soc, temp_c);
+    }
+
+    /// Puts a SoC into (or takes it out of) thermal-trip shutdown at the
+    /// BMC: while tripped, its temperature reads
+    /// [`crate::bmc::TRIP_TEMP_C`] across every advance.
+    pub fn set_thermal_trip(&mut self, soc: usize, tripped: bool) {
+        self.cluster.bmc.set_tripped(soc, tripped);
     }
 
     /// Cross-checks the incrementally maintained placement index against

@@ -58,42 +58,9 @@ impl PriorityAdmission for Orchestrator {
         &mut self,
         spec: WorkloadSpec,
     ) -> Result<PreemptingAdmission, AdmissionError> {
-        match self.submit(spec.clone()) {
-            Ok(id) => Ok(PreemptingAdmission {
-                id,
-                evicted: Vec::new(),
-            }),
-            // Unsupported shapes can never run; a below-floor priority in a
-            // brownout must not evict its way past the floor either.
-            Err(e @ (AdmissionError::Unsupported | AdmissionError::Degraded)) => Err(e),
-            Err(_) => {
-                let want = priority_of(&spec);
-                // Find victims strictly below the incoming priority, lowest
-                // class first, newest first (cheapest restart).
-                let mut victims: Vec<(Priority, WorkloadId)> = self
-                    .workload_ids()
-                    .into_iter()
-                    .filter_map(|id| {
-                        let p = priority_of(self.spec_of(id)?);
-                        (p < want).then_some((p, id))
-                    })
-                    .collect();
-                victims.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-                let mut evicted = Vec::new();
-                for (_, victim) in victims {
-                    self.finish(victim).expect("victim exists");
-                    evicted.push(victim);
-                    match self.submit(spec.clone()) {
-                        Ok(id) => return Ok(PreemptingAdmission { id, evicted }),
-                        Err(_) => continue,
-                    }
-                }
-                // Nothing (more) to evict. Any evictions already made freed
-                // capacity the incoming workload still could not use, so
-                // the demand shape is the blocker; report the rejection.
-                Err(AdmissionError::NoCapacity)
-            }
-        }
+        let mut evicted = Vec::new();
+        let id = self.submit_preempting(&spec, &mut evicted)?;
+        Ok(PreemptingAdmission { id, evicted })
     }
 }
 

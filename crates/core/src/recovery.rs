@@ -12,8 +12,9 @@
 //! — degrades gracefully by shedding the lowest-priority workloads via
 //! preempting admission. Everything is deterministic for a fixed seed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use socc_hw::dvfs::DvfsDomain;
 use socc_hw::psu::RedundantPsu;
@@ -29,8 +30,8 @@ use crate::detector::{access_links, classify, DetectedClass, HeartbeatMonitor};
 use crate::evacuation::EvacuationPacing;
 use crate::faults::{DomainFault, FailureDomains, FaultEvent, FaultKind, FaultSchedule};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use crate::priority::{priority_of, Priority, PriorityAdmission};
-use crate::telemetry::TelemetrySink;
+use crate::priority::{priority_of, Priority};
+use crate::telemetry::{FtCounter, FtHistogram, FtTelemetry};
 use crate::workload::{WorkloadId, WorkloadSpec};
 
 /// Throughput fraction an enclosure keeps when its PSU envelope drops to
@@ -40,13 +41,13 @@ use crate::workload::{WorkloadId, WorkloadSpec};
 /// single-enclosure brownout path here and the fleet's site-brownout
 /// derating (`crate::fleet`).
 pub fn brownout_throughput_frac(ratio: f64) -> f64 {
-    let dvfs = DvfsDomain::kryo585_prime();
+    // Built once per process: a brownout inside a recovery step then
+    // allocates nothing.
+    static PRIME: OnceLock<DvfsDomain> = OnceLock::new();
+    let dvfs = PRIME.get_or_init(DvfsDomain::kryo585_prime);
     let budget = dvfs.power_at(dvfs.max_opp()) * ratio;
     dvfs.throughput_cap_under_power(budget)
 }
-
-/// Temperature asserted at the BMC while a SoC is thermally tripped.
-const TRIP_TEMP_C: f64 = 105.0;
 
 /// Tuning knobs of the recovery loop.
 #[derive(Debug, Clone)]
@@ -127,6 +128,37 @@ impl FateRecord {
     }
 }
 
+/// A displaced workload awaiting re-placement: original id, spec, fault
+/// time and the class of the fault that displaced it.
+type Displaced = (WorkloadId, WorkloadSpec, SimTime, DetectedClass);
+
+/// The original submission id of each current orchestrator id, indexed by
+/// the current id (ids are counters, so the table is dense). A vacant
+/// entry holds [`AliasTable::VACANT`].
+#[derive(Debug, Default)]
+struct AliasTable(Vec<u64>);
+
+impl AliasTable {
+    const VACANT: u64 = u64::MAX;
+
+    /// Books `current` as an id of the workload submitted as `original`.
+    fn insert(&mut self, current: WorkloadId, original: WorkloadId) {
+        debug_assert_ne!(original.0, Self::VACANT, "id space exhausted");
+        let i = current.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, Self::VACANT);
+        }
+        self.0[i] = original.0;
+    }
+
+    /// Forgets `current`, returning the original id it stood for.
+    fn take(&mut self, current: WorkloadId) -> Option<WorkloadId> {
+        let entry = self.0.get_mut(current.0 as usize)?;
+        let original = std::mem::replace(entry, Self::VACANT);
+        (original != Self::VACANT).then_some(WorkloadId(original))
+    }
+}
+
 enum Action {
     Fault(FaultEvent),
     Domain(DomainFault),
@@ -164,19 +196,24 @@ pub struct RecoveryEngine {
     routing: FailureAwareRouting,
     queue: EventQueue<Action>,
     rng: SimRng,
-    telemetry: TelemetrySink,
+    telemetry: FtTelemetry,
     fates: BTreeMap<WorkloadId, FateRecord>,
     /// Maps the orchestrator's *current* id of a workload to the original
     /// id it was submitted under (migrations re-submit under fresh ids).
-    alias: HashMap<WorkloadId, WorkloadId>,
-    /// Workloads stranded by an instant-death fault, held until detection.
-    pending: Vec<Vec<(WorkloadId, WorkloadSpec)>>,
+    alias: AliasTable,
+    /// Workloads stranded by an instant-death fault, held until detection:
+    /// `(SoC, original id, spec)`, in stranding order.
+    stranded: Vec<(usize, WorkloadId, WorkloadSpec)>,
+    /// Scratch for the workloads a failing SoC hands back.
+    victims: Vec<(WorkloadId, WorkloadSpec)>,
+    /// Scratch for the workloads one detected batch displaces.
+    displaced: Vec<Displaced>,
+    /// Scratch for workload ids: shed candidates, preemption victims.
+    ids: Vec<WorkloadId>,
     /// Scratch for the SoCs one sweep finds overdue.
     overdue: Vec<usize>,
     /// Scratch for the slot ranges one placement attempt avoids.
     avoid: Vec<Range<usize>>,
-    /// SoCs whose BMC temperature must be re-asserted after thermal steps.
-    tripped: Vec<bool>,
     /// Ground-truth fault time per SoC, while it is down.
     down_at: Vec<Option<SimTime>>,
     /// Chassis failure-domain hierarchy (SoC → board → ESB port group).
@@ -212,13 +249,15 @@ impl RecoveryEngine {
             routing,
             queue: EventQueue::new(),
             rng: SimRng::seed(seed).split("recovery-jitter"),
-            telemetry: TelemetrySink::new(),
+            telemetry: FtTelemetry::new(),
             fates: BTreeMap::new(),
-            alias: HashMap::new(),
-            pending: vec![Vec::new(); socs],
-            overdue: Vec::new(),
-            avoid: Vec::new(),
-            tripped: vec![false; socs],
+            alias: AliasTable::default(),
+            stranded: Vec::new(),
+            victims: Vec::new(),
+            displaced: Vec::new(),
+            ids: Vec::with_capacity(16),
+            overdue: Vec::with_capacity(socs),
+            avoid: Vec::with_capacity(domains.port_groups + 1),
             down_at: vec![None; socs],
             horizon: None,
             orch,
@@ -249,8 +288,8 @@ impl RecoveryEngine {
         self.psu
     }
 
-    /// Telemetry sink holding the loop's counters and the MTTR histogram.
-    pub fn telemetry(&self) -> &TelemetrySink {
+    /// The loop's counters and its detection and MTTR histograms.
+    pub fn telemetry(&self) -> &FtTelemetry {
         &self.telemetry
     }
 
@@ -328,6 +367,7 @@ impl RecoveryEngine {
             "RecoveryEngine runs are single-shot"
         );
         self.run_horizon = Some(horizon);
+        self.reserve_for_load();
         for e in &faults.soc {
             self.queue.schedule(e.at, Action::Fault(*e));
         }
@@ -338,6 +378,32 @@ impl RecoveryEngine {
         if first_sweep <= horizon {
             self.queue.schedule(first_sweep, Action::Sweep);
         }
+        // Room for a board's evacuation in flight: retries and repairs.
+        self.queue.reserve(self.displaced.capacity());
+    }
+
+    /// Sizes the step's buffers for the load the run starts with: a SoC's
+    /// worth of victims, a board's worth of stranded and displaced
+    /// workloads (and of queued retries, see [`Self::begin`]), and as
+    /// many re-placement ids again as there are workloads. A step then
+    /// grows a buffer only when faults pile up beyond one board's
+    /// evacuation at a time.
+    fn reserve_for_load(&mut self) {
+        let socs = &self.orch.cluster().socs;
+        let soc_max = socs.iter().map(|s| s.workload_count()).max().unwrap_or(0);
+        let board_max = (0..self.domains.boards)
+            .map(|b| {
+                socs[self.domains.socs_of_board(b)]
+                    .iter()
+                    .map(|s| s.workload_count())
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
+        self.victims.reserve(soc_max);
+        self.stranded.reserve(board_max);
+        self.displaced.reserve(board_max);
+        self.alias.0.reserve(self.orch.active_workloads());
     }
 
     /// Processes the next queued action at or before the horizon. Returns
@@ -387,17 +453,13 @@ impl RecoveryEngine {
         self.finalize(horizon);
     }
 
-    /// Advances the orchestrator, re-asserts trip temperatures the thermal
-    /// model overwrote, and folds completions into the ledger.
+    /// Advances the orchestrator and folds completions into the ledger.
+    /// A thermally tripped SoC keeps reading its trip temperature at the
+    /// BMC across the advance: the trip is a BMC-side override.
     fn advance(&mut self, t: SimTime) {
         self.orch.advance_to(t);
-        for soc in 0..self.tripped.len() {
-            if self.tripped[soc] {
-                self.orch.set_soc_temp(soc, TRIP_TEMP_C);
-            }
-        }
         for id in self.orch.drain_completions() {
-            if let Some(orig) = self.alias.remove(&id) {
+            if let Some(orig) = self.alias.take(id) {
                 if let Some(rec) = self.fates.get_mut(&orig) {
                     if rec.fate == WorkloadFate::Running {
                         rec.fate = WorkloadFate::Completed;
@@ -408,7 +470,7 @@ impl RecoveryEngine {
     }
 
     fn on_fault(&mut self, e: FaultEvent, now: SimTime) {
-        self.telemetry.add("ft.faults_injected", 1);
+        self.telemetry.add(FtCounter::FaultsInjected, 1);
         let soc = e.soc;
         if self.monitor.is_muted(soc) {
             // Already down: the fault changes nothing and records nothing.
@@ -428,16 +490,13 @@ impl RecoveryEngine {
             FaultKind::Flash | FaultKind::Memory => {
                 // Hard death: the SoC powers off instantly; its workloads
                 // are stranded until the detector notices the silence.
-                let victims = self.orch.fail_soc(soc);
-                self.strand(soc, victims, now);
+                self.strand(soc, now);
             }
             FaultKind::ThermalTrip => {
                 // Protective shutdown: same instant power-off, but the BMC
                 // temperature sensor betrays the cause.
-                let victims = self.orch.fail_soc(soc);
-                self.strand(soc, victims, now);
-                self.tripped[soc] = true;
-                self.orch.set_soc_temp(soc, TRIP_TEMP_C);
+                self.strand(soc, now);
+                self.orch.set_thermal_trip(soc, true);
             }
             FaultKind::SocHang => {
                 // The SoC keeps drawing power but serves nothing.
@@ -451,24 +510,24 @@ impl RecoveryEngine {
         }
     }
 
-    /// Resolves victim ids to original ids and parks them until detection.
-    fn strand(&mut self, soc: usize, victims: Vec<(WorkloadId, WorkloadSpec)>, now: SimTime) {
-        let mut parked = Vec::with_capacity(victims.len());
-        for (cur, spec) in victims {
-            let orig = self.alias.remove(&cur).unwrap_or(cur);
+    /// Powers a SoC off at once and parks its workloads, under their
+    /// original ids, until detection.
+    fn strand(&mut self, soc: usize, now: SimTime) {
+        self.orch.fail_soc_into(soc, &mut self.victims);
+        for (cur, spec) in self.victims.drain(..) {
+            let orig = self.alias.take(cur).unwrap_or(cur);
             if let Some(rec) = self.fates.get_mut(&orig) {
                 rec.out_since = Some(now);
             }
-            parked.push((orig, spec));
+            self.stranded.push((soc, orig, spec));
         }
-        self.pending[soc] = parked;
     }
 
     fn on_domain_fault(&mut self, fault: DomainFault, now: SimTime) {
-        self.telemetry.add("ft.domain_faults", 1);
+        self.telemetry.add(FtCounter::DomainFaults, 1);
         match fault {
             DomainFault::BoardDown { board } => {
-                self.telemetry.add("ft.domain.board_down", 1);
+                self.telemetry.add(FtCounter::DomainBoardDown, 1);
                 self.orch.events_mut().record(
                     now,
                     Scope::Fault,
@@ -486,12 +545,11 @@ impl RecoveryEngine {
                     }
                     self.monitor.mute(soc);
                     self.down_at[soc] = Some(now);
-                    let victims = self.orch.fail_soc(soc);
-                    self.strand(soc, victims, now);
+                    self.strand(soc, now);
                 }
             }
             DomainFault::FabricPartition { group, duration } => {
-                self.telemetry.add("ft.domain.partition", 1);
+                self.telemetry.add(FtCounter::DomainPartition, 1);
                 if self.partitioned_groups[group] {
                     return;
                 }
@@ -529,7 +587,7 @@ impl RecoveryEngine {
                     .schedule(now + duration, Action::PartitionHealed(group));
             }
             DomainFault::PowerBrownout { rail, duration } => {
-                self.telemetry.add("ft.domain.brownout", 1);
+                self.telemetry.add(FtCounter::DomainBrownout, 1);
                 self.psu.fail_module();
                 // Derate DVFS to the best OPP the surviving rail affords;
                 // power is superlinear in frequency, so the throughput kept
@@ -579,18 +637,11 @@ impl RecoveryEngine {
             .map(|s| s.spec.cpu.transcode_capacity())
             .sum::<f64>()
             * frac;
-        let mut batch: Vec<WorkloadId> = self
-            .orch
-            .workload_ids()
-            .into_iter()
-            .filter(|&id| {
-                self.orch
-                    .spec_of(id)
-                    .is_some_and(|s| priority_of(s) == Priority::Batch)
-            })
-            .collect();
-        batch.reverse();
-        for id in batch {
+        let mut batch = std::mem::take(&mut self.ids);
+        batch.clear();
+        self.orch
+            .workload_ids_where(&mut batch, |s| priority_of(s) == Priority::Batch);
+        for &id in batch.iter().rev() {
             let used: f64 = self
                 .orch
                 .cluster()
@@ -603,18 +654,19 @@ impl RecoveryEngine {
                 break;
             }
             self.orch.finish(id).expect("listed workload exists");
-            let orig = self.alias.remove(&id).unwrap_or(id);
+            let orig = self.alias.take(id).unwrap_or(id);
             if let Some(rec) = self.fates.get_mut(&orig) {
                 rec.fate = WorkloadFate::Shed;
                 rec.out_since = Some(now);
             }
-            self.telemetry.add("ft.workloads_shed", 1);
+            self.telemetry.add(FtCounter::WorkloadsShed, 1);
             self.orch.events_mut().record(
                 now,
                 Scope::Recovery,
                 EventKind::WorkloadShed { workload: orig.0 },
             );
         }
+        self.ids = batch;
     }
 
     fn on_partition_healed(&mut self, group: usize, now: SimTime) {
@@ -631,7 +683,7 @@ impl RecoveryEngine {
                 self.return_to_service(soc, now);
             }
         }
-        self.telemetry.add("ft.partitions_healed", 1);
+        self.telemetry.add(FtCounter::PartitionsHealed, 1);
         self.orch.events_mut().record(
             now,
             Scope::Recovery,
@@ -646,7 +698,7 @@ impl RecoveryEngine {
         if self.psu.fully_redundant() {
             self.orch.set_admission_floor(None);
         }
-        self.telemetry.add("ft.brownouts_ended", 1);
+        self.telemetry.add(FtCounter::BrownoutsEnded, 1);
         self.orch.events_mut().record(
             now,
             Scope::Recovery,
@@ -690,17 +742,24 @@ impl RecoveryEngine {
     /// Detects and remediates a batch of silent SoCs on one board, then
     /// re-places every displaced workload in one priority-sorted pass.
     fn detect_batch(&mut self, board: usize, socs: &[usize], now: SimTime) {
-        let mut displaced: Vec<(WorkloadId, WorkloadSpec, SimTime, DetectedClass)> = Vec::new();
+        let mut displaced = std::mem::take(&mut self.displaced);
         for &soc in socs {
             // Classify BEFORE taking the SoC out of service: a hung SoC is
             // distinguishable from a crashed one only while it still draws
             // power.
-            let class = classify(self.orch.cluster_mut(), &self.routing, &self.fabric, soc);
+            let class = classify(
+                self.orch.cluster_mut(),
+                &mut self.routing,
+                &self.fabric,
+                soc,
+            );
             let fault_at = self.down_at[soc].unwrap_or(now);
-            self.telemetry.add("ft.faults_detected", 1);
-            self.telemetry.add(class.detected_metric(), 1);
-            self.telemetry
-                .observe("ft.detection_ms", now.since(fault_at).as_millis_f64());
+            self.telemetry.add(FtCounter::FaultsDetected, 1);
+            self.telemetry.detected(class);
+            self.telemetry.observe(
+                FtHistogram::DetectionMs,
+                now.since(fault_at).as_millis_f64(),
+            );
             self.orch.events_mut().record(
                 now,
                 Scope::Detector,
@@ -719,20 +778,30 @@ impl RecoveryEngine {
                 // it keeps serving its local work behind the dark port
                 // group. Nothing to evacuate; the heal is already
                 // scheduled from the fault event.
-                self.telemetry.add("ft.partitions_detected", 1);
+                self.telemetry.add(FtCounter::PartitionsDetected, 1);
                 continue;
             }
             // Take over whatever was stranded at fault time (crash/trip)
-            // or is still nominally placed (hang/link loss).
-            let mut victims = std::mem::take(&mut self.pending[soc]);
-            if victims.is_empty() {
-                let fresh = self.orch.fail_soc(soc);
-                for (cur, spec) in fresh {
-                    let orig = self.alias.remove(&cur).unwrap_or(cur);
+            // or is still nominally placed (hang/link loss). The batch is
+            // sorted below, so the order they join it in does not matter.
+            let before = displaced.len();
+            let mut i = 0;
+            while i < self.stranded.len() {
+                if self.stranded[i].0 == soc {
+                    let (_, orig, spec) = self.stranded.remove(i);
+                    displaced.push((orig, spec, fault_at, class));
+                } else {
+                    i += 1;
+                }
+            }
+            if displaced.len() == before {
+                self.orch.fail_soc_into(soc, &mut self.victims);
+                for (cur, spec) in self.victims.drain(..) {
+                    let orig = self.alias.take(cur).unwrap_or(cur);
                     if let Some(rec) = self.fates.get_mut(&orig) {
                         rec.out_since = Some(fault_at);
                     }
-                    victims.push((orig, spec));
+                    displaced.push((orig, spec, fault_at, class));
                 }
             }
             // Schedule remediation for recoverable classes.
@@ -747,7 +816,7 @@ impl RecoveryEngine {
                     ));
                     let _ = self.orch.bmc_frame(&off);
                     self.orch.apply_bmc_state_changes();
-                    self.telemetry.add("ft.power_cycles", 1);
+                    self.telemetry.add(FtCounter::PowerCycles, 1);
                     self.orch.events_mut().record(
                         now,
                         Scope::Recovery,
@@ -759,7 +828,7 @@ impl RecoveryEngine {
                     );
                 }
                 DetectedClass::ThermalTrip => {
-                    self.telemetry.add("ft.cooldowns", 1);
+                    self.telemetry.add(FtCounter::Cooldowns, 1);
                     self.orch.events_mut().record(
                         now,
                         Scope::Recovery,
@@ -771,7 +840,7 @@ impl RecoveryEngine {
                     );
                 }
                 DetectedClass::LinkLoss => {
-                    self.telemetry.add("ft.link_repairs", 1);
+                    self.telemetry.add(FtCounter::LinkRepairs, 1);
                     self.orch.events_mut().record(
                         now,
                         Scope::Recovery,
@@ -783,12 +852,10 @@ impl RecoveryEngine {
                     );
                 }
             }
-            for (orig, spec) in victims {
-                displaced.push((orig, spec, fault_at, class));
-            }
         }
-        // Re-place victims, most important first; ties in id order.
-        displaced.sort_by(|a, b| {
+        // Re-place victims, most important first; ties in id order. Ids
+        // are unique, so the unstable sort orders exactly as a stable one.
+        displaced.sort_unstable_by(|a, b| {
             priority_of(&b.1)
                 .cmp(&priority_of(&a.1))
                 .then(a.0.cmp(&b.0))
@@ -804,7 +871,7 @@ impl RecoveryEngine {
         if let Some(offsets) = &offsets {
             let held = offsets.iter().filter(|&&d| d > SimDuration::ZERO).count() as u64;
             if held > 0 {
-                self.telemetry.add("ft.evacuations_paced", held);
+                self.telemetry.add(FtCounter::EvacuationsPaced, held);
                 self.orch.events_mut().record(
                     now,
                     Scope::Recovery,
@@ -812,7 +879,7 @@ impl RecoveryEngine {
                 );
             }
         }
-        for (i, (orig, spec, fault_at, class)) in displaced.into_iter().enumerate() {
+        for (i, (orig, spec, fault_at, class)) in displaced.drain(..).enumerate() {
             let delay = offsets.as_ref().map_or(SimDuration::ZERO, |o| o[i]);
             if delay > SimDuration::ZERO {
                 self.queue.schedule(
@@ -830,6 +897,7 @@ impl RecoveryEngine {
                 self.try_place(orig, spec, fault_at, 1, now, Some(board), class);
             }
         }
+        self.displaced = displaced;
     }
 
     fn backoff(&mut self, attempt: u32) -> SimDuration {
@@ -854,7 +922,9 @@ impl RecoveryEngine {
     /// counts from 1 (the immediate post-detection try). Partitioned port
     /// groups are avoided unconditionally; `from_board` is a *soft*
     /// anti-affinity — preferred off-board, but falling back to the home
-    /// board beats shedding someone else's work.
+    /// board beats shedding someone else's work. The orchestrator copies
+    /// `spec` only if it admits it; otherwise the spec moves on to the
+    /// retry.
     #[allow(clippy::too_many_arguments)]
     fn try_place(
         &mut self,
@@ -867,7 +937,7 @@ impl RecoveryEngine {
         class: DetectedClass,
     ) {
         if attempt > 1 {
-            self.telemetry.add("ft.retries", 1);
+            self.telemetry.add(FtCounter::Retries, 1);
         }
         // The hard ranges first, then the home board's.
         let mut avoid = std::mem::take(&mut self.avoid);
@@ -877,23 +947,18 @@ impl RecoveryEngine {
         if let Some(board) = from_board {
             avoid.push(self.domains.socs_of_board(board));
         }
-        let placed = if avoid.is_empty() {
-            self.orch.submit(spec.clone())
-        } else {
-            match self.orch.submit_avoiding(spec.clone(), &avoid) {
-                Err(crate::AdmissionError::NoCapacity) if from_board.is_some() => {
-                    let fallback = if hard == 0 {
-                        self.orch.submit(spec.clone())
-                    } else {
-                        self.orch.submit_avoiding(spec.clone(), &avoid[..hard])
-                    };
-                    if fallback.is_ok() {
-                        self.telemetry.add("ft.anti_affinity_fallbacks", 1);
-                    }
-                    fallback
+        fn nonempty(ranges: &[Range<usize>]) -> Option<&[Range<usize>]> {
+            (!ranges.is_empty()).then_some(ranges)
+        }
+        let placed = match self.orch.submit_clone(&spec, nonempty(&avoid)) {
+            Err(crate::AdmissionError::NoCapacity) if from_board.is_some() => {
+                let fallback = self.orch.submit_clone(&spec, nonempty(&avoid[..hard]));
+                if fallback.is_ok() {
+                    self.telemetry.add(FtCounter::AntiAffinityFallbacks, 1);
                 }
-                other => other,
+                fallback
             }
+            other => other,
         };
         self.avoid = avoid;
         match placed {
@@ -923,29 +988,30 @@ impl RecoveryEngine {
             Err(_) => {
                 // Retry budget exhausted: degrade gracefully by shedding
                 // strictly-lower-priority work, or declare the loss.
-                match self.orch.submit_with_preemption(spec.clone()) {
-                    Ok(adm) => {
-                        for victim in adm.evicted {
-                            let orig = self.alias.remove(&victim).unwrap_or(victim);
+                let mut evicted = std::mem::take(&mut self.ids);
+                match self.orch.submit_preempting(&spec, &mut evicted) {
+                    Ok(new_id) => {
+                        for &victim in &evicted {
+                            let orig = self.alias.take(victim).unwrap_or(victim);
                             if let Some(rec) = self.fates.get_mut(&orig) {
                                 rec.fate = WorkloadFate::Shed;
                                 rec.out_since = Some(now);
                             }
-                            self.telemetry.add("ft.workloads_shed", 1);
+                            self.telemetry.add(FtCounter::WorkloadsShed, 1);
                             self.orch.events_mut().record(
                                 now,
                                 Scope::Recovery,
                                 EventKind::WorkloadShed { workload: orig.0 },
                             );
                         }
-                        self.settle(original, adm.id, fault_at, now, class);
+                        self.settle(original, new_id, fault_at, now, class);
                     }
                     Err(_) => {
                         if let Some(rec) = self.fates.get_mut(&original) {
                             rec.fate = WorkloadFate::Lost;
                             rec.out_since = rec.out_since.or(Some(fault_at));
                         }
-                        self.telemetry.add("ft.workloads_lost", 1);
+                        self.telemetry.add(FtCounter::WorkloadsLost, 1);
                         self.orch.events_mut().record(
                             now,
                             Scope::Recovery,
@@ -955,6 +1021,7 @@ impl RecoveryEngine {
                         );
                     }
                 }
+                self.ids = evicted;
             }
         }
     }
@@ -976,10 +1043,10 @@ impl RecoveryEngine {
             rec.out_since = None;
             rec.migrations += 1;
         }
-        self.telemetry.add("ft.migrations", 1);
-        self.telemetry.observe("ft.mttr_ms", outage.as_millis_f64());
+        self.telemetry.add(FtCounter::Migrations, 1);
         self.telemetry
-            .observe(class.mttr_metric(), outage.as_millis_f64());
+            .observe(FtHistogram::MttrMs, outage.as_millis_f64());
+        self.telemetry.observe_mttr(class, outage.as_millis_f64());
         let target = self.orch.placement_of(new_id).unwrap_or(usize::MAX);
         self.orch.events_mut().record(
             now,
@@ -1003,7 +1070,7 @@ impl RecoveryEngine {
     }
 
     fn on_cooldown_done(&mut self, soc: usize, now: SimTime) {
-        self.tripped[soc] = false;
+        self.orch.set_thermal_trip(soc, false);
         self.orch.set_soc_temp(soc, 40.0);
         self.orch.restore_soc(soc);
         self.return_to_service(soc, now);
@@ -1024,7 +1091,7 @@ impl RecoveryEngine {
     fn return_to_service(&mut self, soc: usize, now: SimTime) {
         self.down_at[soc] = None;
         self.monitor.clear(soc, now);
-        self.telemetry.add("ft.socs_restored", 1);
+        self.telemetry.add(FtCounter::SocsRestored, 1);
     }
 
     /// Closes the books at the horizon: anything still out of service eats
@@ -1036,7 +1103,7 @@ impl RecoveryEngine {
                 rec.downtime += horizon.saturating_since(since);
                 if rec.fate == WorkloadFate::Running {
                     rec.fate = WorkloadFate::Lost;
-                    self.telemetry.add("ft.workloads_lost", 1);
+                    self.telemetry.add(FtCounter::WorkloadsLost, 1);
                 }
             }
         }
@@ -1115,6 +1182,46 @@ mod tests {
     }
 
     #[test]
+    fn tripped_soc_reads_trip_temperature_until_cooldown() {
+        let mut eng = engine(3);
+        eng.submit(live_v1()).unwrap();
+        let schedule = FaultSchedule {
+            soc: vec![fault(10, 0, FaultKind::ThermalTrip)],
+            domain: Vec::new(),
+        };
+        eng.begin(&schedule, SimTime::from_secs(300));
+        let read_dc = |eng: &mut RecoveryEngine| {
+            let frame = encode_command(BmcCommand::ReadSocTemp(0));
+            match eng.orch.bmc_frame(&frame) {
+                Ok(crate::bmc::BmcResponse::TempDc(dc)) => dc,
+                other => panic!("unexpected BMC answer {other:?}"),
+            }
+        };
+        let (mut tripped_steps, mut cooled_steps) = (0, 0);
+        while eng.step() {
+            let now = eng.orchestrator().now();
+            let dc = read_dc(&mut eng);
+            // The override is the BMC's: the thermal model itself never
+            // reaches the trip point.
+            assert!(eng.orchestrator().cluster().temperature_c(0) < 95.0);
+            if now < SimTime::from_secs(10) {
+                assert!(dc < 950, "{dc} before the trip at {now}");
+            } else if !eng.orchestrator().cluster().socs[0].healthy {
+                assert_eq!(dc, 1050, "trip temperature lost at {now}");
+                tripped_steps += 1;
+            } else {
+                assert!(dc < 950, "{dc} after the cooldown at {now}");
+                cooled_steps += 1;
+            }
+        }
+        eng.finish();
+        // Detection at ~14 s, a 60 s cooldown: a minute of sweeps tripped.
+        assert!(tripped_steps >= 60, "{tripped_steps} tripped steps");
+        assert!(cooled_steps > 0, "the SoC never came back");
+        assert_eq!(eng.telemetry().counter("ft.cooldowns"), 1);
+    }
+
+    #[test]
     fn link_loss_is_classified_and_repaired() {
         let mut eng = engine(4);
         eng.submit(live_v1()).unwrap();
@@ -1125,7 +1232,7 @@ mod tests {
         assert_eq!(eng.telemetry().counter("ft.detected.link_loss"), 1);
         assert_eq!(eng.telemetry().counter("ft.link_repairs"), 1);
         assert!(eng.orchestrator().cluster().socs[0].healthy);
-        assert!(eng.routing.failed().is_empty());
+        assert!(eng.routing.failed().next().is_none());
     }
 
     #[test]
@@ -1340,7 +1447,10 @@ mod tests {
             .all(|r| r.fate == WorkloadFate::Running));
         assert_eq!(eng.availability(), 1.0, "local work never stopped");
         assert!(eng.orchestrator().cluster().socs.iter().all(|s| s.healthy));
-        assert!(eng.routing.failed().is_empty(), "uplinks repaired at heal");
+        assert!(
+            eng.routing.failed().next().is_none(),
+            "uplinks repaired at heal"
+        );
     }
 
     #[test]

@@ -43,12 +43,12 @@
 //! steps. SoC/component energies are exact in both modes; total and
 //! chassis energy agree within [`FAN_ENERGY_REL_TOL`].
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use socc_hw::calib::SOCS_PER_PCB;
 use socc_hw::ledger::Component;
 use socc_net::tcp::TcpModel;
+use socc_sim::hash::IdMap;
 use socc_sim::rng::SimRng;
 use socc_sim::time::SimTime;
 use socc_sim::units::{DataRate, DataSize};
@@ -446,7 +446,7 @@ struct FarmRun<'a> {
     schedule: &'a FarmSchedule,
     orch: Orchestrator,
     state: Vec<SessionState>,
-    by_id: HashMap<WorkloadId, u32>,
+    by_id: IdMap<WorkloadId, u32>,
     /// Running Σ live PSNR (dB) over active sessions.
     psnr_sum: f64,
     /// Running Σ egress bitrate (Mbps) over active sessions.
@@ -693,7 +693,7 @@ pub fn run_farm(
         schedule,
         orch,
         state: vec![SessionState::Pending; schedule.sessions.len()],
-        by_id: HashMap::with_capacity(1024),
+        by_id: IdMap::with_capacity_and_hasher(1024, Default::default()),
         psnr_sum: 0.0,
         egress_sum: 0.0,
         active: 0,

@@ -195,13 +195,22 @@ impl EnergyLedger {
         self.rail_of_board(self.board_of_soc(soc))
     }
 
+    /// Books `dt > 0` seconds of a SoC's current breakdown, one
+    /// component after another in metering order.
+    fn book_soc(&mut self, soc: usize, dt: f64) {
+        let p = self.soc_power[soc];
+        let e = &mut self.soc_energy[soc];
+        e[Component::Cpu as usize] += p.cpu.as_watts() * dt;
+        e[Component::Codec as usize] += p.codec.as_watts() * dt;
+        e[Component::Gpu as usize] += p.gpu.as_watts() * dt;
+        e[Component::Dsp as usize] += p.dsp.as_watts() * dt;
+        e[Component::Memory as usize] += p.memory.as_watts() * dt;
+    }
+
     fn integrate_soc(&mut self, soc: usize, t: SimTime) {
         let dt = t.since(self.soc_last_t[soc]).as_secs_f64();
         if dt > 0.0 {
-            let p = self.soc_power[soc];
-            for c in Component::ALL {
-                self.soc_energy[soc][c as usize] += p.get(c).as_watts() * dt;
-            }
+            self.book_soc(soc, dt);
         }
         self.soc_last_t[soc] = t;
     }
@@ -364,16 +373,36 @@ impl EnergyLedger {
     /// then chassis; rails in order) and the returned error are bit-equal
     /// to the two-call form.
     ///
+    /// The SoCs mostly share one timestamp, the previous tick's, so an
+    /// interval is converted to seconds once per run of SoCs that share
+    /// its start. The conversion is a pure function of the two instants,
+    /// so reusing it leaves every bit as converting per SoC does.
+    ///
     /// # Panics
     ///
     /// Panics if `t` precedes any meter's previous timestamp.
     pub fn advance_verified(&mut self, t: SimTime, rel_tol: f64) -> Result<(), f64> {
-        let socs: f64 = (0..self.socs())
-            .map(|soc| {
-                self.integrate_soc(soc, t);
-                self.soc_energy[soc].iter().sum::<f64>()
-            })
-            .sum();
+        let mut socs = 0.0;
+        let mut interval: Option<(SimTime, f64)> = None;
+        for soc in 0..self.socs() {
+            let since = self.soc_last_t[soc];
+            let dt = match interval {
+                Some((start, dt)) if start == since => dt,
+                _ => {
+                    let dt = t.since(since).as_secs_f64();
+                    interval = Some((since, dt));
+                    dt
+                }
+            };
+            if dt > 0.0 {
+                self.book_soc(soc, dt);
+            }
+            self.soc_last_t[soc] = t;
+            // Energies are never `-0.0`, so this left-to-right sum is
+            // bit-equal to `iter().sum()` whatever zero that starts from.
+            let [cpu, codec, gpu, dsp, memory] = self.soc_energy[soc];
+            socs += cpu + codec + gpu + dsp + memory;
+        }
         let supply: f64 = (0..self.rails)
             .map(|rail| {
                 self.integrate_rail(rail, t);

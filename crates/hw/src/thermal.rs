@@ -125,29 +125,37 @@ impl ThermalBank {
     }
 
     /// Advances every node by `dt`, node `i` dissipating `power[i]`, at one
-    /// fan duty. Calls `each(i, temperature)` with every new temperature in
-    /// slot order and returns the hottest (`-inf` for an empty bank).
+    /// fan duty, and returns the hottest new temperature (`-inf` for an
+    /// empty bank). The new temperatures are [`Self::temperatures_c`].
     ///
     /// # Panics
     ///
     /// Panics unless there is one power per node.
-    pub fn step(
-        &mut self,
-        dt: SimDuration,
-        power: &[Power],
-        fan_duty: f64,
-        mut each: impl FnMut(usize, f64),
-    ) -> f64 {
+    pub fn step(&mut self, dt: SimDuration, power: &[Power], fan_duty: f64) -> f64 {
         assert_eq!(power.len(), self.temperatures_c.len(), "one power per node");
         let (r, alpha) = self.model.decay(dt, fan_duty);
-        let mut hottest = f64::NEG_INFINITY;
-        for (i, (t, &p)) in self.temperatures_c.iter_mut().zip(power).enumerate() {
+        for (t, &p) in self.temperatures_c.iter_mut().zip(power) {
             *t = self.model.relax(*t, p, r, alpha);
-            hottest = hottest.max(*t);
-            each(i, *t);
         }
-        hottest
+        hottest(&self.temperatures_c)
     }
+}
+
+/// The largest of `temps` (`-inf` for none), from four running maxima that
+/// do not wait on each other. `max` is exact and ignores order, so the
+/// result is bit-equal to one maximum folded in slot order.
+fn hottest(temps: &[f64]) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let mut quads = temps.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &t) in lanes.iter_mut().zip(quad) {
+            *lane = lane.max(t);
+        }
+    }
+    for &t in quads.remainder() {
+        lanes[0] = lanes[0].max(t);
+    }
+    lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]))
 }
 
 /// Proportional fan controller with hysteresis-free duty mapping.

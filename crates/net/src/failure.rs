@@ -5,14 +5,17 @@
 //! link set, and `FlowNet::fail_link` reroutes live traffic, reporting the
 //! flows that became unreachable.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+
+use socc_sim::hash::{IdMap, IdSet};
 
 use crate::topology::{LinkId, NodeId, Topology};
 
 /// Routing that avoids a set of failed links.
 #[derive(Debug, Clone, Default)]
 pub struct FailureAwareRouting {
-    failed: HashSet<LinkId>,
+    /// Bit `l % 64` of word `l / 64` is set while link `l` is failed.
+    failed: Vec<u64>,
     /// Adjacency cached by [`attach`](Self::attach): outgoing
     /// `(neighbor, link)` pairs per node, in link-id order (the same order
     /// the uncached path visits neighbors in). Failed links stay in the
@@ -22,6 +25,14 @@ pub struct FailureAwareRouting {
     /// Link count of the attached topology; guards against using the
     /// cache with a topology it was not built from.
     cached_links: usize,
+    /// Scratch of [`reaches`](Self::reaches): a node is visited in the
+    /// current search when its stamp equals `epoch`, so a search starts
+    /// by bumping `epoch` instead of clearing anything.
+    visited: Vec<u32>,
+    epoch: u32,
+    /// Scratch of [`reaches`](Self::reaches): the search's FIFO, read
+    /// from a moving head.
+    frontier: Vec<NodeId>,
 }
 
 impl FailureAwareRouting {
@@ -43,6 +54,11 @@ impl FailureAwareRouting {
             self.adjacency[l.src.0 as usize].push((l.dst, id));
         }
         self.cached_links = topo.link_count();
+        self.visited.clear();
+        self.visited.resize(topo.node_count(), 0);
+        self.epoch = 0;
+        self.frontier = Vec::with_capacity(topo.node_count());
+        self.failed.resize(topo.link_count().div_ceil(64), 0);
     }
 
     fn cache_matches(&self, topo: &Topology) -> bool {
@@ -53,22 +69,75 @@ impl FailureAwareRouting {
 
     /// Marks a link failed. Returns `true` if it was previously healthy.
     pub fn fail(&mut self, link: LinkId) -> bool {
-        self.failed.insert(link)
+        let (word, bit) = (link.0 as usize / 64, 1u64 << (link.0 % 64));
+        if word >= self.failed.len() {
+            self.failed.resize(word + 1, 0);
+        }
+        let was_healthy = self.failed[word] & bit == 0;
+        self.failed[word] |= bit;
+        was_healthy
     }
 
     /// Restores a link. Returns `true` if it was failed.
     pub fn repair(&mut self, link: LinkId) -> bool {
-        self.failed.remove(&link)
+        let was_failed = !self.usable(link);
+        if was_failed {
+            self.failed[link.0 as usize / 64] &= !(1u64 << (link.0 % 64));
+        }
+        was_failed
     }
 
-    /// Currently failed links.
-    pub fn failed(&self) -> &HashSet<LinkId> {
-        &self.failed
+    /// Currently failed links, ascending.
+    pub fn failed(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.failed.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word & (1u64 << b) != 0)
+                .map(move |b| LinkId((w * 64 + b) as u32))
+        })
     }
 
     /// Returns `true` if the link is usable.
     pub fn usable(&self, link: LinkId) -> bool {
-        !self.failed.contains(&link)
+        is_usable(&self.failed, link)
+    }
+
+    /// Whether [`route`](Self::route) would find a path from `src` to
+    /// `dst`: the same breadth-first search over the attached adjacency,
+    /// in the same visit order, without recording the path. Visited marks
+    /// are stamps kept between calls, so a query allocates nothing once
+    /// its buffers have grown. Without an attached topology it asks
+    /// [`route`](Self::route).
+    pub fn reaches(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> bool {
+        if src == dst {
+            return true;
+        }
+        if !self.cache_matches(topo) {
+            return self.route(topo, src, dst).is_some();
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.visited.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.visited[src.0 as usize] = epoch;
+        self.frontier.clear();
+        self.frontier.push(src);
+        let mut head = 0;
+        while let Some(&n) = self.frontier.get(head) {
+            head += 1;
+            for &(next, link) in &self.adjacency[n.0 as usize] {
+                if !is_usable(&self.failed, link) || self.visited[next.0 as usize] == epoch {
+                    continue;
+                }
+                if next == dst {
+                    return true;
+                }
+                self.visited[next.0 as usize] = epoch;
+                self.frontier.push(next);
+            }
+        }
+        false
     }
 
     /// BFS route avoiding failed links, or `None` if disconnected.
@@ -96,7 +165,7 @@ impl FailureAwareRouting {
             rebuilt = a;
             &rebuilt
         };
-        let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
+        let mut prev: IdMap<NodeId, (NodeId, LinkId)> = IdMap::default();
         let mut queue = VecDeque::from([src]);
         while let Some(n) = queue.pop_front() {
             for &(next, link) in &adjacency[n.0 as usize] {
@@ -124,10 +193,11 @@ impl FailureAwareRouting {
     }
 
     /// Nodes reachable from `src` over healthy links (including `src`).
-    pub fn reachable(&self, topo: &Topology, src: NodeId) -> HashSet<NodeId> {
-        let mut seen: HashSet<NodeId> = HashSet::from([src]);
+    pub fn reachable(&self, topo: &Topology, src: NodeId) -> IdSet<NodeId> {
+        let mut seen: IdSet<NodeId> = IdSet::default();
+        seen.insert(src);
         let mut queue = VecDeque::from([src]);
-        let mut adjacency: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let mut adjacency: IdMap<NodeId, Vec<NodeId>> = IdMap::default();
         for i in 0..topo.link_count() as u32 {
             let id = LinkId(i);
             if self.usable(id) {
@@ -146,6 +216,14 @@ impl FailureAwareRouting {
         }
         seen
     }
+}
+
+/// [`FailureAwareRouting::usable`] on the bitset alone, for loops that
+/// hold other fields of the routing state.
+fn is_usable(failed: &[u64], link: LinkId) -> bool {
+    failed
+        .get(link.0 as usize / 64)
+        .is_none_or(|word| word & (1u64 << (link.0 % 64)) == 0)
 }
 
 #[cfg(test)]

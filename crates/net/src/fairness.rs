@@ -20,8 +20,12 @@
 //!   bottleneck certificate (see `DESIGN.md`). Scratch buffers are reused,
 //!   so steady-state updates allocate nothing.
 
+// `max_min_fair` is the reference oracle: it keeps std's `HashMap`, which
+// the simulated paths may not use.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 
+use socc_sim::hash::IdMap;
 use socc_sim::units::DataRate;
 
 use crate::topology::LinkId;
@@ -48,6 +52,7 @@ pub struct FlowDemand {
 /// - demand: `rate[f] <= demand[f]`;
 /// - max-min fairness: a flow's rate can only be below another's if the
 ///   former is bottlenecked on a saturated link.
+#[allow(clippy::disallowed_types)]
 pub fn max_min_fair(flows: &[FlowDemand], capacity: &HashMap<LinkId, DataRate>) -> Vec<DataRate> {
     let elastic_ceiling = DataRate::gbps(1000.0);
     let n = flows.len();
@@ -204,7 +209,7 @@ const NO_ROUTE: u32 = u32::MAX;
 struct RouteTable {
     spans: Vec<(u32, u32)>,
     links: Vec<u32>,
-    dedup: HashMap<Vec<u32>, u32>,
+    dedup: IdMap<Vec<u32>, u32>,
     key_scratch: Vec<u32>,
 }
 
@@ -753,6 +758,7 @@ impl FairnessState {
     /// handed to the allocator. Infinite when `flows` names a freed slot
     /// or does not cover every live flow, i.e. the allocator holds a slot
     /// the caller forgot to free.
+    #[allow(clippy::disallowed_types)] // the oracle's input
     pub fn drift_over(&self, flows: impl IntoIterator<Item = (FlowKey, Option<DataRate>)>) -> f64 {
         let capacity: HashMap<LinkId, DataRate> = self
             .capacity
@@ -784,6 +790,7 @@ impl FairnessState {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
 

@@ -21,10 +21,11 @@
 //! model's goodput factor. `socc-bench`'s `netvalidate` module drives the
 //! cross-validation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use socc_sim::event::EventQueue;
+use socc_sim::hash::IdMap;
 use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::{DataRate, DataSize};
@@ -121,7 +122,7 @@ struct FlowState {
     /// Current route as link indices, head = first hop.
     route: Vec<u32>,
     /// Forwarding table: node index → outgoing link on the current route.
-    next_link: HashMap<u32, u32>,
+    next_link: IdMap<u32, u32>,
     /// Unloaded path RTT (propagation both ways + per-hop serialization).
     base_rtt: SimDuration,
     /// Delivery-to-ACK delay (reverse-path propagation; ACK bandwidth is
@@ -148,7 +149,7 @@ struct FlowState {
 struct PortState {
     /// Per-flow FIFO lanes. Iterated only through `rr`, never by map
     /// order, so runs are deterministic.
-    lanes: HashMap<u64, VecDeque<(u64, bool)>>,
+    lanes: IdMap<u64, VecDeque<(u64, bool)>>,
     /// Round-robin service order over flows with a non-empty lane.
     rr: VecDeque<u64>,
     /// Packets across all lanes (shared-buffer occupancy).
@@ -184,7 +185,7 @@ pub struct PacketNet {
     config: PacketConfig,
     queue: EventQueue<Ev>,
     ports: Vec<PortState>,
-    flows: HashMap<u64, FlowState>,
+    flows: IdMap<u64, FlowState>,
     flow_order: Vec<u64>,
     next_id: u64,
     now: SimTime,
@@ -211,7 +212,7 @@ impl PacketNet {
             config,
             queue: EventQueue::new(),
             ports,
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             flow_order: Vec::new(),
             next_id: 0,
             now: SimTime::ZERO,
@@ -320,8 +321,8 @@ impl PacketNet {
     }
 
     /// Forwarding table, unloaded RTT and ACK return delay for a route.
-    fn route_tables(&self, links: &[u32]) -> (HashMap<u32, u32>, SimDuration, SimDuration) {
-        let mut next_link = HashMap::with_capacity(links.len());
+    fn route_tables(&self, links: &[u32]) -> (IdMap<u32, u32>, SimDuration, SimDuration) {
+        let mut next_link = IdMap::with_capacity_and_hasher(links.len(), Default::default());
         let mut wire_sum = SimDuration::ZERO;
         for &l in links {
             let link = self.topology.link(LinkId(l));

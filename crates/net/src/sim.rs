@@ -26,7 +26,7 @@
 //! warmed up. Only link failure/repair falls back to BFS rerouting and a
 //! full recompute.
 
-use std::collections::HashMap;
+use socc_sim::hash::IdMap;
 
 use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
@@ -93,8 +93,8 @@ pub struct FlowNet {
     topology: Topology,
     tcp: TcpModel,
     now: SimTime,
-    streams: HashMap<StreamId, StreamState>,
-    transfers: HashMap<TransferId, TransferState>,
+    streams: IdMap<StreamId, StreamState>,
+    transfers: IdMap<TransferId, TransferState>,
     next_id: u64,
     stream_order: Vec<StreamId>,
     transfer_order: Vec<TransferId>,
@@ -102,7 +102,7 @@ pub struct FlowNet {
     fairness: FairnessState,
     /// `(src, dst)` → interned route, invalidated on fail/repair. `None`
     /// caches unreachability so repeated misses stay cheap too.
-    route_cache: HashMap<(u32, u32), Option<RouteId>>,
+    route_cache: IdMap<(u32, u32), Option<RouteId>>,
     scratch_done: Vec<TransferId>,
     /// Typed event log (flow/transfer/link lifecycle). Disabled by default
     /// so the allocation-free hot paths pay a single branch per site.
@@ -121,14 +121,14 @@ impl FlowNet {
             topology,
             tcp,
             now: SimTime::ZERO,
-            streams: HashMap::new(),
-            transfers: HashMap::new(),
+            streams: IdMap::default(),
+            transfers: IdMap::default(),
             next_id: 0,
             stream_order: Vec::new(),
             transfer_order: Vec::new(),
             routing,
             fairness: FairnessState::new(capacity),
-            route_cache: HashMap::new(),
+            route_cache: IdMap::default(),
             scratch_done: Vec::new(),
             events: EventLog::disabled(),
         }
@@ -426,7 +426,7 @@ impl FlowNet {
     /// on each call; only links with nonzero load appear. (Reporting API:
     /// the returned map allocates, [`link_utilization`](Self::link_utilization)
     /// does not.)
-    pub fn link_load(&self) -> HashMap<LinkId, DataRate> {
+    pub fn link_load(&self) -> IdMap<LinkId, DataRate> {
         let mut load = vec![0.0; self.topology.link_count()];
         self.for_each_load(|l, rate| load[l as usize] += rate);
         load.iter()

@@ -6,7 +6,9 @@
 //! ports. [`Topology::soc_cluster`] builds exactly that fabric; arbitrary
 //! topologies can be built with [`Topology::new`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use socc_sim::hash::IdMap;
 
 use socc_sim::units::DataRate;
 
@@ -49,7 +51,9 @@ pub struct Link {
 pub struct Topology {
     nodes: Vec<NodeKind>,
     links: Vec<Link>,
-    adjacency: HashMap<NodeId, Vec<(NodeId, LinkId)>>,
+    /// Outgoing `(neighbor, link)` pairs of each node, indexed by node id,
+    /// in link-id order.
+    adjacency: Vec<Vec<(NodeId, LinkId)>>,
 }
 
 impl Topology {
@@ -62,6 +66,7 @@ impl Topology {
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(kind);
+        self.adjacency.push(Vec::new());
         id
     }
 
@@ -75,7 +80,7 @@ impl Topology {
         assert!((dst.0 as usize) < self.nodes.len(), "unknown dst node");
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link { src, dst, capacity });
-        self.adjacency.entry(src).or_default().push((dst, id));
+        self.adjacency[src.0 as usize].push((dst, id));
         id
     }
 
@@ -119,10 +124,10 @@ impl Topology {
         if src == dst {
             return Some(Vec::new());
         }
-        let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
+        let mut prev: IdMap<NodeId, (NodeId, LinkId)> = IdMap::default();
         let mut queue = VecDeque::from([src]);
         while let Some(n) = queue.pop_front() {
-            if let Some(neighbors) = self.adjacency.get(&n) {
+            if let Some(neighbors) = self.adjacency.get(n.0 as usize) {
                 for &(next, link) in neighbors {
                     if next != src && !prev.contains_key(&next) {
                         prev.insert(next, (n, link));
@@ -171,16 +176,17 @@ impl ClusterFabric {
     /// severs the whole board's path to the fabric while every SoC's own
     /// access link stays up — the board-level blast radius of the
     /// failure-domain model.
-    pub fn uplinks_of_pcb(&self, pcb: usize) -> Vec<LinkId> {
+    pub fn uplinks_of_pcb(&self, pcb: usize) -> [LinkId; 2] {
         let node = self.pcbs[pcb];
-        (0..self.topology.link_count() as u32)
+        let mut pair = (0..self.topology.link_count() as u32)
             .map(LinkId)
             .filter(|&id| {
                 let link = self.topology.link(id);
                 (link.src == node && link.dst == self.esb)
                     || (link.src == self.esb && link.dst == node)
-            })
-            .collect()
+            });
+        let mut next = || pair.next().expect("a PCB uplink is one duplex pair");
+        [next(), next()]
     }
 }
 

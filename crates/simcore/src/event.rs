@@ -10,10 +10,6 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A handle that identifies a scheduled event so it can be cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
@@ -46,6 +42,12 @@ impl<E> Ord for Scheduled<E> {
 
 /// A time-ordered queue of simulation events.
 ///
+/// The queue is a plain binary heap of `(time, sequence)`-keyed entries:
+/// scheduling is one push and delivery one pop. There is no cancellation
+/// handle. No simulation here withdraws an event once scheduled; a handler
+/// that no longer applies finds that out from its own state when the
+/// event fires.
+///
 /// # Examples
 ///
 /// ```
@@ -61,12 +63,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
-    /// Sequence numbers currently pending (scheduled, not yet delivered or
-    /// cancelled). `len()` is exactly `live.len()` — no arithmetic on the
-    /// heap/cancelled sizes, which can disagree when a fired event id is
-    /// cancelled.
-    live: std::collections::HashSet<u64>,
     now: SimTime,
 }
 
@@ -82,8 +78,6 @@ impl<E> EventQueue<E> {
         Self {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            live: std::collections::HashSet::new(),
             now: SimTime::ZERO,
         }
     }
@@ -101,7 +95,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is earlier than [`now`](Self::now).
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         assert!(
             time >= self.now,
             "cannot schedule an event in the past ({time} < {})",
@@ -110,76 +104,34 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { time, seq, payload });
-        self.live.insert(seq);
-        EventId(seq)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. this call actually removed it from future delivery).
-    /// Cancelling an event that already fired (or was already cancelled) is a
-    /// no-op returning `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.live.remove(&id.0) {
-            // Lazy deletion: mark now, skip at pop time.
-            self.cancelled.insert(id.0);
-            true
-        } else {
-            false
-        }
+    /// Makes room for at least `additional` more pending events.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
     }
 
     /// Removes and returns the earliest pending event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(ev) = self.heap.pop() {
-            if self.cancelled.remove(&ev.seq) {
-                continue;
-            }
-            self.live.remove(&ev.seq);
-            debug_assert!(ev.time >= self.now, "event queue time went backwards");
-            self.now = ev.time;
-            return Some((ev.time, ev.payload));
-        }
-        None
-    }
-
-    /// Pops *every* event sharing the earliest pending timestamp into `out`
-    /// (in schedule order), advancing the clock to that timestamp. Returns
-    /// the batch timestamp, or `None` if the queue is empty. `out` is
-    /// cleared first, so a caller-owned buffer can be reused across events
-    /// without allocating.
-    pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        out.clear();
-        let (t, first) = self.pop()?;
-        out.push(first);
-        while self.peek_time() == Some(t) {
-            let (_, e) = self.pop().expect("peeked event exists");
-            out.push(e);
-        }
-        Some(t)
+        let ev = self.heap.pop()?;
+        debug_assert!(ev.time >= self.now, "event queue time went backwards");
+        self.now = ev.time;
+        Some((ev.time, ev.payload))
     }
 
     /// Returns the timestamp of the earliest pending event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(ev) = self.heap.peek() {
-            if self.cancelled.contains(&ev.seq) {
-                let seq = ev.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(ev.time);
-        }
-        None
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|ev| ev.time)
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.heap.is_empty()
     }
 }
 
@@ -225,71 +177,6 @@ mod tests {
         q.schedule(SimTime::from_secs(5), ());
         q.pop();
         q.schedule(SimTime::from_secs(4), ());
-    }
-
-    #[test]
-    fn cancel_suppresses_delivery() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_twice_returns_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn cancel_after_fire_keeps_len_exact() {
-        // Regression: cancelling an already-fired id used to land in the
-        // cancelled set, making `heap.len() - cancelled.len()` wrap.
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert!(!q.cancel(a), "event already fired");
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_batch_groups_same_instant_events() {
-        let mut q = EventQueue::new();
-        let t1 = SimTime::from_secs(1);
-        let t2 = SimTime::from_secs(2);
-        q.schedule(t2, 10);
-        q.schedule(t1, 1);
-        let cancelled = q.schedule(t1, 2);
-        q.schedule(t1, 3);
-        q.cancel(cancelled);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch_into(&mut batch), Some(t1));
-        assert_eq!(batch, vec![1, 3]);
-        assert_eq!(q.now(), t1);
-        assert_eq!(q.pop_batch_into(&mut batch), Some(t2));
-        assert_eq!(batch, vec![10], "buffer cleared between batches");
-        assert_eq!(q.pop_batch_into(&mut batch), None);
-        assert!(batch.is_empty());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!   [`SimDuration`];
 //! - [`event`]: a deterministic [`EventQueue`] with
 //!   stable tie-breaking;
+//! - [`hash`]: hash maps and sets with the same layout in every process
+//!   ([`IdMap`], [`IdSet`]);
 //! - [`rng`]: seedable, splittable randomness ([`SimRng`]);
 //! - [`units`]: dimensional newtypes ([`Power`],
 //!   [`Energy`], [`DataRate`], …);
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod hash;
 pub mod metrics;
 pub mod report;
 pub mod rng;
@@ -44,6 +47,7 @@ pub mod time;
 pub mod units;
 
 pub use event::EventQueue;
+pub use hash::{IdMap, IdSet};
 pub use rng::SimRng;
 pub use span::{Event, EventKind, EventLog, Scope, SpanId};
 pub use time::{SimDuration, SimTime};

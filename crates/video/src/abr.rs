@@ -62,15 +62,17 @@ impl Ladder {
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                VideoMeta::synthetic(
-                    &format!("{}-r{}", source.id, i),
-                    &source.name,
+                let mut job = VideoMeta::synthetic(
+                    source.id.source(),
+                    source.name,
                     r.resolution,
                     r.fps,
                     source.entropy,
                     source.source_bitrate,
                     r.bitrate,
-                )
+                );
+                job.id = source.id.rung(i as u8);
+                job
             })
             .collect()
     }

@@ -308,7 +308,7 @@ mod tests {
         };
         let low: Vec<f64> = ["V1", "V2", "V4"]
             .iter()
-            .map(|id| gain(vs.iter().find(|v| &v.id == id).unwrap()))
+            .map(|id| gain(vs.iter().find(|v| v.id == *id).unwrap()))
             .collect();
         let low_geo = socc_sim::stats::geomean(&low).unwrap();
         assert!(

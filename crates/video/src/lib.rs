@@ -37,4 +37,4 @@ pub mod video;
 
 pub use backend::TranscodeUnit;
 pub use ratecontrol::{EncoderKind, RateControl};
-pub use video::{Resolution, VideoMeta};
+pub use video::{Resolution, VideoId, VideoMeta};

@@ -75,13 +75,94 @@ pub struct ArchiveAnchors {
     pub a40_fps: Option<f64>,
 }
 
+/// A video's identity: the source clip's id and, for a rendition of an
+/// ABR ladder ([`crate::abr`]), the rung it is transcoded to. It renders
+/// as the id string (`"V1"`, or `"V1-r2"` for rung 2) and compares equal
+/// to it, but is `Copy`: copying it allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct VideoId {
+    source: &'static str,
+    rung: Option<u8>,
+}
+
+impl VideoId {
+    /// The id of a source clip.
+    pub const fn new(source: &'static str) -> Self {
+        Self { source, rung: None }
+    }
+
+    /// The id of rendition `rung` of this clip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this id is already a rendition's.
+    pub fn rung(self, rung: u8) -> Self {
+        assert!(self.rung.is_none(), "{self} is already a rendition");
+        Self {
+            rung: Some(rung),
+            ..self
+        }
+    }
+
+    /// The source clip's id.
+    pub const fn source(self) -> &'static str {
+        self.source
+    }
+}
+
+impl core::fmt::Display for VideoId {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self.rung {
+            None => f.write_str(self.source),
+            Some(r) => write!(f, "{}-r{r}", self.source),
+        }
+    }
+}
+
+/// Formats like the id string it stands for.
+impl core::fmt::Debug for VideoId {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self.rung {
+            None => write!(f, "{:?}", self.source),
+            Some(_) => write!(f, "{:?}", self.to_string()),
+        }
+    }
+}
+
+impl PartialEq<str> for VideoId {
+    fn eq(&self, other: &str) -> bool {
+        let Some(rest) = other.strip_prefix(self.source) else {
+            return false;
+        };
+        match self.rung {
+            None => rest.is_empty(),
+            // Only the canonical decimal rendering: no sign, no leading 0.
+            Some(r) => rest.strip_prefix("-r").is_some_and(|digits| {
+                digits.bytes().all(|b| b.is_ascii_digit())
+                    && (digits.len() == 1 || !digits.starts_with('0'))
+                    && digits.parse() == Ok(r)
+            }),
+        }
+    }
+}
+
+impl PartialEq<&str> for VideoId {
+    fn eq(&self, other: &&str) -> bool {
+        *self == **other
+    }
+}
+
 /// Metadata and calibrated cost model of one video.
+///
+/// Every field is plain data (the id is a [`VideoId`], the name a static
+/// string), so a clone — every workload spec carries one, and recovery
+/// re-submits specs — is a copy that allocates nothing.
 #[derive(Debug, Clone)]
 pub struct VideoMeta {
     /// Short id ("V1".."V6" for vbench).
-    pub id: String,
+    pub id: VideoId,
     /// Content name ("holi", "desktop", …).
-    pub name: String,
+    pub name: &'static str,
     /// Frame dimensions.
     pub resolution: Resolution,
     /// Frames per second of the source.
@@ -103,8 +184,8 @@ impl VideoMeta {
     /// Creates a synthetic video with formula-default residuals.
     #[allow(clippy::too_many_arguments)]
     pub fn synthetic(
-        id: &str,
-        name: &str,
+        id: &'static str,
+        name: &'static str,
         resolution: Resolution,
         fps: f64,
         entropy: f64,
@@ -112,8 +193,8 @@ impl VideoMeta {
         target_bitrate: DataRate,
     ) -> Self {
         Self {
-            id: id.to_string(),
-            name: name.to_string(),
+            id: VideoId::new(id),
+            name,
             resolution,
             fps,
             entropy,
@@ -185,6 +266,22 @@ impl VideoMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn video_ids_render_and_compare_as_their_strings() {
+        let v1 = VideoId::new("V1");
+        assert_eq!(v1, "V1");
+        assert_eq!(format!("{v1} {v1:?}"), "V1 \"V1\"");
+        let r2 = v1.rung(2);
+        assert_eq!(r2.to_string(), "V1-r2");
+        assert_eq!(format!("{r2:?}"), "\"V1-r2\"");
+        assert_eq!(r2, "V1-r2");
+        for other in ["V1", "V1-r", "V1-r02", "V1-r+2", "V1-r12", "V2-r2"] {
+            assert_ne!(r2, other);
+        }
+        assert_ne!(v1, "V10");
+        assert_eq!(r2.source(), "V1");
+    }
 
     fn v720p60() -> VideoMeta {
         VideoMeta::synthetic(

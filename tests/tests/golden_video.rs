@@ -95,7 +95,7 @@ fn fig9_mediacodec_respects_its_bitrate_floor() {
     let vs = socc_video::vbench::videos();
     assert_eq!(rows.len(), vs.len());
     for (row, v) in rows.iter().zip(&vs) {
-        assert_eq!(row.video_id, v.id);
+        assert_eq!(row.video_id, v.id.to_string());
         let floor_kbps = EncoderKind::MediaCodec.min_bits_per_pixel() * v.pixels_per_s() / 1e3;
         assert!(
             row.mediacodec_kbps >= floor_kbps - 1e-9,

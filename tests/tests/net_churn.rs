@@ -6,6 +6,9 @@
 //! bit, and edge cases of the progressive-filling loop (the numerical
 //! guard, a zero-residual link) are pinned directly.
 
+// Tests build reference maps with std collections (see `clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;

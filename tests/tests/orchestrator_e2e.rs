@@ -1,6 +1,9 @@
 //! End-to-end orchestrator scenarios spanning the cluster, scheduler,
 //! power-state manager and fault machinery.
 
+// Tests build reference maps with std collections (see `clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 use socc_cluster::orchestrator::{Orchestrator, OrchestratorConfig};
 use socc_cluster::scheduler;
 use socc_cluster::workload::{SocProcessor, WorkloadSpec};

@@ -1,5 +1,8 @@
 //! Property-based tests over the core invariants of every substrate.
 
+// Tests build reference maps with std collections (see `clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;
@@ -10,24 +13,46 @@ use socc_net::fairness::{max_min_fair, FlowDemand};
 use socc_net::LinkId;
 use socc_sim::event::EventQueue;
 use socc_sim::series::TimeSeries;
-use socc_sim::time::SimTime;
+use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::DataRate;
 
 proptest! {
-    /// The event queue pops in (time, insertion) order for any input.
+    /// The event queue against a model: under any interleaving of
+    /// schedules (at `now` plus a small delay, so instants often tie) and
+    /// pops, every pop returns the pending event with the least
+    /// (time, schedule order), `peek_time` and `len` agree with the model
+    /// after every operation, and the clock is the last popped time.
     #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
+    fn event_queue_total_order(
+        ops in prop::collection::vec((0u8..3, 0u64..40), 1..400)
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((lt, li)) = last {
-                prop_assert!(t > lt || (t == lt && i > li), "order violated");
+        // Pending (time, schedule order), kept sorted: the model's next
+        // event is its first.
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        for (step, &(op, delay)) in ops.iter().enumerate() {
+            if op < 2 {
+                let at = q.now() + SimDuration::from_nanos(delay);
+                q.schedule(at, step);
+                let pos = model.partition_point(|&e| e <= (at, step));
+                model.insert(pos, (at, step));
+            } else {
+                let expected = (!model.is_empty()).then(|| model.remove(0));
+                prop_assert_eq!(q.pop(), expected, "pop at op {}", step);
+                if let Some((at, _)) = expected {
+                    prop_assert_eq!(q.now(), at);
+                }
             }
-            last = Some((t, i));
+            prop_assert_eq!(q.len(), model.len(), "len after op {}", step);
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(at, _)| at));
         }
+        // Draining delivers the rest in order.
+        for expected in model {
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.len(), 0);
     }
 
     /// Max-min fairness never oversubscribes a link and never exceeds a
@@ -419,7 +444,6 @@ use socc_cluster::faults::{FaultEvent, FaultKind};
 use socc_cluster::orchestrator::OrchestratorConfig;
 use socc_cluster::recovery::{RecoveryConfig, RecoveryEngine, WorkloadFate};
 use socc_cluster::workload::WorkloadSpec;
-use socc_sim::time::SimDuration;
 
 fn fault_kind(tag: u8) -> FaultKind {
     match tag % 5 {
@@ -610,5 +634,77 @@ proptest! {
         prop_assert_eq!(a.telemetry().render(), b.telemetry().render());
         prop_assert!(a.availability() == b.availability(), "availability drifted");
         prop_assert_eq!(a.fates().len(), b.fates().len());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The recovery loop's typed metrics read exactly like a string-keyed sink.
+// ---------------------------------------------------------------------------
+
+use socc_cluster::detector::DetectedClass;
+use socc_cluster::telemetry::{FtCounter, FtHistogram, FtTelemetry, TelemetrySink};
+
+proptest! {
+    /// Random bumps (including by zero) and observations (including
+    /// negative ones, which land in the underflow bucket) go to an
+    /// `FtTelemetry` by key and to a `TelemetrySink` by name. Both then
+    /// render byte for byte alike, list the same counters in the same
+    /// order and answer every read by name with the same bits.
+    #[test]
+    fn ft_telemetry_reads_like_a_sink(
+        ops in prop::collection::vec((0u8..4, 0usize..19, 0u64..4, -5.0f64..5e6), 0..200)
+    ) {
+        let sink = TelemetrySink::new();
+        let mut typed = FtTelemetry::new();
+        for &(kind, slot, delta, value) in &ops {
+            let class = DetectedClass::ALL[slot % DetectedClass::ALL.len()];
+            match kind {
+                0 => {
+                    let c = FtCounter::ALL[slot];
+                    typed.add(c, delta);
+                    sink.add(c.name(), delta);
+                }
+                1 => {
+                    typed.detected(class);
+                    sink.add(class.detected_metric(), 1);
+                }
+                2 => {
+                    let h = FtHistogram::ALL[slot % FtHistogram::ALL.len()];
+                    typed.observe(h, value);
+                    sink.observe(h.name(), value);
+                }
+                _ => {
+                    typed.observe_mttr(class, value);
+                    sink.observe(class.mttr_metric(), value);
+                }
+            }
+        }
+        prop_assert_eq!(typed.render(), sink.render());
+        let listed: Vec<(String, u64)> = typed
+            .counters()
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect();
+        prop_assert_eq!(listed, sink.counters());
+        let counters = FtCounter::ALL.iter().map(|c| c.name());
+        let detected = DetectedClass::ALL.iter().map(|c| c.detected_metric());
+        for name in counters.chain(detected).chain(["ft.unknown"]) {
+            prop_assert_eq!(typed.counter(name), sink.counter(name), "{}", name);
+        }
+        let histograms = FtHistogram::ALL.iter().map(|h| h.name());
+        let mttr = DetectedClass::ALL.iter().map(|c| c.mttr_metric());
+        for name in histograms.chain(mttr).chain(["ft.unknown_ms"]) {
+            prop_assert_eq!(typed.histogram_count(name), sink.histogram_count(name));
+            prop_assert_eq!(
+                typed.histogram_mean(name).to_bits(),
+                sink.histogram_mean(name).to_bits()
+            );
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                prop_assert_eq!(
+                    typed.histogram_quantile(name, q).map(f64::to_bits),
+                    sink.histogram_quantile(name, q).map(f64::to_bits)
+                );
+            }
+        }
     }
 }
