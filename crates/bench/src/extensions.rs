@@ -425,10 +425,15 @@ mod tests {
 
     #[test]
     fn every_extension_runs() {
+        // FNV-1a over every study's bytes in `ALL_IDS` order: a byte that
+        // moves in any study moves this literal.
+        let mut digest = 0xCBF2_9CE4_8422_2325;
         for id in ALL_IDS {
             let out = run(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(out.len() > 80, "{id} output too short");
+            digest = crate::runner::fnv1a64(out.as_bytes(), digest);
         }
+        assert_eq!(format!("{digest:016x}"), "15d16a861350552b");
     }
 
     #[test]

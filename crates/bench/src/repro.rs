@@ -893,10 +893,15 @@ mod tests {
 
     #[test]
     fn every_id_runs_and_produces_output() {
+        // FNV-1a over every artifact's bytes in `ALL_IDS` order: a byte
+        // that moves in any artifact moves this literal.
+        let mut digest = 0xCBF2_9CE4_8422_2325;
         for id in ALL_IDS {
             let out = run(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(out.len() > 100, "{id} output too short");
+            digest = crate::runner::fnv1a64(out.as_bytes(), digest);
         }
+        assert_eq!(format!("{digest:016x}"), "6ef9d1fda77dcc9e");
     }
 
     #[test]
