@@ -13,7 +13,7 @@ use crate::runner::{gate_num, json_escape};
 /// An input the shrinker can cut down: `items()` numbered items, any
 /// one of which `without(i)` removes. The numbering is the search
 /// order.
-pub trait Shrink: Clone {
+pub(crate) trait Shrink: Clone {
     /// Items that can be removed.
     fn items(&self) -> usize;
     /// A copy with item `i` removed.
@@ -37,7 +37,7 @@ impl<T: Clone> Shrink for Vec<T> {
 /// when no single removal still fails, so the result is 1-minimal. An
 /// input no removal keeps failing comes back unchanged. The vendored
 /// proptest stand-in does not shrink, so the harness must.
-pub fn shrink<S: Shrink>(input: &S, mut fails: impl FnMut(&S) -> bool) -> S {
+pub(crate) fn shrink<S: Shrink>(input: &S, mut fails: impl FnMut(&S) -> bool) -> S {
     let mut current = input.clone();
     'search: loop {
         for i in 0..current.items() {
@@ -53,24 +53,24 @@ pub fn shrink<S: Shrink>(input: &S, mut fails: impl FnMut(&S) -> bool) -> S {
 
 /// One shrunk invariant violation of a campaign pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
+pub(crate) struct Violation {
     /// Campaign index.
-    pub campaign: usize,
+    pub(crate) campaign: usize,
     /// Which side of the pair violated.
-    pub correlated: bool,
+    pub(crate) correlated: bool,
     /// First violation message.
-    pub detail: String,
+    pub(crate) detail: String,
     /// Events left after greedy shrinking (minimal repro schedule).
-    pub minimal_events: usize,
+    pub(crate) minimal_events: usize,
     /// One-line repro command.
-    pub repro: String,
+    pub(crate) repro: String,
 }
 
 impl Violation {
     /// Campaign `k` of the `name` sweep at master `seed` violated on one
     /// side with `detail`; shrinking left `minimal` events. The repro
     /// replays the pair with `bench --run NAME --seed N --step K`.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         seed: u64,
         k: usize,
@@ -90,7 +90,7 @@ impl Violation {
     }
 
     /// The record as one quoted item of an artifact's `violations` list.
-    pub fn json_item(&self) -> String {
+    pub(crate) fn json_item(&self) -> String {
         format!(
             "\"campaign {} ({}): {}; minimal schedule {} events; repro: {}\"",
             self.campaign,
@@ -108,7 +108,7 @@ impl Violation {
 
 /// Mean and minimum of one side's availabilities; the minimum of no
 /// campaigns is 1.0.
-pub fn mean_min(vals: impl IntoIterator<Item = f64>) -> (f64, f64) {
+pub(crate) fn mean_min(vals: impl IntoIterator<Item = f64>) -> (f64, f64) {
     let vals: Vec<f64> = vals.into_iter().collect();
     let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
     let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
@@ -117,7 +117,7 @@ pub fn mean_min(vals: impl IntoIterator<Item = f64>) -> (f64, f64) {
 
 /// The gates every paired-campaign artifact carries: no violations, and
 /// correlated availability strictly below independent.
-pub fn gates(doc: &str) -> Vec<String> {
+pub(crate) fn gates(doc: &str) -> Vec<String> {
     let mut f: Vec<String> = crate::harness::extract_list(doc, "violations")
         .into_iter()
         .map(|v| format!("invariant violation: {v}"))

@@ -24,7 +24,7 @@
 //! overwhelms the instantaneous headroom a trickle would be absorbed by.
 //!
 //! A campaign that violates an invariant is shrunk to a minimal fault
-//! schedule by the shared greedy shrinker ([`crate::campaign`]), and the
+//! schedule by the shared greedy shrinker (`crate::campaign`), and the
 //! report carries a one-line repro
 //! (`bench --run chaos --seed N --step K`). Equal seeds give
 //! byte-identical replays.
@@ -96,71 +96,71 @@ impl Default for ChaosOptions {
 
 /// Per-class MTTR summary from one campaign (or aggregated).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClassMttr {
+pub(crate) struct ClassMttr {
     /// Detector class label (`crash`, `hang`, …).
-    pub class: &'static str,
+    pub(crate) class: &'static str,
     /// Recoveries observed.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Mean repair time in milliseconds.
-    pub mean_ms: f64,
+    pub(crate) mean_ms: f64,
     /// Median repair time in milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
 }
 
 /// Everything one campaign run produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CampaignOutcome {
+pub(crate) struct CampaignOutcome {
     /// Campaign index (the `--step` argument).
-    pub index: usize,
+    pub(crate) index: usize,
     /// `true` for the correlated schedule, `false` for the twin.
-    pub correlated: bool,
+    pub(crate) correlated: bool,
     /// Scheduled fault events actually injected.
-    pub schedule_events: usize,
+    pub(crate) schedule_events: usize,
     /// Events dropped by the safety caps and the pre-horizon margin.
-    pub truncated_events: usize,
+    pub(crate) truncated_events: usize,
     /// Post-run availability.
-    pub availability: f64,
+    pub(crate) availability: f64,
     /// Invariant violations, empty on a clean run.
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
     /// Workloads shed (brownout envelope + preempting admission).
-    pub sheds: u64,
+    pub(crate) sheds: u64,
     /// Workloads lost.
-    pub losses: u64,
+    pub(crate) losses: u64,
     /// Successful post-fault re-placements.
-    pub migrations: u64,
+    pub(crate) migrations: u64,
     /// Placement retries.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Partitioned SoCs the BMC side channel told apart from crashes.
-    pub partitions_detected: u64,
+    pub(crate) partitions_detected: u64,
     /// Soft anti-affinity placements that fell back to the home board.
-    pub anti_affinity_fallbacks: u64,
+    pub(crate) anti_affinity_fallbacks: u64,
     /// Per-class MTTR observed this campaign.
-    pub mttr: Vec<ClassMttr>,
+    pub(crate) mttr: Vec<ClassMttr>,
 }
 
 /// Aggregated result of a chaos sweep.
 #[derive(Debug, Clone)]
-pub struct ChaosReport {
+pub(crate) struct ChaosReport {
     /// Options the sweep ran with.
-    pub options: ChaosOptions,
+    pub(crate) options: ChaosOptions,
     /// Every campaign outcome, correlated and independent interleaved.
-    pub outcomes: Vec<CampaignOutcome>,
+    pub(crate) outcomes: Vec<CampaignOutcome>,
     /// Shrunk violations (empty on a clean sweep).
-    pub violations: Vec<Violation>,
+    pub(crate) violations: Vec<Violation>,
     /// Mean availability across correlated campaigns.
-    pub correlated_mean: f64,
+    pub(crate) correlated_mean: f64,
     /// Worst correlated campaign.
-    pub correlated_min: f64,
+    pub(crate) correlated_min: f64,
     /// Mean availability across independent twins.
-    pub independent_mean: f64,
+    pub(crate) independent_mean: f64,
     /// Worst independent twin.
-    pub independent_min: f64,
+    pub(crate) independent_min: f64,
     /// Per-class MTTR pooled over every campaign.
-    pub mttr: Vec<ClassMttr>,
+    pub(crate) mttr: Vec<ClassMttr>,
     /// Wall-clock seconds for the sweep.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Engine runs (2 × campaigns) per wall-clock second.
-    pub campaigns_per_sec: f64,
+    pub(crate) campaigns_per_sec: f64,
 }
 
 /// Domain events first, then per-SoC events: the order the shrinker
@@ -443,7 +443,7 @@ fn run_with_schedule(
 }
 
 /// Runs campaign `k` of a sweep: the correlated schedule or its twin.
-pub fn run_campaign(opts: &ChaosOptions, k: usize, correlated: bool) -> CampaignOutcome {
+pub(crate) fn run_campaign(opts: &ChaosOptions, k: usize, correlated: bool) -> CampaignOutcome {
     let (corr, indep, truncated) = campaign_schedules(opts, k);
     if correlated {
         run_with_schedule(opts, k, true, &corr, truncated)
@@ -454,7 +454,7 @@ pub fn run_campaign(opts: &ChaosOptions, k: usize, correlated: bool) -> Campaign
 
 /// Runs the full sweep: `campaigns` correlated/independent pairs, shrink
 /// on every violation.
-pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
+pub(crate) fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let started = Instant::now();
     let mut outcomes = Vec::with_capacity(opts.campaigns * 2);
     for k in 0..opts.campaigns {
@@ -604,7 +604,7 @@ fn json_f64(v: f64) -> String {
 /// stay on the mode's four-decimal `json_f64` (via `raw`), so the port
 /// is byte-identical to the hand-rolled emitter it replaced and the
 /// committed baseline stays valid.
-pub fn report_json(r: &ChaosReport) -> String {
+pub(crate) fn report_json(r: &ChaosReport) -> String {
     let total_truncated: usize = r
         .outcomes
         .iter()
@@ -665,13 +665,13 @@ pub fn report_json(r: &ChaosReport) -> String {
 }
 
 /// MTTR classes the baseline gate watches (must match the report).
-pub const MTTR_GATE_CLASSES: [&str; 4] = ["crash", "hang", "thermal_trip", "link_loss"];
+pub(crate) const MTTR_GATE_CLASSES: [&str; 4] = ["crash", "hang", "thermal_trip", "link_loss"];
 
 /// Declares the enclosure chaos experiment for the unified runner
 /// (`bench --run chaos`): grid, execute, and the gates that used to
 /// live in the `bench` binary's `--chaos` branch. The smoke tier drops
 /// from 256 to 64 campaign pairs (the old CI scale).
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{ExpConfig, Experiment};
     Experiment {
         name: "chaos",

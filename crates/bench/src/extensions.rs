@@ -19,7 +19,7 @@ use socc_workloads::packing::consolidate_population;
 use socc_workloads::vmtrace::VmPopulation;
 
 /// Next-generation cluster projections (§8 / §7).
-pub fn generations() -> String {
+pub(crate) fn generations() -> String {
     let mut t = Table::new([
         "SoC generation",
         "V1 streams/SoC",
@@ -44,7 +44,7 @@ pub fn generations() -> String {
 }
 
 /// Collaborative inference under upgraded fabrics (§8's network lever).
-pub fn fabric() -> String {
+pub(crate) fn fabric() -> String {
     let mut out = String::new();
     for gbps in [1.0, 10.0, 100.0] {
         let mut t = Table::new(["SoCs", "compute ms", "comm ms", "total ms", "comm share"])
@@ -68,7 +68,7 @@ pub fn fabric() -> String {
 }
 
 /// Tensor vs pipeline parallelism ablation.
-pub fn partitioning() -> String {
+pub(crate) fn partitioning() -> String {
     let mut t = Table::new([
         "Model",
         "SoCs",
@@ -95,7 +95,7 @@ pub fn partitioning() -> String {
 }
 
 /// Tail latency and SLO capacity per engine.
-pub fn tail() -> String {
+pub(crate) fn tail() -> String {
     let mut t = Table::new([
         "Engine",
         "Model",
@@ -140,7 +140,7 @@ pub fn tail() -> String {
 }
 
 /// VM fleet consolidation (Fig. 1 extension).
-pub fn consolidation() -> String {
+pub(crate) fn consolidation() -> String {
     let mut t = Table::new([
         "Population",
         "VMs",
@@ -170,7 +170,7 @@ pub fn consolidation() -> String {
 }
 
 /// TCO sensitivity sweeps.
-pub fn sensitivity() -> String {
+pub(crate) fn sensitivity() -> String {
     let mut out = String::new();
     let mut t = Table::new([
         "$/kWh",
@@ -202,7 +202,7 @@ pub fn sensitivity() -> String {
 }
 
 /// Gaming trace replay through the orchestrator.
-pub fn gaming() -> String {
+pub(crate) fn gaming() -> String {
     let r = replay_gaming_trace(38, SimDuration::from_mins(15), 10.0, 42);
     let mut t =
         Table::new(["metric", "value"]).with_title("Fig.5 trace replayed on the orchestrator");
@@ -221,7 +221,7 @@ pub fn gaming() -> String {
 }
 
 /// DVFS governor comparison on a frame deadline.
-pub fn dvfs() -> String {
+pub(crate) fn dvfs() -> String {
     let mut t = Table::new(["domain", "governor", "OPP GHz", "busy ms", "energy mJ"])
         .with_title("what-if: DVFS governors on a 33 ms frame at 30% peak load");
     for domain in [DvfsDomain::kryo585_prime(), DvfsDomain::kryo585_gold()] {
@@ -243,7 +243,7 @@ pub fn dvfs() -> String {
 }
 
 /// DL colocation on gaming-occupied SoCs (key finding 3).
-pub fn colocation() -> String {
+pub(crate) fn colocation() -> String {
     let r = colocation_study(12, 0.8, 5);
     let mut t = Table::new(["metric", "value"])
         .with_title("colocation: free-riding INT8 serving on gaming SoCs");
@@ -261,7 +261,7 @@ pub fn colocation() -> String {
 }
 
 /// ABR ladder capacity planning.
-pub fn abr() -> String {
+pub(crate) fn abr() -> String {
     let mut t = Table::new([
         "source",
         "rungs",
@@ -290,7 +290,7 @@ pub fn abr() -> String {
 }
 
 /// Dynamic batching window sweep on the A100.
-pub fn batching() -> String {
+pub(crate) fn batching() -> String {
     use socc_dl::batcher::{simulate_batched, BatcherConfig};
     let mut t = Table::new(["window ms", "mean batch", "p50 ms", "p99 ms", "samples/J"])
         .with_title("dynamic batching at 200 fps offered (A100, R-50 FP32)");
@@ -321,7 +321,7 @@ pub fn batching() -> String {
 }
 
 /// Latency/accuracy/energy Pareto front for serving.
-pub fn pareto() -> String {
+pub(crate) fn pareto() -> String {
     use socc_dl::quant::{operating_points, pareto_front};
     let mut out = String::new();
     for model in [ModelId::ResNet50, ModelId::BertBase] {
@@ -360,7 +360,7 @@ pub fn pareto() -> String {
 }
 
 /// PSU conversion losses across the load range.
-pub fn psu() -> String {
+pub(crate) fn psu() -> String {
     use socc_hw::psu::RedundantPsu;
     use socc_sim::units::Power;
     let pair = RedundantPsu::cluster_default();

@@ -35,22 +35,22 @@ use crate::sweep::parallel_map_with;
 
 /// Worker counts every fleet benchmark runs at; digests across all of
 /// them must agree, and the last is the speedup target.
-pub const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+pub(crate) const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The modeled speedup the 8-worker run must reach (ISSUE 7 acceptance).
-pub const MIN_SPEEDUP_8W: f64 = 4.0;
+pub(crate) const MIN_SPEEDUP_8W: f64 = 4.0;
 
 /// Steady-state serial-coordination allocations allowed per window.
 /// Session stacks and command buffers hold their peak capacity after the
 /// first diurnal cycle; a growing value means the barrier loop lost its
 /// buffer reuse.
-pub const MAX_COORD_ALLOCS_PER_WINDOW: f64 = 64.0;
+pub(crate) const MAX_COORD_ALLOCS_PER_WINDOW: f64 = 64.0;
 
 /// Single-worker allocations allowed per window over the whole loop
 /// (plan, every shard step, absorb). Shard steps reuse their buffers, so
 /// only warm-up growth remains; a per-event allocation would cost
 /// hundreds per window.
-pub const MAX_ALLOCS_PER_WINDOW: f64 = 64.0;
+pub(crate) const MAX_ALLOCS_PER_WINDOW: f64 = 64.0;
 
 /// Parameters of one fleet benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -102,25 +102,25 @@ pub struct FleetRunMetrics {
     /// Worker threads used for the step phase.
     pub workers: usize,
     /// Barrier windows executed.
-    pub windows: usize,
+    pub(crate) windows: usize,
     /// Wall-clock of the whole barrier loop, seconds.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Windows per second.
-    pub windows_per_sec: f64,
+    pub(crate) windows_per_sec: f64,
     /// Result digest (must match across worker counts).
     pub digest_hex: String,
     /// Total heap allocations per window during the barrier loop.
-    pub allocs_per_window: f64,
+    pub(crate) allocs_per_window: f64,
     /// Serial-coordination (plan + absorb) allocations per window over
     /// the second half of the run (steady state).
-    pub coord_allocs_per_window: f64,
+    pub(crate) coord_allocs_per_window: f64,
     /// Σ over windows of per-window step-time totals, seconds.
-    pub step_total_secs: f64,
+    pub(crate) step_total_secs: f64,
     /// Σ over windows of per-window slowest-shard step time, seconds.
-    pub step_max_secs: f64,
+    pub(crate) step_max_secs: f64,
     /// Σ over windows of serial coordination (plan + absorb) time,
     /// seconds.
-    pub coord_secs: f64,
+    pub(crate) coord_secs: f64,
     /// Fleet totals (identical across worker counts when deterministic).
     pub report: socc_cluster::fleet::FleetReport,
 }
@@ -199,31 +199,31 @@ pub fn run_fleet_once(
 
 /// The full benchmark: one run per [`WORKER_COUNTS`] entry.
 #[derive(Debug, Clone)]
-pub struct FleetBenchReport {
+pub(crate) struct FleetBenchReport {
     /// The options the benchmark ran with.
-    pub options: FleetBenchOptions,
+    pub(crate) options: FleetBenchOptions,
     /// One entry per worker count, in [`WORKER_COUNTS`] order.
-    pub runs: Vec<FleetRunMetrics>,
+    pub(crate) runs: Vec<FleetRunMetrics>,
     /// Cores available on the measuring host (wall-clock speedups are
     /// only meaningful up to this).
-    pub host_cpus: usize,
+    pub(crate) host_cpus: usize,
 }
 
 impl FleetBenchReport {
     /// True when every run produced the same result digest.
-    pub fn digests_match(&self) -> bool {
+    pub(crate) fn digests_match(&self) -> bool {
         self.runs
             .iter()
             .all(|r| r.digest_hex == self.runs[0].digest_hex)
     }
 
     /// The run at a worker count.
-    pub fn run_at(&self, workers: usize) -> Option<&FleetRunMetrics> {
+    pub(crate) fn run_at(&self, workers: usize) -> Option<&FleetRunMetrics> {
         self.runs.iter().find(|r| r.workers == workers)
     }
 
     /// Measured wall-clock speedup of `workers` over single-thread.
-    pub fn wall_speedup(&self, workers: usize) -> f64 {
+    pub(crate) fn wall_speedup(&self, workers: usize) -> f64 {
         match (self.run_at(1), self.run_at(workers)) {
             (Some(one), Some(many)) => one.wall_secs / many.wall_secs,
             _ => 0.0,
@@ -235,7 +235,7 @@ impl FleetBenchReport {
     /// parallel step phase is bounded below by
     /// `max(total / workers, slowest shard)`, and the serial plan/absorb
     /// phases don't shrink.
-    pub fn modeled_speedup(&self, workers: usize) -> f64 {
+    pub(crate) fn modeled_speedup(&self, workers: usize) -> f64 {
         let Some(one) = self.run_at(1) else {
             return 0.0;
         };
@@ -247,7 +247,7 @@ impl FleetBenchReport {
 }
 
 /// Runs the fleet benchmark at every [`WORKER_COUNTS`] entry.
-pub fn run_fleet_bench(
+pub(crate) fn run_fleet_bench(
     opts: &FleetBenchOptions,
     alloc_count: &dyn Fn() -> u64,
 ) -> FleetBenchReport {
@@ -263,7 +263,7 @@ pub fn run_fleet_bench(
 }
 
 /// Renders the `BENCH_fleet.json` artifact.
-pub fn report_json(report: &FleetBenchReport) -> String {
+pub(crate) fn report_json(report: &FleetBenchReport) -> String {
     let mut j = JsonBuilder::new();
     j.str("benchmark", "fleet_day");
     j.object("config", |j| {
@@ -321,7 +321,7 @@ pub fn report_json(report: &FleetBenchReport) -> String {
 /// Declares the fleet-day experiment for the unified runner
 /// (`bench --run fleet`): grid, execute, and the gates that used to
 /// live in the `bench` binary's `--fleet` branch.
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_bool, gate_num, gate_str, same_config, ExpConfig, Experiment};
     Experiment {
         name: "fleet",

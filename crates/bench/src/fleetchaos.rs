@@ -30,11 +30,11 @@
 //! 5. availability above the campaign floor;
 //! 6. no site orchestrator silently dropped a workload.
 //!
-//! The correlated side runs once per [`WORKER_COUNTS`] entry and the
+//! The correlated side runs once per `WORKER_COUNTS` entry and the
 //! fleet digests must be bit-identical — chaos must not cost the
 //! conservative-sync determinism the fleet simulator is built on. A
 //! violating campaign is shrunk to a minimal fault schedule by the
-//! shared greedy shrinker ([`crate::campaign`]), against exactly the
+//! shared greedy shrinker (`crate::campaign`), against exactly the
 //! checks the sweep applied to the violating side, and reported with a
 //! `--run fleetchaos --seed N --step K` repro line. Equal seeds give
 //! byte-identical replays.
@@ -55,16 +55,16 @@ use socc_sim::units::DataRate;
 
 /// Worker counts the correlated side of every campaign runs at; the
 /// fleet digest must be bit-identical across all of them.
-pub const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+pub(crate) const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Fraction of fault-displaced sessions that must complete a live
 /// inter-site migration over the sweep (the rest may only be cancelled
 /// by their own users leaving — never lost).
-pub const MIN_LIVE_MIGRATION_RATE: f64 = 0.90;
+pub(crate) const MIN_LIVE_MIGRATION_RATE: f64 = 0.90;
 
 /// A dark site's instantaneous power may exceed its chassis floor by at
 /// most this factor (the fan spins down over minutes, not instantly).
-pub const DARK_POWER_SLACK: f64 = 1.05;
+pub(crate) const DARK_POWER_SLACK: f64 = 1.05;
 
 /// Storm durations in windows, swept by campaign index.
 const STORM_WINDOWS: [usize; 3] = [2, 4, 8];
@@ -121,12 +121,12 @@ impl Default for FleetChaosOptions {
 
 impl FleetChaosOptions {
     /// Barrier windows per campaign run.
-    pub fn windows(&self) -> usize {
+    pub(crate) fn windows(&self) -> usize {
         (self.hours * 3600 / self.window_secs) as usize
     }
 
     /// The fleet every campaign run of pair `k` is built from.
-    pub fn fleet_config(&self, k: usize) -> FleetConfig {
+    pub(crate) fn fleet_config(&self, k: usize) -> FleetConfig {
         FleetConfig {
             sites: self.sites,
             regions: self.regions,
@@ -154,7 +154,7 @@ impl FleetChaosOptions {
 /// same fault volume — each storm site as a single-site partition of the
 /// same duration, blackout and brownout unchanged — at windows re-drawn
 /// independently over the same injection range.
-pub fn campaign_schedules(
+pub(crate) fn campaign_schedules(
     opts: &FleetChaosOptions,
     k: usize,
 ) -> (Vec<SiteFaultEvent>, Vec<SiteFaultEvent>) {
@@ -237,20 +237,20 @@ pub fn campaign_schedules(
 
 /// One fleet run of a campaign side.
 #[derive(Debug, Clone)]
-pub struct CampaignRun {
+pub(crate) struct CampaignRun {
     /// Fleet result digest.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// Digest as hex (what the artifact and repro text show).
-    pub digest_hex: String,
+    pub(crate) digest_hex: String,
     /// Fleet totals.
-    pub report: FleetReport,
+    pub(crate) report: FleetReport,
     /// Invariant violations, empty on a clean run.
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
 }
 
 /// Runs one side of a campaign at `workers` step threads, checking the
 /// per-window and end-of-run invariants.
-pub fn run_side(
+pub(crate) fn run_side(
     cfg: FleetConfig,
     schedule: &[SiteFaultEvent],
     workers: usize,
@@ -349,24 +349,24 @@ pub fn run_side(
 
 /// Outcome of one campaign pair.
 #[derive(Debug, Clone)]
-pub struct PairOutcome {
+pub(crate) struct PairOutcome {
     /// Campaign index (the `--step` argument).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Correlated run (workers = 1; the other worker counts must agree
     /// bit for bit).
-    pub correlated: CampaignRun,
+    pub(crate) correlated: CampaignRun,
     /// Independent twin (workers = 1).
-    pub independent: CampaignRun,
-    /// Correlated digests at every [`WORKER_COUNTS`] entry.
-    pub worker_digests: Vec<String>,
+    pub(crate) independent: CampaignRun,
+    /// Correlated digests at every `WORKER_COUNTS` entry.
+    pub(crate) worker_digests: Vec<String>,
     /// Violations across the pair, correlated side first, each with its
     /// side (`true` for the correlated one).
-    pub violations: Vec<(bool, String)>,
+    pub(crate) violations: Vec<(bool, String)>,
 }
 
 impl PairOutcome {
     /// True when every worker-count run produced the same digest.
-    pub fn digests_match(&self) -> bool {
+    pub(crate) fn digests_match(&self) -> bool {
         self.worker_digests
             .iter()
             .all(|d| *d == self.worker_digests[0])
@@ -375,7 +375,7 @@ impl PairOutcome {
 
 /// Runs campaign pair `k`: the correlated side at every worker count,
 /// the independent twin once.
-pub fn run_campaign(opts: &FleetChaosOptions, k: usize) -> PairOutcome {
+pub(crate) fn run_campaign(opts: &FleetChaosOptions, k: usize) -> PairOutcome {
     let (corr_schedule, ind_schedule) = campaign_schedules(opts, k);
     let cfg = opts.fleet_config(k);
     let mut worker_runs: Vec<CampaignRun> = WORKER_COUNTS
@@ -409,7 +409,7 @@ pub fn run_campaign(opts: &FleetChaosOptions, k: usize) -> PairOutcome {
 
 /// The shrink predicate: exactly the checks the sweep applies to one
 /// side of pair `k` — the 1-worker run's invariants, and on the
-/// correlated side equal digests at every [`WORKER_COUNTS`] entry.
+/// correlated side equal digests at every `WORKER_COUNTS` entry.
 fn side_violates(
     opts: &FleetChaosOptions,
     k: usize,
@@ -428,42 +428,42 @@ fn side_violates(
 
 /// Aggregated result of a fleet-chaos sweep.
 #[derive(Debug, Clone)]
-pub struct FleetChaosReport {
+pub(crate) struct FleetChaosReport {
     /// Options the sweep ran with.
-    pub options: FleetChaosOptions,
+    pub(crate) options: FleetChaosOptions,
     /// Every campaign pair.
-    pub outcomes: Vec<PairOutcome>,
+    pub(crate) outcomes: Vec<PairOutcome>,
     /// Shrunk violations (empty on a clean sweep).
-    pub violations: Vec<Violation>,
+    pub(crate) violations: Vec<Violation>,
     /// Mean availability across correlated campaigns.
-    pub correlated_mean: f64,
+    pub(crate) correlated_mean: f64,
     /// Worst correlated campaign.
-    pub correlated_min: f64,
+    pub(crate) correlated_min: f64,
     /// Mean availability across independent twins.
-    pub independent_mean: f64,
+    pub(crate) independent_mean: f64,
     /// Worst independent twin.
-    pub independent_min: f64,
+    pub(crate) independent_min: f64,
     /// Sessions displaced by site faults, summed over every run.
-    pub stranded: u64,
+    pub(crate) stranded: u64,
     /// Displaced sessions that completed a live migration.
-    pub migrated: u64,
+    pub(crate) migrated: u64,
     /// Displaced sessions whose users left mid-transfer.
-    pub migration_cancelled: u64,
+    pub(crate) migration_cancelled: u64,
     /// Migration placements deferred a window.
-    pub migration_retries: u64,
+    pub(crate) migration_retries: u64,
     /// FNV fold of every correlated digest, hex — the sweep's identity
     /// for `--check`.
-    pub digest_hex: String,
+    pub(crate) digest_hex: String,
     /// Wall-clock seconds for the sweep.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Fleet runs per wall-clock second.
-    pub runs_per_sec: f64,
+    pub(crate) runs_per_sec: f64,
 }
 
 impl FleetChaosReport {
     /// Fraction of displaced sessions that completed a live migration,
     /// of those whose users did not leave mid-transfer.
-    pub fn live_migration_rate(&self) -> f64 {
+    pub(crate) fn live_migration_rate(&self) -> f64 {
         if self.stranded == 0 {
             return 1.0;
         }
@@ -472,7 +472,7 @@ impl FleetChaosReport {
 }
 
 /// Runs the full sweep: `campaigns` pairs, shrink on every violation.
-pub fn run_fleet_chaos(opts: &FleetChaosOptions) -> FleetChaosReport {
+pub(crate) fn run_fleet_chaos(opts: &FleetChaosOptions) -> FleetChaosReport {
     let started = Instant::now();
     let outcomes: Vec<PairOutcome> = (0..opts.campaigns).map(|k| run_campaign(opts, k)).collect();
 
@@ -607,7 +607,7 @@ pub fn replay(opts: &FleetChaosOptions, k: usize) -> String {
 }
 
 /// Renders the `BENCH_fleetchaos.json` artifact.
-pub fn report_json(r: &FleetChaosReport) -> String {
+pub(crate) fn report_json(r: &FleetChaosReport) -> String {
     let o = &r.options;
     let all_match = r.outcomes.iter().all(|p| p.digests_match());
     let sum = |f: fn(&FleetReport) -> u64| {
@@ -675,7 +675,7 @@ pub fn report_json(r: &FleetChaosReport) -> String {
 /// (`bench --run fleetchaos`): grid, execute, and the gates that used
 /// to live in the `bench` binary's `--fleetchaos` branch. The smoke
 /// tier drops from 64 to 12 campaign pairs (the old CI scale).
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_bool, gate_num, gate_str, same_config, ExpConfig, Experiment};
     Experiment {
         name: "fleetchaos",

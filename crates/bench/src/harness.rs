@@ -1,14 +1,8 @@
-//! Shared bench-harness plumbing: seed mixing, JSON emission, and
-//! allocation probes.
+//! Shared bench-harness plumbing: seed mixing and JSON emission.
 //!
-//! Every `bench` mode used to hand-roll the same three things — a
-//! `seed ^ case` mixer, a `format!`-built JSON artifact, and
-//! before/after sampling of the counting allocator. This module is the
-//! single copy (ROADMAP item 5's first step): [`mix_seed`] for case
-//! derivation, [`JsonBuilder`] for the artifact format every committed
-//! `BENCH_*.json` already uses (so ports are byte-identical), and
-//! [`AllocProbe`] for steady-state allocation deltas. The counting
-//! `GlobalAlloc` itself stays in the `bench` binary — installing a global
+//! [`mix_seed`] derives each case's seed and `JsonBuilder` renders the
+//! artifact format every committed `BENCH_*.json` uses. The counting
+//! `GlobalAlloc` stays in the `bench` binary — installing a global
 //! allocator requires `unsafe`, which this crate forbids — and reaches
 //! the library as a plain `&dyn Fn() -> u64`.
 
@@ -30,7 +24,7 @@ pub fn mix_seed(seed: u64, k: usize) -> u64 {
 
 /// Renders a float as fixed three-decimal JSON, or `null` when not
 /// finite (JSON has no `inf`/`nan`).
-pub fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
     } else {
@@ -47,7 +41,7 @@ pub fn json_f64(v: f64) -> String {
 /// byte format exactly, so porting a mode onto it does not invalidate
 /// its committed `BENCH_*.json` baseline.
 #[derive(Debug)]
-pub struct JsonBuilder {
+pub(crate) struct JsonBuilder {
     out: String,
     depth: usize,
     first: bool,
@@ -55,7 +49,7 @@ pub struct JsonBuilder {
 
 impl JsonBuilder {
     /// Starts the root object.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             out: String::from("{"),
             depth: 1,
@@ -76,35 +70,35 @@ impl JsonBuilder {
     }
 
     /// Emits a pre-rendered JSON value.
-    pub fn raw(&mut self, key: &str, value: &str) -> &mut Self {
+    pub(crate) fn raw(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
         self.out.push_str(value);
         self
     }
 
     /// Emits a string value (the artifact vocabulary needs no escaping).
-    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+    pub(crate) fn str(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
         let _ = write!(self.out, "\"{value}\"");
         self
     }
 
     /// Emits an unsigned integer value.
-    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
+    pub(crate) fn int(&mut self, key: &str, value: u64) -> &mut Self {
         self.key(key);
         let _ = write!(self.out, "{value}");
         self
     }
 
     /// Emits a bool value.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+    pub(crate) fn bool(&mut self, key: &str, value: bool) -> &mut Self {
         self.key(key);
         let _ = write!(self.out, "{value}");
         self
     }
 
     /// Emits a float via [`json_f64`].
-    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+    pub(crate) fn f64(&mut self, key: &str, value: f64) -> &mut Self {
         let rendered = json_f64(value);
         self.key(key);
         self.out.push_str(&rendered);
@@ -112,7 +106,7 @@ impl JsonBuilder {
     }
 
     /// Emits a nested object built by `fill`.
-    pub fn object(&mut self, key: &str, fill: impl FnOnce(&mut Self)) -> &mut Self {
+    pub(crate) fn object(&mut self, key: &str, fill: impl FnOnce(&mut Self)) -> &mut Self {
         self.key(key);
         self.out.push('{');
         self.depth += 1;
@@ -133,7 +127,7 @@ impl JsonBuilder {
     /// Items carry their own quoting and escaping; an empty slice
     /// renders as an open bracket, a newline, and a closing bracket at
     /// the current indent.
-    pub fn list(&mut self, key: &str, items: &[String]) -> &mut Self {
+    pub(crate) fn list(&mut self, key: &str, items: &[String]) -> &mut Self {
         self.key(key);
         self.out.push_str("[\n");
         for (i, item) in items.iter().enumerate() {
@@ -155,7 +149,7 @@ impl JsonBuilder {
 
     /// Closes the root object (with the trailing newline every
     /// `BENCH_*.json` ends in) and returns the document.
-    pub fn finish(mut self) -> String {
+    pub(crate) fn finish(mut self) -> String {
         self.out.push_str("\n}\n");
         self.out
     }
@@ -164,34 +158,6 @@ impl JsonBuilder {
 impl Default for JsonBuilder {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Samples an allocation counter across a measured phase.
-pub struct AllocProbe<'a> {
-    count: &'a dyn Fn() -> u64,
-    start: u64,
-}
-
-impl<'a> AllocProbe<'a> {
-    /// Starts a probe at the counter's current reading. Pass the `bench`
-    /// binary's counting-allocator reading, or `&|| 0` to measure
-    /// nothing.
-    pub fn start(count: &'a dyn Fn() -> u64) -> Self {
-        Self {
-            start: count(),
-            count,
-        }
-    }
-
-    /// Allocations observed since [`Self::start`].
-    pub fn delta(&self) -> u64 {
-        (self.count)() - self.start
-    }
-
-    /// Resets the probe's baseline to now.
-    pub fn restart(&mut self) {
-        self.start = (self.count)();
     }
 }
 
@@ -215,7 +181,7 @@ pub fn extract_num(doc: &str, section: &str, key: &str) -> Option<f64> {
 
 /// Pulls `"key": "<string>"` out of the JSON `section` object of `doc`
 /// (the artifact vocabulary carries no escapes inside string values).
-pub fn extract_str<'a>(doc: &'a str, section: &str, key: &str) -> Option<&'a str> {
+pub(crate) fn extract_str<'a>(doc: &'a str, section: &str, key: &str) -> Option<&'a str> {
     let start = doc.find(&format!("\"{section}\""))?;
     let tail = &doc[start..];
     let kpos = tail.find(&format!("\"{key}\""))?;
@@ -227,7 +193,7 @@ pub fn extract_str<'a>(doc: &'a str, section: &str, key: &str) -> Option<&'a str
 }
 
 /// Pulls `"key": true|false` out of the JSON `section` object of `doc`.
-pub fn extract_bool(doc: &str, section: &str, key: &str) -> Option<bool> {
+pub(crate) fn extract_bool(doc: &str, section: &str, key: &str) -> Option<bool> {
     let start = doc.find(&format!("\"{section}\""))?;
     let tail = &doc[start..];
     let kpos = tail.find(&format!("\"{key}\""))?;
@@ -246,7 +212,7 @@ pub fn extract_bool(doc: &str, section: &str, key: &str) -> Option<bool> {
 /// Pulls the string items of the `"key": [ ... ]` array emitted by
 /// [`JsonBuilder::list`] — one quoted item per line, as in the
 /// `violations`/`failures` arrays of the committed artifacts.
-pub fn extract_list(doc: &str, key: &str) -> Vec<String> {
+pub(crate) fn extract_list(doc: &str, key: &str) -> Vec<String> {
     let mut items = Vec::new();
     let Some(start) = doc.find(&format!("\"{key}\": [")) else {
         return items;
@@ -395,17 +361,5 @@ mod tests {
         let mut j = JsonBuilder::new();
         j.list("violations", &[]);
         assert!(extract_list(&j.finish(), "violations").is_empty());
-    }
-
-    #[test]
-    fn alloc_probe_measures_deltas() {
-        use std::cell::Cell;
-        let reads = Cell::new(100u64);
-        let count = || reads.get();
-        let mut probe = AllocProbe::start(&count);
-        reads.set(140);
-        assert_eq!(probe.delta(), 40);
-        probe.restart();
-        assert_eq!(probe.delta(), 0);
     }
 }

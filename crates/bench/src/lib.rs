@@ -10,17 +10,17 @@
 // per-process-seeded maps are allowed here (see `clippy.toml`).
 #![allow(clippy::disallowed_types)]
 
-pub mod campaign;
+pub(crate) mod campaign;
 pub mod chaos;
 pub mod extensions;
 pub mod fleet;
 pub mod fleetchaos;
 pub mod harness;
 pub mod netvalidate;
-pub mod perf;
+pub(crate) mod perf;
 pub mod repro;
 pub mod runner;
 pub mod serve;
 pub mod sweep;
 pub mod tracebench;
-pub mod video;
+pub(crate) mod video;

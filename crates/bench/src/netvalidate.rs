@@ -16,13 +16,13 @@
 //!    (`tcp.goodput(max-min fair share)`).
 //!
 //! A failing case is shrunk by the shared greedy shrinker
-//! ([`crate::campaign`]: churn ops, then flows, then backup uplinks) to
+//! (`crate::campaign`: churn ops, then flows, then backup uplinks) to
 //! a minimal counterexample, and the report carries a one-line repro
 //! (`bench --run netval --seed N --cases 1`).
 //!
 //! The same harness re-runs the goodput calibration (the packet-measured
 //! factor must reproduce the paper's ~903 Mbps within
-//! [`CALIBRATION_TOLERANCE`]) and the incast pacing experiment (an
+//! `CALIBRATION_TOLERANCE`) and the incast pacing experiment (an
 //! unpaced N-to-1 burst must drop; the paced storm must not, at bounded
 //! completion-time inflation) so `bench --run netval` gates all three.
 
@@ -52,7 +52,7 @@ pub const AGREEMENT_TOLERANCE: f64 = 0.12;
 
 /// The calibrated goodput factor must reproduce the paper's measured
 /// inter-SoC TCP goodput within this relative error.
-pub const CALIBRATION_TOLERANCE: f64 = 0.05;
+pub(crate) const CALIBRATION_TOLERANCE: f64 = 0.05;
 
 /// Paced incast may stretch total completion by at most this factor over
 /// the unpaced burst. The bottleneck's drain rate is conserved, so pacing
@@ -80,10 +80,10 @@ const WINDOW: SimDuration = SimDuration::from_millis(40);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// SoCs in the fabric (PCB count follows, five per board).
-    pub socs: usize,
+    pub(crate) socs: usize,
     /// PCBs given a second (backup) duplex uplink to the ESB, so uplink
     /// failures exercise rerouting and not just flow removal.
-    pub backup_pcbs: Vec<usize>,
+    pub(crate) backup_pcbs: Vec<usize>,
     /// Flows as `(src_soc, dst_soc)` index pairs.
     pub flows: Vec<(usize, usize)>,
     /// Uplink churn applied, in order, before the measurement window.
@@ -113,7 +113,7 @@ pub enum ChurnOp {
 
 /// Builds the scenario's fabric: the standard cluster plus any backup
 /// uplinks.
-pub fn build_fabric(s: &Scenario) -> ClusterFabric {
+pub(crate) fn build_fabric(s: &Scenario) -> ClusterFabric {
     let mut fabric = Topology::soc_cluster(s.socs);
     for &p in &s.backup_pcbs {
         fabric.topology.add_duplex(
@@ -166,13 +166,13 @@ pub fn gen_scenario(rng: &mut SimRng) -> Scenario {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseReport {
     /// Flows the scenario started with.
-    pub flows: usize,
+    pub(crate) flows: usize,
     /// Flows alive (in both engines) at measurement time.
-    pub survivors: usize,
+    pub(crate) survivors: usize,
     /// Worst per-flow relative error of this case.
     pub max_rel_err: f64,
     /// Mean per-flow relative error of this case.
-    pub mean_rel_err: f64,
+    pub(crate) mean_rel_err: f64,
 }
 
 fn resolve(op: &ChurnOp, fabric: &ClusterFabric) -> (LinkId, bool) {
@@ -331,9 +331,9 @@ pub fn shrink_scenario(s: &Scenario) -> Scenario {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncastOutcome {
     /// Concurrent senders bursting into one SoC.
-    pub senders: usize,
+    pub(crate) senders: usize,
     /// Whether admissions were paced by [`EvacuationPacing`].
-    pub paced: bool,
+    pub(crate) paced: bool,
     /// Packets tail-dropped across the fabric.
     pub drops: u64,
     /// High-water queue depth at the victim's ESB → PCB port.
@@ -396,13 +396,13 @@ pub fn run_incast(senders: usize, paced: bool) -> IncastOutcome {
 
 /// Sweep parameters for `bench --run netval`.
 #[derive(Debug, Clone)]
-pub struct NetvalOptions {
+pub(crate) struct NetvalOptions {
     /// Randomized cases to run.
-    pub cases: usize,
+    pub(crate) cases: usize,
     /// Master seed; case `k` derives its own seed from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Senders in the incast experiment.
-    pub incast_senders: usize,
+    pub(crate) incast_senders: usize,
 }
 
 impl Default for NetvalOptions {
@@ -417,44 +417,44 @@ impl Default for NetvalOptions {
 
 /// One shrunk agreement failure.
 #[derive(Debug, Clone)]
-pub struct DisagreementRecord {
+pub(crate) struct DisagreementRecord {
     /// Case index within the sweep.
-    pub case: usize,
+    pub(crate) case: usize,
     /// The case's derived seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// First line of the failure detail.
-    pub detail: String,
+    pub(crate) detail: String,
     /// Minimal counterexample after greedy shrinking.
-    pub minimal: Scenario,
+    pub(crate) minimal: Scenario,
     /// One-line repro command.
-    pub repro: String,
+    pub(crate) repro: String,
 }
 
 /// Aggregated result of a cross-validation sweep.
 #[derive(Debug, Clone)]
-pub struct NetvalReport {
+pub(crate) struct NetvalReport {
     /// Options the sweep ran with.
-    pub options: NetvalOptions,
+    pub(crate) options: NetvalOptions,
     /// Shrunk disagreements (empty on a clean sweep).
-    pub failures: Vec<DisagreementRecord>,
+    pub(crate) failures: Vec<DisagreementRecord>,
     /// Surviving flows measured across all cases.
-    pub flows_checked: usize,
+    pub(crate) flows_checked: usize,
     /// Worst per-flow relative error across the sweep.
-    pub max_rel_err: f64,
+    pub(crate) max_rel_err: f64,
     /// Mean of the per-case mean relative errors.
-    pub mean_rel_err: f64,
+    pub(crate) mean_rel_err: f64,
     /// The goodput calibration run (fresh, not the cached factor).
-    pub calibration: CalibrationReport,
+    pub(crate) calibration: CalibrationReport,
     /// Relative error of the calibrated goodput vs the paper's anchor.
-    pub calibration_rel_err: f64,
+    pub(crate) calibration_rel_err: f64,
     /// The unpaced incast burst.
-    pub incast_unpaced: IncastOutcome,
+    pub(crate) incast_unpaced: IncastOutcome,
     /// The paced incast storm.
-    pub incast_paced: IncastOutcome,
+    pub(crate) incast_paced: IncastOutcome,
     /// Wall-clock seconds for the sweep.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Cases per wall-clock second.
-    pub cases_per_sec: f64,
+    pub(crate) cases_per_sec: f64,
 }
 
 /// Case `k`'s private seed (same mixing as the chaos harness — one
@@ -465,7 +465,7 @@ pub fn case_seed(seed: u64, k: usize) -> u64 {
 }
 
 /// Runs the full sweep plus the calibration and incast experiments.
-pub fn run_netval(opts: &NetvalOptions) -> NetvalReport {
+pub(crate) fn run_netval(opts: &NetvalOptions) -> NetvalReport {
     let started = Instant::now();
     let mut failures = Vec::new();
     let mut flows_checked = 0usize;
@@ -535,7 +535,7 @@ fn json_f64(v: f64) -> String {
 /// stay on the mode's six-decimal `json_f64` (via `raw`), so the port
 /// is byte-identical to the hand-rolled emitter it replaced and the
 /// committed baseline stays valid.
-pub fn report_json(r: &NetvalReport) -> String {
+pub(crate) fn report_json(r: &NetvalReport) -> String {
     let mut j = JsonBuilder::new();
     j.str("benchmark", "netval")
         .int("cases", r.options.cases as u64)
@@ -600,7 +600,7 @@ pub fn report_json(r: &NetvalReport) -> String {
 /// runner (`bench --run netval`): grid, execute, and the gates that
 /// used to live in the `bench` binary's `--netval` branch. The smoke
 /// tier drops from 200 to 64 randomized cases (the old CI scale).
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_num, ExpConfig, Experiment};
     Experiment {
         name: "netval",

@@ -34,17 +34,17 @@ const STREAM_SLACK: usize = 8;
 
 /// Parameters of one churn run.
 #[derive(Debug, Clone)]
-pub struct PerfOptions {
+pub(crate) struct PerfOptions {
     /// Target number of concurrently attached streams.
-    pub flows: usize,
+    pub(crate) flows: usize,
     /// Number of churn events in the measured phase (the warm-up phase runs
     /// the same count).
-    pub churn_events: usize,
+    pub(crate) churn_events: usize,
     /// Seed for the operation mix; equal seeds give identical op sequences.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Force the from-scratch waterfill on every reallocation (the
     /// comparison baseline) instead of the incremental path.
-    pub force_full: bool,
+    pub(crate) force_full: bool,
 }
 
 impl Default for PerfOptions {
@@ -60,45 +60,45 @@ impl Default for PerfOptions {
 
 /// Results of one churn run.
 #[derive(Debug, Clone)]
-pub struct PerfReport {
+pub(crate) struct PerfReport {
     /// `"incremental"` or `"full"`.
-    pub mode: &'static str,
+    pub(crate) mode: &'static str,
     /// Target stream population.
-    pub flows: usize,
+    pub(crate) flows: usize,
     /// Measured churn events.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Wall-clock seconds of the measured phase.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Churn events per second.
-    pub events_per_sec: f64,
+    pub(crate) events_per_sec: f64,
     /// Allocation updates performed during the measured phase.
-    pub reallocations: u64,
+    pub(crate) reallocations: u64,
     /// Allocation updates per second.
-    pub reallocations_per_sec: f64,
+    pub(crate) reallocations_per_sec: f64,
     /// Median per-event wall-clock cost, microseconds.
-    pub p50_event_us: f64,
+    pub(crate) p50_event_us: f64,
     /// 99th-percentile per-event wall-clock cost, microseconds.
-    pub p99_event_us: f64,
+    pub(crate) p99_event_us: f64,
     /// Waterfilling rounds during the measured phase.
-    pub waterfill_rounds: u64,
+    pub(crate) waterfill_rounds: u64,
     /// The progressive-filling tally (`FairnessStats::waterfill_touches`):
     /// summed over rounds, the route lengths of the flows active at the
     /// start of each round — the O(flows × links × rounds) work term the
     /// incremental path is designed to shrink. The allocator keeps it by
     /// subtraction as flows freeze; it is not a count of visits.
-    pub waterfill_touches: u64,
+    pub(crate) waterfill_touches: u64,
     /// Flow-link visits spent checking/expanding the bottleneck
     /// certificate (incremental-path overhead; zero in full mode).
-    pub cert_touches: u64,
+    pub(crate) cert_touches: u64,
     /// Reallocations that fell back to (or were forced onto) the
     /// from-scratch waterfill.
-    pub full_recomputes: u64,
+    pub(crate) full_recomputes: u64,
     /// Heap allocations observed during the measured phase (0 when the
     /// harness runs under the counting allocator and the hot path is
     /// clean; also 0 when no counting allocator is installed).
-    pub steady_state_allocs: u64,
+    pub(crate) steady_state_allocs: u64,
     /// Max |maintained − from-scratch reference| over final rates, bits/s.
-    pub final_drift_bps: f64,
+    pub(crate) final_drift_bps: f64,
 }
 
 /// Runs the churn workload once and reports.
@@ -106,7 +106,7 @@ pub struct PerfReport {
 /// `alloc_count` is sampled immediately before and after the measured
 /// phase; pass a counting-allocator reading (see the `bench` binary) to
 /// measure steady-state allocations, or `&|| 0` to skip that measurement.
-pub fn churn(opts: &PerfOptions, alloc_count: &dyn Fn() -> u64) -> PerfReport {
+pub(crate) fn churn(opts: &PerfOptions, alloc_count: &dyn Fn() -> u64) -> PerfReport {
     let fabric = Topology::soc_cluster(60);
     let mut net = FlowNet::new(fabric.topology.clone(), TcpModel::inter_soc());
     net.set_force_full_recompute(opts.force_full);
@@ -289,7 +289,7 @@ impl PerfReport {
 /// tally ratio, the from-scratch waterfill tally over the incremental one
 /// (the acceptance bar is ≥ 5). Built on the shared [`JsonBuilder`], which
 /// reproduces the committed artifact's byte format exactly.
-pub fn comparison_json(incremental: &PerfReport, full: &PerfReport) -> String {
+pub(crate) fn comparison_json(incremental: &PerfReport, full: &PerfReport) -> String {
     let ratio = if incremental.waterfill_touches > 0 {
         full.waterfill_touches as f64 / incremental.waterfill_touches as f64
     } else {
@@ -306,7 +306,7 @@ pub fn comparison_json(incremental: &PerfReport, full: &PerfReport) -> String {
 /// Declares the churn microbenchmark for the unified runner
 /// (`bench --run perf`): grid, execute, and the gates that used to live
 /// in the `bench` binary's `--perf --check` branch.
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_num, ExpConfig, Experiment};
     Experiment {
         name: "perf",

@@ -21,7 +21,7 @@ use socc_workloads::gaming::{trace_stats, GamingTraceConfig};
 use socc_workloads::vmtrace::VmPopulation;
 
 /// Fig. 1 — CDF of VM resource subscriptions and fit-in-SoC fractions.
-pub fn fig1() -> String {
+pub(crate) fn fig1() -> String {
     let mut rng = SimRng::seed(1);
     let mut out = String::new();
     for pop in [VmPopulation::Azure, VmPopulation::AlibabaEns] {
@@ -50,7 +50,7 @@ pub fn fig1() -> String {
 }
 
 /// Table 1 — hardware platforms.
-pub fn tab1() -> String {
+pub(crate) fn tab1() -> String {
     let cluster = ServerSpec::soc_cluster();
     let edge = ServerSpec::traditional_edge();
     let mut t = Table::new(["Hardware", "SoC Cluster", "Traditional Server"])
@@ -70,7 +70,7 @@ pub fn tab1() -> String {
 }
 
 /// Table 2 — Geekbench-style micro-benchmarks.
-pub fn tab2() -> String {
+pub(crate) fn tab2() -> String {
     let mut t = Table::new([
         "Benchmark",
         "Ours/core",
@@ -108,7 +108,7 @@ pub fn tab2() -> String {
 }
 
 /// Fig. 5 — 38 h in-the-wild gaming traffic.
-pub fn fig5() -> String {
+pub(crate) fn fig5() -> String {
     let cfg = GamingTraceConfig::default();
     let mut rng = SimRng::seed(5);
     let trace = cfg.generate(
@@ -130,7 +130,7 @@ pub fn fig5() -> String {
 }
 
 /// Table 3 — video metadata and network-bound analysis.
-pub fn tab3() -> String {
+pub(crate) fn tab3() -> String {
     let mut t = Table::new([
         "Video",
         "Resolution",
@@ -168,7 +168,7 @@ pub fn tab3() -> String {
 
 /// Table 3 (full backend matrix) — `max_live_streams` for every
 /// transcode unit × vbench video, per unit and per whole server.
-pub fn tab3_full() -> String {
+pub(crate) fn tab3_full() -> String {
     use socc_video::backend::TranscodeUnit;
     let mut t = Table::new([
         "Video",
@@ -208,7 +208,7 @@ pub fn tab3_full() -> String {
 }
 
 /// Fig. 6 — transcoding energy efficiency.
-pub fn fig6() -> String {
+pub(crate) fn fig6() -> String {
     let mut a = Table::new([
         "Video",
         "SoC CPU",
@@ -242,7 +242,7 @@ pub fn fig6() -> String {
 }
 
 /// Fig. 7 — live TpE vs concurrent streams (V4 and V5).
-pub fn fig7() -> String {
+pub(crate) fn fig7() -> String {
     let mut out = String::new();
     for id in ["V4", "V5"] {
         let video = socc_video::vbench::by_id(id).expect("vbench video");
@@ -263,7 +263,7 @@ pub fn fig7() -> String {
 }
 
 /// Fig. 8 — SoC CPU vs hardware codec.
-pub fn fig8() -> String {
+pub(crate) fn fig8() -> String {
     let mut t = Table::new([
         "Video",
         "CPU streams",
@@ -289,7 +289,7 @@ pub fn fig8() -> String {
 }
 
 /// Fig. 9 — target vs output bitrate.
-pub fn fig9() -> String {
+pub(crate) fn fig9() -> String {
     let mut t = Table::new([
         "Video",
         "target kbps",
@@ -311,7 +311,7 @@ pub fn fig9() -> String {
 }
 
 /// Fig. 10 — transcoding quality (PSNR).
-pub fn fig10() -> String {
+pub(crate) fn fig10() -> String {
     let mut t = Table::new(["Video", "x264 (SoC)", "x264 (Intel)", "NVENC", "MediaCodec"])
         .with_title("Fig.10: PSNR (dB) at identical bitrate constraints");
     for row in exp::fig10_quality() {
@@ -327,7 +327,7 @@ pub fn fig10() -> String {
 }
 
 /// Fig. 11 — DL serving latency and energy efficiency.
-pub fn fig11() -> String {
+pub(crate) fn fig11() -> String {
     let mut t = Table::new([
         "Engine",
         "Model",
@@ -351,7 +351,7 @@ pub fn fig11() -> String {
 }
 
 /// Fig. 12 — energy efficiency under offered load.
-pub fn fig12() -> String {
+pub(crate) fn fig12() -> String {
     let loads = [
         5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 1500.0, 1800.0,
     ];
@@ -379,7 +379,7 @@ pub fn fig12() -> String {
 }
 
 /// Fig. 13 — SoC-collaborative inference.
-pub fn fig13() -> String {
+pub(crate) fn fig13() -> String {
     let mut out = String::new();
     for pipelined in [false, true] {
         let title = if pipelined {
@@ -415,7 +415,7 @@ pub fn fig13() -> String {
 }
 
 /// Table 4 — CapEx/OpEx/monthly TCO.
-pub fn tab4() -> String {
+pub(crate) fn tab4() -> String {
     let mut out = String::new();
     for platform in Platform::ALL {
         let b = socc_tco::breakdown(platform);
@@ -450,7 +450,7 @@ pub fn tab4() -> String {
 }
 
 /// Table 5 — throughput per cost.
-pub fn tab5() -> String {
+pub(crate) fn tab5() -> String {
     let videos = socc_video::vbench::videos();
     let mut out = String::new();
 
@@ -527,7 +527,7 @@ pub fn tab5() -> String {
 /// are pinned by whole-SoC archive jobs (batch priority), and 40 live
 /// streams share the 5 remaining SoCs, so every fault forces the loop to
 /// migrate, retry with backoff, shed batch work, or concede a loss.
-pub fn avail() -> String {
+pub(crate) fn avail() -> String {
     let horizon = SimDuration::from_hours(1);
     let socs = 60;
     let mut t = Table::new([
@@ -631,7 +631,7 @@ pub fn avail() -> String {
 /// every board burst as five single-SoC deaths at seeded uniform times, so
 /// the gap isolates the cost of *correlation* — same failure volume,
 /// different arrival shape.
-pub fn fig_avail_domains() -> String {
+pub(crate) fn fig_avail_domains() -> String {
     let opts = crate::chaos::ChaosOptions {
         campaigns: 12,
         seed: 42,
@@ -692,7 +692,7 @@ pub fn fig_avail_domains() -> String {
 }
 
 /// Table 6 — longitudinal device registry.
-pub fn tab6() -> String {
+pub(crate) fn tab6() -> String {
     let mut t = Table::new(["Device", "SoC", "RAM", "OS", "Release"])
         .with_title("Table 6: longitudinal study devices");
     for d in longitudinal_devices() {
@@ -708,7 +708,7 @@ pub fn tab6() -> String {
 }
 
 /// Table 7 — physical vs virtualized SoCs.
-pub fn tab7() -> String {
+pub(crate) fn tab7() -> String {
     let mut t = Table::new([
         "Model",
         "Processor",
@@ -732,7 +732,7 @@ pub fn tab7() -> String {
 }
 
 /// Fig. 14 — six-generation SoC evolution.
-pub fn fig14() -> String {
+pub(crate) fn fig14() -> String {
     let mut t = Table::new([
         "SoC",
         "Year",
@@ -771,7 +771,7 @@ pub fn fig14() -> String {
 /// production-scale diurnal day on one enclosure, advanced by the
 /// analytic steady-state fast path, with a board-down fault at the
 /// 21:00 peak and GOP-checkpoint-priced migrations.
-pub fn farm() -> String {
+pub(crate) fn farm() -> String {
     use socc_cluster::videofarm::{generate_schedule, run_farm, FarmConfig, FarmMode};
     let cfg = FarmConfig::default();
     let schedule = generate_schedule(&cfg);

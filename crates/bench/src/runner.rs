@@ -31,14 +31,14 @@ use std::time::Instant;
 /// a different version are ignored by [`Cache::load`] (and thus
 /// re-executed), so a bump invalidates stale caches instead of
 /// misreading them.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// Default on-disk cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".bench-cache";
 
 /// 64-bit FNV-1a over a byte stream — the same cheap, stable hash the
 /// fleet digests use; no dependency, identical on every platform.
-pub fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     for &b in bytes {
         state ^= u64::from(b);
@@ -68,7 +68,7 @@ pub fn exe_fnv64() -> Option<u64> {
 /// One typed config field value. The tag participates in the config
 /// hash, so `U64(1)` and `Str("1")` never collide.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CfgValue {
+pub(crate) enum CfgValue {
     /// Unsigned integer field.
     U64(u64),
     /// Float field (canonical shortest-round-trip rendering).
@@ -165,7 +165,7 @@ impl ExpConfig {
     }
 
     /// Reads an `f64` field (panics like [`Self::get_u64`]).
-    pub fn get_f64(&self, name: &str) -> f64 {
+    pub(crate) fn get_f64(&self, name: &str) -> f64 {
         match self.lookup(name) {
             CfgValue::F64(v) => *v,
             other => panic!("config field {name} is {other:?}, not f64"),
@@ -173,7 +173,7 @@ impl ExpConfig {
     }
 
     /// Reads a string field (panics like [`Self::get_u64`]).
-    pub fn get_str(&self, name: &str) -> &str {
+    pub(crate) fn get_str(&self, name: &str) -> &str {
         match self.lookup(name) {
             CfgValue::Str(v) => v,
             other => panic!("config field {name} is {other:?}, not str"),
@@ -188,7 +188,7 @@ impl ExpConfig {
 
     /// Field names and type tags in declaration order (the envelope
     /// golden test pins these so schema drift fails loudly).
-    pub fn field_schema(&self) -> String {
+    pub(crate) fn field_schema(&self) -> String {
         let mut out = String::new();
         for (i, (name, value)) in self.fields.iter().enumerate() {
             if i > 0 {
@@ -227,7 +227,7 @@ impl ExpConfig {
 
     /// Compact JSON object in declaration order (the envelope's
     /// `config` value).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, value)) in self.fields.iter().enumerate() {
             if i > 0 {
@@ -245,7 +245,7 @@ impl ExpConfig {
 
 /// Escapes a string for embedding as a JSON string value (the artifact
 /// documents carry newlines and quotes).
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 16);
     for c in s.chars() {
         match c {
@@ -264,7 +264,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Inverse of [`json_escape`]; returns `None` on a malformed escape.
-pub fn json_unescape(s: &str) -> Option<String> {
+pub(crate) fn json_unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -296,7 +296,7 @@ pub fn json_unescape(s: &str) -> Option<String> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Experiment name.
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// 16-hex-digit [`ExpConfig::hash_hex`] cache key.
     pub config_hash: String,
     /// 16-hex-digit fingerprint of the build that produced the row (see
@@ -304,14 +304,14 @@ pub struct Row {
     /// it records where a result came from, not what it is.
     pub build: String,
     /// The config's derived seed (provenance; also inside `config`).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Wall-clock of the execute call, milliseconds. Excluded from
     /// [`rows_digest`]: it is the one envelope field that legitimately
     /// differs between an interrupted-and-resumed sweep and an
     /// uninterrupted one.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Compact JSON object of the config fields (declaration order).
-    pub config_json: String,
+    pub(crate) config_json: String,
     /// The experiment's artifact document, verbatim (the bytes that
     /// become `BENCH_*.json`).
     pub artifact: String,
@@ -319,7 +319,7 @@ pub struct Row {
 
 impl Row {
     /// Renders the envelope as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         format!(
             "{{\"schema\":{},\"experiment\":\"{}\",\"config_hash\":\"{}\",\"build\":\"{}\",\"seed\":{},\"wall_ms\":{:.3},\"config\":{},\"artifact\":\"{}\"}}",
             SCHEMA_VERSION,
@@ -336,7 +336,7 @@ impl Row {
     /// Parses one JSONL line back into a row. Returns `None` for
     /// malformed lines (including a partial final line left by a killed
     /// sweep) and rows from a different schema version.
-    pub fn parse(line: &str) -> Option<Row> {
+    pub(crate) fn parse(line: &str) -> Option<Row> {
         if field_u64(line, "schema")? != SCHEMA_VERSION {
             return None;
         }
@@ -488,7 +488,7 @@ impl Cache {
     }
 
     /// The JSONL file backing `experiment`.
-    pub fn path_for(&self, experiment: &str) -> PathBuf {
+    pub(crate) fn path_for(&self, experiment: &str) -> PathBuf {
         self.dir.join(format!("{experiment}.jsonl"))
     }
 
@@ -514,7 +514,7 @@ impl Cache {
 
     /// Appends one completed row to the experiment's JSONL file,
     /// flushed so the row survives a kill immediately after.
-    pub fn append(&self, row: &Row) -> Result<(), String> {
+    pub(crate) fn append(&self, row: &Row) -> Result<(), String> {
         fs::create_dir_all(&self.dir).map_err(|e| format!("creating {:?}: {e}", self.dir))?;
         let path = self.path_for(&row.experiment);
         let mut file = fs::OpenOptions::new()
@@ -584,20 +584,11 @@ impl GridScale {
             ..Self::default()
         }
     }
-
-    /// The CI-smoke grid at the conventional master seed.
-    pub fn smoke(seed: u64) -> Self {
-        Self {
-            seed,
-            smoke: true,
-            ..Self::default()
-        }
-    }
 }
 
 /// An experiment's execute function: one configuration in, the artifact
 /// document out. `Err` aborts the sweep (completed rows stay cached).
-pub type ExecFn = fn(&ExpConfig, &dyn Fn() -> u64) -> Result<String, String>;
+pub(crate) type ExecFn = fn(&ExpConfig, &dyn Fn() -> u64) -> Result<String, String>;
 
 /// One registered experiment: the declaration that replaces a bespoke
 /// bench mode, its JSON emitter wiring, and its hand-wired CI step.
@@ -625,8 +616,6 @@ pub struct Experiment {
 /// Outcome of one experiment sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
-    /// Experiment name.
-    pub name: &'static str,
     /// Configurations executed this run.
     pub executed: usize,
     /// Configurations answered from the cache.
@@ -649,7 +638,6 @@ pub fn run_experiment(
     let configs = (exp.configs)(scale);
     let known = cache.load(exp.name);
     let mut outcome = SweepOutcome {
-        name: exp.name,
         executed: 0,
         cached: 0,
         rows: Vec::with_capacity(configs.len()),
@@ -741,7 +729,12 @@ pub fn schema_description() -> String {
 
 /// Reads a required numeric gate input from an artifact document,
 /// recording a failure (instead of silently passing) when absent.
-pub fn gate_num(doc: &str, section: &str, key: &str, failures: &mut Vec<String>) -> Option<f64> {
+pub(crate) fn gate_num(
+    doc: &str,
+    section: &str,
+    key: &str,
+    failures: &mut Vec<String>,
+) -> Option<f64> {
     let v = crate::harness::extract_num(doc, section, key);
     if v.is_none() {
         failures.push(format!("artifact missing {section}.{key}"));
@@ -751,7 +744,7 @@ pub fn gate_num(doc: &str, section: &str, key: &str, failures: &mut Vec<String>)
 
 /// Reads a required string gate input from an artifact document,
 /// recording a failure when absent.
-pub fn gate_str<'a>(
+pub(crate) fn gate_str<'a>(
     doc: &'a str,
     section: &str,
     key: &str,
@@ -766,7 +759,12 @@ pub fn gate_str<'a>(
 
 /// Reads a required boolean gate input from an artifact document,
 /// recording a failure when absent.
-pub fn gate_bool(doc: &str, section: &str, key: &str, failures: &mut Vec<String>) -> Option<bool> {
+pub(crate) fn gate_bool(
+    doc: &str,
+    section: &str,
+    key: &str,
+    failures: &mut Vec<String>,
+) -> Option<bool> {
     let v = crate::harness::extract_bool(doc, section, key);
     if v.is_none() {
         failures.push(format!("artifact missing {section}.{key}"));
@@ -778,7 +776,7 @@ pub fn gate_bool(doc: &str, section: &str, key: &str, failures: &mut Vec<String>
 /// `config` key — the guard every digest-pinning baseline gate uses, so
 /// a deliberately rescaled run is not compared against a full-scale
 /// baseline.
-pub fn same_config(doc: &str, baseline: &str, keys: &[&str]) -> bool {
+pub(crate) fn same_config(doc: &str, baseline: &str, keys: &[&str]) -> bool {
     keys.iter().all(|key| {
         let run = crate::harness::extract_num(doc, "config", key);
         run.is_some() && run == crate::harness::extract_num(baseline, "config", key)

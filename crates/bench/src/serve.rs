@@ -1,17 +1,17 @@
 //! Deterministic DL-serving microbenchmark: the fig. 11/12 hot path.
 //!
-//! [`serving`] sweeps a grid of offered-load points (5%–95% of raw engine
+//! `serving` sweeps a grid of offered-load points (5%–95% of raw engine
 //! capacity) across the four engine/model/precision combos the extension
 //! studies use, plus a fig. 11-style SLO sweep per combo (the largest
 //! sustainable rate at each of several p99 SLOs) — once on the
 //! **analytic** M/D/1 fast path ([`socc_dl::queueing::Md1`], with the
 //! event simulation as guarded fallback for tails the series cannot
 //! resolve) and once on the **simulation** path alone (the pre-fast-path
-//! baseline, same tolerance-driven bisection). [`comparison_json`] renders
+//! baseline, same tolerance-driven bisection). `comparison_json` renders
 //! both runs plus the headline speedup and the analytic-vs-simulation p99
 //! drift as the `BENCH_serve.json` perf-trajectory artifact.
 //!
-//! Like the network-churn harness ([`crate::perf`]), a full warm-up pass
+//! Like the network-churn harness (`crate::perf`), a full warm-up pass
 //! runs before timing starts so every buffer (the simulation arena's
 //! histogram and queue, the per-point result vectors) reaches peak size
 //! first — making the `steady_state_allocs == 0` acceptance check on the
@@ -42,7 +42,7 @@ pub const COMBOS: [(Engine, ModelId, DType); 4] = [
 /// (≤ ~12.2% relative at 20 buckets/decade) plus residual finite-horizon
 /// sampling noise, so individual points may sit up to ~25% from the exact
 /// value.
-pub const P99_DRIFT_TOLERANCE: f64 = 0.25;
+pub(crate) const P99_DRIFT_TOLERANCE: f64 = 0.25;
 
 /// Minimum number of M/D/1 relaxation times (`s/(1−ρ)²`) the simulation
 /// horizon must span at a grid point for that point to count toward the
@@ -52,43 +52,23 @@ pub const P99_DRIFT_TOLERANCE: f64 = 0.25;
 /// reference to compare the exact value against (that noise is precisely
 /// why the analytic path exists). Both passes still *run* every point at
 /// equal work; only the drift metric is restricted to converged points.
-pub const DRIFT_MIN_RELAXATIONS: f64 = 800.0;
-
-/// How far the *simulated* SLO rate may exceed the exact analytic one
-/// when the search has enough samples to resolve a p99 at all (see
-/// [`SLO_MIN_TAIL_SAMPLES`]). A well-sampled simulated search is
-/// structurally conservative (its p99 reads bucket upper bounds, so it
-/// rejects rates the exact model accepts) — often dramatically so where
-/// the p99(λ) curve is flat near the SLO, so no useful ceiling exists in
-/// that direction and `slo_rate_drift_max` is reported as informational
-/// only. In the optimistic direction the only slack is bisection
-/// tolerance plus sampling noise, and that is what this bound polices.
-pub const SLO_RATE_OPTIMISM_TOLERANCE: f64 = 0.05;
-
-/// Minimum expected number of completions beyond the p99 rank before the
-/// simulated SLO search is held to [`SLO_RATE_OPTIMISM_TOLERANCE`]. The
-/// pre-fast-path search sizes its horizon by engine *capacity*, not the
-/// candidate rate, so a slow engine near a tight SLO may finish only a few
-/// dozen requests per bisection step — its "p99" is then an order
-/// statistic of seed noise and can land on either side of the exact value
-/// (another defect the analytic path removes).
-pub const SLO_MIN_TAIL_SAMPLES: f64 = 10.0;
+pub(crate) const DRIFT_MIN_RELAXATIONS: f64 = 800.0;
 
 /// Parameters of one serving sweep run.
 #[derive(Debug, Clone)]
-pub struct ServeOptions {
+pub(crate) struct ServeOptions {
     /// Load-grid points per engine combo.
-    pub points_per_engine: usize,
+    pub(crate) points_per_engine: usize,
     /// Event-simulation horizon per grid point, seconds.
-    pub horizon_secs: f64,
+    pub(crate) horizon_secs: f64,
     /// The p99 latency SLOs swept per combo (fig. 11 style: largest
     /// sustainable rate as a function of the SLO), milliseconds.
-    pub slo_grid_ms: Vec<f64>,
+    pub(crate) slo_grid_ms: Vec<f64>,
     /// Base seed; point `i` of a run simulates with `seed + i`.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// `true` = analytic fast path (simulation only as guarded fallback);
     /// `false` = simulation everywhere (the pre-fast-path baseline).
-    pub analytic: bool,
+    pub(crate) analytic: bool,
 }
 
 impl Default for ServeOptions {
@@ -105,38 +85,38 @@ impl Default for ServeOptions {
 
 /// Results of one serving sweep run.
 #[derive(Debug, Clone)]
-pub struct ServeReport {
+pub(crate) struct ServeReport {
     /// `"analytic"` or `"simulation"`.
-    pub mode: &'static str,
+    pub(crate) mode: &'static str,
     /// Engine combos swept.
-    pub engines: usize,
+    pub(crate) engines: usize,
     /// Tail points evaluated (grid only; SLO searches counted separately).
-    pub grid_points: usize,
+    pub(crate) grid_points: usize,
     /// SLO-saturating-rate searches performed.
-    pub slo_searches: usize,
+    pub(crate) slo_searches: usize,
     /// Event-simulation horizon per grid point, seconds (provenance for
     /// the drift metric's convergence filter).
-    pub horizon_secs: f64,
+    pub(crate) horizon_secs: f64,
     /// Wall-clock seconds of the measured phase (grid + SLO searches).
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Grid points per second (the figure-sweep throughput metric).
-    pub points_per_sec: f64,
+    pub(crate) points_per_sec: f64,
     /// Heap allocations observed during the measured phase (0 when the
     /// harness runs under the counting allocator and the hot path is
     /// clean; also 0 when no counting allocator is installed).
-    pub steady_state_allocs: u64,
+    pub(crate) steady_state_allocs: u64,
     /// `steady_state_allocs / grid_points`.
-    pub allocs_per_point: f64,
+    pub(crate) allocs_per_point: f64,
     /// Grid points where the analytic series refused (deep tail at high
     /// utilization) and the guarded simulation fallback ran instead.
     /// Always 0 in simulation mode.
-    pub analytic_fallbacks: u64,
+    pub(crate) analytic_fallbacks: u64,
     /// SLO-saturating rates, fps, combo-major over the SLO grid (entry
     /// `ci * slo_grid_ms.len() + si` is combo `ci` at SLO `si`).
-    pub slo_rates: Vec<f64>,
+    pub(crate) slo_rates: Vec<f64>,
     /// Per-grid-point p99 sojourn latency, ms (combo-major order), kept so
-    /// [`comparison_json`] can compute cross-mode drift point by point.
-    pub p99_ms: Vec<f64>,
+    /// `comparison_json` can compute cross-mode drift point by point.
+    pub(crate) p99_ms: Vec<f64>,
 }
 
 struct PassBuffers {
@@ -204,7 +184,7 @@ fn run_pass(opts: &ServeOptions, services: &[SimDuration], buf: &mut PassBuffers
 /// `alloc_count` is sampled immediately before and after the measured
 /// phase; pass a counting-allocator reading (see the `bench` binary) to
 /// measure steady-state allocations, or `&|| 0` to skip that measurement.
-pub fn serving(opts: &ServeOptions, alloc_count: &dyn Fn() -> u64) -> ServeReport {
+pub(crate) fn serving(opts: &ServeOptions, alloc_count: &dyn Fn() -> u64) -> ServeReport {
     let services: Vec<SimDuration> = COMBOS
         .iter()
         .map(|&(engine, model, dtype)| engine.latency(model, dtype, 1).expect("combo supported"))
@@ -260,7 +240,7 @@ fn json_f64(v: f64) -> String {
 }
 
 impl ServeReport {
-    /// Fills one run's section of the artifact (see [`comparison_json`]).
+    /// Fills one run's section of the artifact (see `comparison_json`).
     fn fill(&self, j: &mut crate::harness::JsonBuilder) {
         let slo_rates = self
             .slo_rates
@@ -325,7 +305,7 @@ fn p99_drift(analytic: &ServeReport, simulation: &ServeReport) -> (f64, f64, usi
 /// drift (must stay within [`P99_DRIFT_TOLERANCE`]). Built on the shared
 /// [`crate::harness::JsonBuilder`], which reproduces the retired
 /// hand-rolled emitter's byte format exactly (see the byte-identity test).
-pub fn comparison_json(analytic: &ServeReport, simulation: &ServeReport) -> String {
+pub(crate) fn comparison_json(analytic: &ServeReport, simulation: &ServeReport) -> String {
     let speedup = if analytic.elapsed_secs > 0.0 {
         simulation.elapsed_secs / analytic.elapsed_secs
     } else {
@@ -359,7 +339,7 @@ pub fn comparison_json(analytic: &ServeReport, simulation: &ServeReport) -> Stri
 /// Declares the DL-serving experiment for the unified runner
 /// (`bench --run serve`): grid, execute, and the gates that used to
 /// live in the `bench` binary's `--serve --check` branch.
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_num, ExpConfig, Experiment};
     Experiment {
         name: "serve",
@@ -445,6 +425,26 @@ pub fn experiment() -> crate::runner::Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How far the *simulated* SLO rate may exceed the exact analytic one
+    /// when the search has enough samples to resolve a p99 at all (see
+    /// [`SLO_MIN_TAIL_SAMPLES`]). A well-sampled simulated search is
+    /// structurally conservative (its p99 reads bucket upper bounds, so it
+    /// rejects rates the exact model accepts) — often dramatically so where
+    /// the p99(λ) curve is flat near the SLO, so no useful ceiling exists in
+    /// that direction and `slo_rate_drift_max` is reported as informational
+    /// only. In the optimistic direction the only slack is bisection
+    /// tolerance plus sampling noise, and that is what this bound polices.
+    const SLO_RATE_OPTIMISM_TOLERANCE: f64 = 0.05;
+
+    /// Minimum expected number of completions beyond the p99 rank before the
+    /// simulated SLO search is held to [`SLO_RATE_OPTIMISM_TOLERANCE`]. The
+    /// pre-fast-path search sizes its horizon by engine *capacity*, not the
+    /// candidate rate, so a slow engine near a tight SLO may finish only a few
+    /// dozen requests per bisection step — its "p99" is then an order
+    /// statistic of seed noise and can land on either side of the exact value
+    /// (another defect the analytic path removes).
+    const SLO_MIN_TAIL_SAMPLES: f64 = 10.0;
 
     fn small(analytic: bool) -> ServeOptions {
         ServeOptions {

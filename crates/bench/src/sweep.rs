@@ -38,7 +38,7 @@ use std::thread;
 /// Propagates the panic of the first failing item (lowest input index),
 /// prefixed with that index so the offending parameters can be found. The
 /// remaining workers stop claiming new items once a failure is observed.
-pub fn parallel_map_with<T, S, R, FS, F>(
+pub(crate) fn parallel_map_with<T, S, R, FS, F>(
     inputs: Vec<T>,
     workers: usize,
     make_scratch: FS,

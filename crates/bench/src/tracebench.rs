@@ -15,7 +15,7 @@
 //!    scheduler noise only ever adds time, so the minimum is the robust
 //!    estimator of true cost. The relative overhead is gated at 10%.
 //!
-//! [`report_json`] renders the committed `BENCH_trace.json` artifact and
+//! `report_json` renders the committed `BENCH_trace.json` artifact and
 //! includes the event-log digest so a baseline comparison also catches
 //! accidental changes to *what* is recorded, not just how fast.
 
@@ -30,7 +30,7 @@ use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::SimTime;
 
 /// Relative engine overhead (spans-on vs spans-off) the check gate allows.
-pub const MAX_OVERHEAD_PCT: f64 = 10.0;
+pub(crate) const MAX_OVERHEAD_PCT: f64 = 10.0;
 
 /// Parameters of one trace-overhead run.
 #[derive(Debug, Clone)]
@@ -65,30 +65,30 @@ impl Default for TraceOptions {
 
 /// Results of one trace-overhead run.
 #[derive(Debug, Clone)]
-pub struct TraceReport {
+pub(crate) struct TraceReport {
     /// Options the run used.
-    pub options: TraceOptions,
+    pub(crate) options: TraceOptions,
     /// Mean cost of one `record()` call with recording enabled, ns.
-    pub ns_per_event_enabled: f64,
+    pub(crate) ns_per_event_enabled: f64,
     /// Mean cost of one `record()` call with recording disabled, ns.
-    pub ns_per_event_disabled: f64,
+    pub(crate) ns_per_event_disabled: f64,
     /// Heap allocations during the enabled burst (ring is pre-allocated,
     /// so this must be 0).
-    pub allocs_enabled: u64,
+    pub(crate) allocs_enabled: u64,
     /// Heap allocations during the disabled burst (must be 0).
-    pub allocs_disabled: u64,
+    pub(crate) allocs_disabled: u64,
     /// Best per-run engine wall-clock with spans on, milliseconds.
-    pub spans_on_ms: f64,
+    pub(crate) spans_on_ms: f64,
     /// Best per-run engine wall-clock with spans off, milliseconds.
-    pub spans_off_ms: f64,
+    pub(crate) spans_off_ms: f64,
     /// Relative overhead of spans-on over spans-off, percent.
-    pub overhead_pct: f64,
+    pub(crate) overhead_pct: f64,
     /// Events captured by one spans-on engine run (recorded, including
     /// any beyond ring capacity).
-    pub events_captured: u64,
+    pub(crate) events_captured: u64,
     /// Order-sensitive FNV digest of the spans-on engine event log —
     /// machine-independent, so baselines catch content drift.
-    pub digest_hex: String,
+    pub(crate) digest_hex: String,
 }
 
 /// Runs the micro burst: `calls` records into a pre-sized ring.
@@ -143,7 +143,7 @@ fn engine_run(opts: &TraceOptions, spans_on: bool) -> RecoveryEngine {
 /// `alloc_count` is sampled around each micro burst; pass the bench
 /// binary's counting-allocator reading, or `&|| 0` to skip allocation
 /// accounting (as the unit tests do).
-pub fn trace_overhead(opts: &TraceOptions, alloc_count: &dyn Fn() -> u64) -> TraceReport {
+pub(crate) fn trace_overhead(opts: &TraceOptions, alloc_count: &dyn Fn() -> u64) -> TraceReport {
     // Micro phase: one warm-up burst sizes nothing (the ring is allocated
     // up front), but it faults in the pages and warms the branch
     // predictor so the measured bursts are steady-state.
@@ -221,7 +221,7 @@ pub fn chrome_trace(opts: &TraceOptions) -> String {
 /// mode's floats were always three-decimal — exactly the harness's
 /// [`crate::harness::json_f64`] — so the port uses `f64` directly and
 /// stays byte-identical to the hand-rolled emitter it replaced.
-pub fn report_json(r: &TraceReport) -> String {
+pub(crate) fn report_json(r: &TraceReport) -> String {
     let mut j = JsonBuilder::new();
     j.str("benchmark", "trace_overhead");
     j.object("recording", |j| {
@@ -249,7 +249,7 @@ pub fn report_json(r: &TraceReport) -> String {
 /// Declares the trace-overhead experiment for the unified runner
 /// (`bench --run trace`): grid, execute, and the gates that used to
 /// live in the `bench` binary's `--trace` branch.
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_num, gate_str, ExpConfig, Experiment};
     Experiment {
         name: "trace",

@@ -22,33 +22,33 @@ use crate::harness::JsonBuilder;
 
 /// The analytic fast path must beat simulation by at least this factor
 /// at equal horizons (ISSUE 8 acceptance).
-pub const MIN_SPEEDUP: f64 = 5.0;
+pub(crate) const MIN_SPEEDUP: f64 = 5.0;
 
 /// Live sessions that must be on air when the board fault strikes the
 /// default production-scale day.
-pub const MIN_LIVE_AT_FAULT: usize = 1_000;
+pub(crate) const MIN_LIVE_AT_FAULT: usize = 1_000;
 
 /// Relative tolerance for the occupancy/quality/egress integral
 /// agreement between modes (both integrate piecewise-constant sums; the
 /// residual is float summation order).
-pub const INTEGRAL_REL_TOL: f64 = 1e-6;
+pub(crate) const INTEGRAL_REL_TOL: f64 = 1e-6;
 
 /// Ledger component names, in `FarmReport::component_energy_j` order.
 const COMPONENTS: [&str; 5] = ["cpu", "codec", "gpu", "dsp", "memory"];
 
 /// Parameters of one video-farm benchmark.
 #[derive(Debug, Clone, Copy)]
-pub struct VideoOptions {
+pub(crate) struct VideoOptions {
     /// SoC slots in the enclosure.
-    pub socs: usize,
+    pub(crate) socs: usize,
     /// Simulated horizon, seconds (86400 = the farm day).
-    pub horizon_secs: u64,
+    pub(crate) horizon_secs: u64,
     /// Diurnal-peak session arrival rate, per hour.
-    pub peak_arrivals_per_hour: f64,
+    pub(crate) peak_arrivals_per_hour: f64,
     /// Master schedule seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Timed repetitions per mode (fastest wins).
-    pub reps: usize,
+    pub(crate) reps: usize,
 }
 
 impl Default for VideoOptions {
@@ -66,7 +66,7 @@ impl Default for VideoOptions {
 impl VideoOptions {
     /// The farm scenario: a board-down fault at 7/8 of the horizon — the
     /// 21:00 diurnal peak on the full day — repaired within 15 minutes.
-    pub fn farm_config(&self) -> FarmConfig {
+    pub(crate) fn farm_config(&self) -> FarmConfig {
         let at_secs = self.horizon_secs / 8 * 7;
         FarmConfig {
             socs: self.socs,
@@ -85,26 +85,26 @@ impl VideoOptions {
 
 /// Outcome of the benchmark: both mode reports plus timings.
 #[derive(Debug, Clone)]
-pub struct VideoBenchReport {
+pub(crate) struct VideoBenchReport {
     /// The options the benchmark ran with.
-    pub options: VideoOptions,
+    pub(crate) options: VideoOptions,
     /// Planned sessions in the schedule.
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Schedule events (starts, ends, switches, board events).
-    pub events: usize,
+    pub(crate) events: usize,
     /// Analytic-mode farm report (the committed numbers come from here).
-    pub analytic: FarmReport,
+    pub(crate) analytic: FarmReport,
     /// Simulation-mode farm report (the cross-check reference).
-    pub simulation: FarmReport,
+    pub(crate) simulation: FarmReport,
     /// Fastest analytic rep, milliseconds.
-    pub analytic_ms: f64,
+    pub(crate) analytic_ms: f64,
     /// Fastest simulation rep, milliseconds.
-    pub simulation_ms: f64,
+    pub(crate) simulation_ms: f64,
 }
 
 impl VideoBenchReport {
     /// Wall-clock speedup of the analytic fast path at equal horizons.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         if self.analytic_ms <= 0.0 {
             return 0.0;
         }
@@ -113,7 +113,7 @@ impl VideoBenchReport {
 
     /// True when every exactly-reproducible field matches between modes:
     /// the placement digest and all churn/fault counters.
-    pub fn exact_fields_match(&self) -> bool {
+    pub(crate) fn exact_fields_match(&self) -> bool {
         let (a, s) = (&self.analytic, &self.simulation);
         a.digest == s.digest
             && a.admitted == s.admitted
@@ -135,7 +135,7 @@ impl VideoBenchReport {
 
     /// Worst relative error across the occupancy / quality / egress
     /// integrals and the per-component ledger energies.
-    pub fn integral_rel_err(&self) -> f64 {
+    pub(crate) fn integral_rel_err(&self) -> f64 {
         let (a, s) = (&self.analytic, &self.simulation);
         let mut worst = Self::rel_err(a.session_secs, s.session_secs)
             .max(Self::rel_err(a.psnr_secs, s.psnr_secs))
@@ -150,15 +150,8 @@ impl VideoBenchReport {
     }
 
     /// Relative error of the total-energy integral (fan-band tolerance).
-    pub fn energy_rel_err(&self) -> f64 {
+    pub(crate) fn energy_rel_err(&self) -> f64 {
         Self::rel_err(self.analytic.energy_j, self.simulation.energy_j)
-    }
-
-    /// True when both modes agree within their documented tolerances.
-    pub fn modes_agree(&self) -> bool {
-        self.exact_fields_match()
-            && self.integral_rel_err() <= INTEGRAL_REL_TOL
-            && self.energy_rel_err() <= FAN_ENERGY_REL_TOL
     }
 }
 
@@ -166,7 +159,7 @@ impl VideoBenchReport {
 ///
 /// `alloc_count` is the counting-allocator reading from the `bench`
 /// binary (or `&|| 0` to skip allocation measurement).
-pub fn run_video(opts: &VideoOptions, alloc_count: &dyn Fn() -> u64) -> VideoBenchReport {
+pub(crate) fn run_video(opts: &VideoOptions, alloc_count: &dyn Fn() -> u64) -> VideoBenchReport {
     let cfg = opts.farm_config();
     let schedule = generate_schedule(&cfg);
     // One untimed warm-up pays the lazy one-time costs (packet-mode
@@ -199,7 +192,7 @@ pub fn run_video(opts: &VideoOptions, alloc_count: &dyn Fn() -> u64) -> VideoBen
 }
 
 /// Renders the `BENCH_video.json` artifact.
-pub fn report_json(report: &VideoBenchReport) -> String {
+pub(crate) fn report_json(report: &VideoBenchReport) -> String {
     let opts = &report.options;
     let cfg = opts.farm_config();
     let a = &report.analytic;
@@ -299,7 +292,7 @@ pub fn report_json(report: &VideoBenchReport) -> String {
 /// Declares the live-transcoding-farm experiment for the unified runner
 /// (`bench --run video`): grid, execute, and the gates that used to
 /// live in the `bench` binary's `--video` branch.
-pub fn experiment() -> crate::runner::Experiment {
+pub(crate) fn experiment() -> crate::runner::Experiment {
     use crate::runner::{gate_bool, gate_num, gate_str, same_config, ExpConfig, Experiment};
     Experiment {
         name: "video",
@@ -437,7 +430,12 @@ mod tests {
     fn modes_agree_and_artifact_is_well_formed() {
         let report = run_video(&small(), &|| 0);
         assert!(report.sessions > 0 && report.events > 0);
-        assert!(report.modes_agree(), "{report:?}");
+        assert!(
+            report.exact_fields_match()
+                && report.integral_rel_err() <= INTEGRAL_REL_TOL
+                && report.energy_rel_err() <= FAN_ENERGY_REL_TOL,
+            "{report:?}"
+        );
         assert!(report.analytic.migrations + report.analytic.fault_drops > 0);
         let doc = report_json(&report);
         assert!(doc.contains("\"benchmark\": \"video_farm\""));

@@ -142,7 +142,7 @@ pub fn encode_command(cmd: BmcCommand) -> Frame {
 }
 
 /// Decodes a wire frame back into a command.
-pub fn decode_command(frame: &[u8]) -> Result<BmcCommand, BmcProtocolError> {
+pub(crate) fn decode_command(frame: &[u8]) -> Result<BmcCommand, BmcProtocolError> {
     if frame.len() < 4 {
         return Err(BmcProtocolError::ShortFrame);
     }
@@ -176,7 +176,7 @@ pub fn decode_command(frame: &[u8]) -> Result<BmcCommand, BmcProtocolError> {
 /// Junction temperature the BMC reports for a SoC in thermal-trip
 /// shutdown, whatever the thermal model last computed, until the trip
 /// clears.
-pub const TRIP_TEMP_C: f64 = 105.0;
+pub(crate) const TRIP_TEMP_C: f64 = 105.0;
 
 /// The BMC: sensor snapshot plus event counter.
 #[derive(Debug, Clone, Default)]
@@ -198,7 +198,7 @@ pub struct Bmc {
 
 impl Bmc {
     /// Creates a BMC for `soc_count` SoCs.
-    pub fn new(soc_count: usize) -> Self {
+    pub(crate) fn new(soc_count: usize) -> Self {
         Self {
             soc_power_w: vec![0.0; soc_count],
             soc_temp_c: vec![25.0; soc_count],
@@ -213,7 +213,7 @@ impl Bmc {
     }
 
     /// Refreshes the sensor snapshot (called by the cluster each step).
-    pub fn refresh(&mut self, soc_power: &[Power], chassis: Power, fan_duty: f64) {
+    pub(crate) fn refresh(&mut self, soc_power: &[Power], chassis: Power, fan_duty: f64) {
         for (slot, p) in self.soc_power_w.iter_mut().zip(soc_power) {
             *slot = p.as_watts();
         }
@@ -222,7 +222,7 @@ impl Bmc {
     }
 
     /// Updates one SoC's temperature reading.
-    pub fn set_temp(&mut self, soc: usize, temp_c: f64) {
+    pub(crate) fn set_temp(&mut self, soc: usize, temp_c: f64) {
         if let Some(t) = self.soc_temp_c.get_mut(soc) {
             *t = temp_c;
         }
@@ -234,32 +234,32 @@ impl Bmc {
     /// # Panics
     ///
     /// Panics unless there is one temperature per SoC.
-    pub fn set_temps(&mut self, temps_c: &[f64]) {
+    pub(crate) fn set_temps(&mut self, temps_c: &[f64]) {
         self.soc_temp_c.copy_from_slice(temps_c);
     }
 
     /// Marks a SoC as in (or out of) thermal-trip shutdown. While tripped
     /// its temperature reads [`TRIP_TEMP_C`], so the thermal model's
     /// later readings cannot hide the trip from a probe.
-    pub fn set_tripped(&mut self, soc: usize, tripped: bool) {
+    pub(crate) fn set_tripped(&mut self, soc: usize, tripped: bool) {
         if let Some(t) = self.tripped.get_mut(soc) {
             *t = tripped;
         }
     }
 
     /// Counts one management event (what `ReadEventCount` reports).
-    pub fn count_event(&mut self) {
+    pub(crate) fn count_event(&mut self) {
         self.event_count = self.event_count.saturating_add(1);
     }
 
     /// Takes the oldest queued power-state change request, if any. The
     /// queue keeps its buffer, so draining it allocates nothing.
-    pub fn next_state_change(&mut self) -> Option<(usize, PowerState)> {
+    pub(crate) fn next_state_change(&mut self) -> Option<(usize, PowerState)> {
         (!self.pending_state_changes.is_empty()).then(|| self.pending_state_changes.remove(0))
     }
 
     /// Executes one decoded command against the snapshot.
-    pub fn execute(&mut self, cmd: BmcCommand) -> Result<BmcResponse, BmcProtocolError> {
+    pub(crate) fn execute(&mut self, cmd: BmcCommand) -> Result<BmcResponse, BmcProtocolError> {
         match cmd {
             BmcCommand::ReadSocPower(i) => {
                 let w = self

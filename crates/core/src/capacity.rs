@@ -11,7 +11,8 @@ use socc_video::{TranscodeUnit, VideoMeta};
 #[derive(Debug, Clone)]
 pub struct NetworkBoundRow {
     /// Video id.
-    pub video_id: String,
+    #[cfg(test)]
+    pub(crate) video_id: String,
     /// Max live streams per SoC on the CPU.
     pub cpu_streams: usize,
     /// Max live streams per SoC on the hardware codec.
@@ -28,13 +29,14 @@ pub struct NetworkBoundRow {
 
 impl NetworkBoundRow {
     /// Computes the row for one video.
-    pub fn for_video(video: &VideoMeta) -> Self {
+    pub(crate) fn for_video(video: &VideoMeta) -> Self {
         let cpu_streams = TranscodeUnit::SocCpu.max_live_streams(video);
         let hw_streams = TranscodeUnit::SocHwCodec.max_live_streams(video);
         let per_soc_mbps = (cpu_streams + hw_streams) as f64 * video.stream_traffic().as_mbps();
         let pcb_mbps = per_soc_mbps * calib::SOCS_PER_PCB as f64;
         let server_mbps = per_soc_mbps * calib::CLUSTER_SOC_COUNT as f64;
         Self {
+            #[cfg(test)]
             video_id: video.id.to_string(),
             cpu_streams,
             hw_streams,

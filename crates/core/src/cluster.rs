@@ -14,11 +14,11 @@ use crate::virt::DeploymentMode;
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of SoCs (60 in the prototype).
-    pub soc_count: usize,
+    pub(crate) soc_count: usize,
     /// Software deployment mode of every SoC.
-    pub deployment: DeploymentMode,
+    pub(crate) deployment: DeploymentMode,
     /// Ambient inlet temperature in °C.
-    pub ambient_c: f64,
+    pub(crate) ambient_c: f64,
 }
 
 impl Default for ClusterConfig {
@@ -52,7 +52,7 @@ const BMC_POWER_W: f64 = 8.0;
 
 impl SocCluster {
     /// Builds a cluster.
-    pub fn new(config: ClusterConfig) -> Self {
+    pub(crate) fn new(config: ClusterConfig) -> Self {
         let socs: Vec<SocUnit> = (0..config.soc_count)
             .map(|i| SocUnit::new(i, config.deployment))
             .collect();
@@ -79,26 +79,26 @@ impl SocCluster {
     }
 
     /// The PCB index carrying a SoC slot.
-    pub fn pcb_of(&self, soc: usize) -> usize {
+    pub(crate) fn pcb_of(&self, soc: usize) -> usize {
         soc / calib::SOCS_PER_PCB
     }
 
     /// Fabric traffic (in + out, Mbps) currently flowing through a PCB.
-    pub fn pcb_net_mbps(&self, pcb: usize) -> f64 {
+    pub(crate) fn pcb_net_mbps(&self, pcb: usize) -> f64 {
         let lo = (pcb * calib::SOCS_PER_PCB).min(self.socs.len());
         let hi = (lo + calib::SOCS_PER_PCB).min(self.socs.len());
         self.socs[lo..hi].iter().map(|s| s.used().net_mbps).sum()
     }
 
     /// Total fabric traffic through the ESB in Mbps.
-    pub fn esb_net_mbps(&self) -> f64 {
+    pub(crate) fn esb_net_mbps(&self) -> f64 {
         self.socs.iter().map(|s| s.used().net_mbps).sum()
     }
 
     /// Checks whether adding `mbps` of traffic at a SoC would stay within
     /// the SoC's 1 GbE, its PCB's 1 Gbps uplink and the 20 Gbps ESB trunk
     /// (Table 3's network-bound convention counts in+out together).
-    pub fn fits_network(&self, soc: usize, mbps: f64) -> bool {
+    pub(crate) fn fits_network(&self, soc: usize, mbps: f64) -> bool {
         let soc_ok = self.socs[soc].used().net_mbps + mbps <= 1_000.0 + 1e-9;
         let pcb_ok =
             self.pcb_net_mbps(self.pcb_of(soc)) + mbps <= calib::PCB_UPLINK_BPS / 1e6 + 1e-9;
@@ -119,7 +119,8 @@ impl SocCluster {
     }
 
     /// Total workload (idle-excluded) power of all SoCs.
-    pub fn workload_power(&self) -> Power {
+    #[cfg(test)]
+    pub(crate) fn workload_power(&self) -> Power {
         self.socs.iter().map(SocUnit::workload_power).sum()
     }
 
@@ -146,7 +147,7 @@ impl SocCluster {
     /// Advances the thermal model by `dt`, SoC `i` drawing `soc_power[i]`
     /// throughout, hands the new temperatures to the BMC and updates the
     /// fan duty from the hottest SoC.
-    pub fn step_thermal(&mut self, dt: SimDuration, soc_power: &[Power]) {
+    pub(crate) fn step_thermal(&mut self, dt: SimDuration, soc_power: &[Power]) {
         let hottest = self.thermal.step(dt, soc_power, self.fan_duty);
         self.bmc.set_temps(self.thermal.temperatures_c());
         self.fan_duty = self.fan.duty_for(hottest);
@@ -164,12 +165,13 @@ impl SocCluster {
     }
 
     /// `true` if any SoC is at its thermal throttle point.
-    pub fn any_throttling(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn any_throttling(&self) -> bool {
         self.thermal.any_throttling()
     }
 
     /// Refreshes the BMC's sensor snapshot, SoC `i` drawing `soc_power[i]`.
-    pub fn refresh_bmc(&mut self, soc_power: &[Power]) {
+    pub(crate) fn refresh_bmc(&mut self, soc_power: &[Power]) {
         assert_eq!(soc_power.len(), self.socs.len(), "one power per SoC slot");
         let total = soc_power.iter().copied().sum::<Power>() + self.chassis_power();
         self.bmc.refresh(soc_power, total, self.fan_duty);

@@ -17,11 +17,10 @@ use socc_sim::time::{SimDuration, SimTime};
 
 use crate::bmc::{encode_command, BmcCommand, BmcResponse};
 use crate::cluster::SocCluster;
-use crate::faults::FaultKind;
 
 /// Junction temperature at or above which a silent SoC is classified as
 /// thermally tripped (the Snapdragon's protective shutdown point).
-pub const THERMAL_TRIP_C: f64 = 95.0;
+pub(crate) const THERMAL_TRIP_C: f64 = 95.0;
 
 /// What the detector concluded about a silent SoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +54,8 @@ impl DetectedClass {
     ];
 
     /// Whether remediation can return the SoC to service.
-    pub fn recoverable(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn recoverable(self) -> bool {
         !matches!(self, DetectedClass::Crash)
     }
 
@@ -78,7 +78,7 @@ impl DetectedClass {
     ];
 
     /// Short label for telemetry counter names and trace messages.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         Self::NAMES[self as usize][0]
     }
 
@@ -94,7 +94,9 @@ impl DetectedClass {
 
     /// The class a correct detector should assign to a ground-truth fault
     /// kind (used by tests to check the classifier against the injector).
-    pub fn expected_for(kind: FaultKind) -> Self {
+    #[cfg(test)]
+    pub(crate) fn expected_for(kind: crate::faults::FaultKind) -> Self {
+        use crate::faults::FaultKind;
         match kind {
             FaultKind::Flash | FaultKind::Memory => DetectedClass::Crash,
             FaultKind::SocHang => DetectedClass::Hang,
@@ -137,11 +139,6 @@ impl HeartbeatMonitor {
             muted: vec![0; soc_count.div_ceil(64)],
             reported: vec![false; soc_count],
         }
-    }
-
-    /// The configured detection window.
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     /// Records a sweep at `at`: every unmuted SoC beats.
@@ -202,7 +199,10 @@ impl HeartbeatMonitor {
 }
 
 /// Both directions of a SoC's fabric access link, for failing/repairing.
-pub fn access_links(fabric: &ClusterFabric, soc: usize) -> impl Iterator<Item = LinkId> + '_ {
+pub(crate) fn access_links(
+    fabric: &ClusterFabric,
+    soc: usize,
+) -> impl Iterator<Item = LinkId> + '_ {
     let node = fabric.socs[soc];
     (0..fabric.topology.link_count() as u32)
         .map(LinkId)
@@ -218,7 +218,7 @@ pub fn access_links(fabric: &ClusterFabric, soc: usize) -> impl Iterator<Item = 
 /// wire protocol — the I2C side channel keeps working when the fabric does
 /// not, which is exactly what separates a partitioned SoC (unreachable but
 /// powered and healthy) from a crashed one.
-pub fn classify(
+pub(crate) fn classify(
     cluster: &mut SocCluster,
     routing: &mut FailureAwareRouting,
     fabric: &ClusterFabric,
@@ -262,6 +262,7 @@ pub fn classify(
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, SocCluster};
+    use crate::faults::FaultKind;
     use socc_net::topology::Topology;
 
     fn secs(s: u64) -> SimTime {

@@ -35,7 +35,8 @@ impl EvacuationPacing {
     /// Pacing for the SoC Cluster fabric: two concurrent migrations of
     /// 1 MB of state across a 1 GbE PCB uplink. Two lanes stay under the
     /// per-port ECN threshold, so a paced storm drains without drops.
-    pub fn cluster_default() -> Self {
+    #[cfg(test)]
+    pub(crate) fn cluster_default() -> Self {
         Self {
             max_concurrent: 2,
             state_size: DataSize::megabytes(1.0),
@@ -49,7 +50,7 @@ impl EvacuationPacing {
     /// ([`socc_net::wan::WanFabric::edge_fleet`]). Fleet chaos campaigns
     /// typically narrow the bottleneck to a reserved migration lane so an
     /// evacuation storm cannot starve live session traffic.
-    pub fn wan_default(state: DataSize) -> Self {
+    pub(crate) fn wan_default(state: DataSize) -> Self {
         Self {
             max_concurrent: 8,
             state_size: state,
@@ -60,7 +61,7 @@ impl EvacuationPacing {
     /// How long one wave of `max_concurrent` fair-sharing transfers takes
     /// to drain the bottleneck, at the calibrated (packet-measured)
     /// goodput of each transfer's fair share.
-    pub fn wave_time(&self) -> SimDuration {
+    pub(crate) fn wave_time(&self) -> SimDuration {
         let lanes = self.max_concurrent.max(1);
         let fair_share = DataRate::bps(self.bottleneck.as_bps() / lanes as f64);
         self.state_size / TcpModel::inter_soc().goodput(fair_share)
@@ -70,13 +71,14 @@ impl EvacuationPacing {
     /// `i / max_concurrent` starts that many wave-times after detection.
     /// The first wave starts immediately, so pacing never delays a batch
     /// that already fits the fabric.
-    pub fn offset_for(&self, i: usize) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn offset_for(&self, i: usize) -> SimDuration {
         let lanes = self.max_concurrent.max(1);
         self.wave_time() * ((i / lanes) as f64)
     }
 
     /// Admission offsets for `n` displaced workloads
-    /// ([`Self::offset_for`], batched).
+    /// (`offset_for`, batched).
     pub fn admission_offsets(&self, n: usize) -> Vec<SimDuration> {
         let lanes = self.max_concurrent.max(1);
         let wave = self.wave_time();

@@ -95,7 +95,7 @@ pub struct Fig7Point {
 
 /// TpE of `streams` live streams of `video`, bin-packed onto as few units
 /// of `unit` as possible.
-pub fn packed_live_tpe(unit: TranscodeUnit, video: &VideoMeta, streams: usize) -> f64 {
+pub(crate) fn packed_live_tpe(unit: TranscodeUnit, video: &VideoMeta, streams: usize) -> f64 {
     let cap = unit.max_live_streams(video);
     if cap == 0 || streams == 0 {
         return 0.0;

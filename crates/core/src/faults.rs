@@ -39,7 +39,8 @@ impl FaultKind {
     /// Whether the SoC can return to service after remediation (a hung SoC
     /// reboots, a tripped SoC cools down, a lost link gets re-seated; dead
     /// flash/DRAM means the slot stays dark until the PCB is swapped).
-    pub fn recoverable(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn recoverable(self) -> bool {
         matches!(
             self,
             FaultKind::SocHang | FaultKind::ThermalTrip | FaultKind::LinkLoss
@@ -48,7 +49,7 @@ impl FaultKind {
 
     /// Stable lower-case label for telemetry counters and typed trace
     /// events.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             FaultKind::Flash => "flash",
             FaultKind::SocHang => "soc_hang",
@@ -73,34 +74,13 @@ pub struct FaultEvent {
 /// ESB port groups span this many PCB uplink ports (the switch's PHYs are
 /// ganged four ports per quad); losing a group partitions four boards at
 /// once.
-pub const BOARDS_PER_PORT_GROUP: usize = 4;
+pub(crate) const BOARDS_PER_PORT_GROUP: usize = 4;
 
 /// Redundant PSU modules feeding the chassis (the paper's 2 × 400 W pair).
 pub const PSU_RAILS: usize = 2;
 
 /// Airflow zones of the 2U fan wall (front/rear board halves).
-pub const THERMAL_ZONES: usize = 2;
-
-/// One level of the chassis failure-domain hierarchy: a fault lands on a
-/// single SoC, a whole carrier board, an ESB port group, a PSU rail, or an
-/// airflow zone — each with a progressively wider blast radius.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FailureDomain {
-    /// A single SoC slot.
-    Soc(usize),
-    /// A PCB carrier board and the five SoCs it carries.
-    Board(usize),
-    /// A group of [`BOARDS_PER_PORT_GROUP`] adjacent ESB ports.
-    EsbPortGroup(usize),
-    /// One module of the redundant PSU pair.
-    PsuRail(usize),
-    /// One airflow zone of the fan wall.
-    ThermalZone(usize),
-    /// A whole fleet site: one enclosure plus its WAN uplink — the tier
-    /// above the enclosure wall, where faults arrive as utility power
-    /// loss, WAN partitions and rail brownouts (see [`SiteFault`]).
-    Site(usize),
-}
+pub(crate) const THERMAL_ZONES: usize = 2;
 
 /// The chassis failure-domain hierarchy, sized from the fabric topology
 /// (SoC → PCB board → ESB port group, plus the PSU rails and airflow zones
@@ -108,22 +88,22 @@ pub enum FailureDomain {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureDomains {
     /// SoC slots.
-    pub socs: usize,
+    pub(crate) socs: usize,
     /// PCB carrier boards.
     pub boards: usize,
     /// ESB port groups.
-    pub port_groups: usize,
+    pub(crate) port_groups: usize,
     /// PSU rails.
-    pub psu_rails: usize,
+    pub(crate) psu_rails: usize,
     /// Airflow zones.
-    pub thermal_zones: usize,
+    pub(crate) thermal_zones: usize,
 }
 
 impl FailureDomains {
     /// Derives the hierarchy from a built fabric: boards and SoCs are read
     /// off the topology, port groups gang the boards in quads, and the PSU
     /// rails / airflow zones come from the chassis design constants.
-    pub fn from_fabric(fabric: &ClusterFabric) -> Self {
+    pub(crate) fn from_fabric(fabric: &ClusterFabric) -> Self {
         Self {
             socs: fabric.socs.len(),
             boards: fabric.pcbs.len(),
@@ -146,7 +126,7 @@ impl FailureDomains {
     }
 
     /// The board carrying a SoC slot.
-    pub fn board_of_soc(&self, soc: usize) -> usize {
+    pub(crate) fn board_of_soc(&self, soc: usize) -> usize {
         soc / socc_hw::calib::SOCS_PER_PCB
     }
 
@@ -156,27 +136,16 @@ impl FailureDomains {
         (board * per).min(self.socs)..((board + 1) * per).min(self.socs)
     }
 
-    /// The ESB port group feeding a board.
-    pub fn port_group_of_board(&self, board: usize) -> usize {
-        board / BOARDS_PER_PORT_GROUP
-    }
-
     /// Boards behind an ESB port group (clamped at the fleet edge).
-    pub fn boards_of_port_group(&self, group: usize) -> Range<usize> {
+    pub(crate) fn boards_of_port_group(&self, group: usize) -> Range<usize> {
         (group * BOARDS_PER_PORT_GROUP).min(self.boards)
             ..((group + 1) * BOARDS_PER_PORT_GROUP).min(self.boards)
     }
 
     /// SoC slots behind an ESB port group (contiguous by construction).
-    pub fn socs_of_port_group(&self, group: usize) -> Range<usize> {
+    pub(crate) fn socs_of_port_group(&self, group: usize) -> Range<usize> {
         let boards = self.boards_of_port_group(group);
         self.socs_of_board(boards.start).start..self.socs_of_board(boards.end.saturating_sub(1)).end
-    }
-
-    /// The airflow zone a board sits in (front/rear half of the chassis).
-    pub fn thermal_zone_of_board(&self, board: usize) -> usize {
-        let half = self.boards.div_ceil(THERMAL_ZONES).max(1);
-        (board / half).min(THERMAL_ZONES - 1)
     }
 }
 
@@ -208,25 +177,6 @@ pub enum DomainFault {
 }
 
 impl DomainFault {
-    /// The failure domain this fault lands on.
-    pub fn domain(&self) -> FailureDomain {
-        match *self {
-            DomainFault::BoardDown { board } => FailureDomain::Board(board),
-            DomainFault::FabricPartition { group, .. } => FailureDomain::EsbPortGroup(group),
-            DomainFault::PowerBrownout { rail, .. } => FailureDomain::PsuRail(rail),
-        }
-    }
-
-    /// The SoC slots inside the blast radius (the whole fleet for a
-    /// brownout — every SoC shares the PSU rails).
-    pub fn blast_radius(&self, domains: &FailureDomains) -> Range<usize> {
-        match *self {
-            DomainFault::BoardDown { board } => domains.socs_of_board(board),
-            DomainFault::FabricPartition { group, .. } => domains.socs_of_port_group(group),
-            DomainFault::PowerBrownout { .. } => 0..domains.socs,
-        }
-    }
-
     /// Sort key for deterministic schedule ordering at equal timestamps.
     fn order(&self) -> (u8, usize) {
         match *self {
@@ -358,7 +308,7 @@ impl FaultInjector {
     ///
     /// Like [`FaultInjector::schedule`], degenerate inputs (no domains,
     /// zero horizon, or all domain rates zero) consume no randomness.
-    pub fn schedule_domains(
+    pub(crate) fn schedule_domains(
         &self,
         domains: &FailureDomains,
         horizon: SimDuration,
@@ -447,7 +397,7 @@ impl FaultInjector {
     }
 }
 
-/// A fault on the site tier of the hierarchy ([`FailureDomain::Site`]):
+/// A fault on the site tier of the hierarchy:
 /// whole enclosures and regions, the blast radii the enclosure-level
 /// machinery above cannot express. Site-tier state only changes at fleet
 /// synchronization barriers, so faults fire at a *window* index and last
@@ -498,18 +448,6 @@ impl SiteFault {
             | SiteFault::RegionStorm { windows, .. }
             | SiteFault::Blackout { windows, .. }
             | SiteFault::Brownout { windows, .. } => windows,
-        }
-    }
-
-    /// The failure domain the fault lands on — `None` for a regional
-    /// storm, which spans every [`FailureDomain::Site`] in its region
-    /// (the fleet expands it at apply time).
-    pub fn domain(&self) -> Option<FailureDomain> {
-        match *self {
-            SiteFault::Partition { site, .. }
-            | SiteFault::Blackout { site, .. }
-            | SiteFault::Brownout { site, .. } => Some(FailureDomain::Site(site)),
-            SiteFault::RegionStorm { .. } => None,
         }
     }
 
@@ -749,25 +687,10 @@ mod tests {
         assert_eq!(d.board_of_soc(0), 0);
         assert_eq!(d.board_of_soc(59), 11);
         assert_eq!(d.socs_of_board(11), 55..60);
-        assert_eq!(d.port_group_of_board(7), 1);
         assert_eq!(d.boards_of_port_group(2), 8..12);
         assert_eq!(d.socs_of_port_group(1), 20..40);
-        assert_eq!(d.thermal_zone_of_board(0), 0);
-        assert_eq!(d.thermal_zone_of_board(11), 1);
-        // Blast radii follow the hierarchy.
-        let board = DomainFault::BoardDown { board: 3 };
-        assert_eq!(board.blast_radius(&d), 15..20);
-        assert_eq!(board.domain(), FailureDomain::Board(3));
-        let part = DomainFault::FabricPartition {
-            group: 0,
-            duration: SimDuration::from_secs(60),
-        };
-        assert_eq!(part.blast_radius(&d), 0..20);
-        let brown = DomainFault::PowerBrownout {
-            rail: 1,
-            duration: SimDuration::from_secs(60),
-        };
-        assert_eq!(brown.blast_radius(&d), 0..60);
+        assert_eq!(d.socs_of_board(3), 15..20);
+        assert_eq!(d.socs_of_port_group(0), 0..20);
     }
 
     #[test]
@@ -922,26 +845,6 @@ mod tests {
         assert_eq!(
             rng.uniform_usize(0, 1 << 30),
             fresh.uniform_usize(0, 1 << 30)
-        );
-    }
-
-    #[test]
-    fn site_faults_map_onto_the_site_domain() {
-        assert_eq!(
-            SiteFault::Blackout {
-                site: 3,
-                windows: 2
-            }
-            .domain(),
-            Some(FailureDomain::Site(3))
-        );
-        assert_eq!(
-            SiteFault::RegionStorm {
-                region: 1,
-                windows: 2
-            }
-            .domain(),
-            None
         );
     }
 }

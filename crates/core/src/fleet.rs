@@ -77,7 +77,7 @@ use crate::workload::{WorkloadId, WorkloadSpec};
 /// throughput sustainable at half the rail power (the same
 /// [`brownout_throughput_frac`] math as the enclosure-tier
 /// `PowerBrownout`, one tier up).
-pub const SITE_BROWNOUT_RAIL_RATIO: f64 = 0.5;
+pub(crate) const SITE_BROWNOUT_RAIL_RATIO: f64 = 0.5;
 
 /// The state a live cloud-gaming session must move for an inter-site
 /// migration: the GOP checkpoint of a 1080p60 stream at `mbps` —
@@ -152,11 +152,6 @@ pub struct SiteShard {
 }
 
 impl SiteShard {
-    /// The site index.
-    pub fn site(&self) -> usize {
-        self.site
-    }
-
     /// The site's orchestrator (read-only; mutating it outside
     /// [`SiteJob::step`] would break cross-thread determinism).
     pub fn orchestrator(&self) -> &Orchestrator {
@@ -168,7 +163,7 @@ impl SiteShard {
 /// Buffers are reused across windows — cleared, never reallocated in
 /// steady state.
 #[derive(Debug, Default, Clone)]
-pub struct SiteCommands {
+pub(crate) struct SiteCommands {
     /// Sessions to finish at the barrier (fleet departures, brownout
     /// evacuations, and zombie instances reaped after a partition heal).
     departures: Vec<WorkloadId>,
@@ -189,7 +184,7 @@ pub struct SiteCommands {
 
 /// What one shard reports back from one window. Buffers are reused.
 #[derive(Debug, Default, Clone)]
-pub struct SiteWindowReport {
+pub(crate) struct SiteWindowReport {
     /// Newly admitted sessions in submission order, tagged with the home
     /// site whose demand they serve.
     admitted: Vec<(u32, WorkloadId)>,
@@ -223,11 +218,6 @@ pub struct SiteJob {
 }
 
 impl SiteJob {
-    /// The site index.
-    pub fn site(&self) -> usize {
-        self.shard.site
-    }
-
     /// Steps the shard to the barrier and applies its commands — a pure
     /// function of `(shard state, commands, barrier)`; safe to run on
     /// any thread, in any order relative to other sites' jobs.
@@ -313,7 +303,7 @@ impl SiteJob {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetReport {
     /// Sites simulated.
-    pub sites: usize,
+    pub(crate) sites: usize,
     /// Windows completed.
     pub windows: usize,
     /// Sessions the placer routed (total admissions requested).
@@ -353,9 +343,9 @@ pub struct FleetReport {
     /// Site rail brownouts applied.
     pub brownouts: u64,
     /// Total session-windows of demand over the run.
-    pub demand_session_windows: u64,
+    pub(crate) demand_session_windows: u64,
     /// Session-windows actually served (sessions live at each barrier).
-    pub served_session_windows: u64,
+    pub(crate) served_session_windows: u64,
     /// Fleet energy over the run, kWh.
     pub fleet_kwh: f64,
     /// Peak instantaneous fleet power, watts.
@@ -536,7 +526,7 @@ impl FleetSim {
                 barrier: SimTime::ZERO,
             });
         }
-        let windows = traces[0].len();
+        let windows = traces[0].samples().len();
 
         // Seeded WAN partitions: a Poisson count, each at a uniform window
         // and site with a 1 + Poisson length. Within a window they apply
@@ -597,16 +587,6 @@ impl FleetSim {
         }
     }
 
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// The inter-site WAN fabric.
-    pub fn wan(&self) -> &WanFabric {
-        &self.wan
-    }
-
     /// Total barrier windows in the run.
     pub fn windows(&self) -> usize {
         self.windows
@@ -635,11 +615,6 @@ impl FleetSim {
     /// True while a blackout holds the site dark.
     pub fn is_dark(&self, site: usize) -> bool {
         self.dark[site]
-    }
-
-    /// True while a brownout derates the site.
-    pub fn is_derated(&self, site: usize) -> bool {
-        self.derated[site]
     }
 
     /// Displaced sessions currently mid-migration (checkpoint transfers
@@ -1409,7 +1384,7 @@ mod tests {
             "dark energy {dark_joules} J is not flat vs pre-blackout {power_before} W"
         );
         // And the per-site ledger still conserves energy end-to-end.
-        for site in 0..fleet.config().sites {
+        for site in 0..fleet.cfg.sites {
             fleet
                 .shard(site)
                 .orchestrator()
@@ -1435,7 +1410,7 @@ mod tests {
             },
         }];
         let mut fleet = FleetSim::with_site_faults(cfg, faults);
-        let block = fleet.wan().sites_of_region(1);
+        let block = fleet.wan.sites_of_region(1);
         let block_len = block.len() as u64;
         fleet.run_to_end();
         let r = fleet.report();
@@ -1478,7 +1453,7 @@ mod tests {
                 job.step();
             }
             fleet.absorb(jobs);
-            if fleet.is_derated(0) {
+            if fleet.derated[0] {
                 derated_cap = derated_cap.min(fleet.cap_est[0]);
             }
         }
@@ -1549,7 +1524,7 @@ mod tests {
             // Each effect ends exactly at its scheduled heal window.
             assert_eq!(fleet.is_unreachable(1), (at..at + 2).contains(&w));
             assert_eq!(fleet.is_dark(2), (at..at + 5).contains(&w));
-            assert_eq!(fleet.is_derated(3), (at..at + 5).contains(&w));
+            assert_eq!(fleet.derated[3], (at..at + 5).contains(&w));
             assert_eq!(fleet.is_unreachable(0), (at..at + 9).contains(&w));
         }
         assert_eq!(fleet.pending_heals(), 0);

@@ -1,10 +1,10 @@
 //! `socc-cluster` — the SoC Cluster edge server and its orchestrator.
 //!
 //! This crate is the paper's primary contribution materialized as a
-//! library: a 2U server of 60 mobile SoCs ([`cluster`]), managed through a
+//! library: a 2U server of 60 mobile SoCs (`cluster`), managed through a
 //! BMC ([`bmc`]), scheduled at SoC granularity ([`scheduler`],
 //! [`orchestrator`]), compared against a traditional Xeon + A40 twin
-//! ([`traditional`]), with virtualization overheads ([`virt`]), fault
+//! (`traditional`), with virtualization overheads ([`virt`]), fault
 //! modelling ([`faults`]), failure detection and closed-loop recovery
 //! ([`detector`], [`recovery`]), network-bound analysis ([`capacity`]) and
 //! the figure-level experiment runners ([`experiments`]).
@@ -26,7 +26,7 @@
 
 pub mod bmc;
 pub mod capacity;
-pub mod cluster;
+pub(crate) mod cluster;
 pub mod collab;
 pub mod colocation;
 pub mod detector;
@@ -38,19 +38,17 @@ pub mod gaming;
 pub mod orchestrator;
 pub mod placement_index;
 pub mod planner;
-pub mod priority;
+pub(crate) mod priority;
 pub mod recovery;
 pub mod scheduler;
 pub mod soc;
 pub mod telemetry;
-pub mod traditional;
+pub(crate) mod traditional;
 pub mod videofarm;
 pub mod virt;
 pub mod whatif;
 pub mod workload;
 
-pub use cluster::{ClusterConfig, SocCluster};
-pub use orchestrator::{Orchestrator, OrchestratorConfig};
 pub use traditional::TraditionalServer;
 pub use virt::DeploymentMode;
-pub use workload::{AdmissionError, SocProcessor, WorkloadId, WorkloadSpec};
+pub use workload::{WorkloadId, WorkloadSpec};

@@ -268,7 +268,7 @@ impl Orchestrator {
 
     /// Total server power right now: the cached per-SoC totals summed in
     /// slot order plus chassis power — bit-identical to
-    /// [`SocCluster::total_power`].
+    /// `SocCluster::total_power`.
     pub fn power(&self) -> Power {
         self.soc_power.iter().copied().sum::<Power>() + self.cluster.chassis_power()
     }
@@ -302,7 +302,7 @@ impl Orchestrator {
     /// scopes, clear, or record additional events (the recovery engine
     /// threads its fault/detector/recovery chain through here so one log
     /// carries the whole causal story).
-    pub fn events_mut(&mut self) -> &mut EventLog {
+    pub(crate) fn events_mut(&mut self) -> &mut EventLog {
         &mut self.events
     }
 
@@ -452,7 +452,7 @@ impl Orchestrator {
     /// Submits a copy of `spec`, made only if it is admitted, so a caller
     /// that retries keeps its own. `avoid` places like
     /// [`Self::submit_avoiding`]; `None` places like [`Self::submit`].
-    pub fn submit_clone(
+    pub(crate) fn submit_clone(
         &mut self,
         spec: &WorkloadSpec,
         avoid: Option<&[Range<usize>]>,
@@ -460,13 +460,13 @@ impl Orchestrator {
         self.submit_on(Cow::Borrowed(spec), avoid)
     }
 
-    /// [`PriorityAdmission::submit_with_preemption`] for a borrowed spec,
-    /// copied only if admitted: evicted ids go to `evicted` (cleared
-    /// first), and the candidates are sorted in the orchestrator's own
-    /// scratch, so a call allocates nothing once the buffers have grown.
-    ///
-    /// [`PriorityAdmission::submit_with_preemption`]: crate::priority::PriorityAdmission::submit_with_preemption
-    pub fn submit_preempting(
+    /// Submits a borrowed spec; if the cluster is full and the workload
+    /// outranks running batch work, evicts just enough lower-priority
+    /// workloads to fit. The spec is copied only if admitted; evicted ids go
+    /// to `evicted` (cleared first) so callers can requeue them, and the
+    /// candidates are sorted in the orchestrator's own scratch, so a call
+    /// allocates nothing once the buffers have grown.
+    pub(crate) fn submit_preempting(
         &mut self,
         spec: &WorkloadSpec,
         evicted: &mut Vec<WorkloadId>,
@@ -514,7 +514,7 @@ impl Orchestrator {
     /// any of the `avoid` slot ranges — the anti-affinity path recovery
     /// uses to keep a retried workload off its just-failed board and out
     /// of partitioned port groups.
-    pub fn submit_avoiding(
+    pub(crate) fn submit_avoiding(
         &mut self,
         spec: WorkloadSpec,
         avoid: &[Range<usize>],
@@ -524,12 +524,13 @@ impl Orchestrator {
 
     /// While set, submissions strictly below `floor` are rejected with
     /// [`AdmissionError::Degraded`] (brownout admission tightening).
-    pub fn set_admission_floor(&mut self, floor: Option<Priority>) {
+    pub(crate) fn set_admission_floor(&mut self, floor: Option<Priority>) {
         self.admission_floor = floor;
     }
 
     /// The current degraded-mode admission floor, if any.
-    pub fn admission_floor(&self) -> Option<Priority> {
+    #[cfg(test)]
+    pub(crate) fn admission_floor(&self) -> Option<Priority> {
         self.admission_floor
     }
 
@@ -631,7 +632,7 @@ impl Orchestrator {
     /// Fills `ids` (cleared first) with the ids of the deployed workloads
     /// whose spec satisfies `keep`, ascending. The buffer grows at most
     /// once, to the exact count.
-    pub fn workload_ids_where(
+    pub(crate) fn workload_ids_where(
         &self,
         ids: &mut Vec<WorkloadId>,
         keep: impl Fn(&WorkloadSpec) -> bool,
@@ -907,7 +908,11 @@ impl Orchestrator {
 
     /// [`Self::fail_soc`], appending the stranded workloads (id-sorted) to
     /// a caller's buffer instead of returning a fresh one.
-    pub fn fail_soc_into(&mut self, soc: usize, stranded: &mut Vec<(WorkloadId, WorkloadSpec)>) {
+    pub(crate) fn fail_soc_into(
+        &mut self,
+        soc: usize,
+        stranded: &mut Vec<(WorkloadId, WorkloadSpec)>,
+    ) {
         if !self.cluster.socs[soc].healthy {
             return;
         }
@@ -1014,14 +1019,14 @@ impl Orchestrator {
     /// the wire). The thermal model overwrites this on the next
     /// [`Self::advance_to`]; a thermal trip ([`Self::set_thermal_trip`])
     /// outlasts it.
-    pub fn set_soc_temp(&mut self, soc: usize, temp_c: f64) {
+    pub(crate) fn set_soc_temp(&mut self, soc: usize, temp_c: f64) {
         self.cluster.bmc.set_temp(soc, temp_c);
     }
 
     /// Puts a SoC into (or takes it out of) thermal-trip shutdown at the
     /// BMC: while tripped, its temperature reads
     /// [`crate::bmc::TRIP_TEMP_C`] across every advance.
-    pub fn set_thermal_trip(&mut self, soc: usize, tripped: bool) {
+    pub(crate) fn set_thermal_trip(&mut self, soc: usize, tripped: bool) {
         self.cluster.bmc.set_tripped(soc, tripped);
     }
 

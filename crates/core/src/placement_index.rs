@@ -178,16 +178,6 @@ impl PlacementIndex {
         Self { len, base, nodes }
     }
 
-    /// Number of indexed slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no slots are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Re-summarizes slot `i` from its SoC and refreshes the O(log n)
     /// ancestor path. Must be called after *every* resource or health
     /// mutation of `socs[i]` (invariant 2 above).
@@ -235,7 +225,7 @@ impl PlacementIndex {
     /// subtrees fully inside one avoided range are pruned, membership is
     /// re-checked exactly at the leaf, and the final accept is the same
     /// `fits` predicate as everywhere else.
-    pub fn first_fit_outside(
+    pub(crate) fn first_fit_outside(
         &self,
         demand: &Demand,
         socs: &[SocUnit],
@@ -455,14 +445,14 @@ mod tests {
     fn empty_and_single_slot_fleets() {
         let socs = fleet(0);
         let idx = PlacementIndex::new(&socs);
-        assert!(idx.is_empty());
+        assert_eq!(idx.len, 0);
         assert_eq!(idx.first_fit(&d(1.0), &socs), None);
         assert_eq!(idx.first_fit_from(0, &d(1.0), &socs), None);
         assert_eq!(idx.least_loaded_fit(&d(1.0), &socs), None);
 
         let socs = fleet(1);
         let idx = PlacementIndex::new(&socs);
-        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.len, 1);
         assert_eq!(idx.first_fit(&d(1.0), &socs), Some(0));
     }
 

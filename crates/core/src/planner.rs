@@ -63,7 +63,7 @@ impl std::error::Error for PlanError {}
 
 /// Sizes a SoC-Cluster fleet: ladders on hardware codecs, archive on SoC
 /// CPUs, DL on the best SoC engine for the precision.
-pub fn plan_cluster_fleet(
+pub(crate) fn plan_cluster_fleet(
     mix: &WorkloadMix,
     costs: &CostAssumptions,
 ) -> Result<FleetPlan, PlanError> {
@@ -100,7 +100,10 @@ pub fn plan_cluster_fleet(
 
 /// Sizes a Xeon + 8×A40 fleet: ladders and archive on NVENC, DL on
 /// TensorRT at batch 64.
-pub fn plan_gpu_fleet(mix: &WorkloadMix, costs: &CostAssumptions) -> Result<FleetPlan, PlanError> {
+pub(crate) fn plan_gpu_fleet(
+    mix: &WorkloadMix,
+    costs: &CostAssumptions,
+) -> Result<FleetPlan, PlanError> {
     let ladder = Ladder::standard(&mix.live_source);
     let nvenc = socc_hw::codec::HwCodecModel::nvenc_a40();
     let per_ladder_mb_s: f64 = ladder

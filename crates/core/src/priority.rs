@@ -4,15 +4,16 @@
 //! live streams) with deferrable batch work (archive transcoding). When an
 //! interactive workload finds the cluster full, the orchestrator should
 //! evict batch work rather than reject — archive jobs restart cheaply,
-//! dropped game sessions do not. This module adds priority-aware admission
-//! on top of [`Orchestrator`].
+//! dropped game sessions do not. This module ranks the classes that
+//! [`Orchestrator::submit_preempting`] compares.
+//!
+//! [`Orchestrator::submit_preempting`]: crate::orchestrator::Orchestrator::submit_preempting
 
-use crate::orchestrator::Orchestrator;
-use crate::workload::{AdmissionError, WorkloadId, WorkloadSpec};
+use crate::workload::WorkloadSpec;
 
 /// Scheduling priority of a workload class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
+pub(crate) enum Priority {
     /// Deferrable batch work (archive transcoding).
     Batch,
     /// Throughput serving (DL pools).
@@ -22,7 +23,7 @@ pub enum Priority {
 }
 
 /// The intrinsic priority of a workload spec.
-pub fn priority_of(spec: &WorkloadSpec) -> Priority {
+pub(crate) fn priority_of(spec: &WorkloadSpec) -> Priority {
     match spec {
         WorkloadSpec::ArchiveJob { .. } => Priority::Batch,
         WorkloadSpec::DlServe { .. } => Priority::Serving,
@@ -32,42 +33,21 @@ pub fn priority_of(spec: &WorkloadSpec) -> Priority {
     }
 }
 
-/// Result of a preempting admission.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreemptingAdmission {
-    /// The admitted workload.
-    pub id: WorkloadId,
-    /// Lower-priority workloads evicted to make room (empty if none were
-    /// needed).
-    pub evicted: Vec<WorkloadId>,
-}
-
-/// Priority-aware admission for the orchestrator.
-pub trait PriorityAdmission {
-    /// Submits a workload; if the cluster is full and the workload outranks
-    /// running batch work, evicts just enough lower-priority workloads to
-    /// fit. Evicted ids are returned so callers can requeue them.
-    fn submit_with_preemption(
-        &mut self,
-        spec: WorkloadSpec,
-    ) -> Result<PreemptingAdmission, AdmissionError>;
-}
-
-impl PriorityAdmission for Orchestrator {
-    fn submit_with_preemption(
-        &mut self,
-        spec: WorkloadSpec,
-    ) -> Result<PreemptingAdmission, AdmissionError> {
-        let mut evicted = Vec::new();
-        let id = self.submit_preempting(&spec, &mut evicted)?;
-        Ok(PreemptingAdmission { id, evicted })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::OrchestratorConfig;
+    use crate::orchestrator::{Orchestrator, OrchestratorConfig};
+    use crate::workload::{AdmissionError, WorkloadId};
+
+    /// Preempting admission; returns the evicted ids.
+    fn submit_with_preemption(
+        o: &mut Orchestrator,
+        spec: WorkloadSpec,
+    ) -> Result<Vec<WorkloadId>, AdmissionError> {
+        let mut evicted = Vec::new();
+        o.submit_preempting(&spec, &mut evicted)?;
+        Ok(evicted)
+    }
 
     fn orch() -> Orchestrator {
         Orchestrator::new(OrchestratorConfig::default())
@@ -117,10 +97,9 @@ mod tests {
             .submit(WorkloadSpec::LiveStreamCpu { video: v.clone() })
             .is_err());
         // …preempting admission evicts one archive job.
-        let adm = o
-            .submit_with_preemption(WorkloadSpec::LiveStreamCpu { video: v })
+        let evicted = submit_with_preemption(&mut o, WorkloadSpec::LiveStreamCpu { video: v })
             .expect("preemption succeeds");
-        assert_eq!(adm.evicted.len(), 1);
+        assert_eq!(evicted.len(), 1);
         assert_eq!(o.active_workloads(), 60, "59 archive + 1 live");
     }
 
@@ -128,10 +107,9 @@ mod tests {
     fn no_preemption_when_room_exists() {
         let mut o = orch();
         let v = socc_video::vbench::by_id("V1").unwrap();
-        let adm = o
-            .submit_with_preemption(WorkloadSpec::LiveStreamCpu { video: v })
-            .unwrap();
-        assert!(adm.evicted.is_empty());
+        let evicted =
+            submit_with_preemption(&mut o, WorkloadSpec::LiveStreamCpu { video: v }).unwrap();
+        assert!(evicted.is_empty());
     }
 
     #[test]
@@ -139,12 +117,14 @@ mod tests {
         let mut o = orch();
         fill_with_archive(&mut o);
         let v = socc_video::vbench::by_id("V1").unwrap();
-        let err = o
-            .submit_with_preemption(WorkloadSpec::ArchiveJob {
+        let err = submit_with_preemption(
+            &mut o,
+            WorkloadSpec::ArchiveJob {
                 video: v,
                 frames: 100,
-            })
-            .unwrap_err();
+            },
+        )
+        .unwrap_err();
         assert_eq!(err, AdmissionError::NoCapacity);
         assert_eq!(o.active_workloads(), 60, "nothing was evicted");
     }
@@ -162,9 +142,8 @@ mod tests {
             }
         }
         let before = o.active_workloads();
-        let err = o
-            .submit_with_preemption(WorkloadSpec::LiveStreamCpu { video: v6 })
-            .unwrap_err();
+        let err =
+            submit_with_preemption(&mut o, WorkloadSpec::LiveStreamCpu { video: v6 }).unwrap_err();
         assert_eq!(err, AdmissionError::NoCapacity);
         assert_eq!(o.active_workloads(), before);
     }
@@ -176,9 +155,8 @@ mod tests {
         // A V2 stream needs ~216 pu: evicting one archive job (3,235 pu)
         // is more than enough; exactly one eviction expected.
         let v2 = socc_video::vbench::by_id("V2").unwrap();
-        let adm = o
-            .submit_with_preemption(WorkloadSpec::LiveStreamCpu { video: v2 })
-            .unwrap();
-        assert_eq!(adm.evicted.len(), 1);
+        let evicted =
+            submit_with_preemption(&mut o, WorkloadSpec::LiveStreamCpu { video: v2 }).unwrap();
+        assert_eq!(evicted.len(), 1);
     }
 }

@@ -32,7 +32,7 @@ use crate::faults::{DomainFault, FailureDomains, FaultEvent, FaultKind, FaultSch
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::priority::{priority_of, Priority};
 use crate::telemetry::{FtCounter, FtHistogram, FtTelemetry};
-use crate::workload::{WorkloadId, WorkloadSpec};
+use crate::workload::{AdmissionError, WorkloadId, WorkloadSpec};
 
 /// Throughput fraction an enclosure keeps when its PSU envelope drops to
 /// `ratio` of nominal: the best Kryo-585 operating point affordable under
@@ -40,7 +40,7 @@ use crate::workload::{WorkloadId, WorkloadSpec};
 /// fraction kept always exceeds the power fraction lost. Shared by the
 /// single-enclosure brownout path here and the fleet's site-brownout
 /// derating (`crate::fleet`).
-pub fn brownout_throughput_frac(ratio: f64) -> f64 {
+pub(crate) fn brownout_throughput_frac(ratio: f64) -> f64 {
     // Built once per process: a brownout inside a recovery step then
     // allocates nothing.
     static PRIME: OnceLock<DvfsDomain> = OnceLock::new();
@@ -111,7 +111,7 @@ pub struct FateRecord {
     /// Current disposition.
     pub fate: WorkloadFate,
     /// Accumulated time the workload was not serving.
-    pub downtime: SimDuration,
+    pub(crate) downtime: SimDuration,
     /// Number of successful post-fault re-placements.
     pub migrations: u32,
     out_since: Option<SimTime>,
@@ -266,7 +266,7 @@ impl RecoveryEngine {
     }
 
     /// Submits a workload through the engine so its fate is tracked.
-    pub fn submit(&mut self, spec: WorkloadSpec) -> Result<WorkloadId, crate::AdmissionError> {
+    pub fn submit(&mut self, spec: WorkloadSpec) -> Result<WorkloadId, AdmissionError> {
         let id = self.orch.submit(spec)?;
         self.fates.insert(id, FateRecord::new());
         self.alias.insert(id, id);
@@ -281,11 +281,6 @@ impl RecoveryEngine {
     /// The chassis failure-domain hierarchy the engine recovers over.
     pub fn domains(&self) -> FailureDomains {
         self.domains
-    }
-
-    /// The redundant PSU pair's current state.
-    pub fn psu(&self) -> RedundantPsu {
-        self.psu
     }
 
     /// The loop's counters and its detection and MTTR histograms.
@@ -442,7 +437,7 @@ impl RecoveryEngine {
     }
 
     /// Advances to the horizon and closes the books (see
-    /// [`RecoveryEngine::finalize`] semantics in `run`).
+    /// `RecoveryEngine::finalize` semantics in `run`).
     ///
     /// # Panics
     ///
@@ -951,7 +946,7 @@ impl RecoveryEngine {
             (!ranges.is_empty()).then_some(ranges)
         }
         let placed = match self.orch.submit_clone(&spec, nonempty(&avoid)) {
-            Err(crate::AdmissionError::NoCapacity) if from_board.is_some() => {
+            Err(AdmissionError::NoCapacity) if from_board.is_some() => {
                 let fallback = self.orch.submit_clone(&spec, nonempty(&avoid[..hard]));
                 if fallback.is_ok() {
                     self.telemetry.add(FtCounter::AntiAffinityFallbacks, 1);
@@ -1567,10 +1562,10 @@ mod tests {
                 frames: 100
             })
             .unwrap_err(),
-            crate::AdmissionError::Degraded
+            AdmissionError::Degraded
         );
         eng.submit(live_v1()).unwrap();
-        assert!(!eng.psu().fully_redundant());
+        assert!(!eng.psu.fully_redundant());
         let shed = eng.telemetry().counter("ft.workloads_shed");
         // Half the PSU capacity retains well over half the throughput
         // (superlinear DVFS), so far fewer than half the jobs shed.
@@ -1579,7 +1574,7 @@ mod tests {
         while eng.step() {}
         eng.finish();
         assert!(eng.orchestrator().admission_floor().is_none());
-        assert!(eng.psu().fully_redundant());
+        assert!(eng.psu.fully_redundant());
         assert_eq!(eng.telemetry().counter("ft.brownouts_ended"), 1);
         assert_eq!(
             eng.fates()

@@ -36,7 +36,7 @@ pub trait Scheduler: Send {
 /// Consolidates: first (lowest-index) SoC with room. Idle tails of the
 /// fleet stay empty and can sleep — the energy-proportional choice.
 #[derive(Debug, Default)]
-pub struct BinPack;
+pub(crate) struct BinPack;
 
 impl Scheduler for BinPack {
     fn name(&self) -> &'static str {
@@ -65,7 +65,7 @@ impl Scheduler for BinPack {
 
 /// Rotates through SoCs in order, skipping full ones.
 #[derive(Debug, Default)]
-pub struct RoundRobin {
+pub(crate) struct RoundRobin {
     cursor: usize,
 }
 

@@ -36,9 +36,9 @@ pub struct SocUnit {
     /// Hardware specification, shared by every slot in the process.
     pub spec: &'static SocSpec,
     /// Current power state.
-    pub state: PowerState,
+    pub(crate) state: PowerState,
     /// Software deployment mode.
-    pub deployment: DeploymentMode,
+    pub(crate) deployment: DeploymentMode,
     /// `false` once a fault has taken the SoC out of service.
     pub healthy: bool,
     used: Demand,
@@ -77,25 +77,19 @@ impl SocUnit {
         self.active_workloads
     }
 
-    /// Returns `true` if the SoC is healthy and could serve (possibly after
-    /// a wake-up).
-    pub fn is_available(&self) -> bool {
-        self.healthy
-    }
-
     /// Current resource usage.
     pub fn used(&self) -> Demand {
         self.used
     }
 
     /// CPU utilization in `[0, 1]`.
-    pub fn cpu_utilization(&self) -> Utilization {
+    pub(crate) fn cpu_utilization(&self) -> Utilization {
         Utilization::from_ratio(self.used.cpu_pu, self.spec.cpu.transcode_capacity())
     }
 
     /// Effective GPU serving capacity fraction (1.0 physical, lower when
     /// containerized — Table 7's GPU ceiling).
-    pub fn gpu_capacity_frac(&self) -> f64 {
+    pub(crate) fn gpu_capacity_frac(&self) -> f64 {
         self.deployment.gpu_util_ceiling()
     }
 
@@ -226,13 +220,13 @@ impl SocUnit {
     /// Exactly [`ComponentPowers::total`] of [`Self::component_powers`]:
     /// the component-wise sum uses the same accumulation order this
     /// method always used, so the meter and the ledger agree bit-for-bit.
-    pub fn total_power(&self) -> Power {
+    pub(crate) fn total_power(&self) -> Power {
         self.component_powers().total()
     }
 
     /// Idle-floor power of an awake, empty SoC (the baseline the paper's
     /// workload-power convention subtracts).
-    pub fn idle_power(&self) -> Power {
+    pub(crate) fn idle_power(&self) -> Power {
         let idle = Utilization::ZERO;
         self.spec.cpu.power(PowerState::Idle, idle)
             + self.spec.codec.power(PowerState::Idle, idle)
@@ -242,7 +236,8 @@ impl SocUnit {
     }
 
     /// Workload (idle-excluded) power.
-    pub fn workload_power(&self) -> Power {
+    #[cfg(test)]
+    pub(crate) fn workload_power(&self) -> Power {
         let total = self.total_power().as_watts();
         let idle = self.idle_power().as_watts();
         Power::watts((total - idle).max(0.0))
@@ -295,7 +290,7 @@ mod tests {
         let mut soc = SocUnit::new(0, DeploymentMode::Physical);
         soc.healthy = false;
         assert!(!soc.fits(&cpu_demand(1.0)));
-        assert!(!soc.is_available());
+        assert!(!soc.healthy);
     }
 
     #[test]
@@ -303,10 +298,10 @@ mod tests {
         let mut soc = SocUnit::new(0, DeploymentMode::Physical);
         soc.place(&cpu_demand(1000.0));
         soc.decommission();
-        assert!(!soc.is_available());
+        assert!(!soc.healthy);
         assert_eq!(soc.state, PowerState::Off);
         soc.restore();
-        assert!(soc.is_available());
+        assert!(soc.healthy);
         assert_eq!(soc.state, PowerState::Idle);
         assert!(soc.is_idle());
         assert!(soc.fits(&cpu_demand(1000.0)));

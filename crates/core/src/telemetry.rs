@@ -17,7 +17,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use socc_sim::metrics::{LogHistogram, MetricRegistry};
 
 use crate::detector::DetectedClass;
-use crate::orchestrator::Orchestrator;
 
 /// A cloneable, thread-safe metric registry.
 #[derive(Debug, Clone, Default)]
@@ -47,7 +46,8 @@ impl TelemetrySink {
     /// Sets a gauge, keeping the maximum across reports. The first report
     /// always lands, so all-negative series keep their true peak instead of
     /// losing against the default gauge value of zero.
-    pub fn gauge_max(&self, name: &str, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn gauge_max(&self, name: &str, value: f64) {
         let mut reg = self.registry();
         let never_set = reg.gauge_ref(name).is_none();
         if never_set || value > reg.gauge_value(name) {
@@ -61,7 +61,8 @@ impl TelemetrySink {
     }
 
     /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> f64 {
         self.registry().gauge_value(name)
     }
 
@@ -117,7 +118,8 @@ impl TelemetrySink {
     }
 
     /// Folds an orchestrator's lifetime stats into the sink under a prefix.
-    pub fn absorb(&self, prefix: &str, orch: &Orchestrator) {
+    #[cfg(test)]
+    pub(crate) fn absorb(&self, prefix: &str, orch: &crate::orchestrator::Orchestrator) {
         let stats = orch.stats();
         self.add(&format!("{prefix}.admitted"), stats.admitted);
         self.add(&format!("{prefix}.rejected"), stats.rejected);
@@ -383,7 +385,7 @@ impl FtTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::OrchestratorConfig;
+    use crate::orchestrator::{Orchestrator, OrchestratorConfig};
     use crate::workload::WorkloadSpec;
 
     #[test]

@@ -15,7 +15,7 @@ const CHASSIS_BASE_W: f64 = 100.0;
 /// The Xeon + A40 baseline server.
 pub struct TraditionalServer {
     /// Number of installed A40 GPUs (8 or 0).
-    pub gpu_count: usize,
+    pub(crate) gpu_count: usize,
     cpu: CpuModel,
     dram: MemoryModel,
     gpu: GpuModel,
@@ -24,7 +24,7 @@ pub struct TraditionalServer {
 
 impl TraditionalServer {
     /// The full Table 1 configuration: 8× A40.
-    pub fn with_gpus() -> Self {
+    pub(crate) fn with_gpus() -> Self {
         Self {
             gpu_count: 8,
             cpu: CpuModel::xeon_5218r_host(),
@@ -43,7 +43,8 @@ impl TraditionalServer {
     }
 
     /// Number of 8-core Docker containers carved from the host (§3).
-    pub fn container_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn container_count(&self) -> usize {
         socc_hw::calib::INTEL_CONTAINER_COUNT
     }
 
@@ -65,19 +66,22 @@ impl TraditionalServer {
     }
 
     /// Power with everything idle.
-    pub fn idle_power(&self) -> Power {
+    #[cfg(test)]
+    pub(crate) fn idle_power(&self) -> Power {
         self.power(Utilization::ZERO, Utilization::ZERO, 0)
     }
 
     /// Average peak power while live-transcoding at full CPU load on all
     /// containers (Table 4's CPU-only anchor: 633 W).
-    pub fn live_cpu_full_power(&self) -> Power {
+    #[cfg(test)]
+    pub(crate) fn live_cpu_full_power(&self) -> Power {
         self.power(Utilization::FULL, Utilization::ZERO, 0)
     }
 
     /// Average peak power while live-transcoding on all GPUs (Table 4's
     /// 8-GPU anchor: 1,231 W); the host only demuxes and feeds streams.
-    pub fn live_gpu_full_power(&self) -> Power {
+    #[cfg(test)]
+    pub(crate) fn live_gpu_full_power(&self) -> Power {
         self.power(Utilization::new(0.05), Utilization::FULL, self.gpu_count)
     }
 }

@@ -84,7 +84,7 @@ const THERMAL_CHUNK_SECS: u64 = 60;
 /// farm modes. SoC component energies are exact (piecewise-constant power
 /// between tick-aligned epochs); the residual is the fan-duty feedback
 /// loop, which integrates fan power over slightly different duty
-/// trajectories under 1-second vs [`THERMAL_CHUNK_SECS`]-sized steps.
+/// trajectories under 1-second vs `THERMAL_CHUNK_SECS`-sized steps.
 pub const FAN_ENERGY_REL_TOL: f64 = 2e-3;
 
 /// A board-down fault injected into the farm run.

@@ -22,7 +22,7 @@ pub enum DeploymentMode {
 
 impl DeploymentMode {
     /// Latency multiplier for a DL workload on a processor.
-    pub fn latency_factor(self, processor: SocProcessor) -> f64 {
+    pub(crate) fn latency_factor(self, processor: SocProcessor) -> f64 {
         match (self, processor) {
             (DeploymentMode::Physical, _) => 1.0,
             (DeploymentMode::Containerized, SocProcessor::Gpu) => calib::VIRT_GPU_LATENCY_FACTOR,
@@ -31,7 +31,7 @@ impl DeploymentMode {
     }
 
     /// Additional memory utilization in percentage points.
-    pub fn memory_overhead_pp(self) -> f64 {
+    pub(crate) fn memory_overhead_pp(self) -> f64 {
         match self {
             DeploymentMode::Physical => 0.0,
             DeploymentMode::Containerized => calib::VIRT_MEMORY_OVERHEAD_PP,
@@ -39,7 +39,7 @@ impl DeploymentMode {
     }
 
     /// Ceiling on achievable GPU utilization.
-    pub fn gpu_util_ceiling(self) -> f64 {
+    pub(crate) fn gpu_util_ceiling(self) -> f64 {
         match self {
             DeploymentMode::Physical => 1.0,
             DeploymentMode::Containerized => calib::VIRT_GPU_UTIL_FACTOR,

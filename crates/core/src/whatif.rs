@@ -13,13 +13,11 @@ use socc_hw::generations::SocGeneration;
 use socc_net::tcp::TcpModel;
 use socc_sim::time::SimDuration;
 use socc_sim::units::{DataRate, DataSize};
-use socc_video::{TranscodeUnit, VideoMeta};
+use socc_video::TranscodeUnit;
 
 /// Projected per-SoC and per-cluster numbers for a generation.
 #[derive(Debug, Clone)]
 pub struct GenerationProjection {
-    /// The SoC generation the cluster is built from.
-    pub generation: SocGeneration,
     /// Max live V1 streams per SoC on the CPU.
     pub v1_cpu_streams: usize,
     /// Whole-cluster live V1 streams (60 SoCs).
@@ -45,7 +43,6 @@ pub fn project_generation(generation: SocGeneration) -> GenerationProjection {
         .dl_dsp_speed()
         .map(|s| socc_hw::calib::DL_SOC_DSP_R50_INT8_MS / s);
     GenerationProjection {
-        generation,
         v1_cpu_streams: scaled,
         v1_cluster_streams: scaled * socs,
         r50_dsp_ms: dsp_ms,
@@ -104,17 +101,18 @@ pub fn project_collab_with_fabric(
     }
 }
 
-/// Maximum live streams of `video` per SoC if the PCB uplink grew to
-/// `pcb_gbps` (Table 3's bound analysis as a dial).
-pub fn network_bound_streams(video: &VideoMeta, pcb_gbps: f64) -> usize {
-    let per_stream_mbps = video.stream_traffic().as_mbps();
-    let per_pcb = pcb_gbps * 1000.0 / per_stream_mbps;
-    (per_pcb / socc_hw::calib::SOCS_PER_PCB as f64).floor() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socc_video::VideoMeta;
+
+    /// Maximum live streams of `video` per SoC if the PCB uplink grew to
+    /// `pcb_gbps` (Table 3's bound analysis as a dial).
+    fn network_bound_streams(video: &VideoMeta, pcb_gbps: f64) -> usize {
+        let per_stream_mbps = video.stream_traffic().as_mbps();
+        let per_pcb = pcb_gbps * 1000.0 / per_stream_mbps;
+        (per_pcb / socc_hw::calib::SOCS_PER_PCB as f64).floor() as usize
+    }
 
     #[test]
     fn sd8gen1_cluster_nearly_doubles_v1_capacity() {

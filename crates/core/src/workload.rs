@@ -20,7 +20,7 @@ pub enum SocProcessor {
 
 impl SocProcessor {
     /// The engine model backing this processor on a cluster SoC.
-    pub fn engine(self) -> Engine {
+    pub(crate) fn engine(self) -> Engine {
         match self {
             SocProcessor::Cpu => Engine::TfLiteCpu,
             SocProcessor::Gpu => Engine::TfLiteGpu,
@@ -70,7 +70,8 @@ pub enum WorkloadSpec {
 
 impl WorkloadSpec {
     /// Short kind label for telemetry.
-    pub fn kind(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             WorkloadSpec::LiveStreamCpu { .. } => "live-cpu",
             WorkloadSpec::LiveStreamHw { .. } => "live-hw",

@@ -28,9 +28,9 @@ pub struct BatcherConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchedReport {
     /// Requests served.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Batches launched.
-    pub batches: u64,
+    pub(crate) batches: u64,
     /// Mean formed batch size.
     pub mean_batch: f64,
     /// Median end-to-end latency (ms).

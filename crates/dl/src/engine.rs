@@ -73,7 +73,7 @@ impl Engine {
     }
 
     /// Returns `true` if the engine supports this model/precision combo.
-    pub fn supports(self, model: ModelId, dtype: DType) -> bool {
+    pub(crate) fn supports(self, model: ModelId, dtype: DType) -> bool {
         calib::batch1_ms(self, model, dtype).is_some()
     }
 
@@ -98,7 +98,7 @@ impl Engine {
     }
 
     /// Steady-state throughput in samples/s at a batch size.
-    pub fn throughput(self, model: ModelId, dtype: DType, batch: usize) -> Option<f64> {
+    pub(crate) fn throughput(self, model: ModelId, dtype: DType, batch: usize) -> Option<f64> {
         let lat = self.latency(model, dtype, batch)?;
         Some(batch as f64 / lat.as_secs_f64())
     }
@@ -111,7 +111,7 @@ impl Engine {
 
     /// Workload (idle-excluded) power while continuously serving at full
     /// load (Fig. 11b's operating point).
-    pub fn full_load_power(self) -> Power {
+    pub(crate) fn full_load_power(self) -> Power {
         Power::watts(match self {
             Engine::TfLiteCpu => socc_hw::calib::DL_SOC_CPU_POWER_W,
             Engine::TfLiteGpu => socc_hw::calib::DL_SOC_GPU_POWER_W,
@@ -124,7 +124,7 @@ impl Engine {
 
     /// Activation step of the workload power (paid whenever the engine is
     /// busy at all; large for discrete GPUs).
-    pub fn activation_power(self) -> Power {
+    pub(crate) fn activation_power(self) -> Power {
         Power::watts(match self {
             Engine::TfLiteCpu => 0.5,
             Engine::TfLiteGpu => 0.1,
@@ -137,7 +137,12 @@ impl Engine {
 
     /// Workload power at a batch size (full-load power scaled by the
     /// throughput fraction achieved at this batch, on top of activation).
-    pub fn power_at_batch(self, model: ModelId, dtype: DType, batch: usize) -> Option<Power> {
+    pub(crate) fn power_at_batch(
+        self,
+        model: ModelId,
+        dtype: DType,
+        batch: usize,
+    ) -> Option<Power> {
         let frac = self.throughput(model, dtype, batch)? / self.max_throughput(model, dtype)?;
         let dynamic = self.full_load_power() - self.activation_power();
         Some(self.activation_power() + dynamic * frac.clamp(0.0, 1.0))
@@ -148,19 +153,6 @@ impl Engine {
         let tput = self.throughput(model, dtype, batch)?;
         let power = self.power_at_batch(model, dtype, batch)?.as_watts();
         Some(tput / power)
-    }
-
-    /// Number of such engine units in the whole server (60 SoCs, 10 Intel
-    /// containers, 8 A40s; the A100 is a single cloud instance, §3).
-    pub fn units_per_server(self) -> usize {
-        match self {
-            Engine::TfLiteCpu | Engine::TfLiteGpu | Engine::QnnDsp => {
-                socc_hw::calib::CLUSTER_SOC_COUNT
-            }
-            Engine::TvmIntel => socc_hw::calib::INTEL_CONTAINER_COUNT,
-            Engine::TensorRtA40 => 8,
-            Engine::TensorRtA100 => 1,
-        }
     }
 }
 

@@ -10,8 +10,6 @@ use crate::tensor::{DType, TensorShape};
 /// sufficient, with [`Layer::ElementWise`] marking the merge points.
 #[derive(Debug, Clone)]
 pub struct ModelGraph {
-    /// Model name.
-    pub name: String,
     /// Input shape per sample.
     pub input: TensorShape,
     layers: Vec<Layer>,
@@ -19,16 +17,15 @@ pub struct ModelGraph {
 
 impl ModelGraph {
     /// Creates an empty graph.
-    pub fn new(name: &str, input: TensorShape) -> Self {
+    pub(crate) fn new(input: TensorShape) -> Self {
         Self {
-            name: name.to_string(),
             input,
             layers: Vec::new(),
         }
     }
 
     /// Appends a layer.
-    pub fn push(&mut self, layer: Layer) -> &mut Self {
+    pub(crate) fn push(&mut self, layer: Layer) -> &mut Self {
         self.layers.push(layer);
         self
     }
@@ -44,12 +41,13 @@ impl ModelGraph {
     }
 
     /// Returns `true` for an empty graph.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
 
     /// Total FLOPs per sample (2×MAC convention).
-    pub fn flops(&self) -> f64 {
+    pub(crate) fn flops(&self) -> f64 {
         self.layers.iter().map(Layer::flops).sum()
     }
 
@@ -59,7 +57,7 @@ impl ModelGraph {
     }
 
     /// Total trainable parameters.
-    pub fn params(&self) -> u64 {
+    pub(crate) fn params(&self) -> u64 {
         self.layers.iter().map(Layer::params).sum()
     }
 
@@ -82,7 +80,8 @@ impl ModelGraph {
 
     /// Peak activation size in bytes at a precision (the largest
     /// inter-layer tensor).
-    pub fn peak_activation_bytes(&self, dtype: DType) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak_activation_bytes(&self, dtype: DType) -> f64 {
         self.layers
             .iter()
             .map(|l| l.output_shape().bytes(dtype) as f64)
@@ -95,7 +94,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> ModelGraph {
-        let mut g = ModelGraph::new("tiny", TensorShape::chw(3, 8, 8));
+        let mut g = ModelGraph::new(TensorShape::chw(3, 8, 8));
         g.push(Layer::Conv2d {
             input: TensorShape::chw(3, 8, 8),
             out_channels: 4,
@@ -138,7 +137,7 @@ mod tests {
 
     #[test]
     fn peak_activation_includes_input() {
-        let g = ModelGraph::new("empty", TensorShape::chw(3, 224, 224));
+        let g = ModelGraph::new(TensorShape::chw(3, 224, 224));
         assert_eq!(
             g.peak_activation_bytes(DType::Fp32),
             (3 * 224 * 224 * 4) as f64

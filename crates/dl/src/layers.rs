@@ -59,7 +59,7 @@ pub enum Layer {
 
 impl Layer {
     /// Output activation shape.
-    pub fn output_shape(&self) -> TensorShape {
+    pub(crate) fn output_shape(&self) -> TensorShape {
         match *self {
             Layer::Conv2d {
                 input,
@@ -85,7 +85,7 @@ impl Layer {
     }
 
     /// FLOPs per sample (2×MAC convention).
-    pub fn flops(&self) -> f64 {
+    pub(crate) fn flops(&self) -> f64 {
         match *self {
             Layer::Conv2d {
                 input,
@@ -126,7 +126,7 @@ impl Layer {
     }
 
     /// Trainable parameters.
-    pub fn params(&self) -> u64 {
+    pub(crate) fn params(&self) -> u64 {
         match *self {
             Layer::Conv2d {
                 input,
@@ -150,7 +150,7 @@ impl Layer {
     /// Returns `true` if the operator has a spatial receptive field wider
     /// than one column — i.e. width-partitioned tensor parallelism must
     /// exchange halo columns before it (§5.3's communication cost).
-    pub fn needs_halo(&self) -> bool {
+    pub(crate) fn needs_halo(&self) -> bool {
         matches!(self, Layer::Conv2d { kernel, .. } if *kernel > 1)
             || matches!(self, Layer::Pool { kernel, .. } if *kernel > 1)
     }

@@ -3,7 +3,7 @@
 //! Replaces the paper's DL stacks (TFLite, TVM, TensorRT, MNN — §3/§5)
 //! with calibrated engine models over a layer-exact model zoo:
 //!
-//! - [`tensor`], [`layers`], [`graph`]: shapes, operators, FLOP counting;
+//! - [`tensor`], `layers`, `graph`: shapes, operators, FLOP counting;
 //! - [`zoo`]: ResNet-50/152, YOLOv5x, BERT-base builders;
 //! - [`engine`]: six inference engines with latency/power anchored to
 //!   Fig. 11 and Table 7;
@@ -31,8 +31,8 @@
 pub mod batcher;
 pub mod calib;
 pub mod engine;
-pub mod graph;
-pub mod layers;
+pub(crate) mod graph;
+pub(crate) mod layers;
 pub mod parallel;
 pub mod pipeline;
 pub mod quant;

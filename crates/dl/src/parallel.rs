@@ -31,7 +31,7 @@ pub const PIPELINE_OVERLAP: f64 = 0.58;
 /// Single-SoC MNN CPU inference time for ResNet-50 in the collaborative
 /// setup (§5.3: "increasing the number of SoCs from one to five reduces
 /// the computation time from 80 ms to 34 ms").
-pub const MNN_R50_SINGLE_SOC_MS: f64 = 80.0;
+pub(crate) const MNN_R50_SINGLE_SOC_MS: f64 = 80.0;
 
 /// Configuration of a collaborative inference run.
 #[derive(Debug, Clone, Copy, PartialEq)]

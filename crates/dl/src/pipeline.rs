@@ -25,9 +25,9 @@ pub struct Stage {
     /// Last layer index (exclusive).
     pub end: usize,
     /// Compute time of the stage on one SoC.
-    pub compute: SimDuration,
+    pub(crate) compute: SimDuration,
     /// Activation bytes shipped to the next stage (0 for the last).
-    pub boundary_bytes: f64,
+    pub(crate) boundary_bytes: f64,
 }
 
 /// A pipeline-parallel execution plan.
@@ -121,7 +121,7 @@ pub fn plan(model: ModelId, stages: usize) -> PipelinePlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitioningComparison {
     /// SoCs used.
-    pub socs: usize,
+    pub(crate) socs: usize,
     /// Tensor-parallel single-request latency.
     pub tp_latency: SimDuration,
     /// Pipeline-parallel single-request latency.

@@ -13,7 +13,7 @@ use crate::zoo::ModelId;
 
 /// Published top-line accuracy (top-1 for classifiers, mAP@50-95 for
 /// YOLOv5x, GLUE-avg-like for BERT), FP32 baseline.
-pub fn fp32_accuracy(model: ModelId) -> f64 {
+pub(crate) fn fp32_accuracy(model: ModelId) -> f64 {
     match model {
         ModelId::ResNet50 => 76.1,
         ModelId::ResNet152 => 78.3,
@@ -26,7 +26,7 @@ pub fn fp32_accuracy(model: ModelId) -> f64 {
 ///
 /// CNNs quantize well (≤0.5 pt); transformers lose more without
 /// quantization-aware training.
-pub fn int8_accuracy_drop(model: ModelId) -> f64 {
+pub(crate) fn int8_accuracy_drop(model: ModelId) -> f64 {
     match model {
         ModelId::ResNet50 => 0.3,
         ModelId::ResNet152 => 0.4,
@@ -36,7 +36,7 @@ pub fn int8_accuracy_drop(model: ModelId) -> f64 {
 }
 
 /// Accuracy at a precision.
-pub fn accuracy(model: ModelId, dtype: DType) -> f64 {
+pub(crate) fn accuracy(model: ModelId, dtype: DType) -> f64 {
     match dtype {
         DType::Fp32 | DType::Fp16 => fp32_accuracy(model),
         DType::Int8 => fp32_accuracy(model) - int8_accuracy_drop(model),

@@ -42,13 +42,13 @@ use crate::zoo::ModelId;
 pub struct TailReport {
     /// Requests completed. Zero for the analytic path, which describes the
     /// steady state rather than a finite run.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Mean end-to-end latency in ms.
     pub mean_ms: f64,
     /// Median latency in ms.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// 95th percentile in ms.
-    pub p95_ms: f64,
+    pub(crate) p95_ms: f64,
     /// 99th percentile in ms.
     pub p99_ms: f64,
     /// Measured server utilization: busy time inside the horizon divided
@@ -112,7 +112,7 @@ impl Md1 {
     /// Mean waiting time (excluding service), seconds — the
     /// Pollaczek–Khinchine formula specialized to deterministic service:
     /// `ρ·s / (2(1−ρ))`.
-    pub fn mean_wait_secs(&self) -> f64 {
+    pub(crate) fn mean_wait_secs(&self) -> f64 {
         let rho = self.utilization();
         rho * self.service / (2.0 * (1.0 - rho))
     }
@@ -128,7 +128,7 @@ impl Md1 {
     /// `F(t) = (1−ρ) Σ_{k=0}^{⌊t/s⌋} (−x_k)^k e^{x_k} / k!`, `x_k = λ(t−ks)`.
     ///
     /// Returns `None` when the alternating series is too ill-conditioned
-    /// to trust (terms above [`SERIES_MAGNITUDE_CAP`]); callers should fall
+    /// to trust (terms above `SERIES_MAGNITUDE_CAP`); callers should fall
     /// back to [`simulate_tail`] in that case.
     pub fn wait_cdf(&self, wait: SimDuration) -> Option<f64> {
         let t = wait.as_secs_f64();
@@ -230,20 +230,6 @@ impl Md1 {
             utilization: self.utilization(),
         })
     }
-}
-
-/// Analytic steady-state tail for an engine at an offered rate: `None`
-/// when the engine cannot run the model/precision, the queue is unstable
-/// (ρ ≥ 1), or the series cannot resolve the tail — callers then fall
-/// back to [`simulate_tail`].
-pub fn analytic_tail(
-    engine: Engine,
-    model: ModelId,
-    dtype: DType,
-    rate_fps: f64,
-) -> Option<TailReport> {
-    let service = engine.latency(model, dtype, 1)?;
-    Md1::new(rate_fps, service)?.tail_report()
 }
 
 // ---------------------------------------------------------------------------
@@ -654,9 +640,15 @@ mod tests {
 
     #[test]
     fn analytic_tail_unsupported_is_none() {
-        assert!(analytic_tail(Engine::QnnDsp, ModelId::BertBase, DType::Int8, 1.0).is_none());
+        // An engine that cannot run the model has no service time to queue.
+        assert!(Engine::QnnDsp
+            .latency(ModelId::BertBase, DType::Int8, 1)
+            .is_none());
         // Unstable load is also None (no steady state to report).
-        assert!(analytic_tail(Engine::QnnDsp, ModelId::ResNet50, DType::Int8, 500.0).is_none());
+        let service = Engine::QnnDsp
+            .latency(ModelId::ResNet50, DType::Int8, 1)
+            .unwrap();
+        assert!(Md1::new(500.0, service).is_none());
     }
 
     #[test]

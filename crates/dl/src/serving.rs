@@ -6,8 +6,6 @@
 //! form the next batch); below saturation the accelerator duty-cycles.
 //! Sequential engines simply scale busy time with load.
 
-use socc_sim::span::{EventKind, EventLog, Scope};
-use socc_sim::time::SimTime;
 use socc_sim::units::Power;
 
 use crate::engine::Engine;
@@ -18,22 +16,22 @@ use crate::zoo::ModelId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingUnit {
     /// The engine.
-    pub engine: Engine,
+    pub(crate) engine: Engine,
     /// The model served.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Serving precision.
-    pub dtype: DType,
+    pub(crate) dtype: DType,
 }
 
 /// What a unit does under a given offered load.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Load actually served, samples/s (≤ offered; capped at capacity).
-    pub served_fps: f64,
+    pub(crate) served_fps: f64,
     /// Steady-state batch size in use.
-    pub batch: f64,
+    pub(crate) batch: f64,
     /// Fraction of time the engine is busy.
-    pub duty: f64,
+    pub(crate) duty: f64,
     /// Workload power plus the host-side base power of keeping the unit
     /// serving (an awake SoC, a host process feeding a GPU).
     pub total_power: Power,
@@ -63,7 +61,7 @@ impl ServingUnit {
 
     /// Base power of hosting this unit while it serves: the awake SoC's
     /// floor for mobile engines, the feeding host share for server parts.
-    pub fn host_base_power(&self) -> Power {
+    pub(crate) fn host_base_power(&self) -> Power {
         Power::watts(match self.engine {
             Engine::TfLiteCpu | Engine::TfLiteGpu | Engine::QnnDsp => 2.0,
             Engine::TvmIntel => 4.0,
@@ -118,27 +116,6 @@ impl ServingUnit {
         })
     }
 
-    /// [`at_load`](Self::at_load) wrapped in a [`Scope::Serving`] span:
-    /// records `span_begin`/`span_end` plus a `serve_evaluated` event
-    /// carrying the served throughput in milli-fps (0 when the engine
-    /// cannot run the model) into `log` at sim time `at`. Free when the
-    /// log is disabled.
-    pub fn at_load_traced(
-        &self,
-        offered_fps: f64,
-        log: &mut EventLog,
-        at: SimTime,
-    ) -> Option<LoadReport> {
-        let span = log.begin_span(at, Scope::Serving, "at_load");
-        let report = self.at_load(offered_fps);
-        let fps_milli = report
-            .as_ref()
-            .map_or(0, |r| (r.served_fps * 1000.0).round() as u64);
-        log.record(at, Scope::Serving, EventKind::ServeEvaluated { fps_milli });
-        log.end_span(at, Scope::Serving, span, "at_load");
-        report
-    }
-
     /// TensorRT latency interpolated at a fractional batch size (seconds).
     fn latency_at_fractional_batch(&self, batch: f64) -> Option<f64> {
         let lo = batch.floor().max(1.0) as usize;
@@ -178,25 +155,6 @@ mod tests {
         assert!((r.batch - 1.0).abs() < 1e-9);
         // Host base dominates: ~12–15 W for 5 fps.
         assert!(r.total_power.as_watts() < 20.0);
-    }
-
-    #[test]
-    fn traced_at_load_emits_span_and_event() {
-        let unit = a100_r50();
-        let mut log = EventLog::new(16);
-        let r = unit
-            .at_load_traced(5.0, &mut log, SimTime::from_secs(2))
-            .unwrap();
-        let names: Vec<&str> = log.events().map(|e| e.kind.name()).collect();
-        assert_eq!(names, ["span_begin", "serve_evaluated", "span_end"]);
-        let milli = log
-            .events()
-            .find_map(|e| match e.kind {
-                EventKind::ServeEvaluated { fps_milli } => Some(fps_milli),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(milli, (r.served_fps * 1000.0).round() as u64);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub enum DType {
 
 impl DType {
     /// Size of one element in bytes.
-    pub fn bytes(self) -> usize {
+    pub(crate) fn bytes(self) -> usize {
         match self {
             DType::Fp32 => 4,
             DType::Fp16 => 2,
@@ -36,16 +36,16 @@ impl DType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorShape {
     /// Channels (or hidden size for sequence models).
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// Height (or sequence length; 1 for vectors).
-    pub height: usize,
+    pub(crate) height: usize,
     /// Width (1 for vectors/sequences).
-    pub width: usize,
+    pub(crate) width: usize,
 }
 
 impl TensorShape {
     /// Creates a CHW shape.
-    pub const fn chw(channels: usize, height: usize, width: usize) -> Self {
+    pub(crate) const fn chw(channels: usize, height: usize, width: usize) -> Self {
         Self {
             channels,
             height,
@@ -54,7 +54,7 @@ impl TensorShape {
     }
 
     /// Creates a flat vector shape.
-    pub const fn vector(len: usize) -> Self {
+    pub(crate) const fn vector(len: usize) -> Self {
         Self {
             channels: len,
             height: 1,
@@ -63,7 +63,7 @@ impl TensorShape {
     }
 
     /// Creates a sequence shape (`seq_len × hidden`).
-    pub const fn sequence(seq_len: usize, hidden: usize) -> Self {
+    pub(crate) const fn sequence(seq_len: usize, hidden: usize) -> Self {
         Self {
             channels: hidden,
             height: seq_len,
@@ -72,7 +72,7 @@ impl TensorShape {
     }
 
     /// Total elements per sample.
-    pub fn elements(&self) -> usize {
+    pub(crate) fn elements(&self) -> usize {
         self.channels * self.height * self.width
     }
 

@@ -43,7 +43,7 @@ impl ModelId {
     }
 
     /// Published GFLOPs per sample (2×MAC).
-    pub fn gflops_anchor(self) -> f64 {
+    pub(crate) fn gflops_anchor(self) -> f64 {
         match self {
             ModelId::ResNet50 => 8.2,
             ModelId::ResNet152 => 23.1,
@@ -97,7 +97,7 @@ fn resnet(depth: usize) -> ModelGraph {
         152 => [3, 8, 36, 3],
         _ => panic!("unsupported ResNet depth {depth}"),
     };
-    let mut g = ModelGraph::new(&format!("ResNet-{depth}"), TensorShape::chw(3, 224, 224));
+    let mut g = ModelGraph::new(TensorShape::chw(3, 224, 224));
     let mut shape = conv(&mut g, TensorShape::chw(3, 224, 224), 64, 7, 2);
     g.push(Layer::Pool {
         input: shape,
@@ -146,7 +146,7 @@ fn c3(g: &mut ModelGraph, input: TensorShape, repeats: usize) -> TensorShape {
 /// YOLOv5x at 640×640: CSPDarknet backbone (width 1.25, depth 1.33) plus a
 /// PANet-style neck, scaled to the published 205.7 GFLOPs.
 fn yolov5x() -> ModelGraph {
-    let mut g = ModelGraph::new("YOLOv5x", TensorShape::chw(3, 640, 640));
+    let mut g = ModelGraph::new(TensorShape::chw(3, 640, 640));
     // Backbone.
     let mut s = conv(&mut g, TensorShape::chw(3, 640, 640), 80, 6, 2); // P1: 320²
     s = conv(&mut g, s, 160, 3, 2); // P2: 160²
@@ -188,7 +188,7 @@ fn yolov5x() -> ModelGraph {
 fn bert_base() -> ModelGraph {
     const SEQ: usize = 128;
     const HIDDEN: usize = 768;
-    let mut g = ModelGraph::new("BERT-base", TensorShape::sequence(SEQ, HIDDEN));
+    let mut g = ModelGraph::new(TensorShape::sequence(SEQ, HIDDEN));
     for _ in 0..12 {
         g.push(Layer::Attention {
             seq_len: SEQ,
@@ -227,8 +227,7 @@ mod tests {
             let rel = (g.gflops() - model.gflops_anchor()).abs() / model.gflops_anchor();
             assert!(
                 rel < 0.12,
-                "{}: {} vs anchor {}",
-                g.name,
+                "{model:?}: {} vs anchor {}",
                 g.gflops(),
                 model.gflops_anchor()
             );

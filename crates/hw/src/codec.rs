@@ -12,8 +12,6 @@ use crate::power::{LoadPowerModel, PowerState, Utilization};
 /// A hardware encode/decode engine.
 #[derive(Debug, Clone)]
 pub struct HwCodecModel {
-    /// Marketing name.
-    pub name: String,
     /// Sustained transcode throughput in 16×16 macroblocks per second,
     /// at unit content-complexity.
     pub throughput_mb_per_s: f64,
@@ -55,7 +53,6 @@ impl HwCodecModel {
     /// vbench cost model in `socc-video`.
     pub fn venus_sd865() -> Self {
         Self {
-            name: "Qualcomm Venus (SD865)".to_string(),
             throughput_mb_per_s: 1.92e6,
             max_sessions: 16,
             power_model: LoadPowerModel::new(
@@ -73,7 +70,6 @@ impl HwCodecModel {
     /// TpC-derived whole-server throughputs.
     pub fn nvenc_a40() -> Self {
         Self {
-            name: "NVIDIA NVENC (A40)".to_string(),
             throughput_mb_per_s: 3.87e6,
             max_sessions: 96,
             power_model: LoadPowerModel::new(

@@ -17,12 +17,12 @@ pub struct OperatingPoint {
     /// Core clock.
     pub freq: Frequency,
     /// Supply voltage in volts.
-    pub voltage: f64,
+    pub(crate) voltage: f64,
 }
 
 impl OperatingPoint {
     /// Creates an OPP.
-    pub fn new(ghz: f64, voltage: f64) -> Self {
+    pub(crate) fn new(ghz: f64, voltage: f64) -> Self {
         Self {
             freq: Frequency::ghz(ghz),
             voltage,
@@ -36,11 +36,11 @@ pub struct DvfsDomain {
     /// Domain name ("prime", "gold", "silver").
     pub name: String,
     /// Available OPPs, ascending by frequency.
-    pub opps: Vec<OperatingPoint>,
+    pub(crate) opps: Vec<OperatingPoint>,
     /// Effective switched capacitance in nF: `P_dyn = c · f · V²`.
-    pub capacitance_nf: f64,
+    pub(crate) capacitance_nf: f64,
     /// Leakage power at the highest voltage, in watts (scales with V).
-    pub leakage_w: f64,
+    pub(crate) leakage_w: f64,
 }
 
 impl DvfsDomain {
@@ -82,28 +82,13 @@ impl DvfsDomain {
         }
     }
 
-    /// The silver-core domain (4× Cortex-A55 @ 1.80 GHz), per-core figures.
-    pub fn kryo585_silver() -> Self {
-        Self {
-            name: "silver".to_string(),
-            opps: vec![
-                OperatingPoint::new(0.58, 0.52),
-                OperatingPoint::new(0.96, 0.56),
-                OperatingPoint::new(1.38, 0.62),
-                OperatingPoint::new(1.80, 0.70),
-            ],
-            capacitance_nf: 0.18,
-            leakage_w: 0.03,
-        }
-    }
-
     /// Highest OPP.
     pub fn max_opp(&self) -> OperatingPoint {
         *self.opps.last().expect("non-empty OPP table")
     }
 
     /// Lowest OPP.
-    pub fn min_opp(&self) -> OperatingPoint {
+    pub(crate) fn min_opp(&self) -> OperatingPoint {
         self.opps[0]
     }
 
@@ -116,7 +101,7 @@ impl DvfsDomain {
 
     /// The lowest OPP whose frequency is at least `target` (or the max OPP
     /// if nothing suffices).
-    pub fn opp_for(&self, target: Frequency) -> OperatingPoint {
+    pub(crate) fn opp_for(&self, target: Frequency) -> OperatingPoint {
         for &opp in &self.opps {
             if opp.freq >= target {
                 return opp;
@@ -129,7 +114,7 @@ impl DvfsDomain {
     /// `None` when even the lowest OPP exceeds it. This is the brownout
     /// derating walk: a PSU rail failure shrinks the per-core power budget
     /// and the governor caps itself to the best OPP still affordable.
-    pub fn opp_under_power(&self, budget: Power) -> Option<OperatingPoint> {
+    pub(crate) fn opp_under_power(&self, budget: Power) -> Option<OperatingPoint> {
         self.opps
             .iter()
             .rev()
@@ -207,11 +192,7 @@ mod tests {
 
     #[test]
     fn opp_tables_ascend() {
-        for domain in [
-            DvfsDomain::kryo585_prime(),
-            DvfsDomain::kryo585_gold(),
-            DvfsDomain::kryo585_silver(),
-        ] {
+        for domain in [DvfsDomain::kryo585_prime(), DvfsDomain::kryo585_gold()] {
             for pair in domain.opps.windows(2) {
                 assert!(pair[1].freq > pair[0].freq, "{}", domain.name);
                 assert!(pair[1].voltage >= pair[0].voltage, "{}", domain.name);
@@ -297,15 +278,5 @@ mod tests {
         assert_eq!(prime.throughput_cap_under_power(full), 1.0);
         assert_eq!(prime.throughput_cap_under_power(Power::watts(0.01)), 0.0);
         assert!(prime.opp_under_power(Power::watts(0.01)).is_none());
-    }
-
-    #[test]
-    fn silver_cores_are_far_cheaper() {
-        let silver = DvfsDomain::kryo585_silver();
-        let prime = DvfsDomain::kryo585_prime();
-        assert!(
-            silver.power_at(silver.max_opp()).as_watts()
-                < 0.3 * prime.power_at(prime.max_opp()).as_watts()
-        );
     }
 }

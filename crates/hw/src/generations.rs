@@ -131,17 +131,11 @@ impl SocGeneration {
         }
     }
 
-    /// Whether this generation's DSP supports floating point (§7: added on
-    /// Qualcomm's flagship Hexagon DSPs from the 8 Gen 2 era; the 8+Gen1
-    /// already supports FP16 via HTP).
-    pub fn dsp_supports_float(self) -> bool {
-        matches!(self, SocGeneration::Sd8Gen1Plus)
-    }
-
     /// DSP batch-8 throughput gain over batch-1 (§7: "the latest Snapdragon
     /// 8+Gen1 phone achieved 1.7× higher throughput on its DSP when setting
     /// the batch size to 8").
-    pub fn dsp_batch8_gain(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dsp_batch8_gain(self) -> f64 {
         match self {
             SocGeneration::Sd8Gen1Plus => 1.7,
             _ => 1.15,

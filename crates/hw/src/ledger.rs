@@ -96,7 +96,7 @@ impl ComponentPowers {
     }
 
     /// The power of one component.
-    pub const fn get(&self, c: Component) -> Power {
+    pub(crate) const fn get(&self, c: Component) -> Power {
         match c {
             Component::Cpu => self.cpu,
             Component::Codec => self.codec,
@@ -180,18 +180,18 @@ impl EnergyLedger {
     }
 
     /// The PCB board carrying a SoC slot.
-    pub const fn board_of_soc(&self, soc: usize) -> usize {
+    pub(crate) const fn board_of_soc(&self, soc: usize) -> usize {
         soc / self.socs_per_board
     }
 
     /// The PSU rail feeding a board (boards are striped contiguously:
     /// with 12 boards on 2 rails, boards 0–5 draw from rail 0).
-    pub const fn rail_of_board(&self, board: usize) -> usize {
+    pub(crate) const fn rail_of_board(&self, board: usize) -> usize {
         board * self.rails / self.boards
     }
 
     /// The PSU rail feeding a SoC slot.
-    pub const fn rail_of_soc(&self, soc: usize) -> usize {
+    pub(crate) const fn rail_of_soc(&self, soc: usize) -> usize {
         self.rail_of_board(self.board_of_soc(soc))
     }
 

@@ -4,7 +4,7 @@
 //! an Intel Xeon Gold 5218R host, NVIDIA A40/A100 GPUs) with calibrated
 //! mechanistic models:
 //!
-//! - [`cpu`], [`gpu`], [`dsp`], [`codec`], [`memory`]: per-component
+//! - [`cpu`], [`gpu`], `dsp`, [`codec`], [`memory`]: per-component
 //!   capability and power models;
 //! - [`power`]: the three-term load-to-power model that underpins the
 //!   paper's energy-proportionality results;
@@ -35,7 +35,7 @@
 pub mod calib;
 pub mod codec;
 pub mod cpu;
-pub mod dsp;
+pub(crate) mod dsp;
 pub mod dvfs;
 pub mod generations;
 pub mod gpu;
@@ -46,7 +46,3 @@ pub mod power;
 pub mod psu;
 pub mod spec;
 pub mod thermal;
-
-pub use generations::SocGeneration;
-pub use power::{LoadPowerModel, PowerState, Utilization};
-pub use spec::{ServerSpec, SocSpec};

@@ -70,16 +70,6 @@ impl BenchPlatform {
         BenchPlatform::Graviton3,
     ];
 
-    /// Column label as printed in Table 2.
-    pub fn label(self) -> &'static str {
-        match self {
-            BenchPlatform::SocCluster => "Ours",
-            BenchPlatform::Traditional => "Trad.",
-            BenchPlatform::Graviton2 => "G2",
-            BenchPlatform::Graviton3 => "G3",
-        }
-    }
-
     /// Number of scaling units: SoCs for the cluster, cores for the rest.
     fn scale_units(self) -> f64 {
         match self {
@@ -122,7 +112,7 @@ impl BenchPlatform {
     }
 
     /// Measured whole-server score (Table 2, "Whole Server Performance").
-    pub fn whole_server_measured(self, bench: MicroBenchmark) -> f64 {
+    pub(crate) fn whole_server_measured(self, bench: MicroBenchmark) -> f64 {
         use BenchPlatform::*;
         use MicroBenchmark::*;
         match (self, bench) {
@@ -158,7 +148,7 @@ impl BenchPlatform {
     ///
     /// For the SoC Cluster, the per-unit factor is the SoC's 8 cores'
     /// effective multicore factor; for the rest, the unit is one core.
-    pub fn scaling_efficiency(self, bench: MicroBenchmark) -> f64 {
+    pub(crate) fn scaling_efficiency(self, bench: MicroBenchmark) -> f64 {
         let raw = match self {
             // Each SoC contributes its whole 8-core complex; the effective
             // multicore factor of a phone SoC is ~3.55 prime-core

@@ -69,7 +69,7 @@ impl Utilization {
     }
 
     /// Returns `true` when no capacity is in use.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 }
@@ -88,11 +88,11 @@ impl Utilization {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPowerModel {
     /// Power drawn when powered on but completely idle.
-    pub idle: Power,
+    pub(crate) idle: Power,
     /// Step drawn as soon as utilization is non-zero.
-    pub activation: Power,
+    pub(crate) activation: Power,
     /// Additional power at 100% utilization, scaled linearly with load.
-    pub dynamic: Power,
+    pub(crate) dynamic: Power,
 }
 
 impl LoadPowerModel {
@@ -103,11 +103,6 @@ impl LoadPowerModel {
             activation: Power::watts(activation_w),
             dynamic: Power::watts(dynamic_w),
         }
-    }
-
-    /// A perfectly proportional model with no idle or activation cost.
-    pub fn proportional(dynamic_w: f64) -> Self {
-        Self::new(0.0, 0.0, dynamic_w)
     }
 
     /// Total electrical power at the given state and utilization.
@@ -129,7 +124,7 @@ impl LoadPowerModel {
     /// Workload power: total power minus the idle floor (never negative).
     ///
     /// This matches the paper's measurement convention.
-    pub fn workload_power(&self, util: Utilization) -> Power {
+    pub(crate) fn workload_power(&self, util: Utilization) -> Power {
         if util.is_zero() {
             Power::ZERO
         } else {
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn proportional_model_has_index_one() {
-        let m = LoadPowerModel::proportional(10.0);
+        let m = LoadPowerModel::new(0.0, 0.0, 10.0);
         assert!((m.proportionality_index() - 1.0).abs() < 1e-12);
     }
 

@@ -12,20 +12,20 @@ use socc_sim::units::Power;
 /// An 80 PLUS-style efficiency curve: efficiency at 20%, 50% and 100% of
 /// rated load, interpolated piecewise-linearly (and degraded below 10%).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PsuModel {
+pub(crate) struct PsuModel {
     /// Rated output per module in watts.
-    pub rated_w: f64,
+    pub(crate) rated_w: f64,
     /// Efficiency at 20% load.
-    pub eff_20: f64,
+    pub(crate) eff_20: f64,
     /// Efficiency at 50% load.
-    pub eff_50: f64,
+    pub(crate) eff_50: f64,
     /// Efficiency at 100% load.
-    pub eff_100: f64,
+    pub(crate) eff_100: f64,
 }
 
 impl PsuModel {
     /// One of the cluster's two 400 W modules (80 PLUS Gold-class).
-    pub fn cluster_module() -> Self {
+    pub(crate) fn cluster_module() -> Self {
         Self {
             rated_w: 400.0,
             eff_20: 0.87,
@@ -35,7 +35,7 @@ impl PsuModel {
     }
 
     /// Conversion efficiency at a DC load on one module.
-    pub fn efficiency_at(&self, dc_load: Power) -> f64 {
+    pub(crate) fn efficiency_at(&self, dc_load: Power) -> f64 {
         let frac = (dc_load.as_watts() / self.rated_w).clamp(0.0, 1.0);
         if frac <= 0.0 {
             return self.eff_20 * 0.5; // deep idle: fans + standby dominate
@@ -54,7 +54,7 @@ impl PsuModel {
     }
 
     /// Wall (AC) power drawn by one module for a DC load.
-    pub fn wall_power(&self, dc_load: Power) -> Power {
+    pub(crate) fn wall_power(&self, dc_load: Power) -> Power {
         let eff = self.efficiency_at(dc_load);
         if eff <= 0.0 {
             Power::ZERO
@@ -68,9 +68,9 @@ impl PsuModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundantPsu {
     /// The module model (both identical).
-    pub module: PsuModel,
+    pub(crate) module: PsuModel,
     /// Number of healthy modules (2 normally, 1 after a failure).
-    pub healthy_modules: usize,
+    pub(crate) healthy_modules: usize,
 }
 
 impl RedundantPsu {
@@ -89,7 +89,7 @@ impl RedundantPsu {
     }
 
     /// Returns `true` if a DC load is within the surviving capacity.
-    pub fn can_carry(&self, dc_load: Power) -> bool {
+    pub(crate) fn can_carry(&self, dc_load: Power) -> bool {
         dc_load <= self.capacity()
     }
 

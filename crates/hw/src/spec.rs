@@ -4,13 +4,11 @@ use crate::codec::HwCodecModel;
 use crate::cpu::CpuModel;
 use crate::dsp::DspModel;
 use crate::gpu::GpuModel;
-use crate::memory::{MemoryModel, StorageModel};
+use crate::memory::MemoryModel;
 
 /// Full specification of one mobile SoC.
 #[derive(Debug, Clone)]
 pub struct SocSpec {
-    /// Marketing name (e.g. "Qualcomm Snapdragon 865").
-    pub name: String,
     /// CPU complex.
     pub cpu: CpuModel,
     /// Integrated GPU.
@@ -21,10 +19,12 @@ pub struct SocSpec {
     pub codec: HwCodecModel,
     /// DRAM.
     pub memory: MemoryModel,
-    /// Flash storage.
-    pub storage: StorageModel,
-    /// Operating system string (Table 1: "Android 10").
-    pub os: String,
+    /// Flash storage (Table 1); only tests read it.
+    #[cfg(test)]
+    pub(crate) storage: crate::memory::StorageModel,
+    /// Operating system string (Table 1: "Android 10"); only tests read it.
+    #[cfg(test)]
+    pub(crate) os: String,
     /// Integrated Ethernet capacity in bits/s (Table 1: 1 GE).
     pub ethernet_bps: f64,
 }
@@ -34,13 +34,14 @@ impl SocSpec {
     /// (Table 1, individual-SoC column).
     pub fn snapdragon_865() -> Self {
         Self {
-            name: "Qualcomm Snapdragon 865".to_string(),
             cpu: CpuModel::kryo_585(),
             gpu: GpuModel::adreno_650(),
             dsp: DspModel::hexagon_698(),
             codec: HwCodecModel::venus_sd865(),
             memory: MemoryModel::lpddr5_12gb(),
-            storage: StorageModel::ufs_256gb(),
+            #[cfg(test)]
+            storage: crate::memory::StorageModel::ufs_256gb(),
+            #[cfg(test)]
             os: "Android 10".to_string(),
             ethernet_bps: 1.0e9,
         }
@@ -49,8 +50,9 @@ impl SocSpec {
     /// Returns `true` if a VM/container subscription of `(cores, mem_gb,
     /// storage_gb)` fits within this SoC's resources (used for Fig. 1's
     /// "fits in a mobile SoC" analysis).
-    pub fn fits_subscription(&self, cores: u32, mem_gb: f64, storage_gb: f64) -> bool {
-        cores as usize <= self.cpu.core_count()
+    #[cfg(test)]
+    pub(crate) fn fits_subscription(&self, cores: u32, mem_gb: f64, storage_gb: f64) -> bool {
+        cores as usize <= self.cpu.cores
             && mem_gb <= self.memory.capacity_gb
             && storage_gb <= self.storage.capacity_gb
     }
@@ -59,8 +61,6 @@ impl SocSpec {
 /// Form factor and platform summary of a whole server (Table 1).
 #[derive(Debug, Clone)]
 pub struct ServerSpec {
-    /// Server marketing name.
-    pub name: String,
     /// Rack units occupied.
     pub rack_units: u32,
     /// Human-readable CPU description.
@@ -81,7 +81,6 @@ impl ServerSpec {
     /// Table 1, SoC Cluster whole-server column.
     pub fn soc_cluster() -> Self {
         Self {
-            name: "SoC Cluster".to_string(),
             rack_units: 2,
             cpu_desc: "60x Qualcomm Kryo 585".to_string(),
             gpu_desc: "60x Qualcomm Adreno 650".to_string(),
@@ -95,7 +94,6 @@ impl ServerSpec {
     /// Table 1, traditional edge server column.
     pub fn traditional_edge() -> Self {
         Self {
-            name: "Traditional Edge Server".to_string(),
             rack_units: 4,
             cpu_desc: "Intel Xeon Gold 5218R Processor".to_string(),
             gpu_desc: "8x NVIDIA A40 PCIe 48GB".to_string(),
@@ -114,7 +112,7 @@ mod tests {
     #[test]
     fn sd865_matches_table1() {
         let soc = SocSpec::snapdragon_865();
-        assert_eq!(soc.cpu.core_count(), 8);
+        assert_eq!(soc.cpu.cores, 8);
         assert_eq!(soc.memory.capacity_gb, 12.0);
         assert_eq!(soc.storage.capacity_gb, 256.0);
         assert_eq!(soc.os, "Android 10");

@@ -12,15 +12,15 @@ use socc_sim::units::Power;
 #[derive(Debug, Clone)]
 pub struct ThermalNode {
     /// Ambient (inlet air) temperature in °C.
-    pub ambient_c: f64,
+    pub(crate) ambient_c: f64,
     /// Thermal resistance junction→air at zero airflow, °C/W.
-    pub r_still_c_per_w: f64,
+    pub(crate) r_still_c_per_w: f64,
     /// Thermal resistance at full airflow, °C/W.
-    pub r_forced_c_per_w: f64,
+    pub(crate) r_forced_c_per_w: f64,
     /// Heat capacity, J/°C.
-    pub capacity_j_per_c: f64,
+    pub(crate) capacity_j_per_c: f64,
     /// Junction temperature where the part throttles.
-    pub throttle_c: f64,
+    pub(crate) throttle_c: f64,
     temperature_c: f64,
 }
 
@@ -65,7 +65,8 @@ impl ThermalNode {
     }
 
     /// Steady-state temperature under constant power and fan duty.
-    pub fn steady_state_c(&self, power: Power, fan_duty: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn steady_state_c(&self, power: Power, fan_duty: f64) -> f64 {
         self.ambient_c + power.as_watts() * self.resistance(fan_duty)
     }
 
@@ -164,13 +165,13 @@ fn hottest(temps: &[f64]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct FanController {
     /// Temperature at which fans start ramping.
-    pub target_c: f64,
+    pub(crate) target_c: f64,
     /// Temperature at which fans reach full speed.
-    pub max_c: f64,
+    pub(crate) max_c: f64,
     /// Minimum duty cycle (fans never fully stop in a 2U chassis).
-    pub min_duty: f64,
+    pub(crate) min_duty: f64,
     /// Electrical power of the fan wall at full duty.
-    pub full_power: Power,
+    pub(crate) full_power: Power,
 }
 
 impl FanController {

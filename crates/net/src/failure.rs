@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use socc_sim::hash::{IdMap, IdSet};
+use socc_sim::hash::IdMap;
 
 use crate::topology::{LinkId, NodeId, Topology};
 
@@ -191,31 +191,6 @@ impl FailureAwareRouting {
         }
         None
     }
-
-    /// Nodes reachable from `src` over healthy links (including `src`).
-    pub fn reachable(&self, topo: &Topology, src: NodeId) -> IdSet<NodeId> {
-        let mut seen: IdSet<NodeId> = IdSet::default();
-        seen.insert(src);
-        let mut queue = VecDeque::from([src]);
-        let mut adjacency: IdMap<NodeId, Vec<NodeId>> = IdMap::default();
-        for i in 0..topo.link_count() as u32 {
-            let id = LinkId(i);
-            if self.usable(id) {
-                let l = topo.link(id);
-                adjacency.entry(l.src).or_default().push(l.dst);
-            }
-        }
-        while let Some(n) = queue.pop_front() {
-            if let Some(neighbors) = adjacency.get(&n) {
-                for &next in neighbors {
-                    if seen.insert(next) {
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        seen
-    }
 }
 
 /// [`FailureAwareRouting::usable`] on the bitset alone, for loops that
@@ -265,7 +240,10 @@ mod tests {
         routing.fail(ab);
         routing.fail(ac);
         assert_eq!(routing.route(&topo, a, d), None);
-        assert_eq!(routing.reachable(&topo, a).len(), 1);
+        let reached = (0..topo.node_count() as u32)
+            .filter(|&n| routing.reaches(&topo, a, NodeId(n)))
+            .count();
+        assert_eq!(reached, 1, "only the source itself");
     }
 
     #[test]

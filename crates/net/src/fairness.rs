@@ -312,17 +312,17 @@ impl FairnessState {
     }
 
     /// The link indices of an interned route.
-    pub fn route_links(&self, r: RouteId) -> &[u32] {
+    pub(crate) fn route_links(&self, r: RouteId) -> &[u32] {
         self.routes.links_of(r)
     }
 
     /// The link indices of a live flow's route.
-    pub fn flow_links(&self, key: FlowKey) -> &[u32] {
+    pub(crate) fn flow_links(&self, key: FlowKey) -> &[u32] {
         self.routes.links_of(RouteId(self.route_of[key.0 as usize]))
     }
 
     /// Capacity of a link in bits/s.
-    pub fn capacity_bps(&self, link: u32) -> f64 {
+    pub(crate) fn capacity_bps(&self, link: u32) -> f64 {
         self.capacity
             .get(link as usize)
             .copied()
@@ -431,14 +431,14 @@ impl FairnessState {
     /// allocation; callers must follow up with
     /// [`rebuild_full`](Self::rebuild_full) (used when rerouting around a
     /// failed link).
-    pub fn set_route(&mut self, key: FlowKey, route: RouteId) {
+    pub(crate) fn set_route(&mut self, key: FlowKey, route: RouteId) {
         self.route_of[key.0 as usize] = route.0;
     }
 
     /// Frees a flow slot **without** updating the allocation; callers must
     /// follow up with [`rebuild_full`](Self::rebuild_full) (used when a
     /// link failure strands flows).
-    pub fn drop_slot(&mut self, key: FlowKey) {
+    pub(crate) fn drop_slot(&mut self, key: FlowKey) {
         let slot = key.0 as usize;
         debug_assert!(self.route_of[slot] != NO_ROUTE, "double free of flow slot");
         self.route_of[slot] = NO_ROUTE;
@@ -449,7 +449,7 @@ impl FairnessState {
 
     /// Recomputes the allocation from scratch (exact progressive filling
     /// over every live flow). Forced after topology-affecting events.
-    pub fn rebuild_full(&mut self) {
+    pub(crate) fn rebuild_full(&mut self) {
         self.stats.reallocations += 1;
         self.full_waterfill();
     }
@@ -759,7 +759,10 @@ impl FairnessState {
     /// or does not cover every live flow, i.e. the allocator holds a slot
     /// the caller forgot to free.
     #[allow(clippy::disallowed_types)] // the oracle's input
-    pub fn drift_over(&self, flows: impl IntoIterator<Item = (FlowKey, Option<DataRate>)>) -> f64 {
+    pub(crate) fn drift_over(
+        &self,
+        flows: impl IntoIterator<Item = (FlowKey, Option<DataRate>)>,
+    ) -> f64 {
         let capacity: HashMap<LinkId, DataRate> = self
             .capacity
             .iter()

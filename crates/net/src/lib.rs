@@ -10,9 +10,9 @@
 //! - [`fairness`]: max-min fair bandwidth allocation (progressive filling);
 //! - [`tcp`]: goodput efficiency and slow-start latency calibrated to the
 //!   measured 903 Mbps / 0.44 ms inter-SoC path (§2.3);
-//! - [`sim`]: the [`FlowNet`] event-driven simulator mixing
+//! - [`sim`]: the [`sim::FlowNet`] event-driven simulator mixing
 //!   long-lived streams and finite transfers;
-//! - [`packet`]: the opt-in packet-level engine ([`PacketNet`]) used to
+//! - [`packet`]: the opt-in packet-level engine ([`packet::PacketNet`]) used to
 //!   cross-validate the flow model and calibrate its goodput factor.
 //!
 //! # Examples
@@ -42,8 +42,4 @@ pub mod tcp;
 pub mod topology;
 pub mod wan;
 
-pub use failure::FailureAwareRouting;
-pub use packet::{PacketConfig, PacketFlowId, PacketNet};
-pub use sim::{FlowNet, NetError, StreamId, TransferId};
-pub use tcp::TcpModel;
-pub use topology::{ClusterFabric, LinkId, NodeId, NodeKind, Topology};
+pub use topology::LinkId;

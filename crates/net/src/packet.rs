@@ -38,20 +38,20 @@ use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 #[derive(Debug, Clone, Copy)]
 pub struct PacketConfig {
     /// TCP payload carried per packet (bytes).
-    pub mss_bytes: u32,
+    pub(crate) mss_bytes: u32,
     /// Bytes one packet occupies on the wire: payload plus TCP/IP headers
     /// with timestamps plus Ethernet framing and gaps.
-    pub wire_bytes: u32,
+    pub(crate) wire_bytes: u32,
     /// Shared output buffer per port; arrivals beyond this tail-drop.
-    pub port_buffer_packets: u32,
+    pub(crate) port_buffer_packets: u32,
     /// Queue depth at which arrivals are ECN-marked.
-    pub ecn_threshold_packets: u32,
+    pub(crate) ecn_threshold_packets: u32,
     /// One-way propagation + processing delay per link hop.
-    pub link_delay: SimDuration,
+    pub(crate) link_delay: SimDuration,
     /// Initial congestion window.
-    pub initial_window_packets: u32,
+    pub(crate) initial_window_packets: u32,
     /// Multiplicative decrease factor applied on an ECN mark or loss.
-    pub decrease_factor: f64,
+    pub(crate) decrease_factor: f64,
 }
 
 impl PacketConfig {
@@ -67,7 +67,7 @@ impl PacketConfig {
 
     /// Parameters for the two-node calibration link: one hop each way, so
     /// the per-hop delay is half the measured inter-SoC RTT.
-    pub fn calibration() -> Self {
+    pub(crate) fn calibration() -> Self {
         Self {
             link_delay: SimDuration::from_millis_f64(socc_hw::calib::INTER_SOC_RTT_MS / 2.0),
             ..Self::base()
@@ -90,13 +90,6 @@ impl PacketConfig {
 /// Identifies a packet-mode flow (persistent or finite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketFlowId(u64);
-
-impl PacketFlowId {
-    /// Raw id, for logs and diagnostics.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -236,11 +229,6 @@ impl PacketNet {
         self.now
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &PacketConfig {
-        &self.config
-    }
-
     /// Starts a persistent (greedy, never-ending) flow.
     pub fn start_flow(&mut self, src: NodeId, dst: NodeId) -> Result<PacketFlowId, NetError> {
         self.add_flow(src, dst, None)
@@ -305,19 +293,6 @@ impl PacketNet {
         self.log.record(self.now, Scope::Net, kind);
         self.pump(id);
         Ok(PacketFlowId(id))
-    }
-
-    /// Stops a flow; packets still in queues drain and are ignored.
-    pub fn stop_flow(&mut self, id: PacketFlowId) -> Result<(), NetError> {
-        let state = self.flows.remove(&id.0).ok_or(NetError::UnknownId)?;
-        self.flow_order.retain(|&f| f != id.0);
-        let kind = if state.total.is_some() {
-            EventKind::TransferFinished { transfer: id.0 }
-        } else {
-            EventKind::FlowFinished { flow: id.0 }
-        };
-        self.log.record(self.now, Scope::Net, kind);
-        Ok(())
     }
 
     /// Forwarding table, unloaded RTT and ACK return delay for a route.
@@ -573,17 +548,9 @@ impl PacketNet {
             .ok_or(NetError::UnknownId)
     }
 
-    /// The flow's current route as link ids.
-    pub fn flow_route(&self, id: PacketFlowId) -> Result<Vec<LinkId>, NetError> {
-        self.flows
-            .get(&id.0)
-            .map(|f| f.route.iter().map(|&l| LinkId(l)).collect())
-            .ok_or(NetError::UnknownId)
-    }
-
     /// Warms a flow up, then measures its goodput over a window. Other
     /// flows keep running; the clock ends at `now + warmup + window`.
-    pub fn measure_goodput(
+    pub(crate) fn measure_goodput(
         &mut self,
         id: PacketFlowId,
         warmup: SimDuration,
@@ -597,19 +564,9 @@ impl PacketNet {
         Ok(DataRate::bps((after - before) * 8.0 / window.as_secs_f64()))
     }
 
-    /// Current queue depth of a port, in packets.
-    pub fn port_depth(&self, link: LinkId) -> u32 {
-        self.ports[link.0 as usize].buffered
-    }
-
     /// High-water queue depth of a port, in packets.
     pub fn port_max_depth(&self, link: LinkId) -> u32 {
         self.ports[link.0 as usize].max_depth
-    }
-
-    /// Packets tail-dropped at a port.
-    pub fn port_drops(&self, link: LinkId) -> u64 {
-        self.ports[link.0 as usize].drops
     }
 
     /// Packets tail-dropped across all ports.
@@ -838,10 +795,10 @@ mod tests {
             .into_iter()
             .find(|&l| fabric.topology.link(l).src == fabric.esb)
             .unwrap();
-        assert!(net.port_drops(hot) > 0);
+        assert!(net.ports[hot.0 as usize].drops > 0);
         assert_eq!(
             u64::from(net.port_max_depth(hot)),
-            u64::from(net.config().port_buffer_packets),
+            u64::from(net.config.port_buffer_packets),
             "buffer high-water mark should hit the cap"
         );
     }
@@ -907,8 +864,7 @@ mod tests {
         assert!(before > 0.0);
         let lost = net.fail_link(sm1);
         assert!(lost.is_empty(), "flow should reroute via m2");
-        let route = net.flow_route(f).unwrap();
-        assert!(!route.contains(&sm1));
+        assert!(!net.flows[&f.0].route.contains(&sm1.0));
         let t = net.now() + SimDuration::from_millis(20);
         net.run_until(t);
         let after = net.delivered_bytes(f).unwrap();

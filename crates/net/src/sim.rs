@@ -137,13 +137,15 @@ impl FlowNet {
     /// Enables typed event recording (flow/transfer/link lifecycle under
     /// [`Scope::Net`]). Recording is off by default so the hot paths stay
     /// branch-cheap and allocation-free.
-    pub fn enable_tracing(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn enable_tracing(&mut self) {
         self.events.set_enabled(true);
     }
 
     /// The typed event log. Empty unless
     /// [`enable_tracing`](Self::enable_tracing) was called.
-    pub fn event_log(&self) -> &EventLog {
+    #[cfg(test)]
+    pub(crate) fn event_log(&self) -> &EventLog {
         &self.events
     }
 

@@ -22,9 +22,9 @@ pub struct TcpModel {
     pub rtt: SimDuration,
     /// Fraction of raw link capacity achievable as goodput (protocol
     /// headers, ACK clocking, pacing).
-    pub efficiency: f64,
+    pub(crate) efficiency: f64,
     /// Initial congestion window in bytes (10 MSS ≈ 14.6 kB).
-    pub initial_window_bytes: f64,
+    pub(crate) initial_window_bytes: f64,
 }
 
 impl TcpModel {
@@ -49,7 +49,7 @@ impl TcpModel {
     /// doubling the window before the connection reaches line rate, counted
     /// as pure added latency (data sent during the ramp is accounted as if
     /// sent at full rate afterwards, a standard fluid approximation).
-    pub fn startup_delay(&self, size: DataSize) -> SimDuration {
+    pub(crate) fn startup_delay(&self, size: DataSize) -> SimDuration {
         let rounds = (size.as_bytes() / self.initial_window_bytes)
             .max(1.0)
             .log2()

@@ -4,17 +4,13 @@
 //! carries five SoCs and switches their traffic; the Ethernet Switch Board
 //! (ESB) connects the twelve PCBs to the outside world through dual SFP+
 //! ports. [`Topology::soc_cluster`] builds exactly that fabric; arbitrary
-//! topologies can be built with [`Topology::new`].
-
-use std::collections::VecDeque;
-
-use socc_sim::hash::IdMap;
+//! topologies can be built with `Topology::new`.
 
 use socc_sim::units::DataRate;
 
 /// Identifies a node (SoC, switch, external host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u32);
+pub struct NodeId(pub(crate) u32);
 
 /// Identifies a directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,7 +18,7 @@ pub struct LinkId(pub u32);
 
 /// Role of a node in the fabric (used for reporting and capacity analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// A compute SoC.
     Soc,
     /// A PCB carrier board acting as a switch for its five SoCs.
@@ -31,7 +27,8 @@ pub enum NodeKind {
     Esb,
     /// The world outside the server.
     External,
-    /// Any other host.
+    /// Any other host (the tests' hand-built topologies).
+    #[cfg(test)]
     Host,
 }
 
@@ -43,7 +40,7 @@ pub struct Link {
     /// Destination node.
     pub dst: NodeId,
     /// Capacity of this direction.
-    pub capacity: DataRate,
+    pub(crate) capacity: DataRate,
 }
 
 /// A static network topology with BFS routing.
@@ -58,12 +55,12 @@ pub struct Topology {
 
 impl Topology {
     /// Creates an empty topology.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a node of the given kind and returns its id.
-    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+    pub(crate) fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(kind);
         self.adjacency.push(Vec::new());
@@ -75,7 +72,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if either endpoint does not exist.
-    pub fn add_link(&mut self, src: NodeId, dst: NodeId, capacity: DataRate) -> LinkId {
+    pub(crate) fn add_link(&mut self, src: NodeId, dst: NodeId, capacity: DataRate) -> LinkId {
         assert!((src.0 as usize) < self.nodes.len(), "unknown src node");
         assert!((dst.0 as usize) < self.nodes.len(), "unknown dst node");
         let id = LinkId(self.links.len() as u32);
@@ -90,7 +87,7 @@ impl Topology {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -100,7 +97,8 @@ impl Topology {
     }
 
     /// The kind of a node.
-    pub fn node_kind(&self, id: NodeId) -> NodeKind {
+    #[cfg(test)]
+    pub(crate) fn node_kind(&self, id: NodeId) -> NodeKind {
         self.nodes[id.0 as usize]
     }
 
@@ -110,7 +108,8 @@ impl Topology {
     }
 
     /// All node ids of a given kind, in creation order.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
         (0..self.nodes.len() as u32)
             .map(NodeId)
             .filter(|&n| self.node_kind(n) == kind)
@@ -120,7 +119,10 @@ impl Topology {
     /// Shortest path (fewest hops) from `src` to `dst` as a list of link
     /// ids, or `None` if unreachable. Deterministic: neighbors are explored
     /// in insertion order.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+    #[cfg(test)]
+    pub(crate) fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+        use socc_sim::hash::IdMap;
+        use std::collections::VecDeque;
         if src == dst {
             return Some(Vec::new());
         }
@@ -168,7 +170,8 @@ pub struct ClusterFabric {
 
 impl ClusterFabric {
     /// The PCB that carries a SoC slot.
-    pub fn pcb_of_soc(&self, soc_index: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pcb_of_soc(&self, soc_index: usize) -> usize {
         soc_index / socc_hw::calib::SOCS_PER_PCB
     }
 

@@ -14,8 +14,8 @@
 //!
 //! [`WanFabric`] models both with a region ring: sites are grouped into
 //! contiguous geographic regions, RTT between two sites is a base metro
-//! RTT plus a per-region-hop cost along the shorter arc of the ring, and
-//! each site has a finite WAN uplink. Deliberately analytic — no queues,
+//! RTT plus a per-region-hop cost along the shorter arc of the ring.
+//! Deliberately analytic — no queues,
 //! no packets — because cross-site traffic in the fleet simulator only
 //! crosses shard boundaries at barrier instants anyway.
 
@@ -33,8 +33,6 @@ pub struct WanFabric {
     regions: Vec<u16>,
     /// Number of regions on the ring.
     region_count: usize,
-    /// WAN uplink capacity per site.
-    uplink: Vec<DataRate>,
     /// RTT between any two distinct sites in the same region (and the
     /// floor for all cross-site RTTs).
     base_rtt: SimDuration,
@@ -52,12 +50,11 @@ impl WanFabric {
     /// Panics if `sites` or `regions` is zero, or if `base_rtt` is zero
     /// (a zero RTT floor would let the fleet simulator pick an unsafe
     /// synchronization window).
-    pub fn new(
+    pub(crate) fn new(
         sites: usize,
         regions: usize,
         base_rtt: SimDuration,
         hop_rtt: SimDuration,
-        uplink: DataRate,
     ) -> Self {
         assert!(sites > 0, "a WAN fabric needs at least one site");
         assert!(regions > 0, "a WAN fabric needs at least one region");
@@ -66,31 +63,24 @@ impl WanFabric {
         Self {
             regions: (0..sites).map(|s| (s * regions / sites) as u16).collect(),
             region_count: regions,
-            uplink: vec![uplink; sites],
             base_rtt,
             hop_rtt,
         }
     }
 
-    /// The default edge-fleet shape: eight regions around the ring, 10 ms
-    /// metro RTT, 12 ms per region hop, 10 Gbps WAN uplink per site.
-    pub fn edge_fleet(sites: usize) -> Self {
-        Self::edge_fleet_regions(sites, 8)
-    }
-
-    /// [`Self::edge_fleet`] with an explicit region count.
+    /// The default edge-fleet shape over `regions` regions around the ring:
+    /// 10 ms metro RTT, 12 ms per region hop.
     pub fn edge_fleet_regions(sites: usize, regions: usize) -> Self {
         Self::new(
             sites,
             regions,
             SimDuration::from_millis(10),
             SimDuration::from_millis(12),
-            DataRate::gbps(10.0),
         )
     }
 
     /// Number of sites.
-    pub fn sites(&self) -> usize {
+    pub(crate) fn sites(&self) -> usize {
         self.regions.len()
     }
 
@@ -100,7 +90,7 @@ impl WanFabric {
     }
 
     /// The region a site belongs to.
-    pub fn region_of(&self, site: usize) -> usize {
+    pub(crate) fn region_of(&self, site: usize) -> usize {
         usize::from(self.regions[site])
     }
 
@@ -139,7 +129,7 @@ impl WanFabric {
     }
 
     /// Region hops between two sites along the shorter arc of the ring.
-    pub fn hops(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
         let (ra, rb) = (self.region_of(a), self.region_of(b));
         let d = ra.abs_diff(rb);
         d.min(self.region_count - d)
@@ -166,22 +156,13 @@ impl WanFabric {
     }
 
     /// The largest cross-site RTT on the ring (diameter).
-    pub fn max_rtt(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn max_rtt(&self) -> SimDuration {
         let mut rtt = self.base_rtt;
         for _ in 0..self.region_count / 2 {
             rtt += self.hop_rtt;
         }
         rtt
-    }
-
-    /// A site's WAN uplink capacity.
-    pub fn uplink(&self, site: usize) -> DataRate {
-        self.uplink[site]
-    }
-
-    /// Overrides a site's WAN uplink capacity.
-    pub fn set_uplink(&mut self, site: usize, capacity: DataRate) {
-        self.uplink[site] = capacity;
     }
 
     /// The site population's local-time offset in hours: regions are
@@ -197,7 +178,7 @@ mod tests {
     use super::*;
 
     fn fabric() -> WanFabric {
-        WanFabric::edge_fleet(256)
+        WanFabric::edge_fleet_regions(256, 8)
     }
 
     #[test]
@@ -255,7 +236,6 @@ mod tests {
             1,
             SimDuration::from_millis(10),
             SimDuration::from_millis(12),
-            DataRate::gbps(10.0),
         );
         assert_eq!(w.rtt(0, 3), w.min_rtt());
         assert_eq!(w.max_rtt(), w.min_rtt());
@@ -302,12 +282,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "RTT floor")]
     fn zero_rtt_floor_panics() {
-        let _ = WanFabric::new(
-            2,
-            1,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            DataRate::gbps(1.0),
-        );
+        let _ = WanFabric::new(2, 1, SimDuration::ZERO, SimDuration::ZERO);
     }
 }

@@ -64,7 +64,7 @@ impl Hasher for IdHasher {
 }
 
 /// The [`BuildHasher`](std::hash::BuildHasher) of [`IdMap`] and [`IdSet`].
-pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// A `HashMap` hashed with [`IdHasher`]: the same layout in every process.
 #[allow(clippy::disallowed_types)]

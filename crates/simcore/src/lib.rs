@@ -2,15 +2,15 @@
 //!
 //! This crate provides the foundation every other `socc-*` crate builds on:
 //!
-//! - [`time`]: nanosecond-resolution [`SimTime`] /
-//!   [`SimDuration`];
-//! - [`event`]: a deterministic [`EventQueue`] with
+//! - [`time`]: nanosecond-resolution [`time::SimTime`] /
+//!   [`time::SimDuration`];
+//! - [`event`]: a deterministic [`event::EventQueue`] with
 //!   stable tie-breaking;
 //! - [`hash`]: hash maps and sets with the same layout in every process
-//!   ([`IdMap`], [`IdSet`]);
-//! - [`rng`]: seedable, splittable randomness ([`SimRng`]);
-//! - [`units`]: dimensional newtypes ([`Power`],
-//!   [`Energy`], [`DataRate`], …);
+//!   ([`hash::IdMap`], [`hash::IdSet`]);
+//! - [`rng`]: seedable, splittable randomness ([`rng::SimRng`]);
+//! - [`units`]: dimensional newtypes ([`units::Power`],
+//!   [`units::Energy`], [`units::DataRate`], …);
 //! - [`metrics`] / [`series`] / [`stats`]: telemetry primitives, time-series
 //!   integration (energy accounting) and descriptive statistics;
 //! - [`span`]: typed structured events and spans with bounded memory,
@@ -45,10 +45,3 @@ pub mod span;
 pub mod stats;
 pub mod time;
 pub mod units;
-
-pub use event::EventQueue;
-pub use hash::{IdMap, IdSet};
-pub use rng::SimRng;
-pub use span::{Event, EventKind, EventLog, Scope, SpanId};
-pub use time::{SimDuration, SimTime};
-pub use units::{DataRate, DataSize, Energy, Frequency, Power};

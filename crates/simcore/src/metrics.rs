@@ -11,23 +11,13 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
     /// Adds `n`.
     pub fn add(&mut self, n: u64) {
         self.value += n;
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value
     }
 }
@@ -39,18 +29,13 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Replaces the stored value.
     pub fn set(&mut self, v: f64) {
         self.value = v;
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         self.value
     }
 }
@@ -78,7 +63,7 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics if `min_value <= 0`, `decades == 0` or `buckets_per_decade == 0`.
-    pub fn new(min_value: f64, decades: usize, buckets_per_decade: usize) -> Self {
+    pub(crate) fn new(min_value: f64, decades: usize, buckets_per_decade: usize) -> Self {
         assert!(min_value > 0.0, "min_value must be positive");
         assert!(decades > 0 && buckets_per_decade > 0);
         Self {
@@ -148,11 +133,6 @@ impl LogHistogram {
         }
     }
 
-    /// Largest observation seen (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max_seen
-    }
-
     /// Quantile estimate (`q` in `[0, 1]`), or `None` when empty.
     ///
     /// Underflow observations count as smaller than everything.
@@ -219,11 +199,6 @@ pub struct MetricRegistry {
 }
 
 impl MetricRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns the counter registered under `name`, creating it on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
         get_or_insert(&mut self.counters, name, Counter::default)
@@ -285,11 +260,11 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.inc();
+        let mut c = Counter::default();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
+        let mut g = Gauge::default();
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
     }
@@ -302,7 +277,7 @@ mod tests {
         }
         assert_eq!(h.count(), 3);
         assert!((h.mean() - 20.0).abs() < 1e-9);
-        assert_eq!(h.max(), 30.0);
+        assert_eq!(h.max_seen, 30.0);
     }
 
     #[test]
@@ -362,7 +337,7 @@ mod tests {
 
     #[test]
     fn registry_round_trip() {
-        let mut r = MetricRegistry::new();
+        let mut r = MetricRegistry::default();
         r.counter("requests").add(3);
         r.gauge("power_w").set(42.0);
         assert_eq!(r.counter_value("requests"), 3);
@@ -374,7 +349,7 @@ mod tests {
 
     #[test]
     fn registry_histograms() {
-        let mut r = MetricRegistry::new();
+        let mut r = MetricRegistry::default();
         r.histogram("mttr_ms").record(12.0);
         r.histogram("mttr_ms").record(24.0);
         let h = r.histogram_ref("mttr_ms").unwrap();

@@ -58,11 +58,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table to a string (first column left-aligned, the rest
     /// right-aligned, which suits label + numeric layouts).
     pub fn render(&self) -> String {
@@ -104,11 +99,6 @@ impl Table {
 /// Formats a float with `digits` decimal places.
 pub fn fnum(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
-}
-
-/// Formats a ratio like `3.21x`.
-pub fn ratio(v: f64) -> String {
-    format!("{v:.2}x")
 }
 
 /// Formats a value as a percentage like `53.4%`.
@@ -157,7 +147,7 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["x"]);
-        assert_eq!(t.row_count(), 1);
+        assert_eq!(t.rows.len(), 1);
         let out = t.render();
         assert!(out.contains('x'));
     }
@@ -165,7 +155,6 @@ mod tests {
     #[test]
     fn number_formatting() {
         assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(ratio(2.5), "2.50x");
         assert_eq!(pct(0.534), "53.4%");
     }
 

@@ -126,14 +126,14 @@ impl SimRng {
     }
 
     /// Standard normal draw (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
 
     /// Normal draw with mean `mu` and standard deviation `sigma`.
-    pub fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
         mu + sigma * self.standard_normal()
     }
 
@@ -169,23 +169,6 @@ impl SimRng {
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Picks a uniformly random element of `slice`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.uniform_usize(0, slice.len())])
-        }
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.uniform_usize(0, i + 1);
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -331,23 +314,6 @@ mod tests {
                 "lambda {lambda} mean {mean}"
             );
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed(14);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = SimRng::seed(15);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
     }
 
     #[test]

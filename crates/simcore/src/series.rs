@@ -1,14 +1,13 @@
 //! Time-series recording for figures and energy accounting.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::units::{Energy, Power};
 
 /// An append-only series of `(time, value)` samples.
 ///
 /// Samples must be appended in non-decreasing time order. The series supports
 /// step-function integration (used for energy accounting: integrate a power
-/// series over time) and fixed-interval resampling (used to print figure
-/// series).
+/// series over time).
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
@@ -32,29 +31,9 @@ impl TimeSeries {
         self.points.push((t, v));
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// All samples in time order.
     pub fn samples(&self) -> &[(SimTime, f64)] {
         &self.points
-    }
-
-    /// Value at time `t` under step-function (sample-and-hold) semantics:
-    /// the most recent sample at or before `t`, or `None` before the first.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.binary_search_by(|&(pt, _)| pt.cmp(&t)) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
-        }
     }
 
     /// Integrates the step function over `[from, to]`.
@@ -98,24 +77,6 @@ impl TimeSeries {
         } else {
             self.integrate(from, to) / span
         }
-    }
-
-    /// Resamples the step function at fixed `interval` over `[from, to]`,
-    /// returning the held value at each tick (zero before the first sample).
-    pub fn resample(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        interval: SimDuration,
-    ) -> Vec<(SimTime, f64)> {
-        assert!(!interval.is_zero(), "resample interval must be positive");
-        let mut out = Vec::new();
-        let mut t = from;
-        while t <= to {
-            out.push((t, self.value_at(t).unwrap_or(0.0)));
-            t += interval;
-        }
-        out
     }
 
     /// Largest sample value (ignoring hold semantics), or `None` when empty.
@@ -171,11 +132,6 @@ impl EnergyMeter {
     pub fn energy_at(&self, t: SimTime) -> Energy {
         self.accumulated + self.current * t.since(self.last_time)
     }
-
-    /// The current power level.
-    pub fn power(&self) -> Power {
-        self.current
-    }
 }
 
 #[cfg(test)]
@@ -184,17 +140,6 @@ mod tests {
 
     fn s(v: u64) -> SimTime {
         SimTime::from_secs(v)
-    }
-
-    #[test]
-    fn value_at_holds_last_sample() {
-        let mut ts = TimeSeries::new();
-        ts.push(s(1), 10.0);
-        ts.push(s(3), 20.0);
-        assert_eq!(ts.value_at(s(0)), None);
-        assert_eq!(ts.value_at(s(1)), Some(10.0));
-        assert_eq!(ts.value_at(s(2)), Some(10.0));
-        assert_eq!(ts.value_at(s(5)), Some(20.0));
     }
 
     #[test]
@@ -230,17 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_emits_fixed_ticks() {
-        let mut ts = TimeSeries::new();
-        ts.push(s(1), 7.0);
-        let samples = ts.resample(s(0), s(2), SimDuration::from_secs(1));
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0].1, 0.0);
-        assert_eq!(samples[1].1, 7.0);
-        assert_eq!(samples[2].1, 7.0);
-    }
-
-    #[test]
     #[should_panic(expected = "time-ordered")]
     fn out_of_order_push_panics() {
         let mut ts = TimeSeries::new();
@@ -264,6 +198,6 @@ mod tests {
         m.set_power(s(10), Power::watts(20.0));
         let e = m.energy_at(s(15));
         assert!((e.as_joules() - (100.0 + 100.0)).abs() < 1e-9);
-        assert_eq!(m.power().as_watts(), 20.0);
+        assert_eq!(m.current.as_watts(), 20.0);
     }
 }

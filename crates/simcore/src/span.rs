@@ -66,12 +66,12 @@ impl Scope {
     ];
 
     /// The scope's bit in an [`EventLog`] filter mask.
-    pub const fn bit(self) -> u32 {
+    pub(crate) const fn bit(self) -> u32 {
         1 << (self as u32)
     }
 
     /// Stable lower-case name (used by every exporter).
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Scope::Placement => "placement",
             Scope::Power => "power",
@@ -95,7 +95,7 @@ impl fmt::Display for Scope {
 
 /// A field value attached to a typed event.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FieldValue {
+pub(crate) enum FieldValue {
     /// An unsigned integer (ids, indices, counts).
     U64(u64),
     /// A static label (fault kind, detected class, span name).
@@ -112,7 +112,7 @@ impl fmt::Display for FieldValue {
 }
 
 /// One named field of an event: `(name, value)`.
-pub type Field = (&'static str, FieldValue);
+pub(crate) type Field = (&'static str, FieldValue);
 
 /// Typed event payloads. Every variant is `Copy` and heap-free, so
 /// recording one is a handful of register moves.
@@ -363,11 +363,6 @@ pub enum EventKind {
         /// Frames the session covers.
         frames: u64,
     },
-    /// A DL serving operating point was evaluated.
-    ServeEvaluated {
-        /// Offered load in milli-fps.
-        fps_milli: u64,
-    },
     /// Opening edge of a span.
     SpanBegin {
         /// Span id (pairs with the matching [`EventKind::SpanEnd`]).
@@ -432,7 +427,6 @@ impl EventKind {
             EventKind::RegionStorm { .. } => "region_storm",
             EventKind::SessionsMigrated { .. } => "sessions_migrated",
             EventKind::SessionPlanned { .. } => "session_planned",
-            EventKind::ServeEvaluated { .. } => "serve_evaluated",
             EventKind::SpanBegin { .. } => "span_begin",
             EventKind::SpanEnd { .. } => "span_end",
         }
@@ -441,7 +435,7 @@ impl EventKind {
     /// The event's fields as up-to-two `(name, value)` pairs, in a fixed
     /// order. Exporters iterate this so the JSONL, Chrome and digest views
     /// cannot drift apart.
-    pub fn fields(&self) -> [Option<Field>; 2] {
+    pub(crate) fn fields(&self) -> [Option<Field>; 2] {
         use FieldValue::{Label, U64};
         match *self {
             EventKind::Placed { workload, soc }
@@ -519,9 +513,6 @@ impl EventKind {
                 ("count", U64(u64::from(count))),
             ]),
             EventKind::SessionPlanned { frames } => return [Some(("frames", U64(frames))), None],
-            EventKind::ServeEvaluated { fps_milli } => {
-                return [Some(("fps_milli", U64(fps_milli))), None]
-            }
             EventKind::SpanBegin { span, name } | EventKind::SpanEnd { span, name } => {
                 Some([("span", U64(u64::from(span))), ("name", Label(name))])
             }
@@ -568,13 +559,6 @@ impl fmt::Display for Event {
 /// Identifies a span opened by [`EventLog::begin_span`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(u32);
-
-impl SpanId {
-    /// Raw span number.
-    pub const fn get(self) -> u32 {
-        self.0
-    }
-}
 
 /// Default ring capacity used by [`EventLog::disabled`].
 const DEFAULT_CAPACITY: usize = 1024;
@@ -633,20 +617,10 @@ impl EventLog {
         self.enabled = enabled;
     }
 
-    /// Whether recording is currently on.
-    pub const fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Restricts recording to the given scopes (events from other scopes
     /// are skipped before touching the ring).
     pub fn set_scopes(&mut self, scopes: &[Scope]) {
         self.mask = scopes.iter().fold(0, |m, s| m | s.bit());
-    }
-
-    /// Admits every scope again.
-    pub fn all_scopes(&mut self) {
-        self.mask = u32::MAX;
     }
 
     /// Records one event. Allocation-free; a disabled log or filtered
@@ -699,11 +673,6 @@ impl EventLog {
         self.buf.is_empty()
     }
 
-    /// Ring capacity.
-    pub const fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events evicted by the capacity bound.
     pub const fn dropped(&self) -> u64 {
         self.dropped
@@ -714,21 +683,10 @@ impl EventLog {
         self.seq
     }
 
-    /// Forgets retained events (the sequence counter keeps running).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.start = 0;
-    }
-
     /// Iterates retained events oldest-first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         let (tail, head) = self.buf.split_at(self.start);
         head.iter().chain(tail.iter())
-    }
-
-    /// Retained events from one scope, oldest-first.
-    pub fn in_scope(&self, scope: Scope) -> impl Iterator<Item = &Event> {
-        self.events().filter(move |e| e.scope == scope)
     }
 
     /// Renders the retained window as human-readable lines.
@@ -949,8 +907,8 @@ mod tests {
             },
         );
         assert_eq!(log.len(), 2);
-        assert_eq!(log.in_scope(Scope::Fault).count(), 1);
-        log.all_scopes();
+        assert_eq!(log.events().filter(|e| e.scope == Scope::Fault).count(), 1);
+        log.set_scopes(&[Scope::Placement, Scope::Fault, Scope::Recovery]);
         log.record(
             t(4),
             Scope::Placement,
@@ -972,14 +930,14 @@ mod tests {
         assert_eq!(
             events[0].kind,
             EventKind::SpanBegin {
-                span: s.get(),
+                span: s.0,
                 name: "slo_search"
             }
         );
         assert_eq!(
             events[1].kind,
             EventKind::SpanEnd {
-                span: s.get(),
+                span: s.0,
                 name: "slo_search"
             }
         );
@@ -1062,9 +1020,10 @@ mod tests {
     fn digest_ignores_sequence_numbers() {
         let mut a = EventLog::new(4);
         a.record(t(1), Scope::Net, EventKind::FlowStarted { flow: 1 });
-        let mut b = EventLog::new(4);
+        // A one-slot ring evicts the first event, so `b` retains the same
+        // event as `a` under sequence number 1 instead of 0.
+        let mut b = EventLog::new(1);
         b.record(t(0), Scope::Net, EventKind::FlowFinished { flow: 9 });
-        b.clear();
         b.record(t(1), Scope::Net, EventKind::FlowStarted { flow: 1 });
         assert_eq!(a.digest(), b.digest());
     }

@@ -1,6 +1,6 @@
 //! Descriptive statistics helpers shared by experiments and reports.
 
-/// Running mean/variance accumulator (Welford's algorithm).
+/// Running mean accumulator (Welford's update).
 ///
 /// # Examples
 ///
@@ -17,36 +17,18 @@
 pub struct Running {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Running {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self { n: 0, mean: 0.0 }
     }
 
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Sample mean (zero when empty).
@@ -56,30 +38,6 @@ impl Running {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance (zero for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -143,36 +101,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Arithmetic mean; zero when empty.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Coefficient of determination (R²) of `predicted` against `observed`.
-///
-/// Returns `None` if the slices differ in length, are empty, or the observed
-/// values have zero variance.
-pub fn r_squared(observed: &[f64], predicted: &[f64]) -> Option<f64> {
-    if observed.len() != predicted.len() || observed.is_empty() {
-        return None;
-    }
-    let obs_mean = mean(observed);
-    let ss_tot: f64 = observed.iter().map(|o| (o - obs_mean).powi(2)).sum();
-    if ss_tot == 0.0 {
-        return None;
-    }
-    let ss_res: f64 = observed
-        .iter()
-        .zip(predicted)
-        .map(|(o, p)| (o - p).powi(2))
-        .sum();
-    Some(1.0 - ss_res / ss_tot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,17 +111,12 @@ mod tests {
         let mut r = Running::new();
         xs.iter().for_each(|&x| r.push(x));
         assert_eq!(r.mean(), 5.0);
-        assert!((r.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(r.min(), 2.0);
-        assert_eq!(r.max(), 9.0);
-        assert_eq!(r.count(), 8);
     }
 
     #[test]
     fn empty_running_is_safe() {
         let r = Running::new();
         assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
     }
 
     #[test]
@@ -240,17 +163,5 @@ mod tests {
         assert!((g - 10.0).abs() < 1e-9);
         assert_eq!(geomean(&[1.0, 0.0]), None);
         assert_eq!(geomean(&[]), None);
-    }
-
-    #[test]
-    fn r_squared_perfect_fit() {
-        let obs = [1.0, 2.0, 3.0];
-        assert!((r_squared(&obs, &obs).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_degenerate() {
-        assert_eq!(r_squared(&[1.0, 1.0], &[1.0, 2.0]), None);
-        assert_eq!(r_squared(&[1.0], &[1.0, 2.0]), None);
     }
 }

@@ -24,18 +24,11 @@ impl SimDuration {
     pub const ZERO: Self = Self { nanos: 0 };
 
     /// The largest representable duration.
-    pub const MAX: Self = Self { nanos: u64::MAX };
+    pub(crate) const MAX: Self = Self { nanos: u64::MAX };
 
     /// Creates a duration from whole nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
         Self { nanos }
-    }
-
-    /// Creates a duration from whole microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        Self {
-            nanos: micros * 1_000,
-        }
     }
 
     /// Creates a duration from whole milliseconds.
@@ -112,24 +105,6 @@ impl SimDuration {
     pub const fn saturating_sub(self, rhs: Self) -> Self {
         Self {
             nanos: self.nanos.saturating_sub(rhs.nanos),
-        }
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Self) -> Self {
-        if self.nanos >= other.nanos {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Self) -> Self {
-        if self.nanos <= other.nanos {
-            self
-        } else {
-            other
         }
     }
 }
@@ -234,9 +209,6 @@ pub struct SimTime {
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: Self = Self { nanos: 0 };
-
-    /// The farthest representable instant.
-    pub const MAX: Self = Self { nanos: u64::MAX };
 
     /// Creates an instant from nanoseconds since the epoch.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -346,7 +318,10 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2000));
-        assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3000));
+        assert_eq!(
+            SimDuration::from_millis(3),
+            SimDuration::from_nanos(3_000_000)
+        );
         assert_eq!(SimDuration::from_hours(1), SimDuration::from_mins(60));
     }
 
@@ -406,7 +381,7 @@ mod tests {
     fn display_picks_scale() {
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000 ms");
         assert_eq!(format!("{}", SimDuration::from_secs(7200)), "2.00 h");
-        assert_eq!(format!("{}", SimDuration::from_micros(7)), "7.000 us");
+        assert_eq!(format!("{}", SimDuration::from_nanos(7_000)), "7.000 us");
     }
 
     #[test]

@@ -23,7 +23,7 @@ macro_rules! scalar_unit {
             pub const ZERO: Self = Self(0.0);
 
             /// Creates a new value from the raw magnitude in base units.
-            pub const fn new(v: f64) -> Self {
+            pub(crate) const fn new(v: f64) -> Self {
                 Self(v)
             }
 
@@ -37,20 +37,6 @@ macro_rules! scalar_unit {
                 Self(self.0.max(other.0))
             }
 
-            /// Returns the minimum of `self` and `other`.
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Clamps to the `[lo, hi]` interval.
-            pub fn clamp(self, lo: Self, hi: Self) -> Self {
-                Self(self.0.clamp(lo.0, hi.0))
-            }
-
-            /// Returns `true` if the magnitude is finite (not NaN/inf).
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
         }
 
         impl Add for $name {
@@ -173,19 +159,9 @@ impl Power {
         Self::new(w)
     }
 
-    /// Creates a power value from milliwatts.
-    pub fn milliwatts(mw: f64) -> Self {
-        Self::new(mw / 1e3)
-    }
-
     /// Returns the magnitude in watts.
     pub const fn as_watts(self) -> f64 {
         self.get()
-    }
-
-    /// Returns the magnitude in kilowatts.
-    pub fn as_kilowatts(self) -> f64 {
-        self.get() / 1e3
     }
 }
 
@@ -193,11 +169,6 @@ impl Energy {
     /// Creates an energy value from joules.
     pub const fn joules(j: f64) -> Self {
         Self::new(j)
-    }
-
-    /// Creates an energy value from kilowatt-hours.
-    pub fn kilowatt_hours(kwh: f64) -> Self {
-        Self::new(kwh * 3.6e6)
     }
 
     /// Returns the magnitude in joules.
@@ -246,11 +217,6 @@ impl DataSize {
     pub fn as_bytes(self) -> f64 {
         self.get() / 8.0
     }
-
-    /// Returns the magnitude in megabytes.
-    pub fn as_megabytes(self) -> f64 {
-        self.as_bytes() / 1e6
-    }
 }
 
 impl DataRate {
@@ -294,11 +260,6 @@ impl Frequency {
     /// Creates a frequency from hertz.
     pub const fn hz(v: f64) -> Self {
         Self::new(v)
-    }
-
-    /// Creates a frequency from megahertz.
-    pub fn mhz(v: f64) -> Self {
-        Self::new(v * 1e6)
     }
 
     /// Creates a frequency from gigahertz.
@@ -376,7 +337,7 @@ mod tests {
 
     #[test]
     fn energy_kwh_roundtrip() {
-        let e = Energy::kilowatt_hours(1.5);
+        let e = Energy::joules(1.5 * 3.6e6);
         assert!((e.as_kilowatt_hours() - 1.5).abs() < 1e-12);
         assert_eq!(e.as_joules(), 1.5 * 3.6e6);
     }
@@ -406,8 +367,6 @@ mod tests {
 
     #[test]
     fn ordering_and_clamp() {
-        let p = Power::watts(5.0).clamp(Power::watts(1.0), Power::watts(4.0));
-        assert_eq!(p.as_watts(), 4.0);
         assert!(Power::watts(1.0) < Power::watts(2.0));
     }
 

@@ -106,12 +106,12 @@ impl Platform {
     }
 
     /// Total CapEx in dollars.
-    pub fn total_capex(self) -> f64 {
+    pub(crate) fn total_capex(self) -> f64 {
         self.capex_items().iter().map(|i| i.cost).sum()
     }
 
     /// Average peak power while live-transcoding V5 (Table 4), in watts.
-    pub fn avg_peak_power_w(self) -> f64 {
+    pub(crate) fn avg_peak_power_w(self) -> f64 {
         match self {
             Platform::EdgeWithGpu => socc_hw::calib::EDGE_GPU_AVG_PEAK_W,
             Platform::EdgeWithoutGpu => socc_hw::calib::EDGE_CPU_AVG_PEAK_W,

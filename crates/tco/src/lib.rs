@@ -2,7 +2,7 @@
 //!
 //! Reproduces the paper's §6 cost study:
 //!
-//! - [`capex`]: the Table 4 bill of materials per platform;
+//! - `capex`: the Table 4 bill of materials per platform;
 //! - [`tco`]: OpEx (electricity × PUE) and monthly TCO with 36-month
 //!   amortization;
 //! - [`tpc`]: Table 5's throughput-per-cost across live/archive
@@ -11,11 +11,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod capex;
+pub(crate) mod capex;
 pub mod sensitivity;
 pub mod tco;
 pub mod tpc;
 
-pub use capex::{CapexItem, Platform};
-pub use tco::{breakdown, TcoBreakdown};
-pub use tpc::HardwareRow;
+pub use capex::Platform;
+pub use tco::breakdown;

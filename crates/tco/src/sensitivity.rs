@@ -49,37 +49,6 @@ impl CostAssumptions {
     }
 }
 
-/// The electricity price at which two platforms' monthly TCO per unit of
-/// live-streaming throughput break even (bisection over $/kWh), or `None`
-/// if no crossover exists below `max_price`.
-pub fn live_tpc_breakeven_price(video: &socc_video::VideoMeta, max_price: f64) -> Option<f64> {
-    // SoC Cluster vs the GPU server's A40 row: the cluster wins at the
-    // paper's price; rising electricity widens its lead (it draws less), so
-    // a crossover requires *falling* prices — search downward to zero.
-    let cluster_streams = socc_video::TranscodeUnit::SocCpu.max_live_streams(video) as f64 * 60.0;
-    let a40_streams = socc_video::TranscodeUnit::A40Nvenc.max_live_streams(video) as f64 * 8.0;
-    let tpc_gap = |price: f64| {
-        let a = CostAssumptions {
-            electricity_usd_per_kwh: price,
-            ..Default::default()
-        };
-        cluster_streams / a.monthly_tco(Platform::SocCluster)
-            - a40_streams / a.monthly_tco(Platform::EdgeWithGpu)
-    };
-    // Sample the range; return the first sign change.
-    let steps = 400;
-    let mut prev = tpc_gap(0.0);
-    for i in 1..=steps {
-        let price = max_price * i as f64 / steps as f64;
-        let cur = tpc_gap(price);
-        if prev.signum() != cur.signum() {
-            return Some(price);
-        }
-        prev = cur;
-    }
-    None
-}
-
 /// Electricity share of TCO as the price rises: the point where OpEx stops
 /// being negligible (>25% of TCO), per platform.
 pub fn opex_significance_price(platform: Platform, threshold: f64) -> f64 {
@@ -119,14 +88,6 @@ mod tests {
         for p in Platform::ALL {
             assert!(a.opex_share(p) < 0.5, "{p:?}: {}", a.opex_share(p));
         }
-    }
-
-    #[test]
-    fn cluster_live_win_has_no_breakeven() {
-        // The SoC Cluster's live TpC lead is CapEx-driven AND it draws
-        // less power: no electricity price flips it.
-        let v1 = socc_video::vbench::by_id("V1").unwrap();
-        assert_eq!(live_tpc_breakeven_price(&v1, 5.0), None);
     }
 
     #[test]

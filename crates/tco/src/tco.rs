@@ -6,13 +6,13 @@ use crate::capex::Platform;
 pub const ELECTRICITY_USD_PER_KWH: f64 = 0.0786;
 
 /// Power usage effectiveness at the edge (§6; 1.5 at cloud datacenters).
-pub const EDGE_PUE: f64 = 2.0;
+pub(crate) const EDGE_PUE: f64 = 2.0;
 
 /// Server lifetime for CapEx amortization, in months (§6: 3 years).
-pub const AMORTIZATION_MONTHS: f64 = 36.0;
+pub(crate) const AMORTIZATION_MONTHS: f64 = 36.0;
 
 /// Fraction of the month the server runs at its average peak power (§6).
-pub const DUTY_FACTOR: f64 = 0.5;
+pub(crate) const DUTY_FACTOR: f64 = 0.5;
 
 /// The full Table 4 cost model for one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -48,7 +48,7 @@ impl HardwareRow {
     }
 
     /// The platform whose monthly TCO this row is normalized by.
-    pub fn platform(self) -> Platform {
+    pub(crate) fn platform(self) -> Platform {
         match self {
             HardwareRow::IntelOnGpuServer | HardwareRow::A40 => Platform::EdgeWithGpu,
             HardwareRow::IntelOnCpuServer => Platform::EdgeWithoutGpu,
@@ -57,7 +57,7 @@ impl HardwareRow {
     }
 
     /// Monthly TCO of the backing server.
-    pub fn monthly_tco(self) -> f64 {
+    pub(crate) fn monthly_tco(self) -> f64 {
         breakdown(self.platform()).monthly_tco
     }
 }

@@ -14,9 +14,9 @@ use crate::video::{Resolution, VideoMeta};
 #[derive(Debug, Clone)]
 pub struct Rendition {
     /// Output resolution.
-    pub resolution: Resolution,
+    pub(crate) resolution: Resolution,
     /// Output frame rate (≤ source).
-    pub fps: f64,
+    pub(crate) fps: f64,
     /// Target bitrate.
     pub bitrate: DataRate,
 }

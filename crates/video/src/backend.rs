@@ -11,7 +11,6 @@ use socc_hw::cpu::CpuModel;
 use socc_hw::power::Utilization;
 use socc_sim::units::Power;
 
-use crate::ratecontrol::EncoderKind;
 use crate::video::VideoMeta;
 
 /// A transcode execution unit.
@@ -36,18 +35,10 @@ impl TranscodeUnit {
         TranscodeUnit::A40Nvenc,
     ];
 
-    /// Human-readable name.
-    pub fn label(self) -> &'static str {
-        match self {
-            TranscodeUnit::SocCpu => "SoC CPU",
-            TranscodeUnit::SocHwCodec => "SoC HW codec",
-            TranscodeUnit::IntelContainer => "Intel CPU",
-            TranscodeUnit::A40Nvenc => "NVIDIA A40",
-        }
-    }
-
     /// The encoder software family this unit uses.
-    pub fn encoder_kind(self) -> EncoderKind {
+    #[cfg(test)]
+    pub(crate) fn encoder_kind(self) -> crate::ratecontrol::EncoderKind {
+        use crate::ratecontrol::EncoderKind;
         match self {
             TranscodeUnit::SocCpu | TranscodeUnit::IntelContainer => EncoderKind::X264,
             TranscodeUnit::SocHwCodec => EncoderKind::MediaCodec,
@@ -101,7 +92,7 @@ impl TranscodeUnit {
 
     /// Utilization of the unit's primary resource while carrying `streams`
     /// live streams of `video`.
-    pub fn live_utilization(self, video: &VideoMeta, streams: usize) -> Utilization {
+    pub(crate) fn live_utilization(self, video: &VideoMeta, streams: usize) -> Utilization {
         match self {
             TranscodeUnit::SocCpu | TranscodeUnit::IntelContainer => Utilization::from_ratio(
                 streams as f64 * video.cpu_cost_pu(),
@@ -198,7 +189,7 @@ impl TranscodeUnit {
     }
 
     /// Workload power while running one archive job flat-out.
-    pub fn archive_workload_power(self, video: &VideoMeta) -> Power {
+    pub(crate) fn archive_workload_power(self, video: &VideoMeta) -> Power {
         match self {
             // x264 archive encoding saturates all cores of the unit.
             TranscodeUnit::SocCpu | TranscodeUnit::IntelContainer => {

@@ -1,15 +1,11 @@
-//! Frame-level bitstream model: GOP structure, frame-size variability and
-//! VBV (decoder buffer) compliance.
+//! Frame-level bitstream model: GOP structure and the migration checkpoint.
 //!
 //! The flow-level experiments use average bitrates; this module adds the
-//! frame-level texture underneath — I-frames several times larger than P/B
-//! frames, size jitter driven by content entropy, and a leaky-bucket VBV
-//! check that tells whether a stream at a given peak-to-mean ratio survives
-//! a fixed-size client buffer. It backs the traffic generators and the
-//! rate-control tests.
+//! frame-level structure underneath — I-frames several times larger than
+//! P/B frames — and sizes the state a live session carries when it
+//! migrates mid-stream.
 
-use socc_sim::rng::SimRng;
-use socc_sim::units::{DataRate, DataSize};
+use socc_sim::units::DataSize;
 
 use crate::video::VideoMeta;
 
@@ -98,9 +94,9 @@ impl GopStructure {
     ///    one more when B-frames are in use, each a raw YUV 4:2:0 frame
     ///    (1.5 bytes per pixel).
     /// 2. **Encoder context** — per-macroblock mode/motion/rate-control
-    ///    state ([`CHECKPOINT_MB_STATE_BYTES`] per macroblock) plus a
+    ///    state (`CHECKPOINT_MB_STATE_BYTES` per macroblock) plus a
     ///    fixed header/SPS/PPS/lookahead block
-    ///    ([`CHECKPOINT_FIXED_BYTES`]).
+    ///    (`CHECKPOINT_FIXED_BYTES`).
     /// 3. **In-flight output** — the not-yet-delivered remainder of the
     ///    current GOP at the target bitrate; a migration lands mid-GOP on
     ///    average, so half a GOP of output bits is in flight.
@@ -122,66 +118,68 @@ impl GopStructure {
 
 /// Per-macroblock encoder state (modes, motion vectors, rate-control
 /// history) carried in a migration checkpoint.
-pub const CHECKPOINT_MB_STATE_BYTES: f64 = 96.0;
+pub(crate) const CHECKPOINT_MB_STATE_BYTES: f64 = 96.0;
 
 /// Fixed per-session checkpoint overhead: parameter sets, rate-control
 /// model, lookahead buffers.
-pub const CHECKPOINT_FIXED_BYTES: f64 = 256.0 * 1024.0;
-
-/// Generates per-frame sizes for a video at a target bitrate.
-///
-/// Size jitter grows with content entropy: screen content (V2/V4) is almost
-/// deterministic, camera content fluctuates.
-pub fn frame_sizes(
-    video: &VideoMeta,
-    target: DataRate,
-    gop: GopStructure,
-    frames: usize,
-    rng: &mut SimRng,
-) -> Vec<(FrameKind, DataSize)> {
-    let avg_bits = target.as_bps() / video.fps;
-    let jitter_sigma = 0.04 + 0.035 * video.entropy;
-    (0..frames)
-        .map(|i| {
-            let kind = gop.kind_at(i);
-            let mean = avg_bits * gop.ratio_of(kind);
-            let size = mean * rng.lognormal(-jitter_sigma * jitter_sigma / 2.0, jitter_sigma);
-            (kind, DataSize::bits(size.max(64.0)))
-        })
-        .collect()
-}
-
-/// Leaky-bucket VBV compliance check.
-///
-/// The decoder drains at `target`; each frame must fit the buffer when it
-/// arrives. Returns the peak buffer occupancy as a fraction of
-/// `buffer` if compliant, or `None` on underflow/overflow.
-pub fn vbv_check(
-    sizes: &[(FrameKind, DataSize)],
-    fps: f64,
-    target: DataRate,
-    buffer: DataSize,
-) -> Option<f64> {
-    let drain_per_frame = target.as_bps() / fps;
-    let cap = buffer.as_bits();
-    // Start half-full (standard initial delay).
-    let mut level = cap / 2.0;
-    let mut peak: f64 = level;
-    for (_, size) in sizes {
-        level += size.as_bits();
-        if level > cap {
-            return None; // encoder overflowed the client buffer
-        }
-        peak = peak.max(level);
-        level = (level - drain_per_frame).max(0.0);
-    }
-    Some(peak / cap)
-}
+pub(crate) const CHECKPOINT_FIXED_BYTES: f64 = 256.0 * 1024.0;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vbench;
+    use socc_sim::rng::SimRng;
+    use socc_sim::units::DataRate;
+
+    /// Generates per-frame sizes for a video at a target bitrate.
+    ///
+    /// Size jitter grows with content entropy: screen content (V2/V4) is almost
+    /// deterministic, camera content fluctuates.
+    fn frame_sizes(
+        video: &VideoMeta,
+        target: DataRate,
+        gop: GopStructure,
+        frames: usize,
+        rng: &mut SimRng,
+    ) -> Vec<(FrameKind, DataSize)> {
+        let avg_bits = target.as_bps() / video.fps;
+        let jitter_sigma = 0.04 + 0.035 * video.entropy;
+        (0..frames)
+            .map(|i| {
+                let kind = gop.kind_at(i);
+                let mean = avg_bits * gop.ratio_of(kind);
+                let size = mean * rng.lognormal(-jitter_sigma * jitter_sigma / 2.0, jitter_sigma);
+                (kind, DataSize::bits(size.max(64.0)))
+            })
+            .collect()
+    }
+
+    /// Leaky-bucket VBV compliance check.
+    ///
+    /// The decoder drains at `target`; each frame must fit the buffer when it
+    /// arrives. Returns the peak buffer occupancy as a fraction of
+    /// `buffer` if compliant, or `None` on underflow/overflow.
+    fn vbv_check(
+        sizes: &[(FrameKind, DataSize)],
+        fps: f64,
+        target: DataRate,
+        buffer: DataSize,
+    ) -> Option<f64> {
+        let drain_per_frame = target.as_bps() / fps;
+        let cap = buffer.as_bits();
+        // Start half-full (standard initial delay).
+        let mut level = cap / 2.0;
+        let mut peak: f64 = level;
+        for (_, size) in sizes {
+            level += size.as_bits();
+            if level > cap {
+                return None; // encoder overflowed the client buffer
+            }
+            peak = peak.max(level);
+            level = (level - drain_per_frame).max(0.0);
+        }
+        Some(peak / cap)
+    }
 
     #[test]
     fn gop_pattern_is_periodic() {

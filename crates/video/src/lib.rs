@@ -10,7 +10,8 @@
 //! - [`ratecontrol`]: CBR/quality rate control and the MediaCodec
 //!   bitrate floor (Fig. 9);
 //! - [`quality`]: PSNR model per encoder (Fig. 10);
-//! - [`session`]: per-session time/energy/traffic accounting.
+//! - [`abr`]: adaptive-bitrate ladders;
+//! - [`gop`]: GOP structure and the live-migration checkpoint size.
 //!
 //! # Examples
 //!
@@ -31,10 +32,12 @@ pub mod backend;
 pub mod gop;
 pub mod quality;
 pub mod ratecontrol;
-pub mod session;
 pub mod vbench;
 pub mod video;
 
 pub use backend::TranscodeUnit;
-pub use ratecontrol::{EncoderKind, RateControl};
-pub use video::{Resolution, VideoId, VideoMeta};
+pub use video::{Resolution, VideoMeta};
+
+// Session planning is reached only by its own tests.
+#[cfg(test)]
+mod session;

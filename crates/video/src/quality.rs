@@ -17,7 +17,7 @@ use crate::video::VideoMeta;
 ///
 /// Saturating log curve: more bits per pixel help less and less; complex
 /// (high-entropy) content needs proportionally more bits for the same PSNR.
-pub fn x264_psnr(video: &VideoMeta, output: DataRate) -> f64 {
+pub(crate) fn x264_psnr(video: &VideoMeta, output: DataRate) -> f64 {
     let bpp = output.as_bps() / video.pixels_per_s();
     let complexity = 0.04 + 0.06 * video.entropy;
     let quality_driver = 60.0 * bpp / complexity;
@@ -26,7 +26,7 @@ pub fn x264_psnr(video: &VideoMeta, output: DataRate) -> f64 {
 
 /// MediaCodec's PSNR penalty relative to x264 at the same bitrate, as a
 /// fraction in `[0.0135, 0.1477]` (§4.3). Low-bitrate targets suffer most.
-pub fn mediacodec_penalty(video: &VideoMeta) -> f64 {
+pub(crate) fn mediacodec_penalty(video: &VideoMeta) -> f64 {
     let severity = ((0.01 - video.target_bpp()) / 0.01).clamp(0.0, 1.0);
     0.0135 + 0.1342 * severity
 }

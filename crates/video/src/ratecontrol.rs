@@ -32,15 +32,6 @@ pub enum EncoderKind {
 }
 
 impl EncoderKind {
-    /// Human-readable name.
-    pub fn label(self) -> &'static str {
-        match self {
-            EncoderKind::X264 => "libx264",
-            EncoderKind::MediaCodec => "MediaCodec",
-            EncoderKind::Nvenc => "NVENC",
-        }
-    }
-
     /// The encoder's bits-per-pixel floor: the smallest output density its
     /// rate control can actually produce.
     ///
@@ -58,7 +49,7 @@ impl EncoderKind {
     /// CBR tracking slack: output may exceed the target by this relative
     /// margin even above the floor (mobile encoders track loosely, §4.3
     /// "less stringent quality and bitrate specifications").
-    pub fn cbr_overshoot(self) -> f64 {
+    pub(crate) fn cbr_overshoot(self) -> f64 {
         match self {
             EncoderKind::X264 => 0.0,
             EncoderKind::MediaCodec => 0.04,
@@ -88,7 +79,8 @@ impl EncoderKind {
     }
 
     /// Returns `true` if the encoder meets the CBR target within 5%.
-    pub fn meets_target(self, video: &VideoMeta, target: DataRate) -> bool {
+    #[cfg(test)]
+    pub(crate) fn meets_target(self, video: &VideoMeta, target: DataRate) -> bool {
         let out = self.output_bitrate(video, RateControl::Cbr(target));
         out.as_bps() <= target.as_bps() * 1.05
     }

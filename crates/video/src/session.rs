@@ -11,7 +11,7 @@ use crate::video::VideoMeta;
 
 /// What a transcode session does.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SessionKind {
+pub(crate) enum SessionKind {
     /// Real-time transcoding of a live feed for a given wall-clock span.
     Live {
         /// How long the feed runs.
@@ -26,7 +26,7 @@ pub enum SessionKind {
 
 /// Errors from session planning.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SessionError {
+pub(crate) enum SessionError {
     /// The unit cannot run this kind of session (e.g. archive on MediaCodec).
     Unsupported,
     /// The unit cannot sustain even one live stream of this video.
@@ -46,25 +46,25 @@ impl std::error::Error for SessionError {}
 
 /// The planned outcome of one transcode session on one unit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SessionReport {
+pub(crate) struct SessionReport {
     /// Wall-clock time the session occupies the unit.
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Frames processed.
-    pub frames: u64,
+    pub(crate) frames: u64,
     /// Workload energy attributed to this session (unit power divided by
     /// concurrent sessions when sharing).
-    pub energy: Energy,
+    pub(crate) energy: Energy,
     /// Bitrate of the produced stream.
-    pub output_bitrate: DataRate,
+    pub(crate) output_bitrate: DataRate,
     /// Bytes written/sent.
-    pub output_size: DataSize,
+    pub(crate) output_size: DataSize,
     /// Estimated PSNR of the output in dB.
-    pub psnr_db: f64,
+    pub(crate) psnr_db: f64,
 }
 
 impl SessionReport {
     /// Frames per joule of this session.
-    pub fn frames_per_joule(&self) -> f64 {
+    pub(crate) fn frames_per_joule(&self) -> f64 {
         if self.energy.as_joules() <= 0.0 {
             0.0
         } else {
@@ -76,7 +76,7 @@ impl SessionReport {
 /// Plans a single session of `kind` for `video` on `unit`, assuming the
 /// unit runs `concurrent` identical sessions (live) or is dedicated
 /// (archive). Energy is the session's share of the unit's workload power.
-pub fn plan_session(
+pub(crate) fn plan_session(
     unit: TranscodeUnit,
     video: &VideoMeta,
     kind: SessionKind,
@@ -135,7 +135,7 @@ pub fn plan_session(
 /// `span_begin`/`span_end` plus a `session_planned` event carrying the
 /// planned frame count (0 when planning fails) into `log` at sim time
 /// `at`. Free when the log is disabled.
-pub fn plan_session_traced(
+pub(crate) fn plan_session_traced(
     unit: TranscodeUnit,
     video: &VideoMeta,
     kind: SessionKind,

@@ -13,9 +13,9 @@ use socc_sim::units::DataRate;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resolution {
     /// Width in pixels.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Height in pixels.
-    pub height: u32,
+    pub(crate) height: u32,
 }
 
 impl Resolution {
@@ -25,12 +25,12 @@ impl Resolution {
     }
 
     /// Total pixels per frame.
-    pub fn pixels(self) -> u64 {
+    pub(crate) fn pixels(self) -> u64 {
         self.width as u64 * self.height as u64
     }
 
     /// 16×16 macroblocks per frame (dimensions rounded up).
-    pub fn macroblocks(self) -> u64 {
+    pub(crate) fn macroblocks(self) -> u64 {
         (self.width as u64).div_ceil(16) * (self.height as u64).div_ceil(16)
     }
 }
@@ -44,13 +44,13 @@ impl core::fmt::Display for Resolution {
 /// Per-backend calibration residuals (dimensionless multipliers on the
 /// formula-predicted cost; 1.0 = formula exact).
 #[derive(Debug, Clone, Copy)]
-pub struct CostResiduals {
+pub(crate) struct CostResiduals {
     /// Software x264 on any CPU.
-    pub cpu: f64,
+    pub(crate) cpu: f64,
     /// Mobile hardware codec (MediaCodec / Venus).
-    pub hw: f64,
+    pub(crate) hw: f64,
     /// NVIDIA NVENC.
-    pub nvenc: f64,
+    pub(crate) nvenc: f64,
 }
 
 impl Default for CostResiduals {
@@ -66,13 +66,13 @@ impl Default for CostResiduals {
 /// Measured single-job archive throughput anchors in frames/s, when known
 /// (vbench videos; back-derived from Table 5's archive TpC rows).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ArchiveAnchors {
+pub(crate) struct ArchiveAnchors {
     /// One x264 process using a whole SoC (8 cores).
-    pub soc_fps: Option<f64>,
+    pub(crate) soc_fps: Option<f64>,
     /// One x264 process using an 8-core Intel container.
-    pub intel_fps: Option<f64>,
+    pub(crate) intel_fps: Option<f64>,
     /// One NVENC session on an A40.
-    pub a40_fps: Option<f64>,
+    pub(crate) a40_fps: Option<f64>,
 }
 
 /// A video's identity: the source clip's id and, for a rendition of an
@@ -87,7 +87,7 @@ pub struct VideoId {
 
 impl VideoId {
     /// The id of a source clip.
-    pub const fn new(source: &'static str) -> Self {
+    pub(crate) const fn new(source: &'static str) -> Self {
         Self { source, rung: None }
     }
 
@@ -96,7 +96,7 @@ impl VideoId {
     /// # Panics
     ///
     /// Panics if this id is already a rendition's.
-    pub fn rung(self, rung: u8) -> Self {
+    pub(crate) fn rung(self, rung: u8) -> Self {
         assert!(self.rung.is_none(), "{self} is already a rendition");
         Self {
             rung: Some(rung),
@@ -105,7 +105,7 @@ impl VideoId {
     }
 
     /// The source clip's id.
-    pub const fn source(self) -> &'static str {
+    pub(crate) const fn source(self) -> &'static str {
         self.source
     }
 }
@@ -175,9 +175,9 @@ pub struct VideoMeta {
     /// Target bitrate for live transcoding (Table 3).
     pub target_bitrate: DataRate,
     /// Calibration residuals.
-    pub residuals: CostResiduals,
+    pub(crate) residuals: CostResiduals,
     /// Measured archive throughput anchors.
-    pub archive: ArchiveAnchors,
+    pub(crate) archive: ArchiveAnchors,
 }
 
 impl VideoMeta {
@@ -206,7 +206,7 @@ impl VideoMeta {
     }
 
     /// Macroblock rate of the stream (macroblocks per second).
-    pub fn mb_per_s(&self) -> f64 {
+    pub(crate) fn mb_per_s(&self) -> f64 {
         self.resolution.macroblocks() as f64 * self.fps
     }
 
@@ -219,12 +219,12 @@ impl VideoMeta {
     ///
     /// Calibrated against Table 3: low-entropy screen content costs roughly
     /// half of high-entropy camera content per macroblock.
-    pub fn complexity_factor(&self) -> f64 {
+    pub(crate) fn complexity_factor(&self) -> f64 {
         0.55 + 0.075 * self.entropy
     }
 
     /// Complexity-weighted macroblock rate (the formula cost driver).
-    pub fn weighted_mb_per_s(&self) -> f64 {
+    pub(crate) fn weighted_mb_per_s(&self) -> f64 {
         self.mb_per_s() * self.complexity_factor()
     }
 
@@ -253,13 +253,8 @@ impl VideoMeta {
     }
 
     /// Target bits per pixel of the live transcode output.
-    pub fn target_bpp(&self) -> f64 {
+    pub(crate) fn target_bpp(&self) -> f64 {
         self.target_bitrate.as_bps() / self.pixels_per_s()
-    }
-
-    /// Source bits per pixel.
-    pub fn source_bpp(&self) -> f64 {
-        self.source_bitrate.as_bps() / self.pixels_per_s()
     }
 }
 
@@ -341,7 +336,7 @@ mod tests {
         let v = v720p60();
         let expected = 3.0e6 / (1280.0 * 720.0 * 60.0);
         assert!((v.target_bpp() - expected).abs() < 1e-12);
-        assert!((v.source_bpp() - 2.0 * expected).abs() < 1e-12);
+        assert!((v.source_bitrate.as_bps() / v.pixels_per_s() - 2.0 * expected).abs() < 1e-12);
     }
 
     #[test]

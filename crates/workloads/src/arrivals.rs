@@ -1,4 +1,4 @@
-//! Arrival processes: Poisson, Markov-modulated, and diurnal-modulated.
+//! Arrival processes: Poisson and diurnal-modulated.
 //!
 //! Edge workloads are "mainly user-centric, therefore highly dependent on
 //! user activities" (§2.3) — load generators need both memoryless arrivals
@@ -9,7 +9,7 @@ use socc_sim::time::{SimDuration, SimTime};
 
 /// A homogeneous Poisson arrival process.
 #[derive(Debug, Clone)]
-pub struct Poisson {
+pub(crate) struct Poisson {
     rate_per_s: f64,
 }
 
@@ -19,13 +19,13 @@ impl Poisson {
     /// # Panics
     ///
     /// Panics if `rate_per_s` is not strictly positive.
-    pub fn new(rate_per_s: f64) -> Self {
+    pub(crate) fn new(rate_per_s: f64) -> Self {
         assert!(rate_per_s > 0.0, "rate must be positive");
         Self { rate_per_s }
     }
 
     /// Generates arrival times in `[0, horizon)`.
-    pub fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
+    pub(crate) fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
         let mut out = Vec::new();
         let mut t = 0.0;
         loop {
@@ -38,73 +38,21 @@ impl Poisson {
     }
 }
 
-/// A two-state Markov-modulated Poisson process (bursty arrivals).
-#[derive(Debug, Clone)]
-pub struct Mmpp2 {
-    /// Arrival rate in the calm state (events/s).
-    pub calm_rate: f64,
-    /// Arrival rate in the burst state.
-    pub burst_rate: f64,
-    /// Mean dwell time in the calm state (s).
-    pub calm_dwell_s: f64,
-    /// Mean dwell time in the burst state (s).
-    pub burst_dwell_s: f64,
-}
-
-impl Mmpp2 {
-    /// Generates arrival times in `[0, horizon)`.
-    pub fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        let end = horizon.as_secs_f64();
-        let mut bursty = false;
-        let mut state_ends = rng.exponential(1.0 / self.calm_dwell_s);
-        while t < end {
-            let rate = if bursty {
-                self.burst_rate
-            } else {
-                self.calm_rate
-            };
-            let next = t + rng.exponential(rate);
-            if next < state_ends.min(end) {
-                out.push(SimTime::from_secs_f64(next));
-                t = next;
-            } else {
-                t = state_ends;
-                bursty = !bursty;
-                let dwell = if bursty {
-                    self.burst_dwell_s
-                } else {
-                    self.calm_dwell_s
-                };
-                state_ends = t + rng.exponential(1.0 / dwell);
-            }
-        }
-        out
-    }
-
-    /// Long-run average arrival rate.
-    pub fn mean_rate(&self) -> f64 {
-        let total = self.calm_dwell_s + self.burst_dwell_s;
-        (self.calm_rate * self.calm_dwell_s + self.burst_rate * self.burst_dwell_s) / total
-    }
-}
-
 /// A non-homogeneous Poisson process whose rate follows a diurnal shape
 /// (thinning method).
 #[derive(Debug, Clone)]
-pub struct DiurnalPoisson {
+pub(crate) struct DiurnalPoisson {
     /// Peak arrival rate (events/s) at the peak hour.
-    pub peak_rate: f64,
+    pub(crate) peak_rate: f64,
     /// Trough-to-peak ratio in `(0, 1]`.
-    pub trough_ratio: f64,
+    pub(crate) trough_ratio: f64,
     /// Hour of day of the peak.
-    pub peak_hour: f64,
+    pub(crate) peak_hour: f64,
 }
 
 impl DiurnalPoisson {
     /// Instantaneous rate at an absolute time (day starts at t = 0).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         let hour = (t.as_secs_f64() / 3600.0) % 24.0;
         let phase = (hour - self.peak_hour) / 24.0 * core::f64::consts::TAU;
         let shape = (1.0 + phase.cos()) / 2.0;
@@ -112,7 +60,7 @@ impl DiurnalPoisson {
     }
 
     /// Generates arrival times in `[0, horizon)` by thinning.
-    pub fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
+    pub(crate) fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<SimTime> {
         let mut out = Vec::new();
         let mut t = 0.0;
         let end = horizon.as_secs_f64();
@@ -156,54 +104,6 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_panics() {
         let _ = Poisson::new(0.0);
-    }
-
-    #[test]
-    fn mmpp_mean_rate_between_states() {
-        let p = Mmpp2 {
-            calm_rate: 1.0,
-            burst_rate: 50.0,
-            calm_dwell_s: 90.0,
-            burst_dwell_s: 10.0,
-        };
-        let mut rng = SimRng::seed(7);
-        let arrivals = p.generate(SimDuration::from_secs(20_000), &mut rng);
-        let rate = arrivals.len() as f64 / 20_000.0;
-        assert!(
-            (rate - p.mean_rate()).abs() / p.mean_rate() < 0.15,
-            "rate {rate}"
-        );
-        assert!(p.mean_rate() > 1.0 && p.mean_rate() < 50.0);
-    }
-
-    #[test]
-    fn mmpp_is_burstier_than_poisson() {
-        // Compare squared coefficient of variation of interarrivals.
-        let scv = |times: &[SimTime]| {
-            let gaps: Vec<f64> = times
-                .windows(2)
-                .map(|w| (w[1] - w[0]).as_secs_f64())
-                .collect();
-            let mean = socc_sim::stats::mean(&gaps);
-            let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
-            var / (mean * mean)
-        };
-        let mut rng = SimRng::seed(8);
-        let mmpp = Mmpp2 {
-            calm_rate: 1.0,
-            burst_rate: 60.0,
-            calm_dwell_s: 60.0,
-            burst_dwell_s: 6.0,
-        };
-        let bursty = mmpp.generate(SimDuration::from_secs(30_000), &mut rng);
-        let smooth =
-            Poisson::new(mmpp.mean_rate()).generate(SimDuration::from_secs(30_000), &mut rng);
-        assert!(
-            scv(&bursty) > 2.0 * scv(&smooth),
-            "{} vs {}",
-            scv(&bursty),
-            scv(&smooth)
-        );
     }
 
     #[test]

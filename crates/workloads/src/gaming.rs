@@ -14,21 +14,21 @@ use socc_sim::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy)]
 pub struct GamingTraceConfig {
     /// Trough throughput in Gbps.
-    pub min_gbps: f64,
+    pub(crate) min_gbps: f64,
     /// Peak throughput in Gbps.
-    pub max_gbps: f64,
+    pub(crate) max_gbps: f64,
     /// Hour of day (0–24) of the evening peak.
-    pub peak_hour: f64,
+    pub(crate) peak_hour: f64,
     /// Diurnal sharpness (higher = peakier evenings).
-    pub sharpness: f64,
+    pub(crate) sharpness: f64,
     /// Log-normal noise sigma.
-    pub noise_sigma: f64,
+    pub(crate) noise_sigma: f64,
     /// Local-time offset in hours: the site's population lives this many
     /// hours ahead of the trace clock, so its evening peak arrives
     /// `phase_hours` earlier. Fleet simulations phase sites across time
     /// zones with this so the fleet-wide envelope flattens while every
     /// site keeps the Fig. 5 diurnal shape.
-    pub phase_hours: f64,
+    pub(crate) phase_hours: f64,
 }
 
 impl Default for GamingTraceConfig {
@@ -65,7 +65,7 @@ impl GamingTraceConfig {
     }
 
     /// Expected (noise-free) throughput in Gbps at an hour of day.
-    pub fn mean_gbps(&self, hour_of_day: f64) -> f64 {
+    pub(crate) fn mean_gbps(&self, hour_of_day: f64) -> f64 {
         self.min_gbps + (self.max_gbps - self.min_gbps) * self.envelope(hour_of_day)
     }
 
@@ -197,6 +197,6 @@ mod tests {
     fn sample_count_matches_duration() {
         let trace = default_38h_trace(3);
         // 38 h at 5-minute steps: 457 samples (inclusive endpoints).
-        assert_eq!(trace.len(), 38 * 12 + 1);
+        assert_eq!(trace.samples().len(), 38 * 12 + 1);
     }
 }

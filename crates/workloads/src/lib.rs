@@ -6,17 +6,14 @@
 //!   Alibaba ENS CDFs (66% / 36% fit-in-SoC);
 //! - [`gaming`]: the 38-hour production cloud-gaming traffic trace of
 //!   Fig. 5 (25× dynamic range, < 20% utilization);
-//! - [`arrivals`]: Poisson / MMPP / diurnal arrival processes;
+//! - `arrivals`: Poisson and diurnal arrival processes;
 //! - [`jobs`]: archive-transcode and live-session job streams.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arrivals;
+pub(crate) mod arrivals;
 pub mod gaming;
 pub mod jobs;
 pub mod packing;
 pub mod vmtrace;
-
-pub use gaming::{GamingTraceConfig, TraceStats};
-pub use vmtrace::{VmPopulation, VmSubscription};

@@ -26,7 +26,7 @@ pub struct ConsolidationReport {
 /// Bin-packs a fleet. One SoC hosts exactly one VM (the cluster's
 /// hard-isolation model, §2.2); traditional servers use first-fit
 /// decreasing over cores with memory/storage caps.
-pub fn consolidate(vms: &[VmSubscription]) -> ConsolidationReport {
+pub(crate) fn consolidate(vms: &[VmSubscription]) -> ConsolidationReport {
     let eligible: Vec<&VmSubscription> = vms.iter().filter(|v| v.fits_in_soc()).collect();
     let clusters_needed = eligible.len().div_ceil(socc_hw::calib::CLUSTER_SOC_COUNT);
     let used_cores: f64 = eligible.iter().map(|v| v.cores as f64).sum();

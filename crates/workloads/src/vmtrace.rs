@@ -14,9 +14,9 @@ pub struct VmSubscription {
     /// vCPU cores.
     pub cores: u32,
     /// Memory in GB.
-    pub mem_gb: f64,
+    pub(crate) mem_gb: f64,
     /// Storage in GB.
-    pub storage_gb: f64,
+    pub(crate) storage_gb: f64,
 }
 
 impl VmSubscription {
@@ -104,7 +104,7 @@ impl VmPopulation {
     }
 
     /// Samples one VM subscription.
-    pub fn sample(self, rng: &mut SimRng) -> VmSubscription {
+    pub(crate) fn sample(self, rng: &mut SimRng) -> VmSubscription {
         let cores = Self::sample_pmf(rng, self.core_pmf());
         let mem_per_core = Self::sample_pmf(rng, self.mem_per_core_pmf());
         let storage = rng.lognormal(self.storage_median_gb().ln(), 1.2);
@@ -121,7 +121,8 @@ impl VmPopulation {
     }
 
     /// Monte-Carlo estimate of the fit-in-SoC fraction.
-    pub fn fit_fraction(self, n: usize, rng: &mut SimRng) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fit_fraction(self, n: usize, rng: &mut SimRng) -> f64 {
         if n == 0 {
             return 0.0;
         }
