@@ -22,7 +22,10 @@ struct Claim {
     section: &'static str,
     /// The field.
     key: &'static str,
-    /// Largest allowed |quote − field|.
+    /// Unit factor from the field to the quote (100 for a fraction the
+    /// doc quotes as a percentage).
+    scale: f64,
+    /// Largest allowed |quote − scale × field|.
     tolerance: f64,
 }
 
@@ -33,6 +36,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_trace.json",
         section: "recording",
         key: "ns_per_event_enabled",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -41,6 +45,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_trace.json",
         section: "engine_overhead",
         key: "overhead_pct",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -49,6 +54,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_trace.json",
         section: "recording",
         key: "ns_per_event_enabled",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -57,6 +63,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_trace.json",
         section: "engine_overhead",
         key: "overhead_pct",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -65,6 +72,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_serve.json",
         section: "speedup",
         key: "speedup",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -73,6 +81,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_serve.json",
         section: "speedup",
         key: "speedup",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -81,6 +90,7 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_fleet.json",
         section: "speedup",
         key: "modeled_8w",
+        scale: 1.0,
         tolerance: 0.05,
     },
     Claim {
@@ -89,6 +99,457 @@ const CLAIMS: &[Claim] = &[
         artifact: "BENCH_fleet.json",
         section: "speedup",
         key: "modeled_8w",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "(≈7.4× when the baseline was recorded",
+        artifact: "BENCH_video.json",
+        section: "speedup",
+        key: "speedup",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "measures ≈7.4× wall-clock",
+        artifact: "BENCH_video.json",
+        section: "speedup",
+        key: "speedup",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "at ≈7.4× speedup",
+        artifact: "BENCH_video.json",
+        section: "speedup",
+        key: "speedup",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "enclosure: 3,800 sessions",
+        artifact: "BENCH_video.json",
+        section: "schedule",
+        key: "sessions",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "1,388 concurrent at the diurnal",
+        artifact: "BENCH_video.json",
+        section: "farm",
+        key: "peak_concurrent",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "striking ≈1,300 live streams",
+        artifact: "BENCH_video.json",
+        section: "farm",
+        key: "concurrent_at_fault",
+        scale: 1.0,
+        tolerance: 1.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "3,800 diurnal sessions",
+        artifact: "BENCH_video.json",
+        section: "schedule",
+        key: "sessions",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "(peak 1,388 concurrent",
+        artifact: "BENCH_video.json",
+        section: "farm",
+        key: "peak_concurrent",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "striking 1,299 live sessions",
+        artifact: "BENCH_video.json",
+        section: "farm",
+        key: "concurrent_at_fault",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "15 survivors migrate",
+        artifact: "BENCH_video.json",
+        section: "migration",
+        key: "migrations",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "MTTR 18.9 ms mean",
+        artifact: "BENCH_video.json",
+        section: "migration",
+        key: "mttr_mean_ms",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "/ 32.9 ms max",
+        artifact: "BENCH_video.json",
+        section: "migration",
+        key: "mttr_max_ms",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "3,316 J/session-hour",
+        artifact: "BENCH_video.json",
+        section: "energy",
+        key: "per_session_hour_j",
+        scale: 1.0,
+        tolerance: 0.5,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "(256 campaign pairs, zero violations)",
+        artifact: "BENCH_chaos.json",
+        section: "campaigns",
+        key: "campaigns",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "cost ≈0.5 pp of",
+        artifact: "BENCH_chaos.json",
+        section: "availability",
+        key: "correlation_gap",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "256 pairs, zero invariant violations",
+        artifact: "BENCH_chaos.json",
+        section: "campaigns",
+        key: "campaigns",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "correlated availability 0.9899",
+        artifact: "BENCH_chaos.json",
+        section: "availability",
+        key: "correlated_mean",
+        scale: 1.0,
+        tolerance: 0.00005,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "< independent 0.9952",
+        artifact: "BENCH_chaos.json",
+        section: "availability",
+        key: "independent_mean",
+        scale: 1.0,
+        tolerance: 0.00005,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "(gap ≈0.5 pp",
+        artifact: "BENCH_chaos.json",
+        section: "availability",
+        key: "correlation_gap",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "min-campaign 0.957",
+        artifact: "BENCH_chaos.json",
+        section: "availability",
+        key: "correlated_min",
+        scale: 1.0,
+        tolerance: 0.0005,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "vs 0.985)",
+        artifact: "BENCH_chaos.json",
+        section: "availability",
+        key: "independent_min",
+        scale: 1.0,
+        tolerance: 0.0005,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "(committed baseline, 64 pairs)",
+        artifact: "BENCH_fleetchaos.json",
+        section: "config",
+        key: "campaigns",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "availability 0.9932 strictly below",
+        artifact: "BENCH_fleetchaos.json",
+        section: "availability",
+        key: "correlated_mean",
+        scale: 1.0,
+        tolerance: 0.0005,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "independent twin's 0.9969",
+        artifact: "BENCH_fleetchaos.json",
+        section: "availability",
+        key: "independent_mean",
+        scale: 1.0,
+        tolerance: 0.0005,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "98.2% of ~66k displaced",
+        artifact: "BENCH_fleetchaos.json",
+        section: "migration",
+        key: "live_migration_rate",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "of ~66k displaced sessions",
+        artifact: "BENCH_fleetchaos.json",
+        section: "migration",
+        key: "stranded",
+        scale: 0.001,
+        tolerance: 1.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "64 campaign pairs on a",
+        artifact: "BENCH_fleetchaos.json",
+        section: "config",
+        key: "campaigns",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "availability 0.9932 < independent",
+        artifact: "BENCH_fleetchaos.json",
+        section: "availability",
+        key: "correlated_mean",
+        scale: 1.0,
+        tolerance: 0.0005,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "< independent 0.9969",
+        artifact: "BENCH_fleetchaos.json",
+        section: "availability",
+        key: "independent_mean",
+        scale: 1.0,
+        tolerance: 0.0005,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "and 98.2% of ~66k",
+        artifact: "BENCH_fleetchaos.json",
+        section: "migration",
+        key: "live_migration_rate",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "within ±12% (observed",
+        artifact: "BENCH_netval.json",
+        section: "agreement",
+        key: "tolerance",
+        scale: 100.0,
+        tolerance: 0.001,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "worst case ≈5% over",
+        artifact: "BENCH_netval.json",
+        section: "agreement",
+        key: "max_rel_err",
+        scale: 100.0,
+        tolerance: 0.5,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "(935.8 Mbps on an idle",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "goodput_mbps",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "within 3.6% of the paper's",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "rel_err",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "calibrated ~935.8 Mbps inter-SoC",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "goodput_mbps",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "on 200 randomized",
+        artifact: "BENCH_netval.json",
+        section: "cases",
+        key: "cases",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "worst goodput error 4.9%",
+        artifact: "BENCH_netval.json",
+        section: "agreement",
+        key: "max_rel_err",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "(tolerance 12%)",
+        artifact: "BENCH_netval.json",
+        section: "agreement",
+        key: "tolerance",
+        scale: 100.0,
+        tolerance: 0.001,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "= 935.8 Mbps, 3.6% above",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "goodput_mbps",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "3.6% above the 903 Mbps anchor",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "rel_err",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "into ≤1.01× completion",
+        artifact: "BENCH_netval.json",
+        section: "incast",
+        key: "inflation",
+        scale: 1.0,
+        tolerance: 0.005,
+    },
+    Claim {
+        doc: "EXPERIMENTS.md",
+        quote: "the calibrated 935.8 Mbps fabric",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "goodput_mbps",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "records 256 campaign pairs: zero",
+        artifact: "BENCH_chaos.json",
+        section: "campaigns",
+        key: "campaigns",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "records 64 campaign pairs: zero",
+        artifact: "BENCH_fleetchaos.json",
+        section: "config",
+        key: "campaigns",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "(observed 98.2%)",
+        artifact: "BENCH_fleetchaos.json",
+        section: "migration",
+        key: "live_migration_rate",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "98.2% of ~66k displaced sessions live-migrated.",
+        artifact: "BENCH_fleetchaos.json",
+        section: "migration",
+        key: "live_migration_rate",
+        scale: 100.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "across 200 cases",
+        artifact: "BENCH_netval.json",
+        section: "cases",
+        key: "cases",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "cases is ≈5%, so the band",
+        artifact: "BENCH_netval.json",
+        section: "agreement",
+        key: "max_rel_err",
+        scale: 100.0,
+        tolerance: 0.5,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "(0.9358, i.e. 935.8 Mbps",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "factor",
+        scale: 1.0,
+        tolerance: 0.00005,
+    },
+    Claim {
+        doc: "DESIGN.md",
+        quote: "packet-calibrated ~935.8 Mbps",
+        artifact: "BENCH_netval.json",
+        section: "calibration",
+        key: "goodput_mbps",
+        scale: 1.0,
         tolerance: 0.05,
     },
 ];
@@ -98,14 +559,22 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("{full}: {e}"))
 }
 
-/// The first decimal number in `text` ("8-worker … ≈7.2×" reads 8).
+/// The first decimal number in `text`, read through thousands separators
+/// ("8-worker … ≈7.2×" reads 8, "3,800 sessions" reads 3800).
 fn first_number(text: &str) -> Option<f64> {
     let start = text.find(|c: char| c.is_ascii_digit())?;
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(rest.len());
-    rest[..end].trim_end_matches('.').parse().ok()
+    let rest = &text.as_bytes()[start..];
+    let mut number = String::new();
+    for (i, &c) in rest.iter().enumerate() {
+        // A comma groups digits only when exactly three digits follow.
+        let group = |n: usize| rest.get(i + n).is_some_and(u8::is_ascii_digit);
+        if c.is_ascii_digit() || c == b'.' {
+            number.push(char::from(c));
+        } else if !(c == b',' && group(1) && group(2) && group(3) && !group(4)) {
+            break;
+        }
+    }
+    number.trim_end_matches('.').parse().ok()
 }
 
 /// The number a quote states: the first one after any hyphenated label
@@ -133,10 +602,10 @@ fn quoted_artifact_numbers_match_the_artifacts() {
             continue;
         };
         let quoted = stated(c.quote);
-        if (quoted - value).abs() > c.tolerance {
+        if (quoted - c.scale * value).abs() > c.tolerance {
             wrong.push(format!(
-                "{} quotes {quoted} in {:?}, but {} records {}.{} = {value}",
-                c.doc, c.quote, c.artifact, c.section, c.key
+                "{} quotes {quoted} in {:?}, but {} records {}.{} = {value} (×{})",
+                c.doc, c.quote, c.artifact, c.section, c.key, c.scale
             ));
         }
     }
@@ -150,4 +619,9 @@ fn quotes_read_the_number_they_state() {
     assert_eq!(stated("modeled 8-worker speedup ≈7.2×"), 7.2);
     assert_eq!(stated("is ≈7.2× (the 256-site step phase"), 7.2);
     assert_eq!(stated("(baseline ≈7.7×, CI bar ≥5×)"), 7.7);
+    assert_eq!(stated("enclosure: 3,800 sessions"), 3800.0);
+    assert_eq!(stated("3,316 J/session-hour"), 3316.0);
+    assert_eq!(stated("(256 campaign pairs, zero violations)"), 256.0);
+    assert_eq!(stated("min-campaign 0.957"), 0.957);
+    assert_eq!(stated("of ~66k displaced sessions"), 66.0);
 }
