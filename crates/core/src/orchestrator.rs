@@ -187,12 +187,15 @@ pub struct Orchestrator {
     /// its conservation identity is re-checked on every clock advance.
     ledger: EnergyLedger,
     /// Typed structured event log (placements, migrations, power
-    /// transitions, faults) shared with the recovery engine.
+    /// transitions, faults) shared with the recovery engine. Off, and
+    /// without a ring, until the recovery engine switches it on: a bare
+    /// orchestrator, such as a fleet site, records nothing.
     events: EventLog,
 }
 
 /// Retained-event capacity of the orchestrator's ring (oldest events are
-/// evicted first; `events().dropped()` counts evictions).
+/// evicted first; `events().dropped()` counts evictions), reserved when
+/// recording is first switched on.
 const EVENT_CAPACITY: usize = 8192;
 
 /// Relative tolerance of the per-tick energy-conservation check (the
@@ -241,7 +244,7 @@ impl Orchestrator {
             completions: Vec::with_capacity(16),
             admission_floor: None,
             ledger,
-            events: EventLog::new(EVENT_CAPACITY),
+            events: EventLog::disabled(EVENT_CAPACITY),
         }
     }
 
@@ -293,7 +296,8 @@ impl Orchestrator {
         self.ledger.verify_conservation(self.now, rel_tol)
     }
 
-    /// The typed structured event log.
+    /// The typed structured event log: empty unless a recovery engine
+    /// owns this orchestrator and has recording on.
     pub fn events(&self) -> &EventLog {
         &self.events
     }
@@ -1249,6 +1253,7 @@ mod tests {
         // both must re-place in id order and tell the same story.
         let run = || {
             let mut o = orch();
+            o.events_mut().set_enabled(true);
             let v3 = WorkloadSpec::LiveStreamCpu {
                 video: socc_video::vbench::by_id("V3").unwrap(),
             };
@@ -1264,6 +1269,7 @@ mod tests {
             o.inject_fault(0);
             let landed: Vec<Option<usize>> = victims.iter().map(|&id| o.placement_of(id)).collect();
             assert_eq!(landed, [1, 1, 2, 2, 2, 2].map(Some));
+            assert!(o.events().recorded() > 0);
             o.events().digest()
         };
         assert_eq!(run(), run());

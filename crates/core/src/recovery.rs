@@ -231,7 +231,10 @@ impl RecoveryEngine {
     /// Builds an engine over a fresh orchestrator. `seed` fixes the backoff
     /// jitter stream, so equal seeds give bit-identical runs.
     pub fn new(orch_config: OrchestratorConfig, config: RecoveryConfig, seed: u64) -> Self {
-        let orch = Orchestrator::new(orch_config);
+        let mut orch = Orchestrator::new(orch_config);
+        // The engine records the causal chain by default; a bare
+        // orchestrator's log stays off and owns no ring.
+        orch.events_mut().set_enabled(true);
         let socs = orch.cluster().soc_count();
         let fabric = Topology::soc_cluster(socs);
         let mut routing = FailureAwareRouting::new();
@@ -295,9 +298,10 @@ impl RecoveryEngine {
         self.orch.events()
     }
 
-    /// Enables or disables structured-event recording. Disabled recording
-    /// costs one branch per would-be event — the `bench --run trace` harness
-    /// measures exactly this spans-on vs spans-off difference.
+    /// Enables or disables structured-event recording, which is on from
+    /// construction. Disabled recording costs one branch per would-be
+    /// event — the `bench --run trace` harness measures exactly this
+    /// spans-on vs spans-off difference.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.orch.events_mut().set_enabled(enabled);
     }

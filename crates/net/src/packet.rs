@@ -185,6 +185,10 @@ pub struct PacketNet {
     log: EventLog,
 }
 
+/// Events the trace ring retains once tracing is on (oldest evicted
+/// first).
+const TRACE_CAPACITY: usize = 1024;
+
 impl PacketNet {
     /// Creates a packet-level simulator over `topology`.
     pub fn new(topology: Topology, config: PacketConfig) -> Self {
@@ -209,7 +213,7 @@ impl PacketNet {
             flow_order: Vec::new(),
             next_id: 0,
             now: SimTime::ZERO,
-            log: EventLog::disabled(),
+            log: EventLog::disabled(TRACE_CAPACITY),
         }
     }
 

@@ -27,8 +27,6 @@
 //! full recompute.
 
 use socc_sim::hash::IdMap;
-
-use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::{DataRate, DataSize};
 
@@ -104,9 +102,6 @@ pub struct FlowNet {
     /// caches unreachability so repeated misses stay cheap too.
     route_cache: IdMap<(u32, u32), Option<RouteId>>,
     scratch_done: Vec<TransferId>,
-    /// Typed event log (flow/transfer/link lifecycle). Disabled by default
-    /// so the allocation-free hot paths pay a single branch per site.
-    events: EventLog,
 }
 
 impl FlowNet {
@@ -130,23 +125,7 @@ impl FlowNet {
             fairness: FairnessState::new(capacity),
             route_cache: IdMap::default(),
             scratch_done: Vec::new(),
-            events: EventLog::disabled(),
         }
-    }
-
-    /// Enables typed event recording (flow/transfer/link lifecycle under
-    /// [`Scope::Net`]). Recording is off by default so the hot paths stay
-    /// branch-cheap and allocation-free.
-    #[cfg(test)]
-    pub(crate) fn enable_tracing(&mut self) {
-        self.events.set_enabled(true);
-    }
-
-    /// The typed event log. Empty unless
-    /// [`enable_tracing`](Self::enable_tracing) was called.
-    #[cfg(test)]
-    pub(crate) fn event_log(&self) -> &EventLog {
-        &self.events
     }
 
     /// Current simulation time.
@@ -213,8 +192,6 @@ impl FlowNet {
             },
         );
         self.stream_order.push(id);
-        self.events
-            .record(self.now, Scope::Net, EventKind::FlowStarted { flow: id.0 });
         self.after_reallocation();
         Ok(id)
     }
@@ -224,8 +201,6 @@ impl FlowNet {
         let state = self.streams.remove(&id).ok_or(NetError::UnknownId)?;
         self.stream_order.retain(|&s| s != id);
         self.fairness.remove_flow(state.flow);
-        self.events
-            .record(self.now, Scope::Net, EventKind::FlowFinished { flow: id.0 });
         self.after_reallocation();
         Ok(())
     }
@@ -260,11 +235,6 @@ impl FlowNet {
             },
         );
         self.transfer_order.push(id);
-        self.events.record(
-            self.now,
-            Scope::Net,
-            EventKind::TransferStarted { transfer: id.0 },
-        );
         self.after_reallocation();
         Ok(id)
     }
@@ -361,13 +331,6 @@ impl FlowNet {
                 }
                 self.transfer_order.retain(|x| !done.contains(x));
                 self.fairness.commit_removals();
-                for id in &done {
-                    self.events.record(
-                        self.now,
-                        Scope::Net,
-                        EventKind::TransferFinished { transfer: id.0 },
-                    );
-                }
                 completed.extend_from_slice(&done);
             }
             self.scratch_done = done;
@@ -463,8 +426,6 @@ impl FlowNet {
     /// covers membership churn).
     pub fn fail_link(&mut self, link: LinkId) -> FailureImpact {
         self.routing.fail(link);
-        self.events
-            .record(self.now, Scope::Net, EventKind::LinkFailed { link: link.0 });
         // Targeted invalidation: only cached routes crossing the failed
         // link go stale. Negative entries (`None`) stay — a failure cannot
         // create a path that did not exist.
@@ -491,11 +452,6 @@ impl FlowNet {
                     let state = self.streams.remove(&id).expect("exists");
                     self.fairness.drop_slot(state.flow);
                     self.stream_order.retain(|&x| x != id);
-                    self.events.record(
-                        self.now,
-                        Scope::Net,
-                        EventKind::FlowFinished { flow: id.0 },
-                    );
                     lost_streams.push(id);
                 }
             }
@@ -509,11 +465,6 @@ impl FlowNet {
                 let state = self.transfers.remove(&id).expect("exists");
                 self.fairness.drop_slot(state.flow);
                 self.transfer_order.retain(|&x| x != id);
-                self.events.record(
-                    self.now,
-                    Scope::Net,
-                    EventKind::TransferFinished { transfer: id.0 },
-                );
                 lost_transfers.push(id);
             }
         }
@@ -529,11 +480,6 @@ impl FlowNet {
     /// their current routes).
     pub fn repair_link(&mut self, link: LinkId) {
         self.routing.repair(link);
-        self.events.record(
-            self.now,
-            Scope::Net,
-            EventKind::LinkRepaired { link: link.0 },
-        );
         // Positive entries stay sticky: every surviving route runs over
         // healthy links (failures pruned them eagerly), and a repair only
         // adds options. Negative entries are dropped so previously
@@ -812,50 +758,6 @@ mod tests {
         assert_eq!(before, after, "round trip must reuse the interned id");
         let flow = net.streams[&s2].flow;
         assert!(net.fairness.flow_links(flow).contains(&ab.0));
-    }
-
-    #[test]
-    fn tracing_disabled_by_default_and_captures_lifecycle_when_enabled() {
-        let (mut net, a, b) = two_node_net(1.0);
-        let s = net.add_stream(a, b, DataRate::mbps(10.0)).unwrap();
-        net.remove_stream(s).unwrap();
-        assert!(
-            net.event_log().is_empty(),
-            "log must stay empty while disabled"
-        );
-        net.enable_tracing();
-        net.add_stream(a, b, DataRate::mbps(10.0)).unwrap();
-        net.start_transfer(a, b, DataSize::megabits(90.3)).unwrap();
-        net.run_to_idle();
-        let names: Vec<&str> = net.event_log().events().map(|e| e.kind.name()).collect();
-        assert_eq!(
-            names,
-            ["flow_started", "transfer_started", "transfer_finished"]
-        );
-        assert!(net
-            .event_log()
-            .events()
-            .all(|e| matches!(e.scope, Scope::Net)));
-    }
-
-    #[test]
-    fn tracing_records_link_failure_and_lost_work() {
-        let (mut net, a, b) = two_node_net(1.0);
-        net.enable_tracing();
-        net.add_stream(a, b, DataRate::mbps(10.0)).unwrap();
-        let impact = net.fail_link(LinkId(0));
-        assert_eq!(impact.lost_streams.len(), 1);
-        net.repair_link(LinkId(0));
-        let names: Vec<&str> = net.event_log().events().map(|e| e.kind.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "flow_started",
-                "link_failed",
-                "flow_finished",
-                "link_repaired"
-            ]
-        );
     }
 
     #[test]

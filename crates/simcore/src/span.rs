@@ -8,8 +8,10 @@
 //!   no formatting at record time;
 //! - [`Scope`] tags the emitting subsystem and doubles as a bitmask
 //!   filter, so a log can keep only the scopes a test cares about;
-//! - [`EventLog`] is a fixed-capacity ring buffer: recording into a
-//!   pre-sized log never allocates, and a disabled log costs one branch;
+//! - [`EventLog`] is a fixed-capacity ring buffer: recording never
+//!   allocates, a disabled log costs one branch, and a log built
+//!   [`disabled`](EventLog::disabled) owns no heap until recording is
+//!   first switched on;
 //! - exporters render the retained window as JSONL
 //!   ([`EventLog::to_jsonl`]), as a Chrome `trace_event` document
 //!   ([`EventLog::to_chrome_trace`]) loadable in `chrome://tracing` /
@@ -560,12 +562,15 @@ impl fmt::Display for Event {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(u32);
 
-/// Default ring capacity used by [`EventLog::disabled`].
+/// Ring capacity of [`EventLog::default`].
 const DEFAULT_CAPACITY: usize = 1024;
 
 /// A bounded, filterable, allocation-free typed event log.
 ///
-/// The ring is fully pre-allocated at construction: [`EventLog::record`]
+/// An enabled log always owns its whole ring: [`EventLog::new`] reserves
+/// it at construction, and a log built [`disabled`](EventLog::disabled)
+/// reserves it the first time [`EventLog::set_enabled`] switches it on,
+/// so a log that is never switched on costs no heap. [`EventLog::record`]
 /// on an enabled log is a mask check plus one slot write, and on a
 /// disabled log a single branch. Oldest events are evicted first once the
 /// ring is full; [`EventLog::dropped`] counts evictions.
@@ -591,12 +596,25 @@ impl EventLog {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        let mut log = Self::disabled(capacity);
+        log.set_enabled(true);
+        log
+    }
+
+    /// Creates a disabled log of `capacity` events that owns no heap:
+    /// recording is a no-op, and the ring is reserved the first time
+    /// [`EventLog::set_enabled`] turns it on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn disabled(capacity: usize) -> Self {
         assert!(capacity > 0, "event log capacity must be positive");
         Self {
-            buf: Vec::with_capacity(capacity),
+            buf: Vec::new(),
             capacity,
             start: 0,
-            enabled: true,
+            enabled: false,
             mask: u32::MAX,
             dropped: 0,
             seq: 0,
@@ -604,16 +622,14 @@ impl EventLog {
         }
     }
 
-    /// Creates a disabled log (recording is a no-op until
-    /// [`EventLog::set_enabled`] turns it on).
-    pub fn disabled() -> Self {
-        let mut log = Self::new(DEFAULT_CAPACITY);
-        log.enabled = false;
-        log
-    }
-
-    /// Turns recording on or off. Disabling keeps retained events.
+    /// Turns recording on or off. The first switch-on of a log built
+    /// [`disabled`](EventLog::disabled) reserves its ring of `capacity`
+    /// events; later switches never touch the heap. Disabling keeps
+    /// retained events.
     pub fn set_enabled(&mut self, enabled: bool) {
+        if enabled && self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.capacity);
+        }
         self.enabled = enabled;
     }
 
@@ -877,12 +893,57 @@ mod tests {
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = EventLog::disabled();
+        let mut log = EventLog::disabled(16);
         log.record(t(1), Scope::Net, EventKind::FlowStarted { flow: 1 });
+        let span = log.begin_span(t(1), Scope::Fleet, "window");
+        log.end_span(t(1), Scope::Fleet, span, "window");
         assert!(log.is_empty());
+        assert_eq!((log.recorded(), log.dropped()), (0, 0));
+        assert_eq!(log.buf.capacity(), 0, "a disabled log owns no heap");
         log.set_enabled(true);
+        assert_eq!(log.buf.capacity(), 16, "the first enable reserves the ring");
         log.record(t(2), Scope::Net, EventKind::FlowStarted { flow: 2 });
         assert_eq!(log.len(), 1);
+    }
+
+    /// The ring's heap: its slot count and where it lives. Equal before
+    /// and after an operation means that operation did not reallocate.
+    fn ring(log: &EventLog) -> (usize, *const Event) {
+        (log.buf.capacity(), log.buf.as_ptr())
+    }
+
+    #[test]
+    fn wrapping_past_capacity_never_reallocates() {
+        let mut log = EventLog::disabled(8);
+        log.set_enabled(true);
+        let before = ring(&log);
+        for i in 0..100 {
+            log.record(t(i), Scope::Power, EventKind::Wake { soc: i as u32 });
+        }
+        assert_eq!(ring(&log), before);
+        assert_eq!((log.len(), log.dropped()), (8, 92));
+    }
+
+    #[test]
+    fn switching_off_and_on_never_reallocates() {
+        let mut log = EventLog::disabled(8);
+        log.set_enabled(true);
+        log.record(t(0), Scope::Power, EventKind::Wake { soc: 0 });
+        let before = ring(&log);
+        for i in 1..4 {
+            log.set_enabled(false);
+            log.record(t(i), Scope::Power, EventKind::Sleep { soc: 0 });
+            log.set_enabled(true);
+        }
+        assert_eq!(ring(&log), before);
+        assert_eq!(log.recorded(), 1);
+    }
+
+    #[test]
+    fn new_reserves_the_ring_up_front() {
+        let log = EventLog::new(8);
+        assert_eq!(log.buf.capacity(), 8);
+        assert!(log.enabled);
     }
 
     #[test]

@@ -1,46 +1,5 @@
 //! Descriptive statistics helpers shared by experiments and reports.
 
-/// Running mean accumulator (Welford's update).
-///
-/// # Examples
-///
-/// ```
-/// use socc_sim::stats::Running;
-///
-/// let mut r = Running::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     r.push(x);
-/// }
-/// assert_eq!(r.mean(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self { n: 0, mean: 0.0 }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.mean += (x - self.mean) / self.n as f64;
-    }
-
-    /// Sample mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-}
-
 /// Linear interpolation percentile of an unsorted slice; `q` in `[0, 1]`.
 ///
 /// Returns `None` for an empty slice or a non-finite `q`. Copies the input;
@@ -104,20 +63,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_matches_closed_form() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut r = Running::new();
-        xs.iter().for_each(|&x| r.push(x));
-        assert_eq!(r.mean(), 5.0);
-    }
-
-    #[test]
-    fn empty_running_is_safe() {
-        let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-    }
 
     #[test]
     fn percentile_interpolates() {
