@@ -42,10 +42,10 @@ pub struct FlowDemand {
 /// Computes the max-min fair allocation.
 ///
 /// `capacity` maps each link to its capacity; links missing from the map are
-/// treated as infinite. Returns one rate per flow, in input order. Flows
-/// with empty routes receive their demand (or `DataRate::MAX`-ish elastic
-/// rate capped at `f64::INFINITY` is avoided — they get `demand` or the
-/// largest finite capacity seen, falling back to 1 Tbps).
+/// treated as infinite. Returns one rate per flow, in input order. A flow
+/// that crosses no capacitated link (an empty route, say) is limited only
+/// by its demand: it receives its demand, or the 1 Tbps elastic ceiling
+/// when it is elastic.
 ///
 /// The allocation satisfies, for every flow `f`:
 /// - feasibility: no link carries more than its capacity (within 1e-6);
@@ -239,17 +239,19 @@ impl RouteTable {
 ///
 /// Flows occupy slots (freed slots are recycled), routes are interned
 /// spans of dense link indices, and every per-link quantity lives in a
-/// flat array indexed by `LinkId.0`. When one flow enters or leaves, only
-/// the flows whose bottleneck can have moved are re-waterfilled: the
-/// update seeds an *affected set* from the changed flow's links, freezes
-/// everyone else at their current rate, waterfills the affected set over
-/// the residual capacities, and then verifies the global bottleneck
-/// certificate (every flow is at its demand or holds a saturated link on
-/// which its rate is maximal). Certificate violations pull the violating
-/// flows — and their link-neighbours — into the affected set and the loop
-/// repeats; in the worst case it degenerates into the exact full
-/// recompute, so the result always equals [`max_min_fair`] up to
-/// floating-point summation order.
+/// flat array indexed by `LinkId.0`, except a waterfill's round state,
+/// which is dense over the links it touches. When one flow enters or
+/// leaves, only the flows whose bottleneck can have moved are
+/// re-waterfilled: the update seeds an *affected set* from the changed
+/// flow's links, freezes everyone else at their current rate,
+/// waterfills the affected set over the residual capacities, and then
+/// verifies the global bottleneck certificate (every flow is at its
+/// demand or holds a saturated link on which its rate is maximal).
+/// Certificate violations pull the violating flows — and their
+/// link-neighbours — into the affected set and the loop repeats; in the
+/// worst case it degenerates into the exact full recompute, so the
+/// result always equals [`max_min_fair`] up to floating-point summation
+/// order.
 #[derive(Debug, Default)]
 pub struct FairnessState {
     capacity: Vec<f64>,
@@ -273,10 +275,11 @@ pub struct FairnessState {
 
     // Link-indexed scratch.
     residual: Vec<f64>,
-    users: Vec<u32>,
     load: Vec<f64>,
     link_max: Vec<f64>,
-    touched: Vec<u32>,
+    /// Position of each link the current waterfill touches in the dense
+    /// `round_*` arrays (valid while its stamp is the waterfill's epoch).
+    link_pos: Vec<u32>,
     seeds: Vec<u32>,
     /// Slots changed since the last update, seeded into the affected set
     /// directly (covers flows with empty routes, which no link seed can
@@ -286,6 +289,11 @@ pub struct FairnessState {
     // Flow-indexed scratch.
     active: Vec<u32>,
     affected: Vec<u32>,
+
+    // One waterfill's links, dense in first-touch order: residual
+    // capacity and live-user count (0 once every user froze).
+    round_residual: Vec<f64>,
+    round_users: Vec<f64>,
 
     stats: FairnessStats,
     force_full: bool,
@@ -297,9 +305,9 @@ impl FairnessState {
         let links = capacity_bps.len();
         Self {
             residual: vec![0.0; links],
-            users: vec![0; links],
             load: vec![0.0; links],
             link_max: vec![0.0; links],
+            link_pos: vec![0; links],
             link_stamp: vec![0; links],
             capacity: capacity_bps,
             ..Self::default()
@@ -639,10 +647,14 @@ impl FairnessState {
     /// 0, so they share one water `level`; a rate is written when its flow
     /// freezes. `active` is sorted by descending demand once: rounding is
     /// monotone, so the flows at their demand are a suffix and the last
-    /// one bounds the raise. `users[l]` and the route-length `tally` are
-    /// running counts a freeze decrements, so a round scans the live links
-    /// and the frozen flows' routes, and the other routes only when a link
-    /// saturated. The tally is the work measure progressive filling
+    /// one bounds the raise. The links the active set touches are gathered
+    /// once into the dense `round_residual`/`round_users` arrays, and the
+    /// user counts and the route-length `tally` are running counts a
+    /// freeze decrements. A round is two branch-free passes over the dense
+    /// arrays ([`round_increment`], then the residual update) plus the
+    /// frozen flows' routes, and the other routes only when a link
+    /// saturated; a link whose users all froze stays in place, masked by
+    /// its 0 count. The tally is the work measure progressive filling
     /// defines, not a visit count; the perf gate's ratio is a tally ratio.
     fn waterfill(&mut self) {
         let mut active = std::mem::take(&mut self.active);
@@ -650,37 +662,32 @@ impl FairnessState {
         active.sort_unstable_by(|&a, &b| demand[b as usize].total_cmp(&demand[a as usize]));
         // Collect the links touched by the active set and count their users.
         let touch = self.next_epoch();
-        self.touched.clear();
+        self.round_residual.clear();
+        self.round_users.clear();
         let mut tally = 0;
         for &f in active.iter() {
             let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
             tally += links.len() as u64;
             for &l in links {
-                if self.link_stamp[l as usize] != touch {
-                    self.link_stamp[l as usize] = touch;
-                    self.users[l as usize] = 0;
-                    self.touched.push(l);
+                let l = l as usize;
+                if self.link_stamp[l] != touch {
+                    self.link_stamp[l] = touch;
+                    self.link_pos[l] = self.round_residual.len() as u32;
+                    self.round_residual.push(self.residual[l]);
+                    self.round_users.push(0.0);
                 }
-                self.users[l as usize] += 1;
+                self.round_users[self.link_pos[l] as usize] += 1.0;
             }
         }
         let mut level = 0.0;
         while let Some(&last) = active.last() {
             self.stats.waterfill_rounds += 1;
             self.stats.waterfill_touches += tally;
-            // Links whose users all froze drop out: frozen flows never thaw.
-            let mut increment = f64::INFINITY;
-            self.touched.retain(|&l| {
-                let u = self.users[l as usize];
-                if u > 0 {
-                    increment = increment.min(self.residual[l as usize] / f64::from(u));
-                }
-                u > 0
-            });
-            increment = increment.min(self.demand[last as usize] - level);
+            let headroom = self.demand[last as usize] - level;
+            let increment = round_increment(&self.round_residual, &self.round_users, headroom);
             if !increment.is_finite() {
                 // Unreachable in practice: demands are capped at the
-                // elastic ceiling, so the bound above is always finite.
+                // elastic ceiling, so the headroom is always finite.
                 for &f in active.iter() {
                     self.rate[f as usize] = self.demand[f as usize].min(ELASTIC_CEILING_BPS);
                 }
@@ -688,11 +695,11 @@ impl FairnessState {
             }
             let increment = increment.max(0.0);
             level += increment;
+            // A link with no user left loses `increment·0 = 0`.
             let mut saturated = false;
-            for &l in &self.touched {
-                let l = l as usize;
-                self.residual[l] -= increment * f64::from(self.users[l]);
-                saturated |= self.residual[l] <= EPS_BPS;
+            for (r, &u) in self.round_residual.iter_mut().zip(&self.round_users) {
+                *r -= increment * u;
+                saturated |= (*r <= EPS_BPS) & (u > 0.0);
             }
             // Freeze the flows at their demand, then, if a link saturated,
             // those crossing one; the rest stay in demand order.
@@ -707,7 +714,9 @@ impl FairnessState {
             if saturated {
                 active.retain(|&f| {
                     let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
-                    let on_saturated = links.iter().any(|&l| self.residual[l as usize] <= EPS_BPS);
+                    let on_saturated = links.iter().any(|&l| {
+                        self.round_residual[self.link_pos[l as usize] as usize] <= EPS_BPS
+                    });
                     if on_saturated {
                         tally -= self.freeze(f, level);
                     }
@@ -723,8 +732,7 @@ impl FairnessState {
             }
         }
         debug_assert!(
-            !active.is_empty()
-                || (tally == 0 && self.touched.iter().all(|&l| self.users[l as usize] == 0)),
+            !active.is_empty() || (tally == 0 && self.round_users.iter().all(|&u| u == 0.0)),
             "a full freeze left running counts behind"
         );
         self.active = active;
@@ -735,7 +743,9 @@ impl FairnessState {
         self.rate[f as usize] = level;
         let links = self.routes.links_of(RouteId(self.route_of[f as usize]));
         for &l in links {
-            self.users[l as usize] -= 1;
+            let users = &mut self.round_users[self.link_pos[l as usize] as usize];
+            *users -= 1.0;
+            debug_assert!(*users >= 0.0, "a link lost more users than it had");
         }
         links.len() as u64
     }
@@ -792,10 +802,42 @@ impl FairnessState {
     }
 }
 
+/// `1 + 4ε`: the margin that makes [`round_increment`]'s multiply-compare
+/// sound despite the rounding of its two products.
+const BIND_MARGIN: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+/// A waterfill round's increment over the dense link arrays: the least
+/// `residual / users` over live links (`users > 0`), capped by the demand
+/// `headroom` (≥ 0), equal bit for bit to that minimum taken in array
+/// order. Most rounds are demand-bound, so a first pass only asks whether
+/// any live link can bind at or below `headroom`. Where none has
+/// `residual < fl(fl(headroom·(1+4ε))·users)` (ε = `f64::EPSILON`), each
+/// has `residual ≥ headroom·users·(1+4ε)(1−ε/2)² > headroom·users`, so
+/// `residual / users` rounds to at least `headroom` and the minimum is
+/// `headroom` itself (a product that overflows passes every finite
+/// residual on to the exact pass).
+fn round_increment(residual: &[f64], users: &[f64], headroom: f64) -> f64 {
+    let bound = headroom * BIND_MARGIN;
+    let binds = residual
+        .iter()
+        .zip(users)
+        .fold(false, |any, (&r, &u)| any | ((r < bound * u) & (u > 0.0)));
+    if !binds {
+        return headroom;
+    }
+    residual
+        .iter()
+        .zip(users)
+        .filter(|&(_, &u)| u > 0.0)
+        .fold(f64::INFINITY, |least, (&r, &u)| least.min(r / u))
+        .min(headroom)
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn caps(pairs: &[(u32, f64)]) -> HashMap<LinkId, DataRate> {
         pairs
@@ -1085,6 +1127,55 @@ mod tests {
         let stale = [(capped, mbps(100.0)), (elastic, None)];
         assert_eq!(st.drift_over(stale), f64::INFINITY);
         assert!(st.drift_over([(elastic, None)]) < 1.0);
+    }
+
+    proptest! {
+        /// The two-pass round increment equals the minimum the round took
+        /// before it (every live link's `residual / users` in array order,
+        /// then the demand headroom) bit for bit, on links drawn around the
+        /// bind test's edge: near-ties `headroom·users·(1+kε)` for k in
+        /// −8..=8, zero and slightly negative residuals, links with no user
+        /// left holding any residual, and links with room to spare.
+        #[test]
+        fn round_increment_is_the_exact_minimum(
+            exponent in -6.0f64..12.0,
+            links in prop::collection::vec(
+                (0u8..8, -8i32..=8, 1u32..=10_000, -2.0f64..2.0),
+                0..12,
+            ),
+        ) {
+            let headroom = 10f64.powf(exponent);
+            let (mut residual, mut users) = (Vec::new(), Vec::new());
+            for &(kind, k, n, x) in &links {
+                let n = f64::from(n);
+                let share = headroom * n;
+                let (r, u) = match kind {
+                    0..=2 => (share * (1.0 + f64::from(k) * f64::EPSILON), n),
+                    3 => (0.0, n),
+                    4 => (-share * x.abs() * 1e-12, n),
+                    5 => (share * x * 1e3, 0.0),
+                    _ => (share * (1.0 + x.abs()), n),
+                };
+                residual.push(r);
+                users.push(u);
+            }
+            let exact = residual
+                .iter()
+                .zip(&users)
+                .filter(|&(_, &u)| u > 0.0)
+                .fold(f64::INFINITY, |least, (&r, &u)| least.min(r / u))
+                .min(headroom);
+            let got = round_increment(&residual, &users, headroom);
+            prop_assert_eq!(
+                got.to_bits(),
+                exact.to_bits(),
+                "headroom {} links {:?}: got {} want {}",
+                headroom,
+                links,
+                got,
+                exact
+            );
+        }
     }
 
     #[test]

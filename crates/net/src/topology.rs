@@ -107,15 +107,6 @@ impl Topology {
         &self.links[id.0 as usize]
     }
 
-    /// All node ids of a given kind, in creation order.
-    #[cfg(test)]
-    pub(crate) fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|&n| self.node_kind(n) == kind)
-            .collect()
-    }
-
     /// Shortest path (fewest hops) from `src` to `dst` as a list of link
     /// ids, or `None` if unreachable. Deterministic: neighbors are explored
     /// in insertion order.
@@ -320,12 +311,5 @@ mod tests {
                 assert!(l.src == fabric.pcbs[pcb] || l.dst == fabric.pcbs[pcb]);
             }
         }
-    }
-
-    #[test]
-    fn nodes_of_kind_filters() {
-        let fabric = Topology::soc_cluster(10);
-        assert_eq!(fabric.topology.nodes_of_kind(NodeKind::Soc).len(), 10);
-        assert_eq!(fabric.topology.nodes_of_kind(NodeKind::Esb).len(), 1);
     }
 }

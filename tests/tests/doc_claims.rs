@@ -552,6 +552,62 @@ const CLAIMS: &[Claim] = &[
         scale: 1.0,
         tolerance: 0.05,
     },
+    // BENCH_net.json: the incremental ÷ full tally ratio, and the work
+    // counters README's events/sec table quotes (deterministic, so exact).
+    Claim {
+        doc: "README.md",
+        quote: "tally is ~11× smaller",
+        artifact: "BENCH_net.json",
+        section: "waterfill_touch_ratio",
+        key: "waterfill_touch_ratio",
+        scale: 1.0,
+        tolerance: 0.5,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "| 11.1× smaller |",
+        artifact: "BENCH_net.json",
+        section: "waterfill_touch_ratio",
+        key: "waterfill_touch_ratio",
+        scale: 1.0,
+        tolerance: 0.05,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "| 241,376 |",
+        artifact: "BENCH_net.json",
+        section: "incremental",
+        key: "waterfill_rounds",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "| 245,803,903 |",
+        artifact: "BENCH_net.json",
+        section: "incremental",
+        key: "waterfill_touches",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "| 1,014,658 |",
+        artifact: "BENCH_net.json",
+        section: "full",
+        key: "waterfill_rounds",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
+    Claim {
+        doc: "README.md",
+        quote: "| 2,737,326,599 |",
+        artifact: "BENCH_net.json",
+        section: "full",
+        key: "waterfill_touches",
+        scale: 1.0,
+        tolerance: 0.0,
+    },
 ];
 
 fn read(path: &str) -> String {
@@ -624,4 +680,5 @@ fn quotes_read_the_number_they_state() {
     assert_eq!(stated("(256 campaign pairs, zero violations)"), 256.0);
     assert_eq!(stated("min-campaign 0.957"), 0.957);
     assert_eq!(stated("of ~66k displaced sessions"), 66.0);
+    assert_eq!(stated("| 2,737,326,599 |"), 2_737_326_599.0);
 }
