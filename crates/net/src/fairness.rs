@@ -1130,12 +1130,12 @@ mod tests {
     }
 
     proptest! {
-        /// The two-pass round increment equals the minimum the round took
-        /// before it (every live link's `residual / users` in array order,
-        /// then the demand headroom) bit for bit, on links drawn around the
-        /// bind test's edge: near-ties `headroom·users·(1+kε)` for k in
-        /// −8..=8, zero and slightly negative residuals, links with no user
-        /// left holding any residual, and links with room to spare.
+        /// The two-pass round increment equals the exact minimum (every
+        /// live link's `residual / users` in array order, then the demand
+        /// headroom) bit for bit, on links drawn around the bind test's
+        /// edge: near-ties `headroom·users·(1+kε)` for k in −8..=8, zero
+        /// and slightly negative residuals, links with no user left
+        /// holding any residual, and links with room to spare.
         #[test]
         fn round_increment_is_the_exact_minimum(
             exponent in -6.0f64..12.0,
