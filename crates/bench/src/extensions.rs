@@ -4,6 +4,7 @@
 use socc_cluster::colocation::colocation_study;
 use socc_cluster::gaming::replay_gaming_trace;
 use socc_cluster::whatif;
+use socc_dl::parallel::sweep;
 use socc_dl::pipeline;
 use socc_dl::queueing::{max_rate_within_slo, simulate_tail};
 use socc_dl::{DType, Engine, ModelId};
@@ -51,10 +52,9 @@ pub(crate) fn fabric() -> String {
             .with_title(format!(
                 "what-if: tensor parallelism on a {gbps:.0} Gbps fabric"
             ));
-        for socs in 1..=5 {
-            let r = whatif::project_collab_with_fabric(ModelId::ResNet50, socs, gbps, false);
+        for r in sweep(ModelId::ResNet50, 5, false, gbps) {
             t.row([
-                format!("{socs}"),
+                format!("{}", r.socs),
                 fnum(r.compute.as_millis_f64(), 1),
                 fnum(r.comm.as_millis_f64(), 1),
                 fnum(r.total.as_millis_f64(), 1),

@@ -396,7 +396,7 @@ pub(crate) fn fig13() -> String {
             "speedup",
         ])
         .with_title(title);
-        let reports = collab_sweep(ModelId::ResNet50, 5, pipelined);
+        let reports = collab_sweep(ModelId::ResNet50, 5, pipelined, 1.0);
         let single = reports[0].total.as_millis_f64();
         for r in &reports {
             t.row([

@@ -201,7 +201,7 @@ mod tests {
     fn default_cluster_shape() {
         let c = SocCluster::new(ClusterConfig::default());
         assert_eq!(c.soc_count(), 60);
-        assert_eq!(c.pcb_count(), 12);
+        assert_eq!(c.pcb_count(), socc_hw::calib::CLUSTER_PCB_COUNT);
         assert_eq!(c.pcb_of(0), 0);
         assert_eq!(c.pcb_of(59), 11);
     }

@@ -36,17 +36,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Whether the SoC can return to service after remediation (a hung SoC
-    /// reboots, a tripped SoC cools down, a lost link gets re-seated; dead
-    /// flash/DRAM means the slot stays dark until the PCB is swapped).
-    #[cfg(test)]
-    pub(crate) fn recoverable(self) -> bool {
-        matches!(
-            self,
-            FaultKind::SocHang | FaultKind::ThermalTrip | FaultKind::LinkLoss
-        )
-    }
-
     /// Stable lower-case label for telemetry counters and typed trace
     /// events.
     pub(crate) const fn label(self) -> &'static str {
@@ -622,15 +611,6 @@ mod tests {
         let e = inj.expected_failures(60, one_year);
         assert!((7.0..=9.0).contains(&e), "expected {e}");
         assert_eq!(inj.expected_failures(0, one_year), 0.0);
-    }
-
-    #[test]
-    fn recoverability_by_kind() {
-        assert!(FaultKind::SocHang.recoverable());
-        assert!(FaultKind::ThermalTrip.recoverable());
-        assert!(FaultKind::LinkLoss.recoverable());
-        assert!(!FaultKind::Flash.recoverable());
-        assert!(!FaultKind::Memory.recoverable());
     }
 
     #[test]

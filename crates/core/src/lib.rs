@@ -27,7 +27,6 @@
 pub mod bmc;
 pub mod capacity;
 pub(crate) mod cluster;
-pub mod collab;
 pub mod colocation;
 pub mod detector;
 pub mod evacuation;

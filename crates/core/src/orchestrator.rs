@@ -702,36 +702,6 @@ impl Orchestrator {
         }
     }
 
-    /// Places a demand directly on a specific SoC, bypassing the scheduler
-    /// (used for pinned group deployments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the demand does not fit — callers must verify first.
-    pub(crate) fn place_pinned(&mut self, soc: usize, demand: &Demand) {
-        if !self.cluster.socs[soc].state.is_serving() {
-            self.stats.wakeups += 1;
-        }
-        self.cluster.socs[soc].place(demand);
-        self.soc_changed(soc);
-        self.idle_since[soc] = None;
-        self.stats.admitted += 1;
-        self.record_power();
-    }
-
-    /// Releases a pinned demand from a specific SoC.
-    pub(crate) fn release_pinned(&mut self, soc: usize, demand: &Demand) {
-        if self.cluster.socs[soc].healthy {
-            self.cluster.socs[soc].release(demand);
-            if self.cluster.socs[soc].is_idle() {
-                self.idle_since[soc] = Some(self.now);
-            }
-            self.soc_changed(soc);
-        }
-        self.stats.completed += 1;
-        self.record_power();
-    }
-
     /// Next internally scheduled event (archive completion or sleep
     /// deadline) at or before `horizon`.
     fn next_event(&self, horizon: SimTime) -> Option<SimTime> {

@@ -2,6 +2,7 @@
 
 use std::sync::OnceLock;
 
+use socc_hw::calib::SOC_DRAM_GB;
 use socc_hw::ledger::ComponentPowers;
 use socc_hw::power::{PowerState, Utilization};
 use socc_hw::spec::SocSpec;
@@ -58,7 +59,7 @@ impl SocUnit {
     pub fn new(index: usize, deployment: DeploymentMode) -> Self {
         // Containerized Android's extra resident memory (Table 7).
         let used = Demand {
-            mem_gb: deployment.memory_overhead_pp() / 100.0 * 12.0,
+            mem_gb: deployment.memory_overhead_pp() / 100.0 * SOC_DRAM_GB,
             ..Demand::default()
         };
         Self {
@@ -155,7 +156,7 @@ impl SocUnit {
     /// must not report phantom usage.
     pub fn decommission(&mut self) {
         self.used = Demand {
-            mem_gb: self.deployment.memory_overhead_pp() / 100.0 * 12.0,
+            mem_gb: self.deployment.memory_overhead_pp() / 100.0 * SOC_DRAM_GB,
             ..Demand::default()
         };
         self.active_workloads = 0;
@@ -167,7 +168,7 @@ impl SocUnit {
     /// cycle, thermal cooldown, link repair): healthy again, idle, empty.
     pub fn restore(&mut self) {
         self.used = Demand {
-            mem_gb: self.deployment.memory_overhead_pp() / 100.0 * 12.0,
+            mem_gb: self.deployment.memory_overhead_pp() / 100.0 * SOC_DRAM_GB,
             ..Demand::default()
         };
         self.active_workloads = 0;

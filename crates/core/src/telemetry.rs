@@ -1,15 +1,12 @@
-//! Telemetry: a shared, thread-safe sink for fleet-scale experiments and
-//! the recovery loop's own typed registry.
-//!
-//! The parallel sweep harness runs many orchestrator instances across
-//! threads; they report into one [`TelemetrySink`] so a sweep's aggregate
-//! (total admissions, rejections, peak power seen anywhere) is collected
-//! without funnelling every sample through a channel.
+//! Telemetry: the recovery loop's typed registry, and the string-keyed
+//! sink it reads like.
 //!
 //! The recovery engine bumps its `ft.*` metrics on every step, so it owns
-//! an [`FtTelemetry`] instead: fixed arrays indexed by [`FtCounter`],
-//! [`FtHistogram`] and [`DetectedClass`], read back by name exactly as a
-//! [`TelemetrySink`] would be.
+//! an [`FtTelemetry`]: fixed arrays indexed by [`FtCounter`],
+//! [`FtHistogram`] and [`DetectedClass`], read back by name. A
+//! [`TelemetrySink`] (a cloneable, thread-safe string-keyed registry of
+//! counters and histograms) is the reference it is checked against: fed
+//! the same bumps, both read and render byte for byte alike.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -43,27 +40,9 @@ impl TelemetrySink {
         self.registry().counter(name).add(delta);
     }
 
-    /// Sets a gauge, keeping the maximum across reports. The first report
-    /// always lands, so all-negative series keep their true peak instead of
-    /// losing against the default gauge value of zero.
-    #[cfg(test)]
-    pub(crate) fn gauge_max(&self, name: &str, value: f64) {
-        let mut reg = self.registry();
-        let never_set = reg.gauge_ref(name).is_none();
-        if never_set || value > reg.gauge_value(name) {
-            reg.gauge(name).set(value);
-        }
-    }
-
     /// Reads a counter.
     pub fn counter(&self, name: &str) -> u64 {
         self.registry().counter_value(name)
-    }
-
-    /// Reads a gauge.
-    #[cfg(test)]
-    pub(crate) fn gauge(&self, name: &str) -> f64 {
-        self.registry().gauge_value(name)
     }
 
     /// Snapshot of all counters, name-ordered.
@@ -99,7 +78,7 @@ impl TelemetrySink {
             .map_or(0.0, |h| h.mean())
     }
 
-    /// Renders the whole sink — counters, gauges, histograms, name-ordered —
+    /// Renders the whole sink — counters, then histograms, name-ordered —
     /// as one string. Two runs with identical metric activity produce
     /// byte-identical output, which is what the determinism tests compare.
     pub fn render(&self) -> String {
@@ -108,26 +87,10 @@ impl TelemetrySink {
         for (name, v) in reg.counters() {
             let _ = writeln!(out, "counter {name} = {v}");
         }
-        for (name, v) in reg.gauges() {
-            let _ = writeln!(out, "gauge {name} = {v:.6}");
-        }
         for (name, h) in reg.histograms() {
             let _ = writeln!(out, "histogram {name}: {h}");
         }
         out
-    }
-
-    /// Folds an orchestrator's lifetime stats into the sink under a prefix.
-    #[cfg(test)]
-    pub(crate) fn absorb(&self, prefix: &str, orch: &crate::orchestrator::Orchestrator) {
-        let stats = orch.stats();
-        self.add(&format!("{prefix}.admitted"), stats.admitted);
-        self.add(&format!("{prefix}.rejected"), stats.rejected);
-        self.add(&format!("{prefix}.completed"), stats.completed);
-        self.add(&format!("{prefix}.migrations"), stats.migrations);
-        self.add(&format!("{prefix}.dropped"), stats.dropped);
-        self.add(&format!("{prefix}.wakeups"), stats.wakeups);
-        self.gauge_max(&format!("{prefix}.peak_power_w"), orch.power().as_watts());
     }
 }
 
@@ -385,8 +348,6 @@ impl FtTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-    use crate::workload::WorkloadSpec;
 
     #[test]
     fn counters_accumulate_across_clones() {
@@ -398,48 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn gauge_keeps_maximum() {
-        let sink = TelemetrySink::new();
-        sink.gauge_max("p", 10.0);
-        sink.gauge_max("p", 4.0);
-        sink.gauge_max("p", 12.0);
-        assert_eq!(sink.gauge("p"), 12.0);
-    }
-
-    #[test]
-    fn gauge_max_records_negative_peaks() {
-        // Regression: the comparison used to start from the default gauge
-        // value of 0.0, so a series that never crossed zero (headroom
-        // deficits, sub-ambient temperature deltas) recorded nothing.
-        let sink = TelemetrySink::new();
-        sink.gauge_max("margin", -5.0);
-        assert_eq!(sink.gauge("margin"), -5.0);
-        sink.gauge_max("margin", -2.0);
-        assert_eq!(sink.gauge("margin"), -2.0);
-        sink.gauge_max("margin", -7.0);
-        assert_eq!(sink.gauge("margin"), -2.0);
-    }
-
-    #[test]
-    fn absorbs_orchestrator_stats() {
-        let sink = TelemetrySink::new();
-        let mut orch = Orchestrator::new(OrchestratorConfig::default());
-        let v = socc_video::vbench::by_id("V1").unwrap();
-        for _ in 0..3 {
-            orch.submit(WorkloadSpec::LiveStreamCpu { video: v.clone() })
-                .unwrap();
-        }
-        sink.absorb("run", &orch);
-        assert_eq!(sink.counter("run.admitted"), 3);
-        assert!(sink.gauge("run.peak_power_w") > 100.0);
-    }
-
-    #[test]
     fn histograms_record_and_render_deterministically() {
         let build = || {
             let sink = TelemetrySink::new();
             sink.add("ft.migrations", 4);
-            sink.gauge_max("peak_w", 432.1);
             for v in [10.0, 55.0, 120.0] {
                 sink.observe("ft.mttr_ms", v);
             }

@@ -68,20 +68,6 @@ pub enum WorkloadSpec {
     },
 }
 
-impl WorkloadSpec {
-    /// Short kind label for telemetry.
-    #[cfg(test)]
-    pub(crate) fn kind(&self) -> &'static str {
-        match self {
-            WorkloadSpec::LiveStreamCpu { .. } => "live-cpu",
-            WorkloadSpec::LiveStreamHw { .. } => "live-hw",
-            WorkloadSpec::ArchiveJob { .. } => "archive",
-            WorkloadSpec::DlServe { .. } => "dl-serve",
-            WorkloadSpec::GamingSession { .. } => "gaming",
-        }
-    }
-}
-
 /// Why the orchestrator refused a workload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
@@ -121,26 +107,5 @@ mod tests {
         assert_eq!(SocProcessor::Cpu.engine(), Engine::TfLiteCpu);
         assert_eq!(SocProcessor::Gpu.engine(), Engine::TfLiteGpu);
         assert_eq!(SocProcessor::Dsp.engine(), Engine::QnnDsp);
-    }
-
-    #[test]
-    fn kind_labels() {
-        let v = socc_video::vbench::by_id("V1").unwrap();
-        assert_eq!(
-            WorkloadSpec::LiveStreamCpu { video: v.clone() }.kind(),
-            "live-cpu"
-        );
-        assert_eq!(
-            WorkloadSpec::ArchiveJob {
-                video: v,
-                frames: 1
-            }
-            .kind(),
-            "archive"
-        );
-        assert_eq!(
-            WorkloadSpec::GamingSession { stream_mbps: 8.0 }.kind(),
-            "gaming"
-        );
     }
 }

@@ -68,7 +68,7 @@ impl Engine {
             Engine::TfLiteCpu | Engine::TfLiteGpu => 1.0,
             Engine::QnnDsp => 2.0,
             Engine::TvmIntel => 0.5,
-            Engine::TensorRtA40 | Engine::TensorRtA100 => 6.5,
+            Engine::TensorRtA40 | Engine::TensorRtA100 => socc_hw::calib::DL_A40_OVERHEAD_MS,
         }
     }
 

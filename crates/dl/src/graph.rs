@@ -11,7 +11,7 @@ use crate::tensor::{DType, TensorShape};
 #[derive(Debug, Clone)]
 pub struct ModelGraph {
     /// Input shape per sample.
-    pub input: TensorShape,
+    pub(crate) input: TensorShape,
     layers: Vec<Layer>,
 }
 
@@ -31,19 +31,13 @@ impl ModelGraph {
     }
 
     /// The layers in execution order.
-    pub fn layers(&self) -> &[Layer] {
+    pub(crate) fn layers(&self) -> &[Layer] {
         &self.layers
     }
 
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Returns `true` for an empty graph.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 
     /// Total FLOPs per sample (2×MAC convention).
@@ -76,16 +70,6 @@ impl ModelGraph {
     /// under width partitioning (sum of per-layer halos).
     pub fn halo_bytes_per_boundary(&self) -> f64 {
         self.layers.iter().map(Layer::halo_bytes).sum()
-    }
-
-    /// Peak activation size in bytes at a precision (the largest
-    /// inter-layer tensor).
-    #[cfg(test)]
-    pub(crate) fn peak_activation_bytes(&self, dtype: DType) -> f64 {
-        self.layers
-            .iter()
-            .map(|l| l.output_shape().bytes(dtype) as f64)
-            .fold(self.input.bytes(dtype) as f64, f64::max)
     }
 }
 
@@ -133,15 +117,5 @@ mod tests {
             g.weight_bytes(DType::Fp32),
             4.0 * g.weight_bytes(DType::Int8)
         );
-    }
-
-    #[test]
-    fn peak_activation_includes_input() {
-        let g = ModelGraph::new(TensorShape::chw(3, 224, 224));
-        assert_eq!(
-            g.peak_activation_bytes(DType::Fp32),
-            (3 * 224 * 224 * 4) as f64
-        );
-        assert!(g.is_empty());
     }
 }

@@ -158,7 +158,7 @@ impl Layer {
     /// Bytes exchanged per partition boundary for a width-split of this
     /// layer at FP32: the halo columns of the *input* tensor, both
     /// directions.
-    pub fn halo_bytes(&self) -> f64 {
+    pub(crate) fn halo_bytes(&self) -> f64 {
         match *self {
             Layer::Conv2d { input, kernel, .. } | Layer::Pool { input, kernel } => {
                 // Global reductions (output collapses to one column) gather

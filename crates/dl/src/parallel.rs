@@ -8,30 +8,27 @@
 //!   duplicated halo computation and framework overhead (calibrated to the
 //!   measured 80 ms → 34 ms reduction at N = 5);
 //! - **communication** is summed per halo-sync point from the layer graph:
-//!   each sync pays a TCP slow-start ramp plus the halo bytes at the
-//!   inter-SoC goodput, and the input scatter pays its own transfer;
+//!   each sync pays one barrier RTT plus the halo bytes at the inter-SoC
+//!   goodput of the configured link rate (the prototype's 1 GbE, or an
+//!   upgraded fabric for §8's what-if), and the input scatter pays its own
+//!   transfer;
 //! - **pipelining** ("transferring computation-required data first")
 //!   overlaps a calibrated fraction of communication with compute.
 
 use socc_net::tcp::TcpModel;
 use socc_sim::time::SimDuration;
-use socc_sim::units::DataSize;
+use socc_sim::units::{DataRate, DataSize};
 
 use crate::tensor::DType;
 use crate::zoo::ModelId;
 
 /// Fraction of per-partition compute that is duplicated halo work and
 /// framework overhead (calibrated: 80 ms → 34 ms at N = 5, §5.3).
-pub const PARTITION_OVERHEAD: f64 = 0.28;
+pub(crate) const PARTITION_OVERHEAD: f64 = 0.28;
 
 /// Fraction of communication hidden by compute/communication pipelining
 /// (calibrated: comm share 41.5% → 22.9% at N = 5, §5.3).
-pub const PIPELINE_OVERLAP: f64 = 0.58;
-
-/// Single-SoC MNN CPU inference time for ResNet-50 in the collaborative
-/// setup (§5.3: "increasing the number of SoCs from one to five reduces
-/// the computation time from 80 ms to 34 ms").
-pub(crate) const MNN_R50_SINGLE_SOC_MS: f64 = 80.0;
+pub(crate) const PIPELINE_OVERLAP: f64 = 0.58;
 
 /// Configuration of a collaborative inference run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,6 +37,9 @@ pub struct CollabConfig {
     pub socs: usize,
     /// Whether compute/communication pipelining is enabled.
     pub pipelined: bool,
+    /// Per-SoC link rate of the inter-SoC fabric in Gbps: 1 on the
+    /// prototype's 1 GbE fabric (Fig. 13).
+    pub link_gbps: f64,
 }
 
 /// Latency breakdown of one collaborative inference (Fig. 13).
@@ -67,9 +67,11 @@ impl CollabReport {
 }
 
 /// Single-SoC MNN CPU latency for a model, scaled from the ResNet-50 anchor
-/// by the FLOP ratio.
-pub fn single_soc_ms(model: ModelId) -> f64 {
-    MNN_R50_SINGLE_SOC_MS * model.gflops_anchor() / ModelId::ResNet50.gflops_anchor()
+/// (§5.3: "increasing the number of SoCs from one to five reduces the
+/// computation time from 80 ms to 34 ms") by the FLOP ratio.
+pub(crate) fn single_soc_ms(model: ModelId) -> f64 {
+    socc_hw::calib::COLLAB_R50_1SOC_COMPUTE_MS * model.gflops_anchor()
+        / ModelId::ResNet50.gflops_anchor()
 }
 
 /// Plans one collaborative inference of `model` across `cfg.socs` SoCs.
@@ -93,9 +95,11 @@ pub fn tensor_parallel(model: ModelId, cfg: CollabConfig) -> CollabReport {
     // Compute: ideal split plus duplicated-halo overhead.
     let compute = t1 * (1.0 / n + PARTITION_OVERHEAD * (n - 1.0) / n);
 
-    // Communication, summed mechanically over the layer graph.
+    // Communication, summed mechanically over the layer graph. A faster
+    // link raises the goodput but keeps the RTT: propagation and switching
+    // dominate it.
     let tcp = TcpModel::inter_soc();
-    let goodput = tcp.goodput(socc_sim::units::DataRate::gbps(1.0));
+    let goodput = tcp.goodput(DataRate::gbps(cfg.link_gbps));
     let graph = model.graph();
     // Barrier cost grows mildly with the rendezvous size (stragglers).
     let straggler = 1.0 + 0.05 * (n - 2.0).max(0.0);
@@ -127,25 +131,55 @@ pub fn tensor_parallel(model: ModelId, cfg: CollabConfig) -> CollabReport {
     }
 }
 
-/// The full 1..=max_socs sweep of Fig. 13.
-pub fn sweep(model: ModelId, max_socs: usize, pipelined: bool) -> Vec<CollabReport> {
+/// The full 1..=max_socs sweep of Fig. 13 on a fabric of `link_gbps` per
+/// SoC.
+pub fn sweep(
+    model: ModelId,
+    max_socs: usize,
+    pipelined: bool,
+    link_gbps: f64,
+) -> Vec<CollabReport> {
     (1..=max_socs)
-        .map(|socs| tensor_parallel(model, CollabConfig { socs, pipelined }))
+        .map(|socs| {
+            tensor_parallel(
+                model,
+                CollabConfig {
+                    socs,
+                    pipelined,
+                    link_gbps,
+                },
+            )
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socc_hw::calib::{
+        COLLAB_COMM_SHARE_5SOC, COLLAB_COMM_SHARE_5SOC_PIPELINED, COLLAB_R50_1SOC_COMPUTE_MS,
+        COLLAB_R50_5SOC_COMPUTE_MS, COLLAB_SPEEDUP_5SOC,
+    };
+
+    fn r50_at(n: usize, pipelined: bool, link_gbps: f64) -> CollabReport {
+        tensor_parallel(
+            ModelId::ResNet50,
+            CollabConfig {
+                socs: n,
+                pipelined,
+                link_gbps,
+            },
+        )
+    }
 
     fn r50(n: usize, pipelined: bool) -> CollabReport {
-        tensor_parallel(ModelId::ResNet50, CollabConfig { socs: n, pipelined })
+        r50_at(n, pipelined, 1.0)
     }
 
     #[test]
     fn single_soc_matches_mnn_anchor() {
         let r = r50(1, false);
-        assert!((r.total.as_millis_f64() - 80.0).abs() < 1e-9);
+        assert!((r.total.as_millis_f64() - COLLAB_R50_1SOC_COMPUTE_MS).abs() < 1e-9);
         assert_eq!(r.comm_share(), 0.0);
     }
 
@@ -154,7 +188,7 @@ mod tests {
         // §5.3: compute 80 ms → 34 ms at N = 5 (a 2.35× reduction).
         let r = r50(5, false);
         assert!(
-            (r.compute.as_millis_f64() - 34.0).abs() < 1.0,
+            (r.compute.as_millis_f64() - COLLAB_R50_5SOC_COMPUTE_MS).abs() < 1.0,
             "{}",
             r.compute
         );
@@ -162,9 +196,11 @@ mod tests {
 
     #[test]
     fn five_soc_comm_share_near_41_5_percent() {
-        let r = r50(5, false);
-        let share = r.comm_share();
-        assert!((0.365..=0.465).contains(&share), "share {share}");
+        let share = r50(5, false).comm_share();
+        assert!(
+            (share - COLLAB_COMM_SHARE_5SOC).abs() <= 0.05,
+            "share {share}"
+        );
     }
 
     #[test]
@@ -172,21 +208,26 @@ mod tests {
         let single = r50(1, false).total.as_secs_f64();
         let five = r50(5, false).total.as_secs_f64();
         let speedup = single / five;
-        assert!((1.25..=1.55).contains(&speedup), "speedup {speedup}");
+        assert!(
+            (speedup - COLLAB_SPEEDUP_5SOC).abs() <= 0.13,
+            "speedup {speedup}"
+        );
     }
 
     #[test]
     fn pipelining_brings_comm_share_near_22_9_percent() {
-        let r = r50(5, true);
-        let share = r.comm_share();
-        assert!((0.18..=0.28).contains(&share), "share {share}");
+        let share = r50(5, true).comm_share();
+        assert!(
+            (share - COLLAB_COMM_SHARE_5SOC_PIPELINED).abs() <= 0.049,
+            "share {share}"
+        );
     }
 
     #[test]
     fn latency_decreases_but_sublinearly() {
         // Fig. 13: "involving more SoCs does not proportionally reduce
         // inference latencies".
-        let reports = sweep(ModelId::ResNet50, 5, false);
+        let reports = sweep(ModelId::ResNet50, 5, false, 1.0);
         for pair in reports.windows(2) {
             assert!(pair[1].total < pair[0].total, "latency must decrease");
         }
@@ -196,7 +237,7 @@ mod tests {
 
     #[test]
     fn comm_share_grows_with_socs() {
-        let reports = sweep(ModelId::ResNet50, 5, false);
+        let reports = sweep(ModelId::ResNet50, 5, false, 1.0);
         assert!(reports[4].comm_share() > reports[1].comm_share());
     }
 
@@ -216,16 +257,32 @@ mod tests {
             CollabConfig {
                 socs: 4,
                 pipelined: false,
+                link_gbps: 1.0,
             },
         );
-        let r50 = tensor_parallel(
-            ModelId::ResNet50,
-            CollabConfig {
-                socs: 4,
-                pipelined: false,
-            },
+        assert!(r.comm < r50(4, false).comm / 2.0);
+    }
+
+    #[test]
+    fn faster_fabric_shrinks_comm_share() {
+        // §8's network lever: a 10 Gbps fabric cuts the 5-SoC comm share.
+        let base = r50_at(5, false, 1.0);
+        let ten_g = r50_at(5, false, 10.0);
+        assert!(ten_g.comm < base.comm);
+        assert!(ten_g.comm_share() < base.comm_share() * 0.8);
+        assert_eq!(ten_g.compute, base.compute);
+    }
+
+    #[test]
+    fn even_infinite_bandwidth_leaves_rtt_floor() {
+        // §8's point that software must improve too: barrier RTTs remain.
+        let huge = r50_at(5, false, 1000.0);
+        let sync_floor_ms = ModelId::ResNet50.graph().halo_sync_points() as f64 * 0.44;
+        assert!(
+            huge.comm.as_millis_f64() >= sync_floor_ms * 0.9,
+            "{}",
+            huge.comm
         );
-        assert!(r.comm < r50.comm / 2.0);
     }
 
     #[test]

@@ -139,6 +139,7 @@ pub fn compare(model: ModelId, socs: usize) -> PartitioningComparison {
         crate::parallel::CollabConfig {
             socs,
             pipelined: true,
+            link_gbps: 1.0,
         },
     );
     let pp = plan(model, socs);

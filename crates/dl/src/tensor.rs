@@ -77,7 +77,7 @@ impl TensorShape {
     }
 
     /// Bytes per sample at a precision.
-    pub fn bytes(&self, dtype: DType) -> usize {
+    pub(crate) fn bytes(&self, dtype: DType) -> usize {
         self.elements() * dtype.bytes()
     }
 }

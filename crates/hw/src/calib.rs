@@ -29,9 +29,6 @@ pub const INTER_SOC_RTT_MS: f64 = 0.44;
 /// Measured inter-SoC TCP goodput on the 1 GbE fabric (§2.3): 903 Mbps.
 pub const INTER_SOC_TCP_MBPS: f64 = 903.0;
 
-/// Measured inter-SoC UDP goodput (§2.3): 895 Mbps.
-pub const INTER_SOC_UDP_MBPS: f64 = 895.0;
-
 /// Maximum power the redundant supplies can deliver (§2.2): ~700 W.
 pub const CLUSTER_PSU_LIMIT_W: f64 = 700.0;
 

@@ -17,7 +17,7 @@ impl MemoryModel {
     /// 12 GB LPDDR5 of one Snapdragon 865 SoC (Table 1).
     pub(crate) fn lpddr5_12gb() -> Self {
         Self {
-            capacity_gb: 12.0,
+            capacity_gb: crate::calib::SOC_DRAM_GB,
             power_model: LoadPowerModel::new(0.15, 0.05, 0.9),
         }
     }
@@ -56,7 +56,7 @@ impl StorageModel {
     pub fn ufs_256gb() -> Self {
         Self {
             #[cfg(test)]
-            capacity_gb: 256.0,
+            capacity_gb: crate::calib::SOC_FLASH_GB,
             annual_failure_rate: 0.035,
         }
     }

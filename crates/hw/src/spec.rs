@@ -46,16 +46,6 @@ impl SocSpec {
             ethernet_bps: 1.0e9,
         }
     }
-
-    /// Returns `true` if a VM/container subscription of `(cores, mem_gb,
-    /// storage_gb)` fits within this SoC's resources (used for Fig. 1's
-    /// "fits in a mobile SoC" analysis).
-    #[cfg(test)]
-    pub(crate) fn fits_subscription(&self, cores: u32, mem_gb: f64, storage_gb: f64) -> bool {
-        cores as usize <= self.cpu.cores
-            && mem_gb <= self.memory.capacity_gb
-            && storage_gb <= self.storage.capacity_gb
-    }
 }
 
 /// Form factor and platform summary of a whole server (Table 1).
@@ -117,16 +107,6 @@ mod tests {
         assert_eq!(soc.storage.capacity_gb, 256.0);
         assert_eq!(soc.os, "Android 10");
         assert_eq!(soc.ethernet_bps, 1.0e9);
-    }
-
-    #[test]
-    fn subscription_fit_boundaries() {
-        let soc = SocSpec::snapdragon_865();
-        assert!(soc.fits_subscription(8, 12.0, 256.0));
-        assert!(!soc.fits_subscription(9, 12.0, 256.0));
-        assert!(!soc.fits_subscription(8, 12.1, 256.0));
-        assert!(!soc.fits_subscription(8, 12.0, 257.0));
-        assert!(soc.fits_subscription(1, 0.5, 10.0));
     }
 
     #[test]

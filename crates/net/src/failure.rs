@@ -11,20 +11,12 @@ use socc_sim::hash::IdMap;
 
 use crate::topology::{LinkId, NodeId, Topology};
 
-/// Routing that avoids a set of failed links.
+/// Routing that avoids a set of failed links. Routes follow the
+/// topology's own adjacency; failed links are filtered during traversal.
 #[derive(Debug, Clone, Default)]
 pub struct FailureAwareRouting {
     /// Bit `l % 64` of word `l / 64` is set while link `l` is failed.
     failed: Vec<u64>,
-    /// Adjacency cached by [`attach`](Self::attach): outgoing
-    /// `(neighbor, link)` pairs per node, in link-id order (the same order
-    /// the uncached path visits neighbors in). Failed links stay in the
-    /// cache and are filtered during traversal, so fail/repair never
-    /// invalidates it.
-    adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    /// Link count of the attached topology; guards against using the
-    /// cache with a topology it was not built from.
-    cached_links: usize,
     /// Scratch of [`reaches`](Self::reaches): a node is visited in the
     /// current search when its stamp equals `epoch`, so a search starts
     /// by bumping `epoch` instead of clearing anything.
@@ -41,30 +33,15 @@ impl FailureAwareRouting {
         Self::default()
     }
 
-    /// Builds the adjacency cache for `topo`, so subsequent
-    /// [`route`](Self::route) calls on the same topology skip the
-    /// per-call adjacency rebuild. Attaching a different topology
-    /// replaces the cache.
+    /// Sizes the failed-link set and the scratch of
+    /// [`reaches`](Self::reaches) for `topo`, so that failing links and
+    /// asking for reachability on it allocate nothing afterwards.
     pub fn attach(&mut self, topo: &Topology) {
-        self.adjacency.clear();
-        self.adjacency.resize(topo.node_count(), Vec::new());
-        for i in 0..topo.link_count() as u32 {
-            let id = LinkId(i);
-            let l = topo.link(id);
-            self.adjacency[l.src.0 as usize].push((l.dst, id));
-        }
-        self.cached_links = topo.link_count();
         self.visited.clear();
         self.visited.resize(topo.node_count(), 0);
         self.epoch = 0;
         self.frontier = Vec::with_capacity(topo.node_count());
         self.failed.resize(topo.link_count().div_ceil(64), 0);
-    }
-
-    fn cache_matches(&self, topo: &Topology) -> bool {
-        !self.adjacency.is_empty()
-            && self.adjacency.len() == topo.node_count()
-            && self.cached_links == topo.link_count()
     }
 
     /// Marks a link failed. Returns `true` if it was previously healthy.
@@ -102,17 +79,16 @@ impl FailureAwareRouting {
     }
 
     /// Whether [`route`](Self::route) would find a path from `src` to
-    /// `dst`: the same breadth-first search over the attached adjacency,
-    /// in the same visit order, without recording the path. Visited marks
-    /// are stamps kept between calls, so a query allocates nothing once
-    /// its buffers have grown. Without an attached topology it asks
-    /// [`route`](Self::route).
+    /// `dst`: the same breadth-first search, in the same visit order,
+    /// without recording the path. Visited marks are stamps kept between
+    /// calls, so a query allocates nothing once its buffers have grown
+    /// (an [`attach`](Self::attach)ed topology grows them up front).
     pub fn reaches(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> bool {
         if src == dst {
             return true;
         }
-        if !self.cache_matches(topo) {
-            return self.route(topo, src, dst).is_some();
+        if self.visited.len() < topo.node_count() {
+            self.visited.resize(topo.node_count(), 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -126,7 +102,7 @@ impl FailureAwareRouting {
         let mut head = 0;
         while let Some(&n) = self.frontier.get(head) {
             head += 1;
-            for &(next, link) in &self.adjacency[n.0 as usize] {
+            for &(next, link) in topo.neighbors(n) {
                 if !is_usable(&self.failed, link) || self.visited[next.0 as usize] == epoch {
                     continue;
                 }
@@ -141,34 +117,16 @@ impl FailureAwareRouting {
     }
 
     /// BFS route avoiding failed links, or `None` if disconnected.
-    ///
-    /// With an [`attach`](Self::attach)ed topology the cached adjacency is
-    /// used (failed links filtered during traversal — same visit order as
-    /// the rebuild path, so routes are identical); otherwise adjacency is
-    /// rebuilt from the link table per call.
+    /// Neighbors are visited in link-id order, so a repaired link yields
+    /// the route it had before it failed.
     pub fn route(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
         if src == dst {
             return Some(Vec::new());
         }
-        let rebuilt;
-        let adjacency: &[Vec<(NodeId, LinkId)>] = if self.cache_matches(topo) {
-            &self.adjacency
-        } else {
-            // Rebuild adjacency lazily from the link table. Per-node
-            // neighbor order is link-id order, matching the cache.
-            let mut a = vec![Vec::new(); topo.node_count()];
-            for i in 0..topo.link_count() as u32 {
-                let id = LinkId(i);
-                let l = topo.link(id);
-                a[l.src.0 as usize].push((l.dst, id));
-            }
-            rebuilt = a;
-            &rebuilt
-        };
         let mut prev: IdMap<NodeId, (NodeId, LinkId)> = IdMap::default();
         let mut queue = VecDeque::from([src]);
         while let Some(n) = queue.pop_front() {
-            for &(next, link) in &adjacency[n.0 as usize] {
+            for &(next, link) in topo.neighbors(n) {
                 if !self.usable(link) {
                     continue;
                 }
@@ -307,17 +265,17 @@ mod tests {
 
     #[test]
     fn no_failures_matches_topology_routing() {
-        let fabric = Topology::soc_cluster(20);
+        let fabric = Topology::soc_cluster(60);
+        let topo = &fabric.topology;
         let routing = FailureAwareRouting::new();
-        for (src, dst) in [(0usize, 7usize), (3, 19), (11, 0)] {
-            let a = routing
-                .route(&fabric.topology, fabric.socs[src], fabric.socs[dst])
-                .unwrap();
-            let b = fabric
-                .topology
-                .route(fabric.socs[src], fabric.socs[dst])
-                .unwrap();
-            assert_eq!(a.len(), b.len());
+        for &src in &fabric.socs {
+            for &dst in fabric.socs.iter().chain([&fabric.external]) {
+                assert_eq!(
+                    routing.route(topo, src, dst),
+                    topo.route(src, dst),
+                    "{src:?} -> {dst:?}"
+                );
+            }
         }
     }
 }

@@ -13,11 +13,10 @@
 //!
 //! # Hot-path design
 //!
-//! Allocation state lives in a persistent
-//! [`FairnessState`](crate::fairness::FairnessState): routes are interned
-//! once (and additionally cached per `(src, dst)` pair, so repeat flows
-//! skip BFS entirely), per-link state is dense, and a flow arriving or
-//! leaving triggers an *incremental* waterfill update instead of a
+//! Allocation state lives in a persistent [`FairnessState`]: routes are
+//! interned once (and additionally cached per `(src, dst)` pair, so repeat
+//! flows skip BFS entirely), per-link state is dense, and a flow arriving
+//! or leaving triggers an *incremental* waterfill update instead of a
 //! from-scratch recompute. Transfers completing at the same instant are
 //! removed as one batch with a single reallocation. All buffers on the
 //! event path ([`advance_into`](FlowNet::advance_into),

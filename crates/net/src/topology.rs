@@ -107,6 +107,11 @@ impl Topology {
         &self.links[id.0 as usize]
     }
 
+    /// Outgoing `(neighbor, link)` pairs of a node, in link-id order.
+    pub(crate) fn neighbors(&self, id: NodeId) -> &[(NodeId, LinkId)] {
+        &self.adjacency[id.0 as usize]
+    }
+
     /// Shortest path (fewest hops) from `src` to `dst` as a list of link
     /// ids, or `None` if unreachable. Deterministic: neighbors are explored
     /// in insertion order.

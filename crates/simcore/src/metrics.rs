@@ -1,5 +1,5 @@
-//! Lightweight metric primitives: counters, gauges and log-bucketed
-//! histograms, plus a registry for telemetry export.
+//! Lightweight metric primitives: counters and log-bucketed histograms,
+//! plus a registry for telemetry export.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -18,24 +18,6 @@ impl Counter {
 
     /// Current value.
     pub(crate) fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A gauge holding the latest observed value.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// Replaces the stored value.
-    pub fn set(&mut self, v: f64) {
-        self.value = v;
-    }
-
-    /// Current value.
-    pub(crate) fn get(&self) -> f64 {
         self.value
     }
 }
@@ -194,7 +176,6 @@ fn get_or_insert<'a, V>(
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, LogHistogram>,
 }
 
@@ -202,11 +183,6 @@ impl MetricRegistry {
     /// Returns the counter registered under `name`, creating it on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
         get_or_insert(&mut self.counters, name, Counter::default)
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        get_or_insert(&mut self.gauges, name, Gauge::default)
     }
 
     /// Returns the histogram registered under `name`, creating a
@@ -230,27 +206,9 @@ impl MetricRegistry {
         self.counters.get(name).map_or(0, Counter::get)
     }
 
-    /// Reads a gauge value (zero if absent).
-    pub fn gauge_value(&self, name: &str) -> f64 {
-        self.gauges.get(name).map_or(0.0, Gauge::get)
-    }
-
-    /// Reads a gauge, if one has been registered under `name`. Unlike
-    /// [`MetricRegistry::gauge_value`] this distinguishes "never set"
-    /// from "set to zero", which max-tracking callers need to seed
-    /// correctly from negative first samples.
-    pub fn gauge_ref(&self, name: &str) -> Option<&Gauge> {
-        self.gauges.get(name)
-    }
-
     /// Iterates all `(name, value)` counter pairs in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-
-    /// Iterates all `(name, value)` gauge pairs in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), v.get()))
     }
 }
 
@@ -259,14 +217,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let mut c = Counter::default();
         c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
-        let mut g = Gauge::default();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
     }
 
     #[test]
@@ -339,12 +294,9 @@ mod tests {
     fn registry_round_trip() {
         let mut r = MetricRegistry::default();
         r.counter("requests").add(3);
-        r.gauge("power_w").set(42.0);
         assert_eq!(r.counter_value("requests"), 3);
-        assert_eq!(r.gauge_value("power_w"), 42.0);
         assert_eq!(r.counter_value("absent"), 0);
         assert_eq!(r.counters().count(), 1);
-        assert_eq!(r.gauges().count(), 1);
     }
 
     #[test]

@@ -360,11 +360,6 @@ pub enum EventKind {
         /// Migrations completed this window.
         count: u32,
     },
-    /// A transcode session was planned.
-    SessionPlanned {
-        /// Frames the session covers.
-        frames: u64,
-    },
     /// Opening edge of a span.
     SpanBegin {
         /// Span id (pairs with the matching [`EventKind::SpanEnd`]).
@@ -428,7 +423,6 @@ impl EventKind {
             EventKind::SiteBrownoutEnded { .. } => "site_brownout_ended",
             EventKind::RegionStorm { .. } => "region_storm",
             EventKind::SessionsMigrated { .. } => "sessions_migrated",
-            EventKind::SessionPlanned { .. } => "session_planned",
             EventKind::SpanBegin { .. } => "span_begin",
             EventKind::SpanEnd { .. } => "span_end",
         }
@@ -514,7 +508,6 @@ impl EventKind {
                 ("site", U64(u64::from(site))),
                 ("count", U64(u64::from(count))),
             ]),
-            EventKind::SessionPlanned { frames } => return [Some(("frames", U64(frames))), None],
             EventKind::SpanBegin { span, name } | EventKind::SpanEnd { span, name } => {
                 Some([("span", U64(u64::from(span))), ("name", Label(name))])
             }
@@ -1037,19 +1030,15 @@ mod tests {
     #[test]
     fn chrome_trace_is_balanced_and_typed() {
         let mut log = EventLog::new(16);
-        let s = log.begin_span(t(1), Scope::Video, "plan");
-        log.record(
-            t(2),
-            Scope::Video,
-            EventKind::SessionPlanned { frames: 100 },
-        );
-        log.end_span(t(3), Scope::Video, s, "plan");
+        let s = log.begin_span(t(1), Scope::Net, "reroute");
+        log.record(t(2), Scope::Net, EventKind::FlowStarted { flow: 100 });
+        log.end_span(t(3), Scope::Net, s, "reroute");
         let doc = log.to_chrome_trace();
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"ph\":\"B\""));
         assert!(doc.contains("\"ph\":\"E\""));
         assert!(doc.contains("\"ph\":\"i\""));
-        assert!(doc.contains("\"name\":\"video\""));
+        assert!(doc.contains("\"name\":\"net\""));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
         assert_eq!(doc.matches('[').count(), doc.matches(']').count());
     }

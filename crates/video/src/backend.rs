@@ -35,17 +35,6 @@ impl TranscodeUnit {
         TranscodeUnit::A40Nvenc,
     ];
 
-    /// The encoder software family this unit uses.
-    #[cfg(test)]
-    pub(crate) fn encoder_kind(self) -> crate::ratecontrol::EncoderKind {
-        use crate::ratecontrol::EncoderKind;
-        match self {
-            TranscodeUnit::SocCpu | TranscodeUnit::IntelContainer => EncoderKind::X264,
-            TranscodeUnit::SocHwCodec => EncoderKind::MediaCodec,
-            TranscodeUnit::A40Nvenc => EncoderKind::Nvenc,
-        }
-    }
-
     /// Number of such units in the unit's whole server.
     pub fn units_per_server(self) -> usize {
         match self {

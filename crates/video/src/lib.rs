@@ -37,7 +37,3 @@ pub mod video;
 
 pub use backend::TranscodeUnit;
 pub use video::{Resolution, VideoMeta};
-
-// Session planning is reached only by its own tests.
-#[cfg(test)]
-mod session;

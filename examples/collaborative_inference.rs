@@ -23,7 +23,7 @@ fn main() {
             let label = if pipelined { "pipelined" } else { "sequential" };
             let mut t = Table::new(["SoCs", "compute ms", "comm ms", "total ms", "comm share"])
                 .with_title(format!("{} tensor parallelism ({label})", model.label()));
-            let reports = sweep(model, 5, pipelined);
+            let reports = sweep(model, 5, pipelined, 1.0);
             for r in &reports {
                 t.row([
                     format!("{}", r.socs),
@@ -44,6 +44,7 @@ fn main() {
         CollabConfig {
             socs: 5,
             pipelined: false,
+            link_gbps: 1.0,
         },
     );
     println!(
@@ -56,7 +57,8 @@ fn main() {
             ModelId::ResNet50,
             CollabConfig {
                 socs: 5,
-                pipelined: true
+                pipelined: true,
+                link_gbps: 1.0,
             }
         )
         .comm_share()),

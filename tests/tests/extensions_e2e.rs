@@ -1,9 +1,8 @@
 //! Integration tests for the extension studies: §8 what-ifs, colocation,
 //! partitioning strategies, ABR planning, and fabric failures.
 
-use socc_cluster::collab::CollabOrchestrator;
-use socc_cluster::orchestrator::{Orchestrator, OrchestratorConfig};
 use socc_cluster::whatif;
+use socc_dl::parallel::{tensor_parallel, CollabConfig};
 use socc_dl::{pipeline, DType, ModelId};
 use socc_hw::generations::SocGeneration;
 use socc_net::sim::FlowNet;
@@ -35,10 +34,20 @@ fn generation_projection_chain_is_consistent() {
 /// 5-SoC comm share below 10%.
 #[test]
 fn remedies_compose_to_tame_communication() {
-    let baseline = whatif::project_collab_with_fabric(ModelId::ResNet50, 5, 1.0, false);
-    let pipelined = whatif::project_collab_with_fabric(ModelId::ResNet50, 5, 1.0, true);
-    let fast = whatif::project_collab_with_fabric(ModelId::ResNet50, 5, 10.0, false);
-    let both = whatif::project_collab_with_fabric(ModelId::ResNet50, 5, 10.0, true);
+    let r50 = |pipelined, link_gbps| {
+        tensor_parallel(
+            ModelId::ResNet50,
+            CollabConfig {
+                socs: 5,
+                pipelined,
+                link_gbps,
+            },
+        )
+    };
+    let baseline = r50(false, 1.0);
+    let pipelined = r50(true, 1.0);
+    let fast = r50(false, 10.0);
+    let both = r50(true, 10.0);
     assert!(baseline.comm_share() > 0.35);
     assert!(pipelined.comm_share() < baseline.comm_share());
     assert!(fast.comm_share() < baseline.comm_share());
@@ -48,29 +57,6 @@ fn remedies_compose_to_tame_communication() {
         both.comm_share()
     );
     assert!(both.total < baseline.total);
-}
-
-/// Deploying a collaborative group consumes real cluster capacity: the
-/// same SoCs can't also take full transcode loads.
-#[test]
-fn collab_group_competes_with_transcoding() {
-    let mut o = Orchestrator::new(OrchestratorConfig::default());
-    let d = o.submit_collab(ModelId::ResNet50, 5, true).unwrap();
-    let v6 = socc_video::vbench::by_id("V6").unwrap();
-    // V6 needs a whole CPU: none of the group members can take it.
-    let mut placements = Vec::new();
-    for _ in 0..55 {
-        if let Ok(id) = o.submit(socc_cluster::WorkloadSpec::LiveStreamCpu { video: v6.clone() }) {
-            placements.push(o.placement_of(id).unwrap());
-        }
-    }
-    for &soc in &d.socs {
-        assert!(
-            !placements.contains(&soc),
-            "group member {soc} must be excluded"
-        );
-    }
-    assert_eq!(placements.len(), 55, "the other 55 SoCs all serve V6");
 }
 
 /// Pipeline parallelism throughput advantage survives the full model zoo.

@@ -212,11 +212,11 @@ proptest! {
         for model in socc_dl::ModelId::ALL {
             let plain = socc_dl::parallel::tensor_parallel(
                 model,
-                socc_dl::parallel::CollabConfig { socs, pipelined: false },
+                socc_dl::parallel::CollabConfig { socs, pipelined: false, link_gbps: 1.0 },
             );
             let piped = socc_dl::parallel::tensor_parallel(
                 model,
-                socc_dl::parallel::CollabConfig { socs, pipelined: true },
+                socc_dl::parallel::CollabConfig { socs, pipelined: true, link_gbps: 1.0 },
             );
             prop_assert!(plain.total >= plain.compute);
             prop_assert!(piped.total <= plain.total);
@@ -224,7 +224,7 @@ proptest! {
             if socs > 1 {
                 let single = socc_dl::parallel::tensor_parallel(
                     model,
-                    socc_dl::parallel::CollabConfig { socs: 1, pipelined: false },
+                    socc_dl::parallel::CollabConfig { socs: 1, pipelined: false, link_gbps: 1.0 },
                 );
                 prop_assert!(plain.compute < single.compute);
             }
@@ -305,26 +305,6 @@ proptest! {
         prop_assert!(base.cpu_cost_pu() > 0.0);
     }
 
-    /// GOP budget conservation: whenever B-frames exist and the B-size
-    /// floor is not active, the per-GOP sum of relative frame sizes equals
-    /// the GOP length exactly.
-    #[test]
-    fn gop_budget_conserved_for_any_structure(
-        length in 10usize..240,
-        b_frames in 1usize..4,
-        i_ratio in 2.0f64..12.0,
-        p_ratio in 0.8f64..1.6
-    ) {
-        use socc_video::gop::GopStructure;
-        let gop = GopStructure { length, b_frames, i_ratio, p_ratio };
-        prop_assume!(gop.b_ratio() > 0.051); // floor not active
-        let total: f64 = (0..length).map(|i| gop.ratio_of(gop.kind_at(i))).sum();
-        prop_assert!(
-            (total - length as f64).abs() < length as f64 * 1e-9,
-            "total {total} vs length {length}"
-        );
-    }
-
     /// Pipeline plans tile the graph and keep throughput at least the
     /// single-stage value, for every model and stage count.
     #[test]
@@ -393,17 +373,22 @@ proptest! {
         let fabric = Topology::soc_cluster(30);
         let mut rng = socc_sim::rng::SimRng::seed(seed);
         let mut routing = FailureAwareRouting::new();
+        let mut attached = FailureAwareRouting::new();
+        attached.attach(&fabric.topology);
         for _ in 0..fail_count {
             let l = socc_net::LinkId(rng.uniform_usize(0, fabric.topology.link_count()) as u32);
             routing.fail(l);
+            attached.fail(l);
         }
         for _ in 0..10 {
             let a = fabric.socs[rng.uniform_usize(0, 30)];
             let b = fabric.socs[rng.uniform_usize(0, 30)];
-            if let Some(route) = routing.route(&fabric.topology, a, b) {
-                for link in route {
-                    prop_assert!(routing.usable(link), "route used failed link");
-                }
+            let route = routing.route(&fabric.topology, a, b);
+            prop_assert_eq!(&attached.route(&fabric.topology, a, b), &route);
+            prop_assert_eq!(routing.reaches(&fabric.topology, a, b), route.is_some());
+            prop_assert_eq!(attached.reaches(&fabric.topology, a, b), route.is_some());
+            for &link in route.iter().flatten() {
+                prop_assert!(routing.usable(link), "route used failed link");
             }
         }
     }
