@@ -8,7 +8,8 @@
 //! packet-vs-flow cases. All three cut a failing input down with
 //! [`shrink`].
 
-use crate::runner::{gate_num, json_escape};
+use crate::harness::json_escape;
+use crate::runner::gate_num;
 
 /// An input the shrinker can cut down: `items()` numbered items, any
 /// one of which `without(i)` removes. The numbering is the search

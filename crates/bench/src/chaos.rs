@@ -33,7 +33,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::campaign::{self, Shrink, Violation};
-use crate::harness::{mix_seed, JsonBuilder};
+use crate::harness::{json_fixed, mix_seed, JsonBuilder};
 
 use socc_cluster::faults::{
     DomainFault, FailureDomains, FaultEvent, FaultInjector, FaultKind, FaultSchedule,
@@ -592,16 +592,12 @@ pub fn replay(opts: &ChaosOptions, k: usize) -> String {
     )
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
-}
+/// Decimal places of this artifact's floats, as the committed
+/// `BENCH_chaos.json` was written.
+const PLACES: usize = 4;
 
 /// Renders the `BENCH_chaos.json` artifact on [`JsonBuilder`]. Floats
-/// stay on the mode's four-decimal `json_f64` (via `raw`), so the port
+/// stay at the mode's four decimals (via `raw`), so the port
 /// is byte-identical to the hand-rolled emitter it replaced and the
 /// committed baseline stays valid.
 pub(crate) fn report_json(r: &ChaosReport) -> String {
@@ -619,20 +615,23 @@ pub(crate) fn report_json(r: &ChaosReport) -> String {
         .int("horizon_secs", r.options.horizon_secs)
         .raw(
             "availability_floor",
-            &json_f64(r.options.availability_floor),
+            &json_fixed(r.options.availability_floor, PLACES),
         )
-        .raw("elapsed_secs", &json_f64(r.elapsed_secs))
-        .raw("campaigns_per_sec", &json_f64(r.campaigns_per_sec))
+        .raw("elapsed_secs", &json_fixed(r.elapsed_secs, PLACES))
+        .raw(
+            "campaigns_per_sec",
+            &json_fixed(r.campaigns_per_sec, PLACES),
+        )
         .int("invariant_violations", r.violations.len() as u64)
         .int("truncated_events", total_truncated as u64);
     j.object("availability", |j| {
-        j.raw("independent_mean", &json_f64(r.independent_mean))
-            .raw("independent_min", &json_f64(r.independent_min))
-            .raw("correlated_mean", &json_f64(r.correlated_mean))
-            .raw("correlated_min", &json_f64(r.correlated_min))
+        j.raw("independent_mean", &json_fixed(r.independent_mean, PLACES))
+            .raw("independent_min", &json_fixed(r.independent_min, PLACES))
+            .raw("correlated_mean", &json_fixed(r.correlated_mean, PLACES))
+            .raw("correlated_min", &json_fixed(r.correlated_min, PLACES))
             .raw(
                 "correlation_gap",
-                &json_f64(r.independent_mean - r.correlated_mean),
+                &json_fixed(r.independent_mean - r.correlated_mean, PLACES),
             );
     });
     j.object("mttr_ms", |j| {
@@ -642,8 +641,8 @@ pub(crate) fn report_json(r: &ChaosReport) -> String {
                 &format!(
                     "{{ \"count\": {}, \"mean_ms\": {}, \"p50_ms\": {} }}",
                     c.count,
-                    json_f64(c.mean_ms),
-                    json_f64(c.p50_ms)
+                    json_fixed(c.mean_ms, PLACES),
+                    json_fixed(c.p50_ms, PLACES)
                 ),
             );
         }
@@ -667,36 +666,24 @@ pub(crate) fn report_json(r: &ChaosReport) -> String {
 /// MTTR classes the baseline gate watches (must match the report).
 pub(crate) const MTTR_GATE_CLASSES: [&str; 4] = ["crash", "hang", "thermal_trip", "link_loss"];
 
-/// Declares the enclosure chaos experiment for the unified runner
-/// (`bench --run chaos`): grid, execute, and the gates that used to
-/// live in the `bench` binary's `--chaos` branch. The smoke tier drops
-/// from 256 to 64 campaign pairs (the old CI scale).
+/// Declares the enclosure chaos experiment (`bench --run chaos`) and
+/// its gates. The smoke tier drops from 256 to 64 campaign pairs.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{ExpConfig, Experiment};
+    use crate::runner::Experiment;
     Experiment {
         name: "chaos",
         about: "correlated vs independent failure-domain campaigns on one enclosure",
         artifact: "BENCH_chaos.json",
-        configs: |scale| {
+        run: |scale, _alloc_count| {
             let full = ChaosOptions::default();
-            let campaigns =
-                scale
-                    .campaigns
-                    .unwrap_or(if scale.smoke { 64 } else { full.campaigns });
-            vec![ExpConfig::new()
-                .u64("campaigns", campaigns as u64)
-                .u64("horizon_secs", full.horizon_secs)
-                .f64("availability_floor", full.availability_floor)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, _alloc_count| {
             let report = run_chaos(&ChaosOptions {
-                campaigns: cfg.get_u64("campaigns") as usize,
-                seed: cfg.seed(),
-                horizon_secs: cfg.get_u64("horizon_secs"),
-                availability_floor: cfg.get_f64("availability_floor"),
+                campaigns: scale
+                    .campaigns
+                    .unwrap_or(if scale.smoke { 64 } else { full.campaigns }),
+                seed: scale.seed,
+                ..full
             });
-            Ok(report_json(&report))
+            report_json(&report)
         },
         gates: campaign::gates,
         baseline_gates: |doc, baseline| {
@@ -722,7 +709,7 @@ pub(crate) fn experiment() -> crate::runner::Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::json_escape;
+    use crate::harness::json_escape;
 
     fn small() -> ChaosOptions {
         ChaosOptions {
@@ -874,8 +861,8 @@ mod tests {
                 "    \"{}\": {{ \"count\": {}, \"mean_ms\": {}, \"p50_ms\": {} }}{}",
                 c.class,
                 c.count,
-                json_f64(c.mean_ms),
-                json_f64(c.p50_ms),
+                json_fixed(c.mean_ms, PLACES),
+                json_fixed(c.p50_ms, PLACES),
                 if i + 1 == r.mttr.len() { "" } else { "," }
             );
         }
@@ -934,16 +921,16 @@ mod tests {
             r.options.campaigns,
             r.options.seed,
             r.options.horizon_secs,
-            json_f64(r.options.availability_floor),
-            json_f64(r.elapsed_secs),
-            json_f64(r.campaigns_per_sec),
+            json_fixed(r.options.availability_floor, PLACES),
+            json_fixed(r.elapsed_secs, PLACES),
+            json_fixed(r.campaigns_per_sec, PLACES),
             r.violations.len(),
             total_truncated,
-            json_f64(r.independent_mean),
-            json_f64(r.independent_min),
-            json_f64(r.correlated_mean),
-            json_f64(r.correlated_min),
-            json_f64(r.independent_mean - r.correlated_mean),
+            json_fixed(r.independent_mean, PLACES),
+            json_fixed(r.independent_min, PLACES),
+            json_fixed(r.correlated_mean, PLACES),
+            json_fixed(r.correlated_min, PLACES),
+            json_fixed(r.independent_mean - r.correlated_mean, PLACES),
             mttr,
             sum(|o| o.sheds),
             sum(|o| o.losses),

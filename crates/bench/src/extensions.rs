@@ -431,7 +431,7 @@ mod tests {
         for id in ALL_IDS {
             let out = run(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(out.len() > 80, "{id} output too short");
-            digest = crate::runner::fnv1a64(out.as_bytes(), digest);
+            digest = crate::harness::fnv1a64(out.as_bytes(), digest);
         }
         assert_eq!(format!("{digest:016x}"), "15d16a861350552b");
     }

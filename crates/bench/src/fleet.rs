@@ -318,33 +318,20 @@ pub(crate) fn report_json(report: &FleetBenchReport) -> String {
     j.finish()
 }
 
-/// Declares the fleet-day experiment for the unified runner
-/// (`bench --run fleet`): grid, execute, and the gates that used to
-/// live in the `bench` binary's `--fleet` branch.
+/// Declares the fleet-day experiment (`bench --run fleet`) and its
+/// gates.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_bool, gate_num, gate_str, same_config, ExpConfig, Experiment};
+    use crate::runner::{gate_bool, gate_num, gate_str, same_config, Experiment};
     Experiment {
         name: "fleet",
         about: "sharded 256-site fleet-day under conservative window sync at 1/2/8 workers",
         artifact: "BENCH_fleet.json",
-        configs: |scale| {
-            vec![ExpConfig::new()
-                .u64("sites", scale.sites.unwrap_or(256) as u64)
-                .u64("hours", scale.hours.unwrap_or(24))
-                .u64("window_secs", scale.window.unwrap_or(120))
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, alloc_count| {
-            let report = run_fleet_bench(
-                &FleetBenchOptions {
-                    sites: cfg.get_u64("sites") as usize,
-                    hours: cfg.get_u64("hours"),
-                    window_secs: cfg.get_u64("window_secs"),
-                    seed: cfg.seed(),
-                },
-                alloc_count,
-            );
-            Ok(report_json(&report))
+        run: |scale, alloc_count| {
+            let opts = FleetBenchOptions {
+                seed: scale.seed,
+                ..FleetBenchOptions::default()
+            };
+            report_json(&run_fleet_bench(&opts, alloc_count))
         },
         gates: |doc| {
             let mut f = Vec::new();

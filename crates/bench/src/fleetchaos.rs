@@ -671,42 +671,24 @@ pub(crate) fn report_json(r: &FleetChaosReport) -> String {
     j.finish()
 }
 
-/// Declares the fleet-chaos experiment for the unified runner
-/// (`bench --run fleetchaos`): grid, execute, and the gates that used
-/// to live in the `bench` binary's `--fleetchaos` branch. The smoke
-/// tier drops from 64 to 12 campaign pairs (the old CI scale).
+/// Declares the fleet-chaos experiment (`bench --run fleetchaos`) and
+/// its gates. The smoke tier drops from 64 to 12 campaign pairs.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_bool, gate_num, gate_str, same_config, ExpConfig, Experiment};
+    use crate::runner::{gate_bool, gate_num, gate_str, same_config, Experiment};
     Experiment {
         name: "fleetchaos",
         about: "correlated vs independent site-tier campaigns with live inter-site migration",
         artifact: "BENCH_fleetchaos.json",
-        configs: |scale| {
+        run: |scale, _alloc_count| {
             let full = FleetChaosOptions::default();
-            let campaigns =
-                scale
-                    .campaigns
-                    .unwrap_or(if scale.smoke { 12 } else { full.campaigns });
-            vec![ExpConfig::new()
-                .u64("campaigns", campaigns as u64)
-                .u64("sites", full.sites as u64)
-                .u64("regions", full.regions as u64)
-                .u64("hours", full.hours)
-                .u64("window_secs", full.window_secs)
-                .f64("availability_floor", full.availability_floor)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, _alloc_count| {
             let report = run_fleet_chaos(&FleetChaosOptions {
-                campaigns: cfg.get_u64("campaigns") as usize,
-                seed: cfg.seed(),
-                sites: cfg.get_u64("sites") as usize,
-                regions: cfg.get_u64("regions") as usize,
-                hours: cfg.get_u64("hours"),
-                window_secs: cfg.get_u64("window_secs"),
-                availability_floor: cfg.get_f64("availability_floor"),
+                campaigns: scale
+                    .campaigns
+                    .unwrap_or(if scale.smoke { 12 } else { full.campaigns }),
+                seed: scale.seed,
+                ..full
             });
-            Ok(report_json(&report))
+            report_json(&report)
         },
         gates: |doc| {
             let mut f = campaign::gates(doc);

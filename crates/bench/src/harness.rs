@@ -22,14 +22,36 @@ pub fn mix_seed(seed: u64, k: usize) -> u64 {
         .rotate_left(17)
 }
 
-/// Renders a float as fixed three-decimal JSON, or `null` when not
-/// finite (JSON has no `inf`/`nan`).
-pub(crate) fn json_f64(v: f64) -> String {
+/// Renders a float as fixed-point JSON with `places` decimals, or `null`
+/// when not finite (JSON has no `inf`/`nan`). Each artifact keeps the
+/// precision its committed baseline was written with: three places
+/// through [`JsonBuilder::f64`], four in chaos and serve, six in netval.
+pub(crate) fn json_fixed(v: f64, places: usize) -> String {
     if v.is_finite() {
-        format!("{v:.3}")
+        format!("{v:.places$}")
     } else {
         "null".to_string()
     }
+}
+
+/// Escapes a string for embedding as a JSON string value (violation
+/// details and repro lines carry quotes and backslashes).
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 16);
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Builds the harness's JSON artifact format: two-space indentation per
@@ -97,9 +119,9 @@ impl JsonBuilder {
         self
     }
 
-    /// Emits a float via [`json_f64`].
+    /// Emits a float at three decimals via [`json_fixed`].
     pub(crate) fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        let rendered = json_f64(value);
+        let rendered = json_fixed(value, 3);
         self.key(key);
         self.out.push_str(&rendered);
         self
@@ -233,6 +255,19 @@ pub(crate) fn extract_list(doc: &str, key: &str) -> Vec<String> {
     items
 }
 
+/// 64-bit FNV-1a over a byte stream, continuing from `state` (start at
+/// the offset basis `0xCBF2_9CE4_8422_2325`): the fold the `repro all`
+/// and `whatif all` byte pins use.
+#[cfg(test)]
+pub(crate) fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(PRIME);
+    }
+    state
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +283,24 @@ mod tests {
         );
         // Distinct cases get distinct seeds even for a zero master seed.
         assert_ne!(mix_seed(0, 1), mix_seed(0, 2));
+    }
+
+    #[test]
+    fn json_escape_renders_quotes_controls_and_newlines() {
+        assert_eq!(
+            json_escape("a \"b\" c\\d\n\r\te\u{1}f"),
+            "a \\\"b\\\" c\\\\d\\n\\r\\te\\u0001f"
+        );
+        assert_eq!(json_escape("plain ascii, µs"), "plain ascii, µs");
+    }
+
+    #[test]
+    fn json_fixed_pads_rounds_and_nulls() {
+        assert_eq!(json_fixed(1.5, 3), "1.500");
+        assert_eq!(json_fixed(0.123_456_78, 4), "0.1235");
+        assert_eq!(json_fixed(2.0, 6), "2.000000");
+        assert_eq!(json_fixed(f64::NAN, 4), "null");
+        assert_eq!(json_fixed(f64::NEG_INFINITY, 6), "null");
     }
 
     #[test]

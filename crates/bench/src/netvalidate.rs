@@ -30,8 +30,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::campaign::{self, Shrink};
-use crate::harness::JsonBuilder;
-use crate::runner::json_escape;
+use crate::harness::{json_escape, json_fixed, JsonBuilder};
 
 use socc_cluster::evacuation::EvacuationPacing;
 use socc_net::packet::{
@@ -523,16 +522,12 @@ pub(crate) fn run_netval(opts: &NetvalOptions) -> NetvalReport {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
+/// Decimal places of this artifact's floats, as the committed
+/// `BENCH_netval.json` was written.
+const PLACES: usize = 6;
 
 /// Renders the `BENCH_netval.json` artifact on [`JsonBuilder`]. Floats
-/// stay on the mode's six-decimal `json_f64` (via `raw`), so the port
+/// stay at the mode's six decimals (via `raw`), so the port
 /// is byte-identical to the hand-rolled emitter it replaced and the
 /// committed baseline stays valid.
 pub(crate) fn report_json(r: &NetvalReport) -> String {
@@ -540,23 +535,29 @@ pub(crate) fn report_json(r: &NetvalReport) -> String {
     j.str("benchmark", "netval")
         .int("cases", r.options.cases as u64)
         .int("seed", r.options.seed)
-        .raw("elapsed_secs", &json_f64(r.elapsed_secs))
-        .raw("cases_per_sec", &json_f64(r.cases_per_sec));
+        .raw("elapsed_secs", &json_fixed(r.elapsed_secs, PLACES))
+        .raw("cases_per_sec", &json_fixed(r.cases_per_sec, PLACES));
     j.object("agreement", |j| {
-        j.raw("tolerance", &json_f64(AGREEMENT_TOLERANCE))
+        j.raw("tolerance", &json_fixed(AGREEMENT_TOLERANCE, PLACES))
             .int("flows_checked", r.flows_checked as u64)
-            .raw("max_rel_err", &json_f64(r.max_rel_err))
-            .raw("mean_rel_err", &json_f64(r.mean_rel_err))
+            .raw("max_rel_err", &json_fixed(r.max_rel_err, PLACES))
+            .raw("mean_rel_err", &json_fixed(r.mean_rel_err, PLACES))
             .int("disagreements", r.failures.len() as u64);
     });
     j.object("calibration", |j| {
-        j.raw("goodput_mbps", &json_f64(r.calibration.goodput.as_mbps()))
-            .raw("factor", &json_f64(r.calibration.factor))
-            .raw("anchor_mbps", &json_f64(socc_hw::calib::INTER_SOC_TCP_MBPS))
-            .raw("rel_err", &json_f64(r.calibration_rel_err))
-            .raw("tolerance", &json_f64(CALIBRATION_TOLERANCE))
-            .int("drops", r.calibration.drops)
-            .int("ecn_marks", r.calibration.ecn_marks);
+        j.raw(
+            "goodput_mbps",
+            &json_fixed(r.calibration.goodput.as_mbps(), PLACES),
+        )
+        .raw("factor", &json_fixed(r.calibration.factor, PLACES))
+        .raw(
+            "anchor_mbps",
+            &json_fixed(socc_hw::calib::INTER_SOC_TCP_MBPS, PLACES),
+        )
+        .raw("rel_err", &json_fixed(r.calibration_rel_err, PLACES))
+        .raw("tolerance", &json_fixed(CALIBRATION_TOLERANCE, PLACES))
+        .int("drops", r.calibration.drops)
+        .int("ecn_marks", r.calibration.ecn_marks);
     });
     j.object("incast", |j| {
         j.int("senders", r.incast_unpaced.senders as u64)
@@ -564,19 +565,22 @@ pub(crate) fn report_json(r: &NetvalReport) -> String {
             .int("unpaced_max_queue", u64::from(r.incast_unpaced.max_queue))
             .raw(
                 "unpaced_completion_ms",
-                &json_f64(r.incast_unpaced.completion_ms),
+                &json_fixed(r.incast_unpaced.completion_ms, PLACES),
             )
             .int("paced_drops", r.incast_paced.drops)
             .int("paced_max_queue", u64::from(r.incast_paced.max_queue))
             .raw(
                 "paced_completion_ms",
-                &json_f64(r.incast_paced.completion_ms),
+                &json_fixed(r.incast_paced.completion_ms, PLACES),
             )
             .raw(
                 "inflation",
-                &json_f64(r.incast_paced.completion_ms / r.incast_unpaced.completion_ms.max(1e-9)),
+                &json_fixed(
+                    r.incast_paced.completion_ms / r.incast_unpaced.completion_ms.max(1e-9),
+                    PLACES,
+                ),
             )
-            .raw("max_inflation", &json_f64(MAX_PACING_INFLATION));
+            .raw("max_inflation", &json_fixed(MAX_PACING_INFLATION, PLACES));
     });
     let fails: Vec<String> = r
         .failures
@@ -596,33 +600,25 @@ pub(crate) fn report_json(r: &NetvalReport) -> String {
     j.finish()
 }
 
-/// Declares the fabric cross-validation experiment for the unified
-/// runner (`bench --run netval`): grid, execute, and the gates that
-/// used to live in the `bench` binary's `--netval` branch. The smoke
-/// tier drops from 200 to 64 randomized cases (the old CI scale).
+/// Declares the fabric cross-validation experiment (`bench --run
+/// netval`) and its gates. The smoke tier drops from 200 to 64
+/// randomized cases.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_num, ExpConfig, Experiment};
+    use crate::runner::{gate_num, Experiment};
     Experiment {
         name: "netval",
         about: "packet-level fabric vs max-min flow model, calibration, incast pacing",
         artifact: "BENCH_netval.json",
-        configs: |scale| {
+        run: |scale, _alloc_count| {
             let full = NetvalOptions::default();
-            let cases = scale
-                .cases
-                .unwrap_or(if scale.smoke { 64 } else { full.cases });
-            vec![ExpConfig::new()
-                .u64("cases", cases as u64)
-                .u64("incast_senders", full.incast_senders as u64)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, _alloc_count| {
             let report = run_netval(&NetvalOptions {
-                cases: cfg.get_u64("cases") as usize,
-                seed: cfg.seed(),
-                incast_senders: cfg.get_u64("incast_senders") as usize,
+                cases: scale
+                    .cases
+                    .unwrap_or(if scale.smoke { 64 } else { full.cases }),
+                seed: scale.seed,
+                ..full
             });
-            Ok(report_json(&report))
+            report_json(&report)
         },
         gates: |doc| {
             let mut f = Vec::new();
@@ -852,29 +848,32 @@ mod tests {
             ),
             r.options.cases,
             r.options.seed,
-            json_f64(r.elapsed_secs),
-            json_f64(r.cases_per_sec),
-            json_f64(AGREEMENT_TOLERANCE),
+            json_fixed(r.elapsed_secs, PLACES),
+            json_fixed(r.cases_per_sec, PLACES),
+            json_fixed(AGREEMENT_TOLERANCE, PLACES),
             r.flows_checked,
-            json_f64(r.max_rel_err),
-            json_f64(r.mean_rel_err),
+            json_fixed(r.max_rel_err, PLACES),
+            json_fixed(r.mean_rel_err, PLACES),
             r.failures.len(),
-            json_f64(r.calibration.goodput.as_mbps()),
-            json_f64(r.calibration.factor),
-            json_f64(socc_hw::calib::INTER_SOC_TCP_MBPS),
-            json_f64(r.calibration_rel_err),
-            json_f64(CALIBRATION_TOLERANCE),
+            json_fixed(r.calibration.goodput.as_mbps(), PLACES),
+            json_fixed(r.calibration.factor, PLACES),
+            json_fixed(socc_hw::calib::INTER_SOC_TCP_MBPS, PLACES),
+            json_fixed(r.calibration_rel_err, PLACES),
+            json_fixed(CALIBRATION_TOLERANCE, PLACES),
             r.calibration.drops,
             r.calibration.ecn_marks,
             r.incast_unpaced.senders,
             r.incast_unpaced.drops,
             r.incast_unpaced.max_queue,
-            json_f64(r.incast_unpaced.completion_ms),
+            json_fixed(r.incast_unpaced.completion_ms, PLACES),
             r.incast_paced.drops,
             r.incast_paced.max_queue,
-            json_f64(r.incast_paced.completion_ms),
-            json_f64(r.incast_paced.completion_ms / r.incast_unpaced.completion_ms.max(1e-9)),
-            json_f64(MAX_PACING_INFLATION),
+            json_fixed(r.incast_paced.completion_ms, PLACES),
+            json_fixed(
+                r.incast_paced.completion_ms / r.incast_unpaced.completion_ms.max(1e-9),
+                PLACES
+            ),
+            json_fixed(MAX_PACING_INFLATION, PLACES),
             fails,
         )
     }

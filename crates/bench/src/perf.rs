@@ -303,41 +303,27 @@ pub(crate) fn comparison_json(incremental: &PerfReport, full: &PerfReport) -> St
     j.finish()
 }
 
-/// Declares the churn microbenchmark for the unified runner
-/// (`bench --run perf`): grid, execute, and the gates that used to live
-/// in the `bench` binary's `--perf --check` branch.
+/// Declares the churn microbenchmark (`bench --run perf`) and its gates.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_num, ExpConfig, Experiment};
+    use crate::runner::{gate_num, Experiment};
     Experiment {
         name: "perf",
         about: "incremental vs full max-min waterfilling under churn",
         artifact: "BENCH_net.json",
-        configs: |scale| {
-            vec![ExpConfig::new()
-                .u64("flows", scale.flows.unwrap_or(2000) as u64)
-                .u64("events", scale.events.unwrap_or(1000) as u64)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, alloc_count| {
-            let incremental = churn(
-                &PerfOptions {
-                    flows: cfg.get_u64("flows") as usize,
-                    churn_events: cfg.get_u64("events") as usize,
-                    seed: cfg.seed(),
-                    force_full: false,
-                },
-                alloc_count,
-            );
+        run: |scale, alloc_count| {
+            let opts = PerfOptions {
+                seed: scale.seed,
+                ..PerfOptions::default()
+            };
+            let incremental = churn(&opts, alloc_count);
             let full = churn(
                 &PerfOptions {
-                    flows: cfg.get_u64("flows") as usize,
-                    churn_events: cfg.get_u64("events") as usize,
-                    seed: cfg.seed(),
                     force_full: true,
+                    ..opts
                 },
                 alloc_count,
             );
-            Ok(comparison_json(&incremental, &full))
+            comparison_json(&incremental, &full)
         },
         gates: |doc| {
             let mut f = Vec::new();

@@ -899,7 +899,7 @@ mod tests {
         for id in ALL_IDS {
             let out = run(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(out.len() > 100, "{id} output too short");
-            digest = crate::runner::fnv1a64(out.as_bytes(), digest);
+            digest = crate::harness::fnv1a64(out.as_bytes(), digest);
         }
         assert_eq!(format!("{digest:016x}"), "6ef9d1fda77dcc9e");
     }

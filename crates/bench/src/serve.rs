@@ -26,6 +26,8 @@ use socc_dl::{DType, Engine, ModelId};
 use socc_sim::rng::SimRng;
 use socc_sim::time::SimDuration;
 
+use crate::harness::json_fixed;
+
 /// The serving combos under test (the same set as `extensions::tail`):
 /// DSP INT8 for both ResNet depths, the GPU FP32 path, and the Intel
 /// edge-server reference.
@@ -228,16 +230,10 @@ pub(crate) fn serving(opts: &ServeOptions, alloc_count: &dyn Fn() -> u64) -> Ser
     }
 }
 
-/// Serve artifacts render floats at four decimals (one more than the
-/// shared [`crate::harness::json_f64`]) — pinned by the committed
+/// Serve artifacts render floats at four decimals (one more than
+/// [`crate::harness::JsonBuilder::f64`]) — pinned by the committed
 /// `BENCH_serve.json`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
-}
+const PLACES: usize = 4;
 
 impl ServeReport {
     /// Fills one run's section of the artifact (see `comparison_json`).
@@ -245,18 +241,21 @@ impl ServeReport {
         let slo_rates = self
             .slo_rates
             .iter()
-            .map(|&r| json_f64(r))
+            .map(|&r| json_fixed(r, PLACES))
             .collect::<Vec<_>>()
             .join(", ");
         j.str("mode", self.mode);
         j.int("engines", self.engines as u64);
         j.int("grid_points", self.grid_points as u64);
         j.int("slo_searches", self.slo_searches as u64);
-        j.raw("horizon_secs", &json_f64(self.horizon_secs));
-        j.raw("elapsed_secs", &json_f64(self.elapsed_secs));
-        j.raw("points_per_sec", &json_f64(self.points_per_sec));
+        j.raw("horizon_secs", &json_fixed(self.horizon_secs, PLACES));
+        j.raw("elapsed_secs", &json_fixed(self.elapsed_secs, PLACES));
+        j.raw("points_per_sec", &json_fixed(self.points_per_sec, PLACES));
         j.int("steady_state_allocs", self.steady_state_allocs);
-        j.raw("allocs_per_point", &json_f64(self.allocs_per_point));
+        j.raw(
+            "allocs_per_point",
+            &json_fixed(self.allocs_per_point, PLACES),
+        );
         j.int("analytic_fallbacks", self.analytic_fallbacks);
         j.raw("slo_rates_fps", &format!("[{slo_rates}]"));
     }
@@ -328,58 +327,31 @@ pub(crate) fn comparison_json(analytic: &ServeReport, simulation: &ServeReport) 
     j.str("benchmark", "dl_serving");
     j.object("analytic", |j| analytic.fill(j));
     j.object("simulation", |j| simulation.fill(j));
-    j.raw("speedup", &json_f64(speedup));
-    j.raw("p99_drift_max", &json_f64(drift_max));
-    j.raw("p99_drift_mean", &json_f64(drift_mean));
+    j.raw("speedup", &json_fixed(speedup, PLACES));
+    j.raw("p99_drift_max", &json_fixed(drift_max, PLACES));
+    j.raw("p99_drift_mean", &json_fixed(drift_mean, PLACES));
     j.int("p99_drift_points", drift_points as u64);
-    j.raw("slo_rate_drift_max", &json_f64(slo_drift_max));
+    j.raw("slo_rate_drift_max", &json_fixed(slo_drift_max, PLACES));
     j.finish()
 }
 
-/// Declares the DL-serving experiment for the unified runner
-/// (`bench --run serve`): grid, execute, and the gates that used to
-/// live in the `bench` binary's `--serve --check` branch.
+/// Declares the DL-serving experiment (`bench --run serve`) and its
+/// gates.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_num, ExpConfig, Experiment};
+    use crate::runner::{gate_num, Experiment};
     Experiment {
         name: "serve",
         about: "analytic M/D/1 fast path vs event simulation on the fig. 11/12 grid",
         artifact: "BENCH_serve.json",
-        configs: |scale| {
-            let defaults = ServeOptions::default();
-            let slo_ms = defaults
-                .slo_grid_ms
-                .iter()
-                .map(|&s| format!("{s}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            vec![ExpConfig::new()
-                .u64(
-                    "points",
-                    scale.points.unwrap_or(defaults.points_per_engine) as u64,
-                )
-                .f64("horizon_secs", defaults.horizon_secs)
-                .str("slo_ms", &slo_ms)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, alloc_count| {
-            let slo_grid_ms = cfg
-                .get_str("slo_ms")
-                .split(',')
-                .map(|s| s.trim().parse::<f64>())
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(|e| format!("bad slo_ms grid: {e}"))?;
+        run: |scale, alloc_count| {
             let mut opts = ServeOptions {
-                points_per_engine: cfg.get_u64("points") as usize,
-                horizon_secs: cfg.get_f64("horizon_secs"),
-                slo_grid_ms,
-                seed: cfg.seed(),
-                analytic: true,
+                seed: scale.seed,
+                ..ServeOptions::default()
             };
             let analytic = serving(&opts, alloc_count);
             opts.analytic = false;
             let simulation = serving(&opts, alloc_count);
-            Ok(comparison_json(&analytic, &simulation))
+            comparison_json(&analytic, &simulation)
         },
         gates: |doc| {
             let mut f = Vec::new();
@@ -533,7 +505,7 @@ mod tests {
             let slo_rates = r
                 .slo_rates
                 .iter()
-                .map(|&x| json_f64(x))
+                .map(|&x| json_fixed(x, PLACES))
                 .collect::<Vec<_>>()
                 .join(", ");
             format!(
@@ -556,11 +528,11 @@ mod tests {
                 r.engines,
                 r.grid_points,
                 r.slo_searches,
-                json_f64(r.horizon_secs),
-                json_f64(r.elapsed_secs),
-                json_f64(r.points_per_sec),
+                json_fixed(r.horizon_secs, PLACES),
+                json_fixed(r.elapsed_secs, PLACES),
+                json_fixed(r.points_per_sec, PLACES),
                 r.steady_state_allocs,
-                json_f64(r.allocs_per_point),
+                json_fixed(r.allocs_per_point, PLACES),
                 r.analytic_fallbacks,
                 slo_rates,
             )
@@ -598,11 +570,11 @@ mod tests {
             ),
             report_to_json(analytic),
             report_to_json(simulation),
-            json_f64(speedup),
-            json_f64(drift_max),
-            json_f64(drift_mean),
+            json_fixed(speedup, PLACES),
+            json_fixed(drift_max, PLACES),
+            json_fixed(drift_mean, PLACES),
             drift_points,
-            json_f64(slo_drift_max),
+            json_fixed(slo_drift_max, PLACES),
         )
     }
 

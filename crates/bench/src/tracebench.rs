@@ -218,9 +218,9 @@ pub fn chrome_trace(opts: &TraceOptions) -> String {
 }
 
 /// Renders the `BENCH_trace.json` artifact on [`JsonBuilder`]. This
-/// mode's floats were always three-decimal — exactly the harness's
-/// [`crate::harness::json_f64`] — so the port uses `f64` directly and
-/// stays byte-identical to the hand-rolled emitter it replaced.
+/// mode's floats were always three-decimal — exactly
+/// [`JsonBuilder::f64`] — so the port uses `f64` directly and stays
+/// byte-identical to the hand-rolled emitter it replaced.
 pub(crate) fn report_json(r: &TraceReport) -> String {
     let mut j = JsonBuilder::new();
     j.str("benchmark", "trace_overhead");
@@ -246,38 +246,20 @@ pub(crate) fn report_json(r: &TraceReport) -> String {
     j.finish()
 }
 
-/// Declares the trace-overhead experiment for the unified runner
-/// (`bench --run trace`): grid, execute, and the gates that used to
-/// live in the `bench` binary's `--trace` branch.
+/// Declares the trace-overhead experiment (`bench --run trace`) and its
+/// gates.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_num, gate_str, ExpConfig, Experiment};
+    use crate::runner::{gate_num, gate_str, Experiment};
     Experiment {
         name: "trace",
         about: "structured-span recording and engine overhead vs spans-off",
         artifact: "BENCH_trace.json",
-        configs: |scale| {
-            let full = TraceOptions::default();
-            vec![ExpConfig::new()
-                .u64("record_calls", full.record_calls as u64)
-                .u64("ring_capacity", full.ring_capacity as u64)
-                .u64("reps", scale.reps.unwrap_or(full.reps) as u64)
-                .u64("streams", full.streams as u64)
-                .u64("horizon_secs", full.horizon_secs)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, alloc_count| {
-            let report = trace_overhead(
-                &TraceOptions {
-                    record_calls: cfg.get_u64("record_calls") as usize,
-                    ring_capacity: cfg.get_u64("ring_capacity") as usize,
-                    reps: cfg.get_u64("reps") as usize,
-                    streams: cfg.get_u64("streams") as usize,
-                    horizon_secs: cfg.get_u64("horizon_secs"),
-                    seed: cfg.seed(),
-                },
-                alloc_count,
-            );
-            Ok(report_json(&report))
+        run: |scale, alloc_count| {
+            let opts = TraceOptions {
+                seed: scale.seed,
+                ..TraceOptions::default()
+            };
+            report_json(&trace_overhead(&opts, alloc_count))
         },
         gates: |doc| {
             let mut f = Vec::new();
@@ -325,6 +307,7 @@ pub(crate) fn experiment() -> crate::runner::Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::json_fixed;
 
     fn small() -> TraceOptions {
         TraceOptions {
@@ -362,13 +345,6 @@ mod tests {
     /// [`JsonBuilder`] port must reproduce byte for byte (the committed
     /// `BENCH_trace.json` baseline was generated with this code).
     fn handrolled_report_json(r: &TraceReport) -> String {
-        fn json_f64(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
         format!(
             concat!(
                 "{{\n",
@@ -396,16 +372,16 @@ mod tests {
             ),
             r.options.record_calls,
             r.options.ring_capacity,
-            json_f64(r.ns_per_event_enabled),
-            json_f64(r.ns_per_event_disabled),
+            json_fixed(r.ns_per_event_enabled, 3),
+            json_fixed(r.ns_per_event_disabled, 3),
             r.allocs_enabled,
             r.allocs_disabled,
             r.options.streams,
             r.options.horizon_secs,
             r.options.reps,
-            json_f64(r.spans_on_ms),
-            json_f64(r.spans_off_ms),
-            json_f64(r.overhead_pct),
+            json_fixed(r.spans_on_ms, 3),
+            json_fixed(r.spans_off_ms, 3),
+            json_fixed(r.overhead_pct, 3),
             r.events_captured,
             r.digest_hex,
         )

@@ -289,38 +289,22 @@ pub(crate) fn report_json(report: &VideoBenchReport) -> String {
     j.finish()
 }
 
-/// Declares the live-transcoding-farm experiment for the unified runner
-/// (`bench --run video`): grid, execute, and the gates that used to
-/// live in the `bench` binary's `--video` branch.
+/// Declares the live-transcoding-farm experiment (`bench --run video`)
+/// and its gates. It times 5 repetitions per mode, not the options'
+/// default 3.
 pub(crate) fn experiment() -> crate::runner::Experiment {
-    use crate::runner::{gate_bool, gate_num, gate_str, same_config, ExpConfig, Experiment};
+    use crate::runner::{gate_bool, gate_num, gate_str, same_config, Experiment};
     Experiment {
         name: "video",
         about: "analytic farm-day fast path vs tick simulation with a peak board fault",
         artifact: "BENCH_video.json",
-        configs: |scale| {
-            vec![ExpConfig::new()
-                .u64(
-                    "socs",
-                    scale.socs.unwrap_or(socc_hw::calib::CLUSTER_SOC_COUNT) as u64,
-                )
-                .u64("horizon_secs", scale.hours.unwrap_or(24) * 3600)
-                .f64("peak_arrivals_per_hour", scale.peak.unwrap_or(500.0))
-                .u64("reps", scale.reps.unwrap_or(5).min(5) as u64)
-                .u64("seed", crate::harness::mix_seed(scale.seed, 0))]
-        },
-        execute: |cfg, alloc_count| {
-            let report = run_video(
-                &VideoOptions {
-                    socs: cfg.get_u64("socs") as usize,
-                    horizon_secs: cfg.get_u64("horizon_secs"),
-                    peak_arrivals_per_hour: cfg.get_f64("peak_arrivals_per_hour"),
-                    seed: cfg.seed(),
-                    reps: cfg.get_u64("reps") as usize,
-                },
-                alloc_count,
-            );
-            Ok(report_json(&report))
+        run: |scale, alloc_count| {
+            let opts = VideoOptions {
+                seed: scale.seed,
+                reps: 5,
+                ..VideoOptions::default()
+            };
+            report_json(&run_video(&opts, alloc_count))
         },
         gates: |doc| {
             let mut f = Vec::new();

@@ -1,98 +1,14 @@
-//! Telemetry: the recovery loop's typed registry, and the string-keyed
-//! sink it reads like.
+//! Telemetry: the recovery loop's typed registry.
 //!
 //! The recovery engine bumps its `ft.*` metrics on every step, so it owns
 //! an [`FtTelemetry`]: fixed arrays indexed by [`FtCounter`],
-//! [`FtHistogram`] and [`DetectedClass`], read back by name. A
-//! [`TelemetrySink`] (a cloneable, thread-safe string-keyed registry of
-//! counters and histograms) is the reference it is checked against: fed
-//! the same bumps, both read and render byte for byte alike.
+//! [`FtHistogram`] and [`DetectedClass`], read back by name.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use socc_sim::metrics::{LogHistogram, MetricRegistry};
+use socc_sim::metrics::LogHistogram;
 
 use crate::detector::DetectedClass;
-
-/// A cloneable, thread-safe metric registry.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetrySink {
-    inner: Arc<Mutex<MetricRegistry>>,
-}
-
-impl TelemetrySink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Locks the registry. Each update under the lock is one insert or one
-    /// field write, so a reporter that panicked while holding it left the
-    /// registry valid: recover the guard rather than fail every later
-    /// report.
-    fn registry(&self) -> MutexGuard<'_, MetricRegistry> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Adds to a counter.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.registry().counter(name).add(delta);
-    }
-
-    /// Reads a counter.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.registry().counter_value(name)
-    }
-
-    /// Snapshot of all counters, name-ordered.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.registry()
-            .counters()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect()
-    }
-
-    /// Records one observation into a histogram.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.registry().histogram(name).record(value);
-    }
-
-    /// Reads a histogram quantile (`None` if the histogram is absent or
-    /// empty).
-    pub fn histogram_quantile(&self, name: &str, q: f64) -> Option<f64> {
-        self.registry()
-            .histogram_ref(name)
-            .and_then(|h| h.quantile(q))
-    }
-
-    /// Number of observations recorded into a histogram.
-    pub fn histogram_count(&self, name: &str) -> u64 {
-        self.registry().histogram_ref(name).map_or(0, |h| h.count())
-    }
-
-    /// Mean of a histogram's observations (zero when absent or empty).
-    pub fn histogram_mean(&self, name: &str) -> f64 {
-        self.registry()
-            .histogram_ref(name)
-            .map_or(0.0, |h| h.mean())
-    }
-
-    /// Renders the whole sink — counters, then histograms, name-ordered —
-    /// as one string. Two runs with identical metric activity produce
-    /// byte-identical output, which is what the determinism tests compare.
-    pub fn render(&self) -> String {
-        let reg = self.registry();
-        let mut out = String::new();
-        for (name, v) in reg.counters() {
-            let _ = writeln!(out, "counter {name} = {v}");
-        }
-        for (name, h) in reg.histograms() {
-            let _ = writeln!(out, "histogram {name}: {h}");
-        }
-        out
-    }
-}
 
 /// A counter of the recovery loop, one slot of [`FtTelemetry`]. The
 /// detections of each [`DetectedClass`] count in slots of their own
@@ -219,10 +135,10 @@ impl FtHistogram {
 /// lock, no string key and no allocation (the histograms' buckets are
 /// allocated up front).
 ///
-/// It reads like a [`TelemetrySink`] the same bumps went to, byte for
-/// byte: a counter exists once it has been bumped (by any amount) and a
-/// histogram once it holds an observation, and [`Self::counters`] and
-/// [`Self::render`] list what exists in name order.
+/// It reads like a string-keyed registry the same bumps went to, byte
+/// for byte: a counter exists once it has been bumped (by any amount)
+/// and a histogram once it holds an observation, and [`Self::counters`]
+/// and [`Self::render`] list what exists in name order.
 #[derive(Debug, Clone)]
 pub struct FtTelemetry {
     counters: [Option<u64>; FtCounter::ALL.len()],
@@ -329,8 +245,10 @@ impl FtTelemetry {
         self.histogram(name).map_or(0.0, LogHistogram::mean)
     }
 
-    /// Renders every counter, then every histogram, each name-ordered, in
-    /// [`TelemetrySink::render`]'s format.
+    /// Renders every counter (`counter <name> = <value>`), then every
+    /// histogram (`histogram <name>: <summary>`), each name-ordered, one
+    /// per line. Two runs with identical metric activity render
+    /// byte-identical output, which is what the determinism tests compare.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, v) in self.counters() {
@@ -342,70 +260,5 @@ impl FtTelemetry {
             let _ = writeln!(out, "histogram {name}: {h}");
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_accumulate_across_clones() {
-        let sink = TelemetrySink::new();
-        let other = sink.clone();
-        sink.add("x", 2);
-        other.add("x", 3);
-        assert_eq!(sink.counter("x"), 5);
-    }
-
-    #[test]
-    fn histograms_record_and_render_deterministically() {
-        let build = || {
-            let sink = TelemetrySink::new();
-            sink.add("ft.migrations", 4);
-            for v in [10.0, 55.0, 120.0] {
-                sink.observe("ft.mttr_ms", v);
-            }
-            sink
-        };
-        let a = build();
-        let b = build();
-        assert_eq!(a.histogram_count("ft.mttr_ms"), 3);
-        assert!((a.histogram_mean("ft.mttr_ms") - (185.0 / 3.0)).abs() < 1e-9);
-        assert!(a.histogram_quantile("ft.mttr_ms", 0.5).is_some());
-        assert_eq!(a.histogram_quantile("absent", 0.5), None);
-        assert_eq!(a.render(), b.render());
-        assert!(a.render().contains("counter ft.migrations = 4"));
-    }
-
-    #[test]
-    fn survives_a_reporter_panicking_under_the_lock() {
-        let sink = TelemetrySink::new();
-        let s = sink.clone();
-        let joined = std::thread::spawn(move || {
-            let _held = s.registry();
-            panic!("reporter died holding the lock");
-        })
-        .join();
-        assert!(joined.is_err());
-        assert!(sink.inner.is_poisoned());
-        sink.add("after", 1);
-        assert_eq!(sink.counter("after"), 1);
-    }
-
-    #[test]
-    fn concurrent_reporting_is_consistent() {
-        let sink = TelemetrySink::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let s = sink.clone();
-                scope.spawn(move || {
-                    for _ in 0..1000 {
-                        s.add("hits", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(sink.counter("hits"), 8000);
     }
 }

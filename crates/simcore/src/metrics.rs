@@ -1,26 +1,6 @@
-//! Lightweight metric primitives: counters and log-bucketed histograms,
-//! plus a registry for telemetry export.
+//! Log-bucketed histograms for latency-like metrics.
 
 use core::fmt;
-use std::collections::BTreeMap;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub(crate) fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// A histogram with logarithmically spaced buckets.
 ///
@@ -158,71 +138,9 @@ impl fmt::Display for LogHistogram {
     }
 }
 
-/// The entry under `name`, inserted from `make` on first use. The key
-/// `String` is built only then: a bump of an existing metric allocates
-/// nothing.
-fn get_or_insert<'a, V>(
-    map: &'a mut BTreeMap<String, V>,
-    name: &str,
-    make: impl FnOnce() -> V,
-) -> &'a mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), make());
-    }
-    map.get_mut(name).expect("inserted above")
-}
-
-/// A string-keyed registry of metrics for telemetry snapshots.
-#[derive(Debug, Default)]
-pub struct MetricRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, LogHistogram>,
-}
-
-impl MetricRegistry {
-    /// Returns the counter registered under `name`, creating it on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        get_or_insert(&mut self.counters, name, Counter::default)
-    }
-
-    /// Returns the histogram registered under `name`, creating a
-    /// latency-shaped one ([`LogHistogram::for_latency_ms`]) on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut LogHistogram {
-        get_or_insert(&mut self.histograms, name, LogHistogram::for_latency_ms)
-    }
-
-    /// Reads a histogram, if one has been registered under `name`.
-    pub fn histogram_ref(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates all `(name, histogram)` pairs in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Reads a counter value (zero if absent).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::get)
-    }
-
-    /// Iterates all `(name, value)` counter pairs in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.add(1);
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_mean_and_count() {
@@ -288,26 +206,5 @@ mod tests {
         h.record(1e9);
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0).unwrap() <= 1e9);
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let mut r = MetricRegistry::default();
-        r.counter("requests").add(3);
-        assert_eq!(r.counter_value("requests"), 3);
-        assert_eq!(r.counter_value("absent"), 0);
-        assert_eq!(r.counters().count(), 1);
-    }
-
-    #[test]
-    fn registry_histograms() {
-        let mut r = MetricRegistry::default();
-        r.histogram("mttr_ms").record(12.0);
-        r.histogram("mttr_ms").record(24.0);
-        let h = r.histogram_ref("mttr_ms").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!((h.mean() - 18.0).abs() < 1e-9);
-        assert!(r.histogram_ref("absent").is_none());
-        assert_eq!(r.histograms().count(), 1);
     }
 }

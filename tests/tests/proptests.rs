@@ -626,8 +626,9 @@ proptest! {
 // The recovery loop's typed metrics read exactly like a string-keyed sink.
 // ---------------------------------------------------------------------------
 
+use integration_tests::TelemetrySink;
 use socc_cluster::detector::DetectedClass;
-use socc_cluster::telemetry::{FtCounter, FtHistogram, FtTelemetry, TelemetrySink};
+use socc_cluster::telemetry::{FtCounter, FtHistogram, FtTelemetry};
 
 proptest! {
     /// Random bumps (including by zero) and observations (including
@@ -639,7 +640,7 @@ proptest! {
     fn ft_telemetry_reads_like_a_sink(
         ops in prop::collection::vec((0u8..4, 0usize..19, 0u64..4, -5.0f64..5e6), 0..200)
     ) {
-        let sink = TelemetrySink::new();
+        let mut sink = TelemetrySink::default();
         let mut typed = FtTelemetry::new();
         for &(kind, slot, delta, value) in &ops {
             let class = DetectedClass::ALL[slot % DetectedClass::ALL.len()];

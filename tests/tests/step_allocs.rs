@@ -14,9 +14,7 @@
 //! - after the first sweep, the steps of one engine allocate at most
 //!   [`MAX_STEP_ALLOCS`] times, however many faults the campaign holds.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use integration_tests::{counted, Counting};
 use socc_bench::chaos::{campaign_schedules, ChaosOptions};
 use socc_cluster::faults::FaultSchedule;
 use socc_cluster::orchestrator::OrchestratorConfig;
@@ -24,59 +22,8 @@ use socc_cluster::recovery::{RecoveryConfig, RecoveryEngine};
 use socc_cluster::workload::WorkloadSpec;
 use socc_sim::time::SimTime;
 
-/// Counts allocations (and reallocations) made on a thread while that
-/// thread has counting switched on; every call goes on to [`System`].
-struct Counting;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread may allocate while its locals are torn down.
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System` and
-// returns its result; counting touches only const-initialised
-// thread-locals, which never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on this thread.
-fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
-    let out = f();
-    COUNTING.with(|on| on.set(false));
-    (out, ALLOCS.with(Cell::get))
-}
 
 /// Most allocations one engine's steps may make after its first sweep.
 const MAX_STEP_ALLOCS: u64 = 8;
@@ -129,15 +76,15 @@ fn run(seed: u64, schedule: &FaultSchedule) -> StepAllocs {
     };
     loop {
         let warm = eng.orchestrator().now() >= first_sweep;
-        let (more, n) = allocs_of(|| eng.step());
+        let (more, heap) = counted(|| eng.step());
         if !more {
             break;
         }
         if warm {
-            out.after += n;
+            out.after += heap.allocs;
             out.steps += 1;
         } else {
-            out.warmup += n;
+            out.warmup += heap.allocs;
         }
     }
     eng.finish();
