@@ -49,6 +49,7 @@ use socc_cluster::evacuation::EvacuationPacing;
 use socc_cluster::faults::{SiteFault, SiteFaultEvent};
 use socc_cluster::fleet::{gaming_checkpoint, FleetConfig, FleetReport, FleetSim};
 use socc_net::wan::WanFabric;
+use socc_sim::hash::{fnv1a, FNV_OFFSET};
 use socc_sim::rng::SimRng;
 use socc_sim::time::SimDuration;
 use socc_sim::units::DataRate;
@@ -505,13 +506,9 @@ pub(crate) fn run_fleet_chaos(opts: &FleetChaosOptions) -> FleetChaosReport {
     };
 
     // FNV-1a over the correlated digests: the sweep's identity.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for o in &outcomes {
-        for b in o.correlated.digest.to_le_bytes() {
-            digest ^= u64::from(b);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let digest = outcomes.iter().fold(FNV_OFFSET, |d, o| {
+        fnv1a(d, &o.correlated.digest.to_le_bytes())
+    });
 
     let elapsed_secs = started.elapsed().as_secs_f64();
     let runs = opts.campaigns * (WORKER_COUNTS.len() + 1);

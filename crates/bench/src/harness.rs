@@ -255,19 +255,6 @@ pub(crate) fn extract_list(doc: &str, key: &str) -> Vec<String> {
     items
 }
 
-/// 64-bit FNV-1a over a byte stream, continuing from `state` (start at
-/// the offset basis `0xCBF2_9CE4_8422_2325`): the fold the `repro all`
-/// and `whatif all` byte pins use.
-#[cfg(test)]
-pub(crate) fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(PRIME);
-    }
-    state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

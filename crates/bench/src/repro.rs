@@ -566,7 +566,6 @@ pub(crate) fn avail() -> String {
             };
             let config = RecoveryConfig {
                 detection_window: SimDuration::from_secs(window_s),
-                ..RecoveryConfig::default()
             };
             let mut eng = RecoveryEngine::new(OrchestratorConfig::default(), config, 7);
             let video = socc_video::vbench::by_id("V1").expect("vbench V1");
@@ -890,16 +889,17 @@ pub fn run(id: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socc_sim::hash::{fnv1a, FNV_OFFSET};
 
     #[test]
     fn every_id_runs_and_produces_output() {
         // FNV-1a over every artifact's bytes in `ALL_IDS` order: a byte
         // that moves in any artifact moves this literal.
-        let mut digest = 0xCBF2_9CE4_8422_2325;
+        let mut digest = FNV_OFFSET;
         for id in ALL_IDS {
             let out = run(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(out.len() > 100, "{id} output too short");
-            digest = crate::harness::fnv1a64(out.as_bytes(), digest);
+            digest = fnv1a(digest, out.as_bytes());
         }
         assert_eq!(format!("{digest:016x}"), "6ef9d1fda77dcc9e");
     }

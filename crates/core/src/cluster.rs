@@ -15,18 +15,12 @@ use crate::virt::DeploymentMode;
 pub struct ClusterConfig {
     /// Number of SoCs (60 in the prototype).
     pub(crate) soc_count: usize,
-    /// Software deployment mode of every SoC.
-    pub(crate) deployment: DeploymentMode,
-    /// Ambient inlet temperature in °C.
-    pub(crate) ambient_c: f64,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
             soc_count: calib::CLUSTER_SOC_COUNT,
-            deployment: DeploymentMode::Physical,
-            ambient_c: 28.0,
         }
     }
 }
@@ -49,15 +43,16 @@ const PCB_POWER_W: f64 = 1.5;
 const ESB_POWER_W: f64 = 20.0;
 /// BMC power.
 const BMC_POWER_W: f64 = 8.0;
+/// Ambient inlet temperature in °C.
+const AMBIENT_C: f64 = 28.0;
 
 impl SocCluster {
     /// Builds a cluster.
     pub(crate) fn new(config: ClusterConfig) -> Self {
         let socs: Vec<SocUnit> = (0..config.soc_count)
-            .map(|i| SocUnit::new(i, config.deployment))
+            .map(|i| SocUnit::new(i, DeploymentMode::Physical))
             .collect();
-        let thermal =
-            ThermalBank::new(ThermalNode::soc_package(config.ambient_c), config.soc_count);
+        let thermal = ThermalBank::new(ThermalNode::soc_package(AMBIENT_C), config.soc_count);
         let bmc = Bmc::new(config.soc_count);
         Self {
             socs,

@@ -13,7 +13,6 @@ use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
 
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use crate::scheduler;
 use crate::workload::{SocProcessor, WorkloadSpec};
 
 /// Outcome of a colocation run.
@@ -47,7 +46,6 @@ fn replay(hours: u64, seed: u64, colocate_fraction: f64) -> (f64, f64) {
     let step = SimDuration::from_mins(15);
     let trace = cfg.generate(SimDuration::from_hours(hours), step, &mut rng);
     let mut orch = Orchestrator::new(OrchestratorConfig {
-        scheduler: scheduler::by_name("bin-pack").expect("known"),
         sleep_after: Some(SimDuration::from_secs(120)),
         ..OrchestratorConfig::default()
     });

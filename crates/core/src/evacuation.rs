@@ -1,20 +1,22 @@
 //! Evacuation-storm admission pacing.
 //!
-//! A whole-board failure displaces up to 65 workloads at once; re-placing
-//! them all immediately turns their state transfers into an N-to-1 incast
-//! at the destination boards' 1 GbE uplinks — exactly the burst the
-//! packet-level engine shows overflowing a port buffer (`socc-net`'s
-//! incast tests). [`EvacuationPacing`] spreads the admissions into waves
-//! sized so the concurrent transfers of each wave fit the bottleneck:
-//! the wave length comes from the *measured* fabric goodput (the
-//! packet-mode calibration behind
-//! [`TcpModel::inter_soc`](socc_net::tcp::TcpModel::inter_soc)), not from
-//! the raw link rate, so pacing tracks what the fabric actually drains.
+//! An evacuation displaces many workloads at once; starting all their
+//! state transfers immediately turns them into an N-to-1 incast at the
+//! shared bottleneck — exactly the burst the packet-level engine shows
+//! overflowing a port buffer (`socc-net`'s incast tests).
+//! [`EvacuationPacing`] spreads the admissions into waves sized so the
+//! concurrent transfers of each wave fit the bottleneck: the wave length
+//! comes from the *measured* fabric goodput (the packet-mode calibration
+//! behind [`TcpModel::inter_soc`](socc_net::tcp::TcpModel::inter_soc)),
+//! not from the raw link rate, so pacing tracks what the fabric actually
+//! drains.
 //!
-//! The pacer is opt-in via
-//! [`RecoveryConfig::evacuation_pacing`](crate::recovery::RecoveryConfig):
-//! `None` (the default) keeps the recovery loop byte-identical to the
-//! unpaced behaviour.
+//! The fleet paces its live inter-site migrations with it
+//! ([`FleetConfig::migration`](crate::fleet::FleetConfig::migration)),
+//! and `bench --run netval`'s incast check paces an N-to-1 burst across
+//! the enclosure fabric with it. The enclosure's recovery engine does not
+//! pace: it re-places a failed board's workloads in one priority-ordered
+//! pass.
 
 use socc_net::tcp::TcpModel;
 use socc_sim::time::SimDuration;

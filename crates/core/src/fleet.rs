@@ -57,6 +57,7 @@
 //! that any order-preserving map may execute.
 
 use socc_net::wan::WanFabric;
+use socc_sim::hash::{fnv1a, FNV_OFFSET};
 use socc_sim::rng::SimRng;
 use socc_sim::series::TimeSeries;
 use socc_sim::span::{EventKind, EventLog, Scope};
@@ -67,9 +68,9 @@ use socc_video::video::{Resolution, VideoMeta};
 
 use crate::evacuation::EvacuationPacing;
 use crate::faults::{SiteFault, SiteFaultEvent};
+use crate::gaming::sessions_for;
 use crate::orchestrator::{Orchestrator, OrchestratorConfig, OrchestratorStats};
 use crate::recovery::brownout_throughput_frac;
-use crate::scheduler;
 use crate::workload::{WorkloadId, WorkloadSpec};
 
 /// Fraction of a site's PSU rail budget that survives a site brownout:
@@ -376,21 +377,6 @@ enum HealKind {
     Rail,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(hash: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Converts a traffic level in Gbps into concurrent sessions.
-fn sessions_for(gbps: f64, mbps_per_session: f64) -> usize {
-    (gbps * 1000.0 / mbps_per_session).round() as usize
-}
-
 /// The fleet simulator: shards, control plane, and synchronization.
 pub struct FleetSim {
     cfg: FleetConfig,
@@ -513,7 +499,6 @@ impl FleetSim {
                 shard: SiteShard {
                     site,
                     orch: Orchestrator::new(OrchestratorConfig {
-                        scheduler: scheduler::by_name("bin-pack").expect("known"),
                         sleep_after: cfg.sleep_after,
                         ..OrchestratorConfig::default()
                     }),
@@ -1157,18 +1142,22 @@ impl FleetSim {
             self.report.killed += u64::from(r.killed);
             fleet_power += r.power_w;
 
-            fnv_fold(&mut self.digest, self.window_idx as u64);
-            fnv_fold(&mut self.digest, site as u64);
-            fnv_fold(&mut self.digest, r.active as u64);
-            fnv_fold(&mut self.digest, u64::from(r.rejected));
-            fnv_fold(&mut self.digest, r.migrated_in.len() as u64);
-            fnv_fold(&mut self.digest, u64::from(bounced));
-            fnv_fold(&mut self.digest, u64::from(r.killed));
-            fnv_fold(&mut self.digest, r.stats.admitted);
-            fnv_fold(&mut self.digest, r.stats.completed);
-            fnv_fold(&mut self.digest, r.stats.wakeups);
-            fnv_fold(&mut self.digest, r.energy_j.to_bits());
-            fnv_fold(&mut self.digest, r.power_w.to_bits());
+            for v in [
+                self.window_idx as u64,
+                site as u64,
+                r.active as u64,
+                u64::from(r.rejected),
+                r.migrated_in.len() as u64,
+                u64::from(bounced),
+                u64::from(r.killed),
+                r.stats.admitted,
+                r.stats.completed,
+                r.stats.wakeups,
+                r.energy_j.to_bits(),
+                r.power_w.to_bits(),
+            ] {
+                self.digest = fnv1a(self.digest, &v.to_le_bytes());
+            }
 
             job.commands.departures.clear();
             job.commands.arrivals.clear();

@@ -10,7 +10,6 @@ use socc_sim::rng::SimRng;
 use socc_sim::time::SimDuration;
 
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use crate::scheduler;
 use crate::workload::WorkloadSpec;
 
 /// Outcome of a gaming-trace replay.
@@ -41,7 +40,7 @@ impl GamingReplayReport {
 
 /// Converts a traffic level in Gbps into concurrent sessions at
 /// `mbps_per_session` outbound each.
-fn sessions_for(gbps: f64, mbps_per_session: f64) -> usize {
+pub(crate) fn sessions_for(gbps: f64, mbps_per_session: f64) -> usize {
     (gbps * 1000.0 / mbps_per_session).round() as usize
 }
 
@@ -58,7 +57,6 @@ pub fn replay_gaming_trace(
 
     let run = |sleep: Option<SimDuration>| {
         let mut orch = Orchestrator::new(OrchestratorConfig {
-            scheduler: scheduler::by_name("bin-pack").expect("known"),
             sleep_after: sleep,
             ..OrchestratorConfig::default()
         });

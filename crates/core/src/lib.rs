@@ -2,8 +2,8 @@
 //!
 //! This crate is the paper's primary contribution materialized as a
 //! library: a 2U server of 60 mobile SoCs (`cluster`), managed through a
-//! BMC ([`bmc`]), scheduled at SoC granularity ([`scheduler`],
-//! [`orchestrator`]), compared against a traditional Xeon + A40 twin
+//! BMC ([`bmc`]), bin-packed at SoC granularity ([`orchestrator`],
+//! [`placement_index`]), compared against a traditional Xeon + A40 twin
 //! (`traditional`), with virtualization overheads ([`virt`]), fault
 //! modelling ([`faults`]), failure detection and closed-loop recovery
 //! ([`detector`], [`recovery`]), network-bound analysis ([`capacity`]) and
@@ -39,7 +39,6 @@ pub mod placement_index;
 pub mod planner;
 pub(crate) mod priority;
 pub mod recovery;
-pub mod scheduler;
 pub mod soc;
 pub mod telemetry;
 pub(crate) mod traditional;

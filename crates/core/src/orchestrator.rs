@@ -17,7 +17,6 @@ use socc_sim::units::{Energy, Power};
 use crate::cluster::{ClusterConfig, SocCluster};
 use crate::placement_index::PlacementIndex;
 use crate::priority::{priority_of, Priority};
-use crate::scheduler::{BinPack, Scheduler};
 use crate::soc::{Demand, SocUnit};
 use crate::workload::{AdmissionError, SocProcessor, WorkloadId, WorkloadSpec};
 
@@ -25,8 +24,6 @@ use crate::workload::{AdmissionError, SocProcessor, WorkloadId, WorkloadSpec};
 pub struct OrchestratorConfig {
     /// Cluster hardware configuration.
     pub cluster: ClusterConfig,
-    /// Placement strategy.
-    pub scheduler: Box<dyn Scheduler>,
     /// Put an idle SoC to sleep after this long (None = never sleep).
     pub sleep_after: Option<SimDuration>,
 }
@@ -35,7 +32,6 @@ impl Default for OrchestratorConfig {
     fn default() -> Self {
         Self {
             cluster: ClusterConfig::default(),
-            scheduler: Box::new(BinPack),
             sleep_after: Some(SimDuration::from_secs(30)),
         }
     }
@@ -149,9 +145,8 @@ pub struct OrchestratorStats {
 /// The cluster orchestrator.
 pub struct Orchestrator {
     cluster: SocCluster,
-    scheduler: Box<dyn Scheduler>,
     /// Headroom index over `cluster.socs`, kept in lock-step with every
-    /// place/release/decommission/restore so schedulers decide in
+    /// place/release/decommission/restore so placement decides in
     /// O(log n) (see `placement_index` invariant 2).
     placement: PlacementIndex,
     /// Each SoC's total power, refreshed with the placement index by
@@ -225,7 +220,6 @@ impl Orchestrator {
         let initial_power = soc_power.iter().copied().sum::<Power>() + cluster.chassis_power();
         Self {
             cluster,
-            scheduler: config.scheduler,
             placement,
             soc_power,
             sleep_after: config.sleep_after,
@@ -553,26 +547,10 @@ impl Orchestrator {
         }
         let (demand, runtime) = self.demand_for(&spec)?;
         let placed_at = match avoid {
-            None => self
-                .scheduler
-                .place_indexed(&demand, &self.cluster.socs, &self.placement),
-            Some(avoid) => {
-                let got = self
-                    .placement
-                    .first_fit_outside(&demand, &self.cluster.socs, avoid);
-                debug_assert_eq!(
-                    got,
-                    self.cluster
-                        .socs
-                        .iter()
-                        .enumerate()
-                        .position(
-                            |(i, s)| !avoid.iter().any(|r| r.contains(&i)) && s.fits(&demand)
-                        ),
-                    "indexed anti-affinity decision must match the skip-scan"
-                );
-                got
-            }
+            None => self.placement.first_fit(&demand, &self.cluster.socs),
+            Some(avoid) => self
+                .placement
+                .first_fit_outside(&demand, &self.cluster.socs, avoid),
         };
         let Some(soc) = placed_at else {
             self.stats.rejected += 1;
@@ -828,10 +806,7 @@ impl Orchestrator {
         victims.sort_unstable();
         for id in victims {
             let mut placed = self.undeploy(id).expect("victim exists");
-            match self
-                .scheduler
-                .place_indexed(&placed.demand, &self.cluster.socs, &self.placement)
-            {
+            match self.placement.first_fit(&placed.demand, &self.cluster.socs) {
                 Some(target)
                     if placed.demand.net_mbps == 0.0
                         || self.cluster.fits_network(target, placed.demand.net_mbps) =>
@@ -1005,11 +980,12 @@ impl Orchestrator {
     }
 
     /// Cross-checks the incrementally maintained placement index against
-    /// linear scans of the live fleet for a spread of probe demands
+    /// a linear scan of the live fleet for a spread of probe demands
     /// (placement-index invariant 2). Returns `true` when every indexed
-    /// decision is byte-identical to the scan — the chaos campaigns call
+    /// first fit is byte-identical to the scan — the chaos campaigns call
     /// this after every fault step and treat `false` as an invariant
-    /// violation.
+    /// violation. (A debug build panics first, in `first_fit`'s own
+    /// cross-check.)
     pub fn verify_placement_index(&self) -> bool {
         let probes = [
             Demand::default(),
@@ -1062,22 +1038,8 @@ impl Orchestrator {
             },
         ];
         probes.iter().all(|d| {
-            let scan_first = self.cluster.socs.iter().position(|s| s.fits(d));
-            let scan_least = self
-                .cluster
-                .socs
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.fits(d))
-                .min_by(|(_, a), (_, b)| {
-                    a.cpu_utilization()
-                        .get()
-                        .partial_cmp(&b.cpu_utilization().get())
-                        .expect("utilization is never NaN")
-                })
-                .map(|(i, _)| i);
-            self.placement.first_fit(d, &self.cluster.socs) == scan_first
-                && self.placement.least_loaded_fit(d, &self.cluster.socs) == scan_least
+            self.placement.first_fit(d, &self.cluster.socs)
+                == self.cluster.socs.iter().position(|s| s.fits(d))
         })
     }
 }

@@ -1,14 +1,15 @@
-//! Capacity-indexed placement: O(log n) scheduling decisions that are
+//! Capacity-indexed placement: O(log n) bin-pack decisions that are
 //! byte-identical to the linear scans they replace.
 //!
-//! The orchestrator's placement strategies ([`crate::scheduler`]) scan the
-//! whole fleet per decision. At 60 SoCs that is tolerable; at the
-//! "massive" scale the paper targets (§8) — and in churn-heavy sweeps
-//! where every submit/finish/fault re-runs placement — the linear scan
-//! dominates. [`PlacementIndex`] is a segment tree over SoC slots whose
-//! nodes summarize per-resource *headroom* (capacity − used, elementwise
-//! max over the subtree) plus the minimum CPU utilization, maintained
-//! incrementally in O(log n) per mutation.
+//! The orchestrator bin-packs: each workload goes to the lowest-index SoC
+//! with room, so the idle tail of the fleet can sleep (§8's SoC-level
+//! scheduling granularity; Figs. 7 and 12's energy proportionality). A
+//! linear scan per decision is tolerable at 60 SoCs; at the "massive"
+//! scale the paper targets — and in churn-heavy sweeps where every
+//! submit/finish/fault re-runs placement — it dominates. [`PlacementIndex`]
+//! is a segment tree over SoC slots whose nodes summarize per-resource
+//! *headroom* (capacity − used, elementwise max over the subtree),
+//! maintained incrementally in O(log n) per mutation.
 //!
 //! ## Invariants (see DESIGN.md)
 //!
@@ -22,13 +23,8 @@
 //! 2. **The index mirrors `socs` after every mutation.** Every
 //!    place/release/decommission/restore on a `SocUnit` must be followed
 //!    by [`PlacementIndex::update`] for that slot before the next
-//!    placement query. The orchestrator owns this discipline; the
-//!    `debug_assert`s in `scheduler.rs` cross-check every indexed decision
-//!    against the linear scan in debug builds.
-//! 3. **Utilization bounds prune ties conservatively.** `Spread` keeps
-//!    the *first* index among equal utilizations, so a right subtree is
-//!    only skipped when its minimum utilization is `>=` the best found so
-//!    far — equal can't win, smaller might.
+//!    placement query. The orchestrator owns this discipline; each query
+//!    cross-checks its decision against the linear scan in debug builds.
 
 use std::ops::Range;
 
@@ -43,9 +39,7 @@ use crate::soc::{Demand, SocUnit};
 const PRUNE_SLACK: f64 = 1e-6;
 
 /// Per-subtree summary: elementwise **max** headroom across healthy SoCs
-/// (an upper bound on what any single SoC inside can absorb) and the
-/// **min** CPU utilization (a lower bound for `Spread`'s best-first
-/// search).
+/// (an upper bound on what any single SoC inside can absorb).
 #[derive(Debug, Clone, Copy)]
 struct Summary {
     cpu_pu: f64,
@@ -55,7 +49,6 @@ struct Summary {
     dsp_frac: f64,
     mem_gb: f64,
     net_mbps: f64,
-    min_cpu_util: f64,
     any_healthy: bool,
 }
 
@@ -69,7 +62,6 @@ impl Summary {
         dsp_frac: f64::NEG_INFINITY,
         mem_gb: f64::NEG_INFINITY,
         net_mbps: f64::NEG_INFINITY,
-        min_cpu_util: f64::INFINITY,
         any_healthy: false,
     };
 
@@ -90,14 +82,13 @@ impl Summary {
             dsp_frac: 1.0 - used.dsp_frac,
             mem_gb: soc.spec.memory.capacity_gb - used.mem_gb,
             net_mbps: soc.spec.ethernet_bps / 1e6 - used.net_mbps,
-            min_cpu_util: soc.cpu_utilization().get(),
             any_healthy: true,
         }
     }
 
-    /// Merges two child summaries (elementwise max headroom, min util).
-    /// `f64::max`/`min` pick one operand verbatim — no arithmetic — so
-    /// bounds never accumulate rounding error up the tree.
+    /// Merges two child summaries (elementwise max headroom).
+    /// `f64::max` picks one operand verbatim — no arithmetic — so bounds
+    /// never accumulate rounding error up the tree.
     fn merge(a: &Self, b: &Self) -> Self {
         Self {
             cpu_pu: a.cpu_pu.max(b.cpu_pu),
@@ -107,7 +98,6 @@ impl Summary {
             dsp_frac: a.dsp_frac.max(b.dsp_frac),
             mem_gb: a.mem_gb.max(b.mem_gb),
             net_mbps: a.net_mbps.max(b.net_mbps),
-            min_cpu_util: a.min_cpu_util.min(b.min_cpu_util),
             any_healthy: a.any_healthy || b.any_healthy,
         }
     }
@@ -123,7 +113,6 @@ impl Summary {
                 s.dsp_frac,
                 s.mem_gb,
                 s.net_mbps,
-                s.min_cpu_util,
             ]
             .map(f64::to_bits)
         };
@@ -148,10 +137,10 @@ impl Summary {
 
 /// A segment tree of per-resource headroom over the fleet's SoC slots.
 ///
-/// Queries answer the three placement shapes the built-in schedulers need
-/// — first fit, first fit from a cursor (wrap-around), and least-loaded
-/// fit — each in O(log n) descent when the answer exists, with decisions
-/// byte-identical to the corresponding linear scan.
+/// Queries answer the two placement shapes the orchestrator needs — first
+/// fit, and first fit outside avoided slot ranges — each in O(log n)
+/// descent when the answer exists, with decisions byte-identical to the
+/// corresponding linear scan.
 #[derive(Debug, Clone)]
 pub struct PlacementIndex {
     /// Number of real slots (leaves beyond `len` are [`Summary::EMPTY`]).
@@ -200,21 +189,16 @@ impl PlacementIndex {
         }
     }
 
-    /// Lowest-index SoC that fits `demand` (the `BinPack` decision), or
+    /// Lowest-index SoC that fits `demand` (the bin-pack decision), or
     /// `None` if nothing does.
     pub fn first_fit(&self, demand: &Demand, socs: &[SocUnit]) -> Option<usize> {
-        self.first_fit_in(1, 0, self.base, demand, socs)
-    }
-
-    /// First SoC at index `>= start` that fits, wrapping to the front (the
-    /// `RoundRobin` decision for a cursor at `start`).
-    pub fn first_fit_from(&self, start: usize, demand: &Demand, socs: &[SocUnit]) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let start = start % self.len;
-        self.first_fit_at_or_after(1, 0, self.base, start, demand, socs)
-            .or_else(|| self.first_fit_in(1, 0, self.base, demand, socs))
+        let got = self.first_fit_in(1, 0, self.base, demand, socs);
+        debug_assert_eq!(
+            got,
+            socs.iter().position(|s| s.fits(demand)),
+            "indexed first fit diverged from the linear scan"
+        );
+        got
     }
 
     /// Lowest-index SoC *outside every `avoid` range* that fits `demand`
@@ -231,7 +215,15 @@ impl PlacementIndex {
         socs: &[SocUnit],
         avoid: &[Range<usize>],
     ) -> Option<usize> {
-        self.first_fit_outside_in(1, 0, self.base, demand, socs, avoid)
+        let got = self.first_fit_outside_in(1, 0, self.base, demand, socs, avoid);
+        debug_assert_eq!(
+            got,
+            socs.iter()
+                .enumerate()
+                .position(|(i, s)| !avoid.iter().any(|r| r.contains(&i)) && s.fits(demand)),
+            "indexed anti-affinity decision diverged from the skip-scan"
+        );
+        got
     }
 
     fn first_fit_outside_in(
@@ -261,14 +253,6 @@ impl PlacementIndex {
             .or_else(|| self.first_fit_outside_in(2 * node + 1, mid, hi, demand, socs, avoid))
     }
 
-    /// Fitting SoC with the minimum CPU utilization, first index winning
-    /// ties (the `Spread` decision), or `None` if nothing fits.
-    pub fn least_loaded_fit(&self, demand: &Demand, socs: &[SocUnit]) -> Option<usize> {
-        let mut best: Option<(f64, usize)> = None;
-        self.least_loaded_in(1, 0, self.base, demand, socs, &mut best);
-        best.map(|(_, i)| i)
-    }
-
     fn first_fit_in(
         &self,
         node: usize,
@@ -288,61 +272,6 @@ impl PlacementIndex {
         self.first_fit_in(2 * node, lo, mid, demand, socs)
             .or_else(|| self.first_fit_in(2 * node + 1, mid, hi, demand, socs))
     }
-
-    fn first_fit_at_or_after(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        start: usize,
-        demand: &Demand,
-        socs: &[SocUnit],
-    ) -> Option<usize> {
-        if lo >= self.len || hi <= start || !self.nodes[node].may_fit(demand) {
-            return None;
-        }
-        if hi - lo == 1 {
-            return socs[lo].fits(demand).then_some(lo);
-        }
-        let mid = lo + (hi - lo) / 2;
-        self.first_fit_at_or_after(2 * node, lo, mid, start, demand, socs)
-            .or_else(|| self.first_fit_at_or_after(2 * node + 1, mid, hi, start, demand, socs))
-    }
-
-    fn least_loaded_in(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        demand: &Demand,
-        socs: &[SocUnit],
-        best: &mut Option<(f64, usize)>,
-    ) {
-        if lo >= self.len || !self.nodes[node].may_fit(demand) {
-            return;
-        }
-        // Ties keep the earlier index (we search left to right), so a
-        // subtree whose *lower bound* equals the incumbent cannot win.
-        if let Some((best_util, _)) = best {
-            if self.nodes[node].min_cpu_util >= *best_util {
-                return;
-            }
-        }
-        if hi - lo == 1 {
-            if socs[lo].fits(demand) {
-                let util = socs[lo].cpu_utilization().get();
-                // Strict `<`: the first minimal index must win, exactly as
-                // `Iterator::min_by` keeps the first of equal elements.
-                if best.is_none() || util < best.expect("checked").0 {
-                    *best = Some((util, lo));
-                }
-            }
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        self.least_loaded_in(2 * node, lo, mid, demand, socs, best);
-        self.least_loaded_in(2 * node + 1, mid, hi, demand, socs, best);
-    }
 }
 
 #[cfg(test)]
@@ -350,6 +279,7 @@ mod tests {
     use super::*;
     use crate::virt::DeploymentMode;
     use proptest::prelude::*;
+    use socc_hw::calib::SOCS_PER_PCB;
 
     fn fleet(n: usize) -> Vec<SocUnit> {
         (0..n)
@@ -369,19 +299,6 @@ mod tests {
         socs.iter().position(|s| s.fits(demand))
     }
 
-    fn linear_least_loaded(demand: &Demand, socs: &[SocUnit]) -> Option<usize> {
-        socs.iter()
-            .enumerate()
-            .filter(|(_, s)| s.fits(demand))
-            .min_by(|(_, a), (_, b)| {
-                a.cpu_utilization()
-                    .get()
-                    .partial_cmp(&b.cpu_utilization().get())
-                    .expect("utilization is never NaN")
-            })
-            .map(|(i, _)| i)
-    }
-
     #[test]
     fn first_fit_matches_scan_as_fleet_fills() {
         let mut socs = fleet(7);
@@ -397,34 +314,6 @@ mod tests {
         // Fleet is full for this demand; both agree on None.
         assert_eq!(idx.first_fit(&d(1000.0), &socs), None);
         assert_eq!(linear_first_fit(&d(1000.0), &socs), None);
-    }
-
-    #[test]
-    fn least_loaded_matches_scan_with_ties() {
-        let mut socs = fleet(5);
-        // socs 2 and 4 share the minimum load: index 2 must win.
-        socs[0].place(&d(2000.0));
-        socs[1].place(&d(500.0));
-        socs[3].place(&d(500.0));
-        let idx = PlacementIndex::new(&socs);
-        assert_eq!(idx.least_loaded_fit(&d(100.0), &socs), Some(2));
-        assert_eq!(
-            idx.least_loaded_fit(&d(100.0), &socs),
-            linear_least_loaded(&d(100.0), &socs)
-        );
-    }
-
-    #[test]
-    fn cursor_queries_wrap() {
-        let mut socs = fleet(4);
-        let mut idx = PlacementIndex::new(&socs);
-        socs[2].place(&d(3235.0)); // full
-        idx.update(2, &socs[2]);
-        assert_eq!(idx.first_fit_from(2, &d(100.0), &socs), Some(3));
-        assert_eq!(idx.first_fit_from(3, &d(100.0), &socs), Some(3));
-        socs[3].place(&d(3235.0));
-        idx.update(3, &socs[3]);
-        assert_eq!(idx.first_fit_from(2, &d(100.0), &socs), Some(0), "wraps");
     }
 
     #[test]
@@ -447,8 +336,6 @@ mod tests {
         let idx = PlacementIndex::new(&socs);
         assert_eq!(idx.len, 0);
         assert_eq!(idx.first_fit(&d(1.0), &socs), None);
-        assert_eq!(idx.first_fit_from(0, &d(1.0), &socs), None);
-        assert_eq!(idx.least_loaded_fit(&d(1.0), &socs), None);
 
         let socs = fleet(1);
         let idx = PlacementIndex::new(&socs);
@@ -566,13 +453,21 @@ mod tests {
     proptest! {
         /// Updates that stop at the first unchanged node leave the tree
         /// equal to a rebuild after every place, release, decommission,
-        /// restore and no-op update. Demands come from a short list, so
-        /// siblings often tie and paths stop early.
+        /// restore and no-op update, and both queries then answer as their
+        /// scans do: first fit, and first fit outside a drawn set of board
+        /// ranges (overlapping, or running past the fleet's end). Demands
+        /// come from a short list, so siblings often tie and paths stop
+        /// early.
         #[test]
         fn early_exit_update_matches_a_rebuild(
             n in 1usize..70,
-            ops in prop::collection::vec((0usize..5, 0usize..70, 0usize..4), 1..150)
+            ops in prop::collection::vec((0usize..5, 0usize..70, 0usize..4), 1..150),
+            boards in prop::collection::vec((0usize..14, 1usize..4), 0..4)
         ) {
+            let avoid: Vec<Range<usize>> = boards
+                .iter()
+                .map(|&(b, len)| b * SOCS_PER_PCB..(b + len) * SOCS_PER_PCB)
+                .collect();
             let demands = [
                 d(300.0),
                 d(1500.0),
@@ -615,6 +510,15 @@ mod tests {
                 }
                 idx.update(i, &socs[i]);
                 assert_matches_rebuild(&idx, &socs, step);
+                let demand = &demands[k];
+                prop_assert_eq!(
+                    idx.first_fit(demand, &socs),
+                    linear_first_fit(demand, &socs)
+                );
+                prop_assert_eq!(
+                    idx.first_fit_outside(demand, &socs, &avoid),
+                    linear_first_fit_outside(demand, &socs, &avoid)
+                );
             }
         }
     }

@@ -27,7 +27,6 @@ use socc_sim::time::{SimDuration, SimTime};
 
 use crate::bmc::{encode_command, BmcCommand};
 use crate::detector::{access_links, classify, DetectedClass, HeartbeatMonitor};
-use crate::evacuation::EvacuationPacing;
 use crate::faults::{DomainFault, FailureDomains, FaultEvent, FaultKind, FaultSchedule};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::priority::{priority_of, Priority};
@@ -49,44 +48,32 @@ pub(crate) fn brownout_throughput_frac(ratio: f64) -> f64 {
     dvfs.throughput_cap_under_power(budget)
 }
 
-/// Tuning knobs of the recovery loop.
+/// Node-agent heartbeat (and detector sweep) period.
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Re-placement retries after the initial attempt, before shedding.
+pub const MAX_RETRIES: u32 = 3;
+/// First retry delay; doubles each further retry.
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+/// Fractional jitter applied to each backoff delay (`0.2` = ±20%).
+const BACKOFF_JITTER: f64 = 0.2;
+/// BMC power-cycle turnaround for a hung SoC.
+const POWER_CYCLE_TIME: SimDuration = SimDuration::from_secs(10);
+/// Cool-down before a thermally tripped SoC rejoins.
+const THERMAL_COOLDOWN: SimDuration = SimDuration::from_secs(60);
+/// Time for a technician/auto-retrain to bring a failed link back.
+const LINK_REPAIR_TIME: SimDuration = SimDuration::from_secs(120);
+
+/// Tuning knob of the recovery loop.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Node-agent heartbeat (and detector sweep) period.
-    pub heartbeat_interval: SimDuration,
     /// A SoC whose last heartbeat is older than this is declared failed.
     pub detection_window: SimDuration,
-    /// Re-placement retries after the initial attempt, before shedding.
-    pub max_retries: u32,
-    /// First retry delay; doubles each further retry.
-    pub backoff_base: SimDuration,
-    /// Fractional jitter applied to each backoff delay (`0.2` = ±20%).
-    pub backoff_jitter: f64,
-    /// BMC power-cycle turnaround for a hung SoC.
-    pub power_cycle_time: SimDuration,
-    /// Cool-down before a thermally tripped SoC rejoins.
-    pub thermal_cooldown: SimDuration,
-    /// Time for a technician/auto-retrain to bring a failed link back.
-    pub link_repair_time: SimDuration,
-    /// Optional admission pacing for evacuation storms: batches of
-    /// displaced workloads are re-placed in waves sized to the measured
-    /// fabric drain rate instead of all at once. `None` (the default)
-    /// keeps the loop's behaviour — and its golden traces — unchanged.
-    pub evacuation_pacing: Option<EvacuationPacing>,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
-            heartbeat_interval: SimDuration::from_secs(1),
             detection_window: SimDuration::from_secs(3),
-            max_retries: 3,
-            backoff_base: SimDuration::from_millis(500),
-            backoff_jitter: 0.2,
-            power_cycle_time: SimDuration::from_secs(10),
-            thermal_cooldown: SimDuration::from_secs(60),
-            link_repair_time: SimDuration::from_secs(120),
-            evacuation_pacing: None,
         }
     }
 }
@@ -187,7 +174,6 @@ enum Action {
 /// [`RecoveryEngine::run`] with a fault schedule and a horizon.
 pub struct RecoveryEngine {
     orch: Orchestrator,
-    config: RecoveryConfig,
     /// Heartbeat state; its muted set is the ground truth of which SoCs
     /// stopped heartbeating (faulted, dropped with their board, or cut
     /// off by a partition) until they return to service.
@@ -264,7 +250,6 @@ impl RecoveryEngine {
             down_at: vec![None; socs],
             horizon: None,
             orch,
-            config,
         }
     }
 
@@ -327,7 +312,7 @@ impl RecoveryEngine {
     }
 
     /// Runs the loop: injects `faults` at their scheduled times, sweeps
-    /// heartbeats every `heartbeat_interval`, recovers as designed, and
+    /// heartbeats every [`HEARTBEAT_INTERVAL`], recovers as designed, and
     /// stops at `horizon` (pending retries past the horizon lapse; their
     /// workloads are accounted as lost).
     ///
@@ -373,7 +358,7 @@ impl RecoveryEngine {
         for e in &faults.domain {
             self.queue.schedule(e.at, Action::Domain(e.fault));
         }
-        let first_sweep = SimTime::ZERO + self.config.heartbeat_interval;
+        let first_sweep = SimTime::ZERO + HEARTBEAT_INTERVAL;
         if first_sweep <= horizon {
             self.queue.schedule(first_sweep, Action::Sweep);
         }
@@ -732,7 +717,7 @@ impl RecoveryEngine {
             self.detect_batch(domains.board_of_soc(socs[0]), socs, now);
         }
         self.overdue = overdue;
-        let next = now + self.config.heartbeat_interval;
+        let next = now + HEARTBEAT_INTERVAL;
         if next <= horizon {
             self.queue.schedule(next, Action::Sweep);
         }
@@ -821,10 +806,8 @@ impl RecoveryEngine {
                         Scope::Recovery,
                         EventKind::PowerCycleIssued { soc: soc as u32 },
                     );
-                    self.queue.schedule(
-                        now + self.config.power_cycle_time,
-                        Action::PowerCycleDone(soc),
-                    );
+                    self.queue
+                        .schedule(now + POWER_CYCLE_TIME, Action::PowerCycleDone(soc));
                 }
                 DetectedClass::ThermalTrip => {
                     self.telemetry.add(FtCounter::Cooldowns, 1);
@@ -833,10 +816,8 @@ impl RecoveryEngine {
                         Scope::Recovery,
                         EventKind::CooldownStarted { soc: soc as u32 },
                     );
-                    self.queue.schedule(
-                        now + self.config.thermal_cooldown,
-                        Action::CooldownDone(soc),
-                    );
+                    self.queue
+                        .schedule(now + THERMAL_COOLDOWN, Action::CooldownDone(soc));
                 }
                 DetectedClass::LinkLoss => {
                     self.telemetry.add(FtCounter::LinkRepairs, 1);
@@ -845,10 +826,8 @@ impl RecoveryEngine {
                         Scope::Recovery,
                         EventKind::LinkRepairStarted { soc: soc as u32 },
                     );
-                    self.queue.schedule(
-                        now + self.config.link_repair_time,
-                        Action::LinkRepaired(soc),
-                    );
+                    self.queue
+                        .schedule(now + LINK_REPAIR_TIME, Action::LinkRepaired(soc));
                 }
             }
         }
@@ -859,50 +838,16 @@ impl RecoveryEngine {
                 .cmp(&priority_of(&a.1))
                 .then(a.0.cmp(&b.0))
         });
-        // With pacing on, later waves get their *initial* placement attempt
-        // (attempt = 1, so it never books as a retry) deferred by the
-        // measured fabric drain time; priority order decides who ships now.
-        let offsets = self
-            .config
-            .evacuation_pacing
-            .filter(|_| displaced.len() > 1)
-            .map(|p| p.admission_offsets(displaced.len()));
-        if let Some(offsets) = &offsets {
-            let held = offsets.iter().filter(|&&d| d > SimDuration::ZERO).count() as u64;
-            if held > 0 {
-                self.telemetry.add(FtCounter::EvacuationsPaced, held);
-                self.orch.events_mut().record(
-                    now,
-                    Scope::Recovery,
-                    EventKind::EvacuationPaced { held },
-                );
-            }
-        }
-        for (i, (orig, spec, fault_at, class)) in displaced.drain(..).enumerate() {
-            let delay = offsets.as_ref().map_or(SimDuration::ZERO, |o| o[i]);
-            if delay > SimDuration::ZERO {
-                self.queue.schedule(
-                    now + delay,
-                    Action::Retry {
-                        original: orig,
-                        spec,
-                        fault_at,
-                        attempt: 1,
-                        from_board: Some(board),
-                        class,
-                    },
-                );
-            } else {
-                self.try_place(orig, spec, fault_at, 1, now, Some(board), class);
-            }
+        for (orig, spec, fault_at, class) in displaced.drain(..) {
+            self.try_place(orig, spec, fault_at, 1, now, Some(board), class);
         }
         self.displaced = displaced;
     }
 
     fn backoff(&mut self, attempt: u32) -> SimDuration {
         let doublings = attempt.saturating_sub(1).min(16);
-        let base = self.config.backoff_base * 2f64.powi(doublings as i32);
-        let jitter = 1.0 + self.config.backoff_jitter * (2.0 * self.rng.uniform(0.0, 1.0) - 1.0);
+        let base = BACKOFF_BASE * 2f64.powi(doublings as i32);
+        let jitter = 1.0 + BACKOFF_JITTER * (2.0 * self.rng.uniform(0.0, 1.0) - 1.0);
         base * jitter.max(0.0)
     }
 
@@ -962,7 +907,7 @@ impl RecoveryEngine {
         self.avoid = avoid;
         match placed {
             Ok(new_id) => self.settle(original, new_id, fault_at, now, class),
-            Err(_) if attempt <= self.config.max_retries => {
+            Err(_) if attempt <= MAX_RETRIES => {
                 let delay = self.backoff(attempt);
                 self.orch.events_mut().record(
                     now,
@@ -1239,8 +1184,8 @@ mod tests {
         let mut eng = engine(5);
         eng.submit(live_v1()).unwrap();
         eng.run(&[fault(10, 0, FaultKind::Flash)], SimTime::from_secs(60));
-        let budget_ms =
-            (eng.config.detection_window + eng.config.heartbeat_interval * 2u32).as_millis_f64();
+        let budget_ms = (RecoveryConfig::default().detection_window + HEARTBEAT_INTERVAL * 2u32)
+            .as_millis_f64();
         let seen = eng.telemetry().histogram_quantile("ft.detection_ms", 1.0);
         assert!(
             seen.is_some_and(|ms| ms <= budget_ms),
@@ -1368,50 +1313,6 @@ mod tests {
             );
         }
         assert!(eng.orchestrator().verify_placement_index());
-    }
-
-    #[test]
-    fn paced_evacuation_spreads_the_storm_without_losing_anyone() {
-        let board_down = FaultSchedule {
-            soc: Vec::new(),
-            domain: vec![crate::faults::DomainFaultEvent {
-                at: SimTime::from_secs(10),
-                fault: DomainFault::BoardDown { board: 0 },
-            }],
-        };
-        let run = |pacing: Option<EvacuationPacing>| {
-            let mut eng = RecoveryEngine::new(
-                OrchestratorConfig::default(),
-                RecoveryConfig {
-                    evacuation_pacing: pacing,
-                    ..RecoveryConfig::default()
-                },
-                11,
-            );
-            for _ in 0..65 {
-                eng.submit(live_v1()).unwrap();
-            }
-            eng.run_schedule(&board_down, SimTime::from_secs(120));
-            eng
-        };
-        let unpaced = run(None);
-        let paced = run(Some(EvacuationPacing::cluster_default()));
-        // Pacing changes *when* evacuees are re-placed, never whether.
-        for eng in [&unpaced, &paced] {
-            assert_eq!(eng.telemetry().counter("ft.migrations"), 65);
-            assert!(eng
-                .fates()
-                .values()
-                .all(|r| r.fate == WorkloadFate::Running));
-        }
-        assert_eq!(unpaced.telemetry().counter("ft.evacuations_paced"), 0);
-        // 65 victims in waves of 2: everyone past the first wave is held.
-        assert_eq!(paced.telemetry().counter("ft.evacuations_paced"), 63);
-        // The held waves trade a bounded sliver of availability for not
-        // flooding the fabric: strictly more downtime, but within one
-        // storm's worth of wave-times.
-        assert!(paced.availability() < unpaced.availability());
-        assert!(paced.availability() > unpaced.availability() - 0.01);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl SocUnit {
     /// # Panics
     ///
     /// Panics if the demand does not fit (callers must check [`Self::fits`]
-    /// first — the scheduler owns admission).
+    /// first — the orchestrator owns admission).
     pub fn place(&mut self, demand: &Demand) {
         assert!(
             self.fits(demand),

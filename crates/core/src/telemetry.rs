@@ -29,8 +29,6 @@ pub enum FtCounter {
     DomainPartition,
     /// `ft.domain_faults`
     DomainFaults,
-    /// `ft.evacuations_paced`
-    EvacuationsPaced,
     /// `ft.faults_detected`
     FaultsDetected,
     /// `ft.faults_injected`
@@ -57,7 +55,7 @@ pub enum FtCounter {
 
 impl FtCounter {
     /// Every counter, in declaration order (the slot order).
-    pub const ALL: [FtCounter; 19] = [
+    pub const ALL: [FtCounter; 18] = [
         FtCounter::AntiAffinityFallbacks,
         FtCounter::BrownoutsEnded,
         FtCounter::Cooldowns,
@@ -65,7 +63,6 @@ impl FtCounter {
         FtCounter::DomainBrownout,
         FtCounter::DomainPartition,
         FtCounter::DomainFaults,
-        FtCounter::EvacuationsPaced,
         FtCounter::FaultsDetected,
         FtCounter::FaultsInjected,
         FtCounter::LinkRepairs,
@@ -89,7 +86,6 @@ impl FtCounter {
             FtCounter::DomainBrownout => "ft.domain.brownout",
             FtCounter::DomainPartition => "ft.domain.partition",
             FtCounter::DomainFaults => "ft.domain_faults",
-            FtCounter::EvacuationsPaced => "ft.evacuations_paced",
             FtCounter::FaultsDetected => "ft.faults_detected",
             FtCounter::FaultsInjected => "ft.faults_injected",
             FtCounter::LinkRepairs => "ft.link_repairs",

@@ -48,7 +48,7 @@ use std::ops::Range;
 use socc_hw::calib::SOCS_PER_PCB;
 use socc_hw::ledger::Component;
 use socc_net::tcp::TcpModel;
-use socc_sim::hash::IdMap;
+use socc_sim::hash::{fnv1a, IdMap, FNV_OFFSET};
 use socc_sim::rng::SimRng;
 use socc_sim::time::SimTime;
 use socc_sim::units::{DataRate, DataSize};
@@ -61,7 +61,6 @@ use socc_workloads::gaming::GamingTraceConfig;
 
 use crate::cluster::ClusterConfig;
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use crate::scheduler::BinPack;
 use crate::workload::{WorkloadId, WorkloadSpec};
 
 /// Catalogue share of each vbench source (V1..V6) in the ingest mix:
@@ -457,15 +456,9 @@ struct FarmRun<'a> {
 
 /// FNV-1a over a placement observation.
 fn fnv_mix(digest: u64, t: u64, session: u32, soc: usize) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut d = digest;
-    for word in [t, session as u64, soc as u64] {
-        for byte in word.to_le_bytes() {
-            d ^= byte as u64;
-            d = d.wrapping_mul(PRIME);
-        }
-    }
-    d
+    [t, session as u64, soc as u64]
+        .iter()
+        .fold(digest, |d, word| fnv1a(d, &word.to_le_bytes()))
 }
 
 impl FarmRun<'_> {
@@ -680,9 +673,7 @@ pub fn run_farm(
     let orch = Orchestrator::new(OrchestratorConfig {
         cluster: ClusterConfig {
             soc_count: cfg.socs,
-            ..ClusterConfig::default()
         },
-        scheduler: Box::new(BinPack),
         // A live farm keeps slots warm: placement must not wait on a
         // wake-up, and piecewise-constant power between events is what
         // lets the analytic mode integrate in closed form.
@@ -698,7 +689,7 @@ pub fn run_farm(
         egress_sum: 0.0,
         active: 0,
         report: FarmReport {
-            digest: 0xCBF2_9CE4_8422_2325, // FNV-1a offset basis
+            digest: FNV_OFFSET,
             ..FarmReport::default()
         },
     };

@@ -13,6 +13,10 @@
 //! those one multiply mixes enough: the product's low bits, which pick
 //! the bucket, differ between nearby ids, and its high bits, which fill
 //! hashbrown's control byte, are well mixed.
+//!
+//! [`fnv1a`] is the other hash here: the 64-bit FNV-1a fold behind every
+//! digest the simulator pins (run digests, event-log digests, RNG stream
+//! splits and the tests' byte pins).
 
 // The one place the simulated paths' maps come from std.
 #[allow(clippy::disallowed_types)]
@@ -73,6 +77,21 @@ pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
 /// A `HashSet` hashed with [`IdHasher`]: the same layout in every process.
 #[allow(clippy::disallowed_types)]
 pub type IdSet<T> = HashSet<T, IdBuildHasher>;
+
+/// The FNV-1a offset basis: the state a fresh [`fnv1a`] digest starts at.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `state` (start at
+/// [`FNV_OFFSET`]). Words fold as their little-endian bytes.
+#[inline]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,8 @@
 //! - [`event`]: a deterministic [`event::EventQueue`] with
 //!   stable tie-breaking;
 //! - [`hash`]: hash maps and sets with the same layout in every process
-//!   ([`hash::IdMap`], [`hash::IdSet`]);
+//!   ([`hash::IdMap`], [`hash::IdSet`]) and the FNV-1a digest fold
+//!   ([`hash::fnv1a`]);
 //! - [`rng`]: seedable, splittable randomness ([`rng::SimRng`]);
 //! - [`units`]: dimensional newtypes ([`units::Power`],
 //!   [`units::Energy`], [`units::DataRate`], …);

@@ -5,6 +5,8 @@
 //! generator for a named subsystem so that adding randomness to one module
 //! does not perturb the draw sequence of another.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
+
 /// A deterministic, splittable random-number generator.
 ///
 /// The core is xoshiro256++ with its 256-bit state expanded from the seed
@@ -59,11 +61,7 @@ impl SimRng {
     pub fn split(&self, label: &str) -> Self {
         // FNV-1a over the label mixed with a draw-free peek of parent state:
         // clone the parent so splitting does not advance it.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let h = fnv1a(FNV_OFFSET, label.as_bytes());
         let base = self.clone().next_u64();
         Self::seed(base ^ h)
     }
@@ -260,13 +258,8 @@ mod tests {
     /// Lemire's rejection path (spans near 2^63) and `split`.
     #[test]
     fn draw_sequence_is_pinned() {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut fold = |x: u64| h = fnv1a(h, &x.to_le_bytes());
         for seed in [0, 1, 7, 42, u64::MAX, 0xdead_beef_1234_5678] {
             let mut r = SimRng::seed(seed);
             for i in 0..20_000usize {

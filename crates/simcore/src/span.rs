@@ -24,6 +24,7 @@
 use core::fmt;
 use std::fmt::Write as _;
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::time::SimTime;
 
 /// Subsystem that emitted an event. Doubles as a filter bit.
@@ -294,11 +295,6 @@ pub enum EventKind {
         /// Flow id.
         flow: u64,
     },
-    /// Evacuation admission was paced by fabric backpressure.
-    EvacuationPaced {
-        /// Transfers held back in this pacing decision.
-        held: u64,
-    },
     /// A site's WAN uplink partitioned from the fleet control plane.
     SiteUnreachable {
         /// Site index.
@@ -412,7 +408,6 @@ impl EventKind {
             EventKind::PacketDropped { .. } => "packet_dropped",
             EventKind::EcnMarked { .. } => "ecn_marked",
             EventKind::CwndReduced { .. } => "cwnd_reduced",
-            EventKind::EvacuationPaced { .. } => "evacuation_paced",
             EventKind::SiteUnreachable { .. } => "site_unreachable",
             EventKind::SiteHealed { .. } => "site_healed",
             EventKind::SessionsRouted { .. } => "sessions_routed",
@@ -487,7 +482,6 @@ impl EventKind {
             | EventKind::PacketDropped { link }
             | EventKind::EcnMarked { link } => return [Some(("link", U64(u64::from(link)))), None],
             EventKind::CwndReduced { flow } => return [Some(("flow", U64(flow))), None],
-            EventKind::EvacuationPaced { held } => return [Some(("held", U64(held))), None],
             EventKind::SiteUnreachable { site }
             | EventKind::SiteHealed { site }
             | EventKind::SiteBlackout { site }
@@ -800,19 +794,12 @@ impl EventLog {
     /// clearing or re-recording an identical window digests identically.
     /// Golden-trace tests snapshot this to catch event reordering.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash = FNV_OFFSET;
         let mut line = String::new();
         for e in self.events() {
             line.clear();
-            let _ = write!(line, "{} {} {}", e.at.as_nanos(), e.scope.name(), e.kind);
-            for b in line.as_bytes() {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(FNV_PRIME);
+            let _ = writeln!(line, "{} {} {}", e.at.as_nanos(), e.scope.name(), e.kind);
+            hash = fnv1a(hash, line.as_bytes());
         }
         hash
     }

@@ -6,7 +6,9 @@
 
 use socc_cluster::faults::{DomainFault, DomainFaultEvent, FaultEvent, FaultKind, FaultSchedule};
 use socc_cluster::orchestrator::OrchestratorConfig;
-use socc_cluster::recovery::{RecoveryConfig, RecoveryEngine, WorkloadFate};
+use socc_cluster::recovery::{
+    RecoveryConfig, RecoveryEngine, WorkloadFate, BACKOFF_BASE, HEARTBEAT_INTERVAL, MAX_RETRIES,
+};
 use socc_cluster::workload::{WorkloadId, WorkloadSpec};
 use socc_sim::span::{Event, EventKind};
 use socc_sim::time::{SimDuration, SimTime};
@@ -135,10 +137,10 @@ fn four_fault_kinds_recover_within_budget() {
     // periods, and re-placement happens immediately or within the bounded
     // exponential-backoff schedule. The worst-case MTTR for a run where
     // capacity exists at detection time is detection + total backoff.
-    let detection_budget = config.detection_window + config.heartbeat_interval * 2u32;
+    let detection_budget = config.detection_window + HEARTBEAT_INTERVAL * 2u32;
     let mut backoff_budget = SimDuration::ZERO;
-    for attempt in 0..config.max_retries {
-        backoff_budget += config.backoff_base * 2f64.powi(attempt as i32) * 1.2;
+    for attempt in 0..MAX_RETRIES {
+        backoff_budget += BACKOFF_BASE * 2f64.powi(attempt as i32) * 1.2;
     }
     let budget_ms = (detection_budget + backoff_budget).as_millis_f64();
     let worst_mttr = tele

@@ -16,8 +16,8 @@ use socc_bench::harness::mix_seed;
 use socc_cluster::faults::SiteFaultInjector;
 use socc_cluster::fleet::{FleetConfig, FleetSim};
 use socc_cluster::orchestrator::{Orchestrator, OrchestratorConfig};
-use socc_cluster::scheduler;
 use socc_cluster::workload::WorkloadSpec;
+use socc_sim::hash::{fnv1a, FNV_OFFSET};
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
 use socc_workloads::gaming::GamingTraceConfig;
@@ -84,7 +84,6 @@ fn one_site_fleet_matches_standalone_orchestrator() {
         &mut rng,
     );
     let mut orch = Orchestrator::new(OrchestratorConfig {
-        scheduler: scheduler::by_name("bin-pack").expect("known"),
         sleep_after: cfg.sleep_after,
         ..OrchestratorConfig::default()
     });
@@ -133,7 +132,7 @@ fn one_site_fleet_matches_standalone_orchestrator() {
 /// literal can.
 #[test]
 fn colliding_fault_order_is_pinned() {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for seed in 0..12u64 {
         for mean_partitions in [8.0, 30.0] {
             let cfg = FleetConfig {
@@ -155,10 +154,7 @@ fn colliding_fault_order_is_pinned() {
             for schedule in [Vec::new(), site_faults] {
                 let mut fleet = FleetSim::with_site_faults(cfg, schedule);
                 fleet.run_to_end();
-                for b in fleet.digest().to_le_bytes() {
-                    hash ^= u64::from(b);
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                hash = fnv1a(hash, &fleet.digest().to_le_bytes());
             }
         }
     }

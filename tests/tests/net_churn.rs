@@ -16,6 +16,7 @@ use socc_net::fairness::{max_min_fair, FairnessState, FlowDemand, FlowKey};
 use socc_net::sim::{FlowNet, StreamId};
 use socc_net::tcp::TcpModel;
 use socc_net::topology::{LinkId, Topology};
+use socc_sim::hash::{fnv1a, FNV_OFFSET};
 use socc_sim::rng::SimRng;
 use socc_sim::time::SimDuration;
 use socc_sim::units::{DataRate, DataSize};
@@ -221,10 +222,7 @@ proptest! {
 
 /// FNV-1a over the little-endian bytes of one word.
 fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    *h = fnv1a(*h, &v.to_le_bytes());
 }
 
 /// A seeded churn of `ops` operations on the 60-SoC fabric: 200 streams
@@ -246,7 +244,7 @@ fn seeded_churn_digest(force_full: bool, ops: usize) -> u64 {
     let mut rng = SimRng::seed(42).split("allocator-bit-pin");
     let mut streams: Vec<StreamId> = Vec::new();
     let mut completed = Vec::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV_OFFSET;
     for op in 0..ops {
         let (a, b) = (rng.uniform_usize(0, 61), rng.uniform_usize(0, 61));
         let kind = rng.uniform_usize(0, 10);

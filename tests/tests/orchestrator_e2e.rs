@@ -1,32 +1,31 @@
-//! End-to-end orchestrator scenarios spanning the cluster, scheduler,
-//! power-state manager and fault machinery.
+//! End-to-end orchestrator scenarios spanning the cluster, bin-pack
+//! placement, power-state manager and fault machinery.
 
 // Tests build reference maps with std collections (see `clippy.toml`).
 #![allow(clippy::disallowed_types)]
 
 use socc_cluster::orchestrator::{Orchestrator, OrchestratorConfig};
-use socc_cluster::scheduler;
 use socc_cluster::workload::{SocProcessor, WorkloadSpec};
 use socc_dl::{DType, ModelId};
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
 use socc_workloads::jobs::{archive_job_stream, live_session_stream};
 
-fn orch_with(scheduler_name: &str, sleep: Option<SimDuration>) -> Orchestrator {
+fn orch_with(sleep: Option<SimDuration>) -> Orchestrator {
     Orchestrator::new(OrchestratorConfig {
-        scheduler: scheduler::by_name(scheduler_name).expect("known scheduler"),
         sleep_after: sleep,
         ..OrchestratorConfig::default()
     })
 }
 
-/// Bin-packing with sleep states must use less energy than spreading with
-/// no sleep over an idle-heavy day — the ablation behind Fig. 7/12.
+/// Bin-packing with sleep states must use less energy than a fleet that
+/// keeps every SoC awake over an idle-heavy day — the ablation behind
+/// Fig. 7/12. Placement is bin-pack on both sides; only sleep differs.
 #[test]
 fn binpack_sleep_beats_spread_awake_on_energy() {
     let day = SimDuration::from_hours(6);
-    let run = |name: &str, sleep: Option<SimDuration>| {
-        let mut orch = orch_with(name, sleep);
+    let run = |sleep: Option<SimDuration>| {
+        let mut orch = orch_with(sleep);
         let video = socc_video::vbench::by_id("V4").unwrap();
         // Light load: 12 streams for one hour, then idle.
         let ids: Vec<_> = (0..12)
@@ -44,13 +43,13 @@ fn binpack_sleep_beats_spread_awake_on_energy() {
         orch.advance_to(SimTime::ZERO + day);
         orch.energy().as_joules()
     };
-    let packed = run("bin-pack", Some(SimDuration::from_secs(30)));
-    let spread = run("spread", None);
-    // The awake fleet's idle floor dominates the spread run; packing plus
+    let packed = run(Some(SimDuration::from_secs(30)));
+    let awake = run(None);
+    // The awake fleet's idle floor dominates the second run; packing plus
     // sleep roughly halves the day's energy.
     assert!(
-        packed < 0.6 * spread,
-        "bin-pack+sleep {packed:.0} J should be well under spread+awake {spread:.0} J"
+        packed < 0.6 * awake,
+        "bin-pack+sleep {packed:.0} J should be well under bin-pack+awake {awake:.0} J"
     );
 }
 
@@ -63,7 +62,7 @@ fn diurnal_day_has_no_capacity_leak() {
     let sessions = live_session_stream(120.0, day, &mut rng);
     let jobs = archive_job_stream(20.0, day, &mut rng);
 
-    let mut orch = orch_with("bin-pack", Some(SimDuration::from_secs(60)));
+    let mut orch = orch_with(Some(SimDuration::from_secs(60)));
     #[derive(Clone, Copy, PartialEq)]
     enum Ev {
         Start(usize),
@@ -132,7 +131,7 @@ fn diurnal_day_has_no_capacity_leak() {
 /// migrates or is counted dropped, never silently lost.
 #[test]
 fn cascading_faults_conserve_workloads() {
-    let mut orch = orch_with("round-robin", None);
+    let mut orch = orch_with(None);
     let video = socc_video::vbench::by_id("V1").unwrap();
     let total = 300;
     for _ in 0..total {
@@ -160,7 +159,7 @@ fn cascading_faults_conserve_workloads() {
 /// DSP pools are independent resources.
 #[test]
 fn heterogeneous_processors_share_one_soc() {
-    let mut orch = orch_with("bin-pack", None);
+    let mut orch = orch_with(None);
     let specs = [
         WorkloadSpec::DlServe {
             processor: SocProcessor::Cpu,
@@ -193,7 +192,7 @@ fn heterogeneous_processors_share_one_soc() {
 /// is still admitted (with wakeups recorded).
 #[test]
 fn sleeping_fleet_wakes_for_bursts() {
-    let mut orch = orch_with("bin-pack", Some(SimDuration::from_secs(10)));
+    let mut orch = orch_with(Some(SimDuration::from_secs(10)));
     orch.advance_to(SimTime::from_secs(600));
     let (_, idle, sleeping, _) = orch.cluster().state_counts();
     assert_eq!(idle, 0);

@@ -451,7 +451,6 @@ fn storm(
 ) -> RecoveryEngine {
     let config = RecoveryConfig {
         detection_window: SimDuration::from_secs(window_s),
-        ..RecoveryConfig::default()
     };
     let mut eng = RecoveryEngine::new(OrchestratorConfig::default(), config, seed);
     let video = socc_video::vbench::by_id("V1").expect("vbench V1");
@@ -638,7 +637,10 @@ proptest! {
     /// order and answer every read by name with the same bits.
     #[test]
     fn ft_telemetry_reads_like_a_sink(
-        ops in prop::collection::vec((0u8..4, 0usize..19, 0u64..4, -5.0f64..5e6), 0..200)
+        ops in prop::collection::vec(
+            (0u8..4, 0..FtCounter::ALL.len(), 0u64..4, -5.0f64..5e6),
+            0..200,
+        )
     ) {
         let mut sink = TelemetrySink::default();
         let mut typed = FtTelemetry::new();

@@ -18,7 +18,7 @@ use integration_tests::{counted, Counting};
 use socc_bench::chaos::{campaign_schedules, ChaosOptions};
 use socc_cluster::faults::FaultSchedule;
 use socc_cluster::orchestrator::OrchestratorConfig;
-use socc_cluster::recovery::{RecoveryConfig, RecoveryEngine};
+use socc_cluster::recovery::{RecoveryConfig, RecoveryEngine, HEARTBEAT_INTERVAL};
 use socc_cluster::workload::WorkloadSpec;
 use socc_sim::time::SimTime;
 
@@ -68,7 +68,7 @@ fn run(seed: u64, schedule: &FaultSchedule) -> StepAllocs {
         }
     }
     eng.begin(schedule, SimTime::from_secs(600));
-    let first_sweep = SimTime::ZERO + RecoveryConfig::default().heartbeat_interval;
+    let first_sweep = SimTime::ZERO + HEARTBEAT_INTERVAL;
     let mut out = StepAllocs {
         warmup: 0,
         after: 0,

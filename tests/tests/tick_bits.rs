@@ -24,18 +24,13 @@ use socc_cluster::faults::{
 use socc_cluster::orchestrator::{Orchestrator, OrchestratorConfig};
 use socc_cluster::recovery::{RecoveryConfig, RecoveryEngine};
 use socc_cluster::workload::{WorkloadId, WorkloadSpec};
+use socc_sim::hash::{fnv1a, FNV_OFFSET};
 use socc_sim::rng::SimRng;
 use socc_sim::span::EventKind;
 use socc_sim::time::{SimDuration, SimTime};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 fn fold(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
+    *h = fnv1a(*h, &v.to_le_bytes());
 }
 
 /// Folds everything one tick writes: meter energy and power, the ledger's
