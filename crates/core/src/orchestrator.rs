@@ -2,7 +2,6 @@
 //! failover — the "advanced software that can orchestrate multiple SoCs"
 //! the paper calls for (§5.3, §8).
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::{Bound, Range};
 
@@ -444,7 +443,7 @@ impl Orchestrator {
 
     /// Submits a workload; places it on a SoC or rejects it.
     pub fn submit(&mut self, spec: WorkloadSpec) -> Result<WorkloadId, AdmissionError> {
-        self.submit_on(Cow::Owned(spec), None)
+        self.submit_clone(&spec, None)
     }
 
     /// Submits a copy of `spec`, made only if it is admitted, so a caller
@@ -455,7 +454,9 @@ impl Orchestrator {
         spec: &WorkloadSpec,
         avoid: Option<&[Range<usize>]>,
     ) -> Result<WorkloadId, AdmissionError> {
-        self.submit_on(Cow::Borrowed(spec), avoid)
+        let mut admitted = None;
+        self.admit(spec, 1, avoid, |id| admitted = Some(id))?;
+        Ok(admitted.expect("an accepted count-1 admission places one copy"))
     }
 
     /// Submits a borrowed spec; if the cluster is full and the workload
@@ -517,7 +518,7 @@ impl Orchestrator {
         spec: WorkloadSpec,
         avoid: &[Range<usize>],
     ) -> Result<WorkloadId, AdmissionError> {
-        self.submit_on(Cow::Owned(spec), Some(avoid))
+        self.submit_clone(&spec, Some(avoid))
     }
 
     /// While set, submissions strictly below `floor` are rejected with
@@ -532,66 +533,100 @@ impl Orchestrator {
         self.admission_floor
     }
 
-    /// The one admission path. A borrowed spec is cloned only once the
-    /// workload is placed.
-    fn submit_on(
+    /// The one admission path: places up to `count` copies of `spec` at
+    /// the current instant, hands each new id to `on_admit`, and stops at
+    /// the first refusal, which it returns. Copies keep filling the open
+    /// SoC while it still [`SocUnit::fits`] one — exactly the SoC the next
+    /// first fit would return, since no lower slot gained room — and each
+    /// SoC fill is booked once, with one [`Self::soc_changed`] and one
+    /// [`Self::record_power`]. So a count-1 call books exactly as a single
+    /// submit always did, and a larger one leaves the SoCs, the meter and
+    /// every per-SoC and chassis ledger energy as `count` single submits
+    /// would; only the ledger's incrementally nudged rail roll-up can
+    /// differ, by roundoff. With `avoid`, no copy lands inside those slot
+    /// ranges.
+    pub(crate) fn admit(
         &mut self,
-        spec: Cow<'_, WorkloadSpec>,
+        spec: &WorkloadSpec,
+        count: usize,
         avoid: Option<&[Range<usize>]>,
-    ) -> Result<WorkloadId, AdmissionError> {
+        mut on_admit: impl FnMut(WorkloadId),
+    ) -> Result<(), AdmissionError> {
+        if count == 0 {
+            return Ok(());
+        }
         if let Some(floor) = self.admission_floor {
-            if priority_of(&spec) < floor {
+            if priority_of(spec) < floor {
                 self.stats.rejected += 1;
                 return Err(AdmissionError::Degraded);
             }
         }
-        let (demand, runtime) = self.demand_for(&spec)?;
-        let placed_at = match avoid {
-            None => self.placement.first_fit(&demand, &self.cluster.socs),
-            Some(avoid) => self
-                .placement
-                .first_fit_outside(&demand, &self.cluster.socs, avoid),
-        };
-        let Some(soc) = placed_at else {
-            self.stats.rejected += 1;
-            return Err(AdmissionError::NoCapacity);
-        };
-        if demand.net_mbps > 0.0 && !self.cluster.fits_network(soc, demand.net_mbps) {
-            self.stats.rejected += 1;
-            return Err(AdmissionError::NetworkBound);
+        let (demand, runtime) = self.demand_for(spec)?;
+        let mut left = count;
+        loop {
+            let placed_at = match avoid {
+                None => self.placement.first_fit(&demand, &self.cluster.socs),
+                Some(avoid) => self
+                    .placement
+                    .first_fit_outside(&demand, &self.cluster.socs, avoid),
+            };
+            let Some(soc) = placed_at else {
+                self.stats.rejected += 1;
+                return Err(AdmissionError::NoCapacity);
+            };
+            let filled = left;
+            let mut refused = None;
+            loop {
+                if demand.net_mbps > 0.0 && !self.cluster.fits_network(soc, demand.net_mbps) {
+                    refused = Some(AdmissionError::NetworkBound);
+                    break;
+                }
+                if !self.cluster.socs[soc].state.is_serving() {
+                    self.stats.wakeups += 1;
+                    self.cluster.bmc.count_event();
+                    self.events
+                        .record(self.now, Scope::Power, EventKind::Wake { soc: soc as u32 });
+                }
+                self.cluster.socs[soc].place(&demand);
+                let id = WorkloadId(self.next_id);
+                self.next_id += 1;
+                self.events.record(
+                    self.now,
+                    Scope::Placement,
+                    EventKind::Placed {
+                        workload: id.0,
+                        soc: soc as u32,
+                    },
+                );
+                self.deploy(
+                    id,
+                    Placed {
+                        spec: spec.clone(),
+                        soc,
+                        demand,
+                        completes: runtime.map(|d| self.now + d),
+                    },
+                );
+                self.stats.admitted += 1;
+                on_admit(id);
+                left -= 1;
+                if left == 0 || !self.cluster.socs[soc].fits(&demand) {
+                    break;
+                }
+            }
+            if left < filled {
+                self.soc_changed(soc);
+                self.idle_since[soc] = None;
+                self.record_power();
+            }
+            if let Some(refusal) = refused {
+                self.stats.rejected += 1;
+                return Err(refusal);
+            }
+            if left == 0 {
+                return Ok(());
+            }
         }
-        if !self.cluster.socs[soc].state.is_serving() {
-            self.stats.wakeups += 1;
-            self.cluster.bmc.count_event();
-            self.events
-                .record(self.now, Scope::Power, EventKind::Wake { soc: soc as u32 });
-        }
-        self.cluster.socs[soc].place(&demand);
-        self.soc_changed(soc);
-        self.idle_since[soc] = None;
-        let id = WorkloadId(self.next_id);
-        self.next_id += 1;
-        self.events.record(
-            self.now,
-            Scope::Placement,
-            EventKind::Placed {
-                workload: id.0,
-                soc: soc as u32,
-            },
-        );
-        let completes = runtime.map(|d| self.now + d);
-        self.deploy(
-            id,
-            Placed {
-                spec: spec.into_owned(),
-                soc,
-                demand,
-                completes,
-            },
-        );
-        self.stats.admitted += 1;
-        self.record_power();
-        Ok(id)
     }
 
     /// The SoC a workload currently runs on.
@@ -628,20 +663,20 @@ impl Orchestrator {
 
     /// Explicitly finishes a workload (live streams, DL serving).
     pub fn finish(&mut self, id: WorkloadId) -> Result<(), AdmissionError> {
-        let placed = self.undeploy(id).ok_or(AdmissionError::Unsupported)?;
-        self.release(&placed);
-        self.stats.completed += 1;
-        self.completions.push(id);
-        self.events.record(
-            self.now,
-            Scope::Placement,
-            EventKind::Finished {
-                workload: id.0,
-                soc: placed.soc as u32,
-            },
-        );
-        self.record_power();
-        Ok(())
+        self.finish_all(std::slice::from_ref(&id))
+    }
+
+    /// Finishes `ids` in order, stopping at the first one not deployed
+    /// ([`AdmissionError::Unsupported`]). A SoC is re-booked once per run
+    /// of consecutive ids placed on it, so a window's departures, grouped
+    /// by SoC, cost one booking per SoC; [`Self::finish`] is the one-id
+    /// case and books as a single finish always did.
+    pub(crate) fn finish_all(&mut self, ids: &[WorkloadId]) -> Result<(), AdmissionError> {
+        let (finished, result) = self.release_all(ids);
+        if finished > 0 {
+            self.record_power();
+        }
+        result
     }
 
     /// Drains the ids of workloads that completed (finished explicitly or
@@ -669,15 +704,53 @@ impl Orchestrator {
         Some(placed)
     }
 
-    fn release(&mut self, placed: &Placed) {
-        let soc = &mut self.cluster.socs[placed.soc];
-        if soc.healthy {
-            soc.release(&placed.demand);
-            if soc.is_idle() {
-                self.idle_since[placed.soc] = Some(self.now);
+    /// The one release path: undeploys `ids` in order and frees their
+    /// demands, calling [`Self::soc_changed`] once per run of consecutive
+    /// ids on one SoC. Stops at the first id not deployed. Returns how many
+    /// were released; the caller books chassis power.
+    fn release_all(&mut self, ids: &[WorkloadId]) -> (usize, Result<(), AdmissionError>) {
+        // The SoC of the run being released, not yet re-booked.
+        let mut open = None;
+        let mut finished = 0;
+        let mut result = Ok(());
+        for &id in ids {
+            let Some(placed) = self.undeploy(id) else {
+                result = Err(AdmissionError::Unsupported);
+                break;
+            };
+            if let Some(soc) = open.take_if(|soc| *soc != placed.soc) {
+                self.released(soc);
             }
-            self.soc_changed(placed.soc);
+            let unit = &mut self.cluster.socs[placed.soc];
+            if unit.healthy {
+                unit.release(&placed.demand);
+                open = Some(placed.soc);
+            }
+            self.stats.completed += 1;
+            self.completions.push(id);
+            self.events.record(
+                self.now,
+                Scope::Placement,
+                EventKind::Finished {
+                    workload: id.0,
+                    soc: placed.soc as u32,
+                },
+            );
+            finished += 1;
         }
+        if let Some(soc) = open {
+            self.released(soc);
+        }
+        (finished, result)
+    }
+
+    /// Re-books a healthy SoC after releases, starting its idle clock if
+    /// it emptied.
+    fn released(&mut self, soc: usize) {
+        if self.cluster.socs[soc].is_idle() {
+            self.idle_since[soc] = Some(self.now);
+        }
+        self.soc_changed(soc);
     }
 
     /// Next internally scheduled event (archive completion or sleep
@@ -726,28 +799,13 @@ impl Orchestrator {
             // Archive completions due now, id-sorted: completion order is
             // observable through `drain_completions`.
             let mut due = std::mem::take(&mut self.ids);
-            while let Some(&(t, id)) = self.deadlines.first() {
-                if t > event_time {
-                    break;
-                }
-                self.deadlines.pop_first();
-                due.push(id);
-            }
+            let due_now = self.deadlines.iter().take_while(|&&(t, _)| t <= event_time);
+            due.extend(due_now.map(|&(_, id)| id));
             due.sort_unstable();
-            for id in due.drain(..) {
-                let placed = self.workloads.remove(id).expect("due workload exists");
-                self.release(&placed);
-                self.stats.completed += 1;
-                self.completions.push(id);
-                self.events.record(
-                    self.now,
-                    Scope::Placement,
-                    EventKind::Finished {
-                        workload: id.0,
-                        soc: placed.soc as u32,
-                    },
-                );
-            }
+            self.release_all(&due)
+                .1
+                .expect("due workloads are deployed");
+            due.clear();
             self.ids = due;
             // Sleep transitions due now, in slot order.
             if let Some(after) = self.sleep_after {
@@ -1049,6 +1107,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use socc_dl::{DType, ModelId};
+    use socc_hw::ledger::Component;
 
     fn orch() -> Orchestrator {
         Orchestrator::new(OrchestratorConfig::default())
@@ -1441,6 +1500,87 @@ mod tests {
                         .collect::<Vec<_>>()
                 };
                 prop_assert_eq!(reads(a), reads(b), "step {} (op {}): ledgers differ", step, op);
+            }
+        }
+
+        /// Grouped admission and release leave an orchestrator where the
+        /// same sessions, submitted and finished one at a time, leave its
+        /// twin. Each window advances the clock (a quarter of them not at
+        /// all), releases a drawn suffix of the live ids newest first, and
+        /// admits up to three groups of identical gaming sessions. The
+        /// drawn rate makes the SoC port bind (130 Mbps), the PCB uplink
+        /// bind (30 Mbps) or neither (7.3 Mbps, GPU slots bind). Only the
+        /// ledger's incrementally nudged rail roll-up may differ, by
+        /// roundoff, since the grouped twin nudges it once per SoC fill.
+        #[test]
+        fn batched_admission_matches_one_at_a_time(
+            rate in 0usize..3,
+            windows in prop::collection::vec(
+                (0u64..240_000, 0usize..1_000, prop::collection::vec(0usize..41, 0..4)),
+                1..40,
+            )
+        ) {
+            let spec = WorkloadSpec::GamingSession {
+                stream_mbps: [130.0, 30.0, 7.3][rate],
+            };
+            let (mut grouped, mut single) = (orch(), orch());
+            let (mut grouped_ids, mut single_ids) = (Vec::new(), Vec::new());
+            for (w, (advance_ms, release, groups)) in windows.into_iter().enumerate() {
+                let t = grouped.now() + SimDuration::from_millis(advance_ms.saturating_sub(60_000));
+                grouped.advance_to(t);
+                single.advance_to(t);
+                let keep = grouped_ids.len() - release % (grouped_ids.len() + 1);
+                grouped_ids[keep..].reverse();
+                grouped.finish_all(&grouped_ids[keep..]).unwrap();
+                grouped_ids.truncate(keep);
+                while single_ids.len() > keep {
+                    single.finish(single_ids.pop().unwrap()).unwrap();
+                }
+                for count in groups {
+                    let batched = grouped.admit(&spec, count, None, |id| grouped_ids.push(id));
+                    let one_by_one = (0..count).try_for_each(|_| {
+                        single.submit(spec.clone()).map(|id| single_ids.push(id))
+                    });
+                    prop_assert_eq!(batched, one_by_one, "window {}", w);
+                }
+                prop_assert_eq!(&grouped_ids, &single_ids, "window {}", w);
+                for &id in &grouped_ids {
+                    prop_assert_eq!(grouped.placement_of(id), single.placement_of(id));
+                }
+                prop_assert_eq!(grouped.stats(), single.stats(), "window {}", w);
+                let socs = |o: &Orchestrator| {
+                    o.cluster()
+                        .socs
+                        .iter()
+                        .map(|s| {
+                            let u = s.used();
+                            [u.cpu_pu, u.codec_mb_s, u.gpu_frac, u.dsp_frac, u.mem_gb, u.net_mbps]
+                                .map(f64::to_bits)
+                        })
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(socs(&grouped), socs(&single), "window {}: SoC usage", w);
+                prop_assert_eq!(grouped.power().as_watts().to_bits(), single.power().as_watts().to_bits());
+                prop_assert_eq!(grouped.energy().as_joules().to_bits(), single.energy().as_joules().to_bits());
+                let (a, b) = (grouped.energy_ledger(), single.energy_ledger());
+                let exact = |l: &EnergyLedger| {
+                    (0..l.socs())
+                        .flat_map(|soc| Component::ALL.map(|c| l.component_energy(soc, c, t)))
+                        .chain([l.chassis_energy(t)])
+                        .map(|e| e.as_joules().to_bits())
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(exact(a), exact(b), "window {}: component or chassis energy", w);
+                let (ra, rb) = (a.rail_total(t).as_joules(), b.rail_total(t).as_joules());
+                prop_assert!(
+                    (ra - rb).abs() <= 1e-12 * rb.abs(),
+                    "window {}: rails {} vs {}",
+                    w,
+                    ra,
+                    rb
+                );
+                prop_assert!(grouped.verify_energy_conservation(1e-9).is_ok());
+                prop_assert!(single.verify_energy_conservation(1e-9).is_ok());
             }
         }
     }
