@@ -12,6 +12,7 @@ use socc_dl::{DType, Engine, ModelId};
 use socc_sim::rng::SimRng;
 use socc_sim::time::{SimDuration, SimTime};
 
+use crate::gaming::{hold_sessions, sessions_for};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::workload::{SocProcessor, WorkloadSpec};
 
@@ -50,51 +51,36 @@ fn replay(hours: u64, seed: u64, colocate_fraction: f64) -> (f64, f64) {
         ..OrchestratorConfig::default()
     });
     let mbps_per_session = 10.0;
+    let gaming = WorkloadSpec::GamingSession {
+        stream_mbps: mbps_per_session,
+    };
     let mut sessions = Vec::new();
-    let mut dl_pool: Vec<crate::workload::WorkloadId> = Vec::new();
+    let mut dl_pool = Vec::new();
     let mut dl_sample_seconds = 0.0;
     let per_soc_dl_fps = Engine::QnnDsp
         .max_throughput(ModelId::ResNet50, DType::Int8)
         .expect("DSP runs INT8 R50")
         * colocate_fraction;
+    let dl = WorkloadSpec::DlServe {
+        processor: SocProcessor::Dsp,
+        model: ModelId::ResNet50,
+        dtype: DType::Int8,
+        offered_fps: per_soc_dl_fps,
+    };
     let mut prev_t = SimTime::ZERO;
     for &(t, gbps) in trace.samples() {
         dl_sample_seconds += dl_pool.len() as f64 * per_soc_dl_fps * t.since(prev_t).as_secs_f64();
         prev_t = t;
         orch.advance_to(t);
-        let target = (gbps * 1000.0 / mbps_per_session).round() as usize;
-        while sessions.len() > target {
-            orch.finish(sessions.pop().expect("non-empty"))
-                .expect("deployed");
-        }
-        while sessions.len() < target {
-            match orch.submit(WorkloadSpec::GamingSession {
-                stream_mbps: mbps_per_session,
-            }) {
-                Ok(id) => sessions.push(id),
-                Err(_) => break,
-            }
-        }
+        let target = sessions_for(gbps, mbps_per_session);
+        // A refusal leaves the count short until the next sample.
+        hold_sessions(&mut orch, &mut sessions, target, &gaming).ok();
         // Colocate: one DSP serving pool per SoC the *gaming* load keeps
         // awake (8 sessions per SoC, bin-packed). Tracking raw active
         // counts would ratchet: the DL pools themselves keep SoCs awake.
         if colocate_fraction > 0.0 {
             let gaming_socs = sessions.len().div_ceil(8);
-            while dl_pool.len() > gaming_socs {
-                orch.finish(dl_pool.pop().expect("non-empty"))
-                    .expect("deployed");
-            }
-            while dl_pool.len() < gaming_socs {
-                match orch.submit(WorkloadSpec::DlServe {
-                    processor: SocProcessor::Dsp,
-                    model: ModelId::ResNet50,
-                    dtype: DType::Int8,
-                    offered_fps: per_soc_dl_fps,
-                }) {
-                    Ok(id) => dl_pool.push(id),
-                    Err(_) => break,
-                }
-            }
+            hold_sessions(&mut orch, &mut dl_pool, gaming_socs, &dl).ok();
         }
     }
     (orch.energy().as_kilowatt_hours(), dl_sample_seconds)

@@ -237,11 +237,10 @@ impl SiteJob {
                 orch.restore_soc(soc);
             }
         }
-        for &id in &self.commands.departures {
-            // Departures only target sessions the control plane placed
-            // here and has not finished elsewhere.
-            orch.finish(id).expect("fleet-tracked session");
-        }
+        // Departures only target sessions the control plane placed here
+        // and has not finished elsewhere.
+        orch.finish_all(&self.commands.departures)
+            .expect("fleet-tracked sessions");
         if self.commands.power_off {
             // Full site power loss: every SoC drops at the barrier. The
             // instances die with the site; their sessions are already in
@@ -250,45 +249,21 @@ impl SiteJob {
                 r.killed += orch.fail_soc(soc).len() as u32;
             }
         }
-        'migrations: for bi in 0..self.commands.migrations_in.len() {
-            let (home, count) = self.commands.migrations_in[bi];
-            for done in 0..count {
-                match orch.submit(WorkloadSpec::GamingSession {
-                    stream_mbps: self.commands.mbps,
-                }) {
-                    Ok(id) => r.migrated_in.push((home, id)),
-                    Err(_) => {
-                        // Identical specs: once one is refused, the rest
-                        // of this window's migrations would be too. Hand
-                        // them all back for re-placement.
-                        r.migration_rejected.push((home, count - done));
-                        for &(h, c) in &self.commands.migrations_in[bi + 1..] {
-                            r.migration_rejected.push((h, c));
-                        }
-                        break 'migrations;
-                    }
-                }
+        let spec = WorkloadSpec::GamingSession {
+            stream_mbps: self.commands.mbps,
+        };
+        let migrations = &self.commands.migrations_in;
+        if let Some((refused, left)) = admit_groups(orch, &spec, migrations, &mut r.migrated_in) {
+            // Hand the refused group's rest and every later group back for
+            // re-placement.
+            r.migration_rejected.push((migrations[refused].0, left));
+            for &group in &migrations[refused + 1..] {
+                r.migration_rejected.push(group);
             }
         }
-        'arrivals: for bi in 0..self.commands.arrivals.len() {
-            let (home, count) = self.commands.arrivals[bi];
-            for done in 0..count {
-                match orch.submit(WorkloadSpec::GamingSession {
-                    stream_mbps: self.commands.mbps,
-                }) {
-                    Ok(id) => r.admitted.push((home, id)),
-                    Err(_) => {
-                        // Identical specs: once one is refused, the rest
-                        // of this window's arrivals would be too.
-                        r.rejected += count - done;
-                        r.rejected += self.commands.arrivals[bi + 1..]
-                            .iter()
-                            .map(|a| a.1)
-                            .sum::<u32>();
-                        break 'arrivals;
-                    }
-                }
-            }
+        let arrivals = &self.commands.arrivals;
+        if let Some((refused, left)) = admit_groups(orch, &spec, arrivals, &mut r.admitted) {
+            r.rejected += left + arrivals[refused + 1..].iter().map(|a| a.1).sum::<u32>();
         }
         // The control plane tracks departures itself; dropping the drain
         // clears the backlog without freeing its buffer.
@@ -298,6 +273,26 @@ impl SiteJob {
         r.power_w = orch.power().as_watts();
         r.stats = orch.stats();
     }
+}
+
+/// Admits `(home, count)` groups of identical sessions, one
+/// [`Orchestrator::admit`] call per group, and records each new id with its
+/// home in `placed`. Stops at the first refusal: the specs are identical,
+/// so the rest would be refused too. Returns the refused group's index and
+/// how many of its sessions were left unplaced.
+fn admit_groups(
+    orch: &mut Orchestrator,
+    spec: &WorkloadSpec,
+    groups: &[(u32, u32)],
+    placed: &mut Vec<(u32, WorkloadId)>,
+) -> Option<(usize, u32)> {
+    groups.iter().enumerate().find_map(|(i, &(home, count))| {
+        let before = placed.len();
+        let refused = orch
+            .admit(spec, count as usize, None, |id| placed.push((home, id)))
+            .is_err();
+        refused.then(|| (i, count - (placed.len() - before) as u32))
+    })
 }
 
 /// Totals accumulated over a fleet run.

@@ -10,7 +10,7 @@ use socc_sim::rng::SimRng;
 use socc_sim::time::SimDuration;
 
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use crate::workload::WorkloadSpec;
+use crate::workload::{AdmissionError, WorkloadId, WorkloadSpec};
 
 /// Outcome of a gaming-trace replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +44,26 @@ pub(crate) fn sessions_for(gbps: f64, mbps_per_session: f64) -> usize {
     (gbps * 1000.0 / mbps_per_session).round() as usize
 }
 
+/// Grows or shrinks `sessions`, deployed copies of `spec` in admission
+/// order, to `target`: releases the newest first in one grouped finish, or
+/// admits the shortfall in one call. Returns the refusal that left it
+/// short.
+pub(crate) fn hold_sessions(
+    orch: &mut Orchestrator,
+    sessions: &mut Vec<WorkloadId>,
+    target: usize,
+    spec: &WorkloadSpec,
+) -> Result<(), AdmissionError> {
+    if sessions.len() > target {
+        let departing = &mut sessions[target..];
+        departing.reverse();
+        orch.finish_all(departing).expect("deployed sessions");
+        sessions.truncate(target);
+        return Ok(());
+    }
+    orch.admit(spec, target - sessions.len(), None, |id| sessions.push(id))
+}
+
 /// Replays `hours` of the Fig. 5 gaming trace at `step` granularity.
 pub fn replay_gaming_trace(
     hours: u64,
@@ -60,7 +80,10 @@ pub fn replay_gaming_trace(
             sleep_after: sleep,
             ..OrchestratorConfig::default()
         });
-        let mut sessions: Vec<crate::workload::WorkloadId> = Vec::new();
+        let spec = WorkloadSpec::GamingSession {
+            stream_mbps: mbps_per_session,
+        };
+        let mut sessions = Vec::new();
         let mut peak_sessions = 0usize;
         let mut trough_sessions = usize::MAX;
         let mut peak_power = 0.0f64;
@@ -68,20 +91,8 @@ pub fn replay_gaming_trace(
         for &(t, gbps) in trace.samples() {
             orch.advance_to(t);
             let target = sessions_for(gbps, mbps_per_session);
-            while sessions.len() > target {
-                let id = sessions.pop().expect("non-empty");
-                orch.finish(id).expect("deployed session");
-            }
-            while sessions.len() < target {
-                match orch.submit(WorkloadSpec::GamingSession {
-                    stream_mbps: mbps_per_session,
-                }) {
-                    Ok(id) => sessions.push(id),
-                    Err(_) => {
-                        rejected += 1;
-                        break;
-                    }
-                }
+            if hold_sessions(&mut orch, &mut sessions, target, &spec).is_err() {
+                rejected += 1;
             }
             peak_sessions = peak_sessions.max(sessions.len());
             trough_sessions = trough_sessions.min(sessions.len());
