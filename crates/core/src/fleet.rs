@@ -257,9 +257,8 @@ impl SiteJob {
             // Hand the refused group's rest and every later group back for
             // re-placement.
             r.migration_rejected.push((migrations[refused].0, left));
-            for &group in &migrations[refused + 1..] {
-                r.migration_rejected.push(group);
-            }
+            r.migration_rejected
+                .extend_from_slice(&migrations[refused + 1..]);
         }
         let arrivals = &self.commands.arrivals;
         if let Some((refused, left)) = admit_groups(orch, &spec, arrivals, &mut r.admitted) {

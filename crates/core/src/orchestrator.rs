@@ -1511,7 +1511,8 @@ mod tests {
         /// drawn rate makes the SoC port bind (130 Mbps), the PCB uplink
         /// bind (30 Mbps) or neither (7.3 Mbps, GPU slots bind). Only the
         /// ledger's incrementally nudged rail roll-up may differ, by
-        /// roundoff, since the grouped twin nudges it once per SoC fill.
+        /// roundoff: the grouped twin nudges it once per SoC fill and once
+        /// per run of releases on one SoC.
         #[test]
         fn batched_admission_matches_one_at_a_time(
             rate in 0usize..3,
@@ -1554,8 +1555,10 @@ mod tests {
                         .iter()
                         .map(|s| {
                             let u = s.used();
-                            [u.cpu_pu, u.codec_mb_s, u.gpu_frac, u.dsp_frac, u.mem_gb, u.net_mbps]
-                                .map(f64::to_bits)
+                            let bits =
+                                [u.cpu_pu, u.codec_mb_s, u.gpu_frac, u.dsp_frac, u.mem_gb, u.net_mbps]
+                                    .map(f64::to_bits);
+                            (bits, u.codec_sessions, s.workload_count(), s.state)
                         })
                         .collect::<Vec<_>>()
                 };
